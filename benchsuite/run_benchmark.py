@@ -9,7 +9,7 @@ Run from the repository root. Standard library only.
       prints progress on stderr and, as the last stdout line, one JSON
       object {correct, attempted, failed, metrics}: the end-to-end metrics
       with --trace 0, the per-layer metrics with --trace 1.
-  python3 benchsuite/run_benchmark.py --all [--trace 0|1] [--traced]
+  python3 benchsuite/run_benchmark.py --all [--trace 0|1]
       Every workload once, each in its own process, as a table.
   python3 benchsuite/run_benchmark.py --repeat N [--workload NAME]
       N runs per workload on seeds 1..N; median, quartiles and spread of
@@ -56,6 +56,9 @@ RUNGS = [50000, 100000, 150000, 200000]
 # One run, capture and replay together, must end well within 180 s.
 RUN_TIMEOUT_S = 170
 
+# The daemon's Unix socket, relative to the build directory.
+ENDPOINT = f"unix:replay-{os.getpid()}.sock"
+
 
 def log(message):
     print(message, file=sys.stderr, flush=True)
@@ -97,11 +100,14 @@ def build():
 
 
 def run_suite(binary, args, deadline=None):
-    """Runs bench_suite; returns (exit code, parsed result or None)."""
+    """Runs bench_suite in the build directory, so that the daemon's socket
+    path (ENDPOINT, relative) stays short however deep the checkout is;
+    every other path it is given is absolute. Returns (exit code, parsed
+    result or None)."""
     if deadline is None:
         deadline = time.monotonic() + RUN_TIMEOUT_S
     try:
-        done = subprocess.run([str(binary)] + args, cwd=ROOT,
+        done = subprocess.run([str(binary)] + args, cwd=build_dir(),
                               stdout=subprocess.PIPE, stderr=None, text=True,
                               timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
@@ -113,13 +119,6 @@ def run_suite(binary, args, deadline=None):
     except json.JSONDecodeError:
         result = None
     return done.returncode, result
-
-
-def endpoint_for(out):
-    relative = os.path.relpath(out, ROOT)
-    path = f"{relative}/replay-{os.getpid()}.sock"
-    # sockaddr_un holds 108 bytes; fall back to TCP loopback past that.
-    return f"unix:{path}" if len(path) < 100 else "tcp:127.0.0.1:0"
 
 
 def run_workload(binary, name, seed, seconds, traced, workload_file=None,
@@ -147,7 +146,7 @@ def run_workload(binary, name, seed, seconds, traced, workload_file=None,
     if code != 0 or captured is None:
         return code or 1, captured
     args = ["replay"] + common + ["--trace-in", str(capture), "--endpoint",
-                                  endpoint_for(out), "--rate", str(rate)]
+                                  ENDPOINT, "--rate", str(rate)]
     if traced:
         args += ["--traced", "--rungs", ",".join(str(r) for r in rungs),
                  "--trace-out", str(trace_file)]
@@ -168,12 +167,15 @@ def run_workload(binary, name, seed, seconds, traced, workload_file=None,
 
 def contract_line(result, wanted):
     """The result as the benchmark contract prints it, or None when a
-    declared metric is missing or carries another unit."""
+    declared metric is missing, carries another unit or reads 0 (a metric
+    of 0 has no relative change to compare, so every listed one must be
+    non-zero on every workload)."""
     metrics = {}
     for spec in wanted:
         got = result["metrics"].get(spec["name"])
-        if got is None or got["unit"] != spec["unit"]:
-            log(f"run_benchmark: metric {spec['name']} missing or mis-united")
+        if got is None or got["unit"] != spec["unit"] or got["value"] == 0:
+            log(f"run_benchmark: metric {spec['name']} missing, mis-united "
+                "or zero")
             return None
         metrics[spec["name"]] = got
     return {"correct": bool(result["correct"]),
@@ -348,8 +350,7 @@ def cmd_smoke(binary):
         trace.write_bytes(bytes(data))
         code, _ = run_suite(binary, [
             "replay", "--workload", str(path), "--seconds", "0.5",
-            "--trace-in", str(trace), "--endpoint", endpoint_for(build_dir()),
-            "--rate", "2000"])
+            "--trace-in", str(trace), "--endpoint", ENDPOINT, "--rate", "2000"])
         expect("a flipped expected-response byte exits 2", code == 2)
 
     log(f"smoke: {len(failures)} failure(s) in {time.time() - started:.1f} s")
@@ -362,14 +363,10 @@ def main():
     parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--traced", action="store_true",
-                        help="same as --trace 1")
     parser.add_argument("--all", action="store_true")
     parser.add_argument("--repeat", type=int)
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args()
-    if args.traced:
-        args.trace = 1
     if args.seconds is None:
         args.seconds = benchmark_spec()["run_seconds"]
 

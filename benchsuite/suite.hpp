@@ -39,6 +39,19 @@ extern bool g_count_allocs;
   return quantile(std::move(values), 0.5);
 }
 
+// -- the host's clock --------------------------------------------------------
+
+/// How much slower than the reference clock the host runs right now: above
+/// 1 when slower. A shared host steps its clock speed between levels 20%
+/// and more apart, on every CPU at once, and may stay on one for minutes;
+/// no statistic inside one run can remove that. The probe times a fixed chain of dependent ALU
+/// operations, code of the benchmark's own, whose time follows the clock
+/// alone: the fastest of a few timings (about 2 ms in all) ÷ the kernel's
+/// time at the reference clock. CPU-bound time metrics are reported at the
+/// reference clock: a duration is divided by the slowdown read around it,
+/// a rate multiplied by it.
+[[nodiscard]] double host_slowdown();
+
 /// getrusage(RUSAGE_SELF).ru_maxrss in MiB.
 [[nodiscard]] double peak_rss_mib();
 /// Current resident set from /proc/self/statm, in bytes.
