@@ -1,7 +1,6 @@
 #include "sb/client.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace sbp::sb {
 
@@ -16,19 +15,6 @@ void Client::subscribe(std::string_view list_name) {
   ListState state;
   state.name = std::string(list_name);
   lists_.push_back(std::move(state));
-  rebuild_store(lists_.back());
-}
-
-void Client::rebuild_store(ListState& state) {
-  // effective_prefixes_into yields a sorted, deduplicated set, so the
-  // batch can adopt it directly; all three buffers are member scratch,
-  // reused across rebuilds.
-  state.chunks.effective_prefixes_into(
-      std::numeric_limits<std::uint32_t>::max(), rebuild_prefixes_,
-      rebuild_subs_);
-  rebuild_batch_.assign_sorted32(rebuild_prefixes_);
-  state.store = storage::make_store(config_.store_kind, rebuild_batch_,
-                                    config_.bloom_bits);
 }
 
 bool Client::update() {
@@ -43,11 +29,13 @@ bool Client::update() {
   for (const auto& state : lists_) {
     UpdateRequest::ListState list_state;
     list_state.list_name = state.name;
-    for (const Chunk& c : state.chunks.adds()) {
-      list_state.add_chunks.push_back(c.number);
-    }
-    for (const Chunk& c : state.chunks.subs()) {
-      list_state.sub_chunks.push_back(c.number);
+    if (state.synced) {
+      for (const Chunk& c : state.synced->chunks.adds()) {
+        list_state.add_chunks.push_back(c.number);
+      }
+      for (const Chunk& c : state.synced->chunks.subs()) {
+        list_state.sub_chunks.push_back(c.number);
+      }
     }
     request.lists.push_back(std::move(list_state));
   }
@@ -63,10 +51,11 @@ bool Client::update() {
   for (const auto& update : response->lists) {
     for (auto& state : lists_) {
       if (state.name != update.list_name) continue;
-      for (const Chunk& chunk : update.chunks) {
-        state.chunks.apply(chunk);
-      }
-      rebuild_store(state);
+      // Moving the old state in lets a private cache drop it right away.
+      state.synced = sync_states().next_v3(std::move(state.synced),
+                                           state.name, update.chunks,
+                                           config_.store_kind,
+                                           config_.bloom_bits);
     }
   }
   cache_.clear();  // an update discards cached full digests
@@ -90,11 +79,12 @@ void Client::local_contains_many(std::span<const crypto::Prefix32> prefixes,
   // (stack scratch; batches above 64 are split, preserving order).
   bool tmp[64];
   for (const auto& state : lists_) {
-    if (!state.store) continue;
+    if (!state.synced) continue;
+    const storage::PrefixStore& store = *state.synced->store;
     for (std::size_t base = 0; base < n; base += 64) {
       const std::size_t count = std::min<std::size_t>(64, n - base);
-      state.store->contains_many32(prefixes.subspan(base, count),
-                                   std::span<bool>(tmp, count));
+      store.contains_many32(prefixes.subspan(base, count),
+                            std::span<bool>(tmp, count));
       for (std::size_t i = 0; i < count; ++i) {
         out[base + i] = out[base + i] || tmp[i];
       }
@@ -105,7 +95,7 @@ void Client::local_contains_many(std::span<const crypto::Prefix32> prefixes,
 std::size_t Client::local_prefix_count() const noexcept {
   std::size_t total = 0;
   for (const auto& state : lists_) {
-    if (state.store) total += state.store->size();
+    if (state.synced) total += state.synced->store->size();
   }
   return total;
 }
@@ -113,9 +103,17 @@ std::size_t Client::local_prefix_count() const noexcept {
 std::size_t Client::local_store_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& state : lists_) {
-    if (state.store) total += state.store->memory_bytes();
+    if (state.synced) total += state.synced->store->memory_bytes();
   }
   return total;
+}
+
+SyncStateCache::V3State Client::synced_state(
+    std::string_view list_name) const {
+  for (const auto& state : lists_) {
+    if (state.name == list_name) return state.synced;
+  }
+  return nullptr;
 }
 
 }  // namespace sbp::sb

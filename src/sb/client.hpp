@@ -9,7 +9,8 @@
 // malicious only if a returned full digest equals the full digest of one of
 // the URL's decompositions. (The flow itself lives in
 // sb::PrefixProtocolClient -- v4 shares it; this class contributes the v3
-// local database: shavar chunks rebuilt into prefix stores.)
+// local database: shavar chunks rebuilt into prefix stores, obtained from
+// the client's sb::SyncStateCache so clients in one state share them.)
 //
 // The local store backend is configurable (raw / delta-coded / Bloom,
 // Section 2.2.2); with Bloom, local hits can be intrinsic false positives,
@@ -64,22 +65,22 @@ class Client : public PrefixProtocolClient {
   [[nodiscard]] std::size_t local_prefix_count() const noexcept override;
   [[nodiscard]] std::size_t local_store_bytes() const noexcept override;
 
+  /// The shared state synced for `list_name` (null = none yet) -- exposed
+  /// for tests that check which clients share one state.
+  [[nodiscard]] SyncStateCache::V3State synced_state(
+      std::string_view list_name) const;
+
  private:
   struct ListState {
     std::string name;
-    ChunkStore chunks;
-    std::unique_ptr<storage::PrefixStore> store;  // rebuilt on update
+    /// Applied chunks + built store, immutable and possibly shared with
+    /// every other client in the same state; null until a sync ships
+    /// chunks for this list.
+    SyncStateCache::V3State synced;
   };
-
-  void rebuild_store(ListState& state);
 
   std::vector<ListState> lists_;
   BackoffState update_backoff_;
-  // Rebuild scratch, reused across updates so periodic re-syncs stop
-  // churning the heap (the profiled resync hotspot).
-  std::vector<crypto::Prefix32> rebuild_prefixes_;
-  std::vector<crypto::Prefix32> rebuild_subs_;
-  storage::PrefixBatch rebuild_batch_{4};
 };
 
 /// The v3 generation under its protocol-family name.

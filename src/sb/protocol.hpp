@@ -25,6 +25,7 @@
 #include "sb/backoff.hpp"
 #include "sb/lookup_request.hpp"
 #include "sb/protocol_version.hpp"
+#include "sb/sync_state_cache.hpp"
 #include "sb/transport.hpp"
 #include "storage/full_hash_cache.hpp"
 #include "storage/prefix_store.hpp"
@@ -76,6 +77,11 @@ struct ClientConfig {
   BackoffConfig backoff{.base_delay = 60,
                         .max_delay = 28800,
                         .min_update_gap = 0};
+  /// Where v3/v4 clients get their immutable synced list states (see
+  /// sb/sync_state_cache.hpp). A population passes one shared cache so
+  /// clients in the same state share one apply+rebuild and one store;
+  /// null = a private cache per client.
+  std::shared_ptr<SyncStateCache> sync_states;
 };
 
 struct ClientMetrics {
@@ -170,7 +176,8 @@ class ProtocolClient {
 /// test over the request's decomposition prefixes, then resolve hits via
 /// cache or one batched full-hash request and confirm against full
 /// digests. Subclasses provide the local store (local_contains_many) and
-/// the update mechanism.
+/// the update mechanism; their synced list states come from
+/// `sync_states()`.
 class PrefixProtocolClient : public ProtocolClient {
  public:
   using ProtocolClient::lookup;  // keep the string convenience visible
@@ -180,7 +187,15 @@ class PrefixProtocolClient : public ProtocolClient {
   PrefixProtocolClient(Transport& transport, ClientConfig config)
       : ProtocolClient(transport, config),
         cache_(config.full_hash_ttl),
-        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {}
+        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {
+    if (!config_.sync_states) {
+      config_.sync_states = std::make_shared<SyncStateCache>();
+    }
+  }
+
+  [[nodiscard]] SyncStateCache& sync_states() noexcept {
+    return *config_.sync_states;
+  }
 
   storage::FullHashCache cache_;
   BackoffState full_hash_backoff_;

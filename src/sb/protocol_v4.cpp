@@ -43,17 +43,13 @@ bool V4SlicedProtocol::update() {
   for (const auto& slice : response->lists) {
     for (auto& state : lists_) {
       if (state.name != slice.list_name) continue;
-      bool applied;
-      if (slice.full_reset) {
-        applied = state.store.reset(slice.additions);
-      } else {
-        applied =
-            state.store.apply_slice(slice.removal_indices, slice.additions);
-      }
-      if (!applied || state.store.checksum() != slice.checksum) {
+      // Moving the old state in lets a private cache drop it right away.
+      state.store = sync_states().next_v4(std::move(state.store), slice);
+      if (!state.store || state.store->checksum() != slice.checksum) {
         // Desynchronized: discard local state so the next update performs
-        // a full resync (the Update API's recovery discipline).
-        state.store.clear();
+        // a full resync (the Update API's recovery discipline). The shared
+        // state itself is untouched: only this client lets go of it.
+        state.store.reset();
         state.state = 0;
         ++metrics_.updates_failed;
         all_applied = false;
@@ -81,10 +77,11 @@ void V4SlicedProtocol::local_contains_many(
   std::fill(out.begin(), out.begin() + n, false);
   bool tmp[64];
   for (const auto& state : lists_) {
+    if (!state.store) continue;
     for (std::size_t base = 0; base < n; base += 64) {
       const std::size_t count = std::min<std::size_t>(64, n - base);
-      state.store.contains_many32(prefixes.subspan(base, count),
-                                  std::span<bool>(tmp, count));
+      state.store->contains_many32(prefixes.subspan(base, count),
+                                   std::span<bool>(tmp, count));
       for (std::size_t i = 0; i < count; ++i) {
         out[base + i] = out[base + i] || tmp[i];
       }
@@ -94,13 +91,17 @@ void V4SlicedProtocol::local_contains_many(
 
 std::size_t V4SlicedProtocol::local_prefix_count() const noexcept {
   std::size_t total = 0;
-  for (const auto& state : lists_) total += state.store.size();
+  for (const auto& state : lists_) {
+    if (state.store) total += state.store->size();
+  }
   return total;
 }
 
 std::size_t V4SlicedProtocol::local_store_bytes() const noexcept {
   std::size_t total = 0;
-  for (const auto& state : lists_) total += state.store.memory_bytes();
+  for (const auto& state : lists_) {
+    if (state.store) total += state.store->memory_bytes();
+  }
   return total;
 }
 
@@ -114,9 +115,19 @@ std::uint64_t V4SlicedProtocol::list_state(std::string_view list_name) const {
 std::uint32_t V4SlicedProtocol::list_checksum(
     std::string_view list_name) const {
   for (const auto& state : lists_) {
-    if (state.name == list_name) return state.store.checksum();
+    if (state.name != list_name) continue;
+    return state.store ? state.store->checksum()
+                       : storage::RawHashStore::checksum_of({});
   }
   return 0;
+}
+
+SyncStateCache::V4State V4SlicedProtocol::synced_state(
+    std::string_view list_name) const {
+  for (const auto& state : lists_) {
+    if (state.name == list_name) return state.store;
+  }
+  return nullptr;
 }
 
 }  // namespace sbp::sb

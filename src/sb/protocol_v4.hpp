@@ -66,11 +66,18 @@ class V4SlicedProtocol : public PrefixProtocolClient {
   /// churn-convergence check of tests/sim/engine_churn_test.cpp).
   [[nodiscard]] std::uint32_t list_checksum(std::string_view list_name) const;
 
+  /// The shared store synced for `list_name` (null = empty) -- exposed for
+  /// tests that check which clients share one state.
+  [[nodiscard]] SyncStateCache::V4State synced_state(
+      std::string_view list_name) const;
+
  private:
   struct ListState {
     std::string name;
     std::uint64_t state = 0;
-    storage::RawHashStore store;
+    /// Sorted prefix array + its checksum, immutable and possibly shared
+    /// with every other client in the same state; null = empty.
+    SyncStateCache::V4State store;
   };
 
   std::vector<ListState> lists_;

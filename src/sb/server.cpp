@@ -290,7 +290,11 @@ Server::encoded_update_response(
   // other sees the cached bytes (hits) -- the hit/miss totals are
   // independent of arrival order, keeping metrics thread-count-invariant.
   const std::lock_guard<std::mutex> lock(update_serve_mutex_);
-  std::string key(request_frame.begin(), request_frame.end());
+  // Probe with a view of the frame bytes (transparent hash): a hit
+  // allocates nothing; only a miss materializes the key.
+  const std::string_view key(
+      reinterpret_cast<const char*>(request_frame.data()),
+      request_frame.size());
   const auto cached = update_encode_cache_.find(key);
   if (cached != update_encode_cache_.end()) {
     // Safe to skip fetch_*: a live cache entry means no mutation (and so
@@ -323,7 +327,7 @@ Server::encoded_update_response(
       std::move(response_frame));
   // Insert AFTER serving: fetch_* may seal, which clears the cache; the
   // entry stored now describes the post-seal state it was computed from.
-  update_encode_cache_.emplace(std::move(key), shared);
+  update_encode_cache_.emplace(std::string(key), shared);
   return shared;
 }
 

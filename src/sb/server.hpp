@@ -412,11 +412,21 @@ class Server {
   mutable std::atomic<std::shared_ptr<const LookupSnapshot>> snapshot_{};
   mutable std::mutex snapshot_rebuild_mutex_;
 
+  /// Transparent hash: the encode cache is probed with a string_view of
+  /// the request frame, so a hit copies no key.
+  struct FrameKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view bytes) const noexcept {
+      return std::hash<std::string_view>{}(bytes);
+    }
+  };
+
   /// Encoded update responses keyed by encoded request-frame bytes.
   /// Cleared by every mutation (via invalidate_snapshot and seal) and by
   /// set_minimum_wait; never copied (copies start cold).
   std::unordered_map<std::string,
-                     std::shared_ptr<const std::vector<std::uint8_t>>>
+                     std::shared_ptr<const std::vector<std::uint8_t>>,
+                     FrameKeyHash, std::equal_to<>>
       update_encode_cache_;
   std::uint64_t update_encode_cache_hits_ = 0;
   /// Serializes encoded_update_response (parallel-phase client re-syncs).

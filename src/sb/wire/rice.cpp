@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace sbp::sb::wire {
 
@@ -46,31 +47,66 @@ class BitWriter {
   unsigned fill_ = 0;
 };
 
-/// MSB-first bit consumer over a fixed payload.
+/// MSB-first bit consumer over a fixed payload. Reads a 64-bit window per
+/// call instead of one bit at a time: v4 slices are decoded once per
+/// re-syncing client, so this loop is on the fleet's update path.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) noexcept
       : data_(data) {}
 
-  [[nodiscard]] std::optional<unsigned> bit() noexcept {
-    const std::size_t byte = cursor_ >> 3;
-    if (byte >= data_.size()) return std::nullopt;
-    const unsigned value = (data_[byte] >> (7 - (cursor_ & 7))) & 1u;
-    ++cursor_;
-    return value;
+  /// A unary-coded quotient: the number of 1 bits before the next 0.
+  /// nullopt when the payload ends first or the count exceeds `max`.
+  [[nodiscard]] std::optional<std::uint32_t> unary(std::uint32_t max) noexcept {
+    std::uint64_t quotient = 0;
+    for (;;) {
+      const std::size_t left = remaining();
+      if (left == 0) return std::nullopt;  // truncated payload
+      const auto valid = static_cast<unsigned>(std::min<std::size_t>(left, 57));
+      const auto ones = static_cast<unsigned>(std::countl_one(window()));
+      if (ones < valid) {
+        quotient += ones;
+        if (quotient > max) return std::nullopt;
+        cursor_ += ones + 1;
+        return static_cast<std::uint32_t>(quotient);
+      }
+      quotient += valid;
+      if (quotient > max) return std::nullopt;
+      cursor_ += valid;
+    }
   }
 
+  /// The next `count` (1..32) bits as one MSB-first value.
   [[nodiscard]] std::optional<std::uint32_t> bits(unsigned count) noexcept {
-    std::uint32_t value = 0;
-    for (unsigned i = 0; i < count; ++i) {
-      const auto b = bit();
-      if (!b) return std::nullopt;
-      value = (value << 1) | *b;
-    }
-    return value;
+    if (count > remaining()) return std::nullopt;
+    const std::uint64_t value = window() >> (64 - count);
+    cursor_ += count;
+    return static_cast<std::uint32_t>(value);
   }
 
  private:
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return data_.size() * 8 - cursor_;
+  }
+
+  /// The bits from the cursor on, MSB-aligned; at least 57 of them are
+  /// payload bits or, past the payload's end, zeros.
+  [[nodiscard]] std::uint64_t window() const noexcept {
+    const std::size_t byte = cursor_ >> 3;
+    std::uint64_t value = 0;
+    if (byte + 8 <= data_.size()) {
+      std::memcpy(&value, data_.data() + byte, sizeof value);
+      if constexpr (std::endian::native == std::endian::little) {
+        value = __builtin_bswap64(value);
+      }
+    } else {
+      for (std::size_t i = byte; i < byte + 8; ++i) {
+        value = (value << 8) | (i < data_.size() ? data_[i] : 0u);
+      }
+    }
+    return value << (cursor_ & 7);
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t cursor_ = 0;  // bit cursor
 };
@@ -155,13 +191,9 @@ std::optional<std::vector<std::uint32_t>> rice_decode_sorted(
   const std::uint32_t max_quotient = 0xFFFFFFFFu >> *k;
   std::uint64_t previous = values.back();
   for (std::uint64_t i = 0; i < rest; ++i) {
-    std::uint32_t quotient = 0;
-    for (;;) {
-      const auto b = bits.bit();
-      if (!b) return std::nullopt;  // truncated payload
-      if (*b == 0) break;
-      if (++quotient > max_quotient) return std::nullopt;  // would overflow
-    }
+    // nullopt: truncated payload, or a quotient that would overflow.
+    const auto quotient = bits.unary(max_quotient);
+    if (!quotient) return std::nullopt;
     std::uint32_t remainder = 0;
     if (*k > 0) {
       const auto r = bits.bits(*k);
@@ -169,7 +201,7 @@ std::optional<std::vector<std::uint32_t>> rice_decode_sorted(
       remainder = *r;
     }
     const std::uint64_t coded =
-        (static_cast<std::uint64_t>(quotient) << *k) | remainder;
+        (static_cast<std::uint64_t>(*quotient) << *k) | remainder;
     const std::uint64_t value = previous + coded + 1;
     if (value > 0xFFFFFFFFull) return std::nullopt;  // leaves uint32 range
     values.push_back(static_cast<std::uint32_t>(value));

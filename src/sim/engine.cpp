@@ -195,6 +195,7 @@ void Engine::build_population() {
     client_config.bloom_bits = config_.bloom_bits;
     client_config.full_hash_ttl = config_.full_hash_ttl;
     client_config.cookie = user.cookie;
+    client_config.sync_states = sync_states_;
     // Clients bind to their shard's transport: every wire request a user
     // makes counts against (and only touches) shard-local state.
     user.client = sb::make_protocol_client(*shard.transport, client_config);
@@ -205,6 +206,7 @@ void Engine::build_population() {
 
     shard.users.push_back(std::move(user));
   }
+  sync_states_->prune();
 }
 
 UserState& Engine::user(std::size_t index) {
@@ -491,6 +493,10 @@ bool Engine::step() {
       metrics_ += shard->tick_metrics;
     }
   });
+  // Release the sync states no client holds any more. Pruning only here,
+  // with every client at rest, keeps the build count a function of the
+  // states clients hold, never of how the shards interleaved.
+  sync_states_->prune();
 
   if (timed && config_.metrics_per_tick_series) {
     obs::TickSample sample;
@@ -553,6 +559,7 @@ obs::Snapshot Engine::obs_snapshot() const {
       metrics_.url_cache_invalidations;
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
+  counters.counter("client_state_builds").value = client_state_builds();
 
   snapshot.per_tick = obs_series_;
   return snapshot;

@@ -32,9 +32,11 @@
 // BEFORE the barrier opens, so concurrent updates read frozen server
 // state (the update path itself is mutex-guarded, and its encode-cache
 // totals are order-independent -- see sb/server.hpp), touch only
-// shard-owned client state, and write nothing to the query log -- which
-// is exactly why moving them off the engine thread changes no observable
-// output. After the barrier
+// shard-owned client state plus the population's mutex-guarded
+// sb::SyncStateCache (one apply+rebuild per distinct state transition,
+// whichever shard asks first; pruned only between ticks), and write
+// nothing to the query log -- which is exactly why moving them off the
+// engine thread changes no observable output. After the barrier
 // the engine drains the per-shard log buffers in canonical
 // (tick, shard, seq) order and sums the per-shard counters, which is why
 // the same seed produces bit-identical logs and fingerprints at ANY
@@ -197,6 +199,18 @@ class Engine {
     return epoch_count_;
   }
 
+  /// Apply+rebuilds of client list states so far -- one per distinct
+  /// (prior state, update), however many clients made that transition
+  /// (exported as the `client_state_builds` counter).
+  [[nodiscard]] std::uint64_t client_state_builds() const {
+    return sync_states_->builds();
+  }
+
+  /// The population's shared client-state cache (test support).
+  [[nodiscard]] const sb::SyncStateCache& sync_states() const noexcept {
+    return *sync_states_;
+  }
+
   /// The tick distance between a user's scheduled re-syncs under churn:
   /// `churn.minimum_wait_ticks`, defaulting to one epoch.
   [[nodiscard]] std::uint64_t resync_cadence() const noexcept {
@@ -299,6 +313,12 @@ class Engine {
   TrafficModel traffic_model_;
   mitigation::DummyPolicy dummy_policy_;
 
+  /// Every client's list states come from this one cache: a fleet moving
+  /// from one state to the next shares a single apply+rebuild and a
+  /// single store. Pruned only between ticks (see step()).
+  std::shared_ptr<sb::SyncStateCache> sync_states_ =
+      std::make_shared<sb::SyncStateCache>(
+          sb::SyncStateCache::Pruning::kManual);
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
   std::uint64_t tick_ = 0;

@@ -133,6 +133,11 @@ void check_thread_determinism(const Scenario& base,
       collect.fail("threads=" + num(threads) + " vs threads=" +
                    num(baseline_threads) + ": " + join(diffs, "; "));
     }
+    collect.law(leg.client_state_builds == baseline.client_state_builds,
+                "threads=" + num(threads) + " client_state_builds " +
+                    num(leg.client_state_builds) + " != threads=" +
+                    num(baseline_threads) + " " +
+                    num(baseline.client_state_builds));
   }
 }
 
@@ -150,6 +155,10 @@ void check_metrics_transparency(const Scenario& base,
   if (!diffs.empty()) {
     collect.fail("collect_metrics=true vs false: " + join(diffs, "; "));
   }
+  collect.law(leg.client_state_builds == baseline.client_state_builds,
+              "collect_metrics=true client_state_builds " +
+                  num(leg.client_state_builds) + " != " +
+                  num(baseline.client_state_builds));
   if (!leg.obs || !leg.obs->enabled) {
     collect.fail("collect_metrics=true produced no obs snapshot");
   }
@@ -346,6 +355,17 @@ void check_counter_conservation(const Scenario& base,
   collect.law(p.backoff_suppressed == 0,
               "population.backoff_suppressed " + num(p.backoff_suppressed) +
                   " != 0");
+  // Shared sync states: a list state is built only when some client's
+  // successful update() needs it, and one update() needs at most one state
+  // per subscribed list -- clients in a shared state never rebuild it.
+  const std::uint64_t successful_updates =
+      p.updates_attempted -
+      std::min(p.updates_attempted, p.backoff_suppressed + p.updates_failed);
+  const std::uint64_t lists = config.blacklist.lists.size();
+  collect.law(r.client_state_builds <= successful_updates * lists,
+              "client_state_builds " + num(r.client_state_builds) +
+                  " > successful updates " + num(successful_updates) +
+                  " x lists " + num(lists));
 
   // The server log is exactly the wire's query-bearing requests.
   collect.law(r.log_entries == w.full_hash_requests + w.v1_requests,

@@ -158,6 +158,7 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   result.metrics = engine.metrics();
   result.population = engine.population_metrics();
   result.wire = engine.transport_stats();
+  result.client_state_builds = engine.client_state_builds();
   if (engine.metrics_enabled()) result.obs = engine.obs_snapshot();
   result.log_entries = counter.entries();
   result.log_prefixes = counter.prefixes();

@@ -41,6 +41,8 @@ struct ScenarioRunResult {
   SimMetrics metrics;
   sb::ClientMetrics population;
   sb::TransportStats wire;
+  /// Engine::client_state_builds(): deterministic, but not a golden field.
+  std::uint64_t client_state_builds = 0;
 
   std::uint64_t log_entries = 0;
   std::uint64_t log_prefixes = 0;

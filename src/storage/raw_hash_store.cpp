@@ -19,50 +19,57 @@ bool strictly_increasing(std::span<const std::uint32_t> values) {
 
 bool RawHashStore::reset(std::vector<crypto::Prefix32> sorted) {
   if (!strictly_increasing(sorted)) {
-    sorted_.clear();
+    clear();
     return false;
   }
   sorted_ = std::move(sorted);
+  checksum_ = checksum_of(sorted_);
   return true;
+}
+
+std::optional<RawHashStore> RawHashStore::sliced(
+    std::span<const std::uint32_t> removal_indices,
+    std::span<const crypto::Prefix32> additions) const {
+  if (!strictly_increasing(removal_indices) ||
+      !strictly_increasing(additions)) {
+    return std::nullopt;
+  }
+  if (!removal_indices.empty() && removal_indices.back() >= sorted_.size()) {
+    return std::nullopt;
+  }
+
+  // One strictness-checked merge of the removal pass's survivors with the
+  // additions -- one allocation, O(n + m).
+  RawHashStore next;
+  std::vector<crypto::Prefix32>& merged = next.sorted_;
+  merged.reserve(sorted_.size() - removal_indices.size() + additions.size());
+  std::size_t i = 0, j = 0, r = 0;
+  while (true) {
+    while (i < sorted_.size() && r < removal_indices.size() &&
+           removal_indices[r] == i) {
+      ++i;
+      ++r;
+    }
+    if (i == sorted_.size() && j == additions.size()) break;
+    if (j == additions.size() ||
+        (i < sorted_.size() && sorted_[i] < additions[j])) {
+      merged.push_back(sorted_[i++]);
+    } else if (i == sorted_.size() || additions[j] < sorted_[i]) {
+      merged.push_back(additions[j++]);
+    } else {
+      return std::nullopt;  // addition already present: corrupt slice
+    }
+  }
+  next.checksum_ = checksum_of(merged);
+  return next;
 }
 
 bool RawHashStore::apply_slice(
     const std::vector<std::uint32_t>& removal_indices,
     const std::vector<crypto::Prefix32>& additions) {
-  if (!strictly_increasing(removal_indices) ||
-      !strictly_increasing(additions)) {
-    return false;
-  }
-  if (!removal_indices.empty() && removal_indices.back() >= sorted_.size()) {
-    return false;
-  }
-
-  // Survivors of the removal pass, then a strictness-checked merge with
-  // the additions -- one allocation, O(n + m).
-  std::vector<crypto::Prefix32> next;
-  next.reserve(sorted_.size() - removal_indices.size() + additions.size());
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (r < removal_indices.size() && removal_indices[r] == i) {
-      ++r;
-      continue;
-    }
-    next.push_back(sorted_[i]);
-  }
-
-  std::vector<crypto::Prefix32> merged;
-  merged.reserve(next.size() + additions.size());
-  std::size_t i = 0, j = 0;
-  while (i < next.size() || j < additions.size()) {
-    if (j == additions.size() || (i < next.size() && next[i] < additions[j])) {
-      merged.push_back(next[i++]);
-    } else if (i == next.size() || additions[j] < next[i]) {
-      merged.push_back(additions[j++]);
-    } else {
-      return false;  // addition already present: corrupt slice
-    }
-  }
-  sorted_ = std::move(merged);
+  std::optional<RawHashStore> next = sliced(removal_indices, additions);
+  if (!next) return false;
+  *this = std::move(*next);
   return true;
 }
 

@@ -7,9 +7,15 @@
 // application the client verifies a checksum of the whole set and, on
 // mismatch, throws its state away and full-syncs -- exactly the Update
 // API's recovery discipline.
+//
+// The checksum is computed once per content change (reset / slice /
+// clear), so the per-update verification and every list_checksum() read
+// cost nothing -- and an immutable store shared by many clients carries
+// its checksum with it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,15 +29,24 @@ class RawHashStore {
   /// returns false (store cleared) otherwise.
   [[nodiscard]] bool reset(std::vector<crypto::Prefix32> sorted);
 
-  /// Applies one slice: drops the entries at `removal_indices` (strictly
-  /// increasing, in range), then merges `additions` (strictly increasing,
-  /// none already present). Returns false -- store unchanged -- on any
+  /// The store one slice turns *this into: drops the entries at
+  /// `removal_indices` (strictly increasing, in range), then merges
+  /// `additions` (strictly increasing, none already present). nullopt on
+  /// any violation.
+  [[nodiscard]] std::optional<RawHashStore> sliced(
+      std::span<const std::uint32_t> removal_indices,
+      std::span<const crypto::Prefix32> additions) const;
+
+  /// In-place sliced(): returns false -- store unchanged -- on any
   /// violation.
   [[nodiscard]] bool apply_slice(
       const std::vector<std::uint32_t>& removal_indices,
       const std::vector<crypto::Prefix32>& additions);
 
-  void clear() noexcept { sorted_.clear(); }
+  void clear() noexcept {
+    sorted_.clear();
+    checksum_ = kEmptyChecksum;
+  }
 
   [[nodiscard]] bool contains(crypto::Prefix32 prefix) const noexcept;
 
@@ -51,9 +66,8 @@ class RawHashStore {
     return sorted_;
   }
 
-  [[nodiscard]] std::uint32_t checksum() const noexcept {
-    return checksum_of(sorted_);
-  }
+  /// checksum_of(prefixes()), cached at the last content change.
+  [[nodiscard]] std::uint32_t checksum() const noexcept { return checksum_; }
 
   /// FNV-1a (32-bit) over the big-endian bytes of a sorted prefix set --
   /// the stand-in for v4's sha256 state checksum, computed identically by
@@ -62,7 +76,10 @@ class RawHashStore {
       std::span<const crypto::Prefix32> sorted) noexcept;
 
  private:
+  static constexpr std::uint32_t kEmptyChecksum = 2166136261u;  // FNV basis
+
   std::vector<crypto::Prefix32> sorted_;
+  std::uint32_t checksum_ = kEmptyChecksum;
 };
 
 }  // namespace sbp::storage

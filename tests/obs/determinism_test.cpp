@@ -43,6 +43,7 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   SimMetrics metrics;
   sb::TransportStats wire;
+  std::uint64_t client_state_builds = 0;
   std::optional<obs::Snapshot> snapshot;
 };
 
@@ -56,8 +57,9 @@ RunResult run(bool collect_metrics, std::size_t threads) {
   FanoutSink fanout({&memory, &counting});
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
   engine.run();
-  RunResult result{memory.entries(), counting.fingerprint(),
-                   engine.metrics(), engine.transport_stats(), std::nullopt};
+  RunResult result{memory.entries(),         counting.fingerprint(),
+                   engine.metrics(),         engine.transport_stats(),
+                   engine.client_state_builds(), std::nullopt};
   if (engine.metrics_enabled()) result.snapshot = engine.obs_snapshot();
   return result;
 }
@@ -78,6 +80,13 @@ void expect_identical(const RunResult& off, const RunResult& on,
   EXPECT_EQ(off.wire.full_hash_requests, on.wire.full_hash_requests)
       << label;
   EXPECT_EQ(off.wire.update_requests, on.wire.update_requests) << label;
+  EXPECT_EQ(off.client_state_builds, on.client_state_builds) << label;
+  if (on.snapshot) {
+    const obs::MetricsRegistry::Entry* builds =
+        on.snapshot->counters.find("client_state_builds");
+    ASSERT_NE(builds, nullptr) << label;
+    EXPECT_EQ(builds->counter.value, on.client_state_builds) << label;
+  }
 }
 
 TEST(ObsDeterminismTest, MetricsOnMatchesMetricsOffAtEveryThreadCount) {

@@ -1,0 +1,418 @@
+// Shared immutable client sync states (sb/sync_state_cache.hpp). A cache
+// hit must be indistinguishable from a fresh private build, a corrupt or
+// mis-checksummed v4 slice must desync only the client that received it,
+// re-sent v3 chunks stay idempotent, racing clients share one build, and
+// a long churned population keeps the cache bounded by its live states.
+#include "sb/sync_state_cache.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "crypto/digest.hpp"
+#include "sb/client.hpp"
+#include "sb/protocol_v4.hpp"
+#include "sim/engine.hpp"
+#include "util/rng.hpp"
+
+namespace sbp::sb {
+namespace {
+
+constexpr const char* kList = "list";
+
+/// An InProcessTransport whose next v4 response a test may rewrite --
+/// the corrupt slice reaches exactly the clients bound to this transport.
+class TamperingTransport final : public Transport {
+ public:
+  TamperingTransport(Server& server, SimClock& clock)
+      : Transport(clock), inner_(server, clock, /*round_trip_ticks=*/0) {}
+
+  /// Applied to the next v4 update response only.
+  std::function<void(V4UpdateResponse&)> tamper_next_v4;
+
+  std::optional<FullHashResponse> get_full_hashes_or_error(
+      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) override {
+    return inner_.get_full_hashes_or_error(prefixes, cookie);
+  }
+  std::optional<UpdateResponse> fetch_update_or_error(
+      const UpdateRequest& request) override {
+    return inner_.fetch_update_or_error(request);
+  }
+  std::optional<V4UpdateResponse> fetch_v4_update_or_error(
+      const V4UpdateRequest& request) override {
+    auto response = inner_.fetch_v4_update_or_error(request);
+    if (response && tamper_next_v4) {
+      tamper_next_v4(*response);
+      tamper_next_v4 = nullptr;
+    }
+    return response;
+  }
+  std::optional<bool> lookup_v1_or_error(std::string_view url,
+                                         Cookie cookie) override {
+    return inner_.lookup_v1_or_error(url, cookie);
+  }
+
+ private:
+  InProcessTransport inner_;
+};
+
+void seed_list(Server& server, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
+    server.add_expression(kList, "site" + std::to_string(i) + ".example/");
+  }
+  server.seal_chunk(kList);
+}
+
+void churn_list(Server& server, int round) {
+  server.remove_expression(kList, "site" + std::to_string(round) + ".example/");
+  seed_list(server, 1000 + 10 * round, 3);
+}
+
+/// The listed prefixes plus random ones (the Bloom false-positive probes).
+std::vector<crypto::Prefix32> probe_set(const Server& server) {
+  std::vector<crypto::Prefix32> probes = server.prefixes(kList);
+  util::Rng rng(0x5EED);
+  for (int i = 0; i < 4096; ++i) {
+    probes.push_back(static_cast<crypto::Prefix32>(rng.next()));
+  }
+  return probes;
+}
+
+std::vector<int> answers(const ProtocolClient& client,
+                         const std::vector<crypto::Prefix32>& probes) {
+  const auto flags = std::make_unique<bool[]>(probes.size());
+  client.local_contains_many(probes, std::span<bool>(flags.get(),
+                                                     probes.size()));
+  return std::vector<int>(flags.get(), flags.get() + probes.size());
+}
+
+const void* state_of(const ProtocolClient& client) {
+  if (const auto* v3 = dynamic_cast<const Client*>(&client)) {
+    return v3->synced_state(kList).get();
+  }
+  return dynamic_cast<const V4SlicedProtocol&>(client)
+      .synced_state(kList)
+      .get();
+}
+
+void expect_same_database(const ProtocolClient& shared,
+                          const ProtocolClient& fresh,
+                          const std::vector<crypto::Prefix32>& probes,
+                          const std::string& label) {
+  EXPECT_EQ(shared.local_prefix_count(), fresh.local_prefix_count()) << label;
+  EXPECT_EQ(shared.local_store_bytes(), fresh.local_store_bytes()) << label;
+  EXPECT_EQ(answers(shared, probes), answers(fresh, probes)) << label;
+  if (const auto* v4 = dynamic_cast<const V4SlicedProtocol*>(&shared)) {
+    EXPECT_EQ(v4->list_checksum(kList),
+              dynamic_cast<const V4SlicedProtocol&>(fresh).list_checksum(
+                  kList))
+        << label;
+  }
+}
+
+struct Generation {
+  const char* label;
+  ProtocolVersion protocol;
+  storage::StoreKind kind;
+  std::size_t bloom_bits;
+};
+
+TEST(SyncStateCacheTest, HitEqualsFreshPrivateBuild) {
+  for (const Generation& g :
+       {Generation{"v3 delta", ProtocolVersion::kV3Chunked,
+                   storage::StoreKind::kDeltaCoded, 0},
+        Generation{"v3 raw", ProtocolVersion::kV3Chunked,
+                   storage::StoreKind::kRawSorted, 0},
+        // 256 bits for ~40 prefixes: plenty of false positives to compare.
+        Generation{"v3 bloom", ProtocolVersion::kV3Chunked,
+                   storage::StoreKind::kBloom, 256},
+        Generation{"v4", ProtocolVersion::kV4Sliced,
+                   storage::StoreKind::kDeltaCoded, 0}}) {
+    Server server;
+    SimClock clock;
+    InProcessTransport transport(server, clock, /*round_trip_ticks=*/0);
+    seed_list(server, 0, 40);
+
+    auto cache = std::make_shared<SyncStateCache>(
+        SyncStateCache::Pruning::kManual);
+    ClientConfig config;
+    config.protocol = g.protocol;
+    config.store_kind = g.kind;
+    config.bloom_bits = g.bloom_bits;
+    config.sync_states = cache;
+    ClientConfig private_config = config;
+    private_config.sync_states = nullptr;
+    const auto a = make_protocol_client(transport, config);
+    const auto b = make_protocol_client(transport, config);
+    // Skips round 1, so in round 2 it presents round 0's state with a
+    // different update than the one that state's slot last built.
+    const auto lagging = make_protocol_client(transport, config);
+    const auto fresh = make_protocol_client(transport, private_config);
+    const std::vector<ProtocolClient*> clients = {a.get(), b.get(),
+                                                  fresh.get()};
+    for (ProtocolClient* client : clients) client->subscribe(kList);
+    lagging->subscribe(kList);
+
+    constexpr std::uint64_t kBuildsAfterRound[] = {1, 2, 4};
+    for (int round = 0; round < 3; ++round) {
+      const std::string label =
+          std::string(g.label) + " round " + std::to_string(round);
+      if (round > 0) churn_list(server, round);
+      for (ProtocolClient* client : clients) {
+        ASSERT_TRUE(client->update()) << label;
+      }
+      if (round != 1) ASSERT_TRUE(lagging->update()) << label;
+      // a builds, b hits; in round 2 the lagging client's (prior, update)
+      // is new too. Shared states are one object.
+      EXPECT_EQ(cache->builds(), kBuildsAfterRound[round]) << label;
+      EXPECT_EQ(state_of(*a), state_of(*b)) << label;
+      EXPECT_NE(state_of(*a), state_of(*fresh)) << label;
+
+      const auto probes = probe_set(server);
+      expect_same_database(*a, *fresh, probes, label);
+      expect_same_database(*b, *fresh, probes, label);
+      if (round != 1) {
+        expect_same_database(*lagging, *fresh, probes, label + " lagging");
+      }
+      if (g.kind == storage::StoreKind::kBloom) {
+        const auto hits = answers(*a, probes);
+        const auto listed = server.prefix_count(kList);
+        EXPECT_GT(std::count(hits.begin() + static_cast<long>(listed),
+                             hits.end(), 1),
+                  0)
+            << label << ": no false positive was compared";
+      }
+      cache->prune();
+    }
+  }
+}
+
+class V4DesyncTest : public ::testing::Test {
+ protected:
+  V4DesyncTest()
+      : plain_(server_, clock_, /*round_trip_ticks=*/0),
+        tampered_(server_, clock_),
+        cache_(std::make_shared<SyncStateCache>(
+            SyncStateCache::Pruning::kManual)) {
+    seed_list(server_, 0, 20);
+  }
+
+  [[nodiscard]] std::unique_ptr<V4SlicedProtocol> make_client(
+      Transport& transport) {
+    ClientConfig config;
+    config.protocol = ProtocolVersion::kV4Sliced;
+    config.sync_states = cache_;
+    auto client = std::make_unique<V4SlicedProtocol>(transport, config);
+    client->subscribe(kList);
+    EXPECT_TRUE(client->update());
+    return client;
+  }
+
+  [[nodiscard]] std::uint32_t server_checksum() const {
+    return storage::RawHashStore::checksum_of(server_.prefixes(kList));
+  }
+
+  Server server_;
+  SimClock clock_;
+  InProcessTransport plain_;
+  TamperingTransport tampered_;
+  std::shared_ptr<SyncStateCache> cache_;
+};
+
+TEST_F(V4DesyncTest, OutOfRangeRemovalDesyncsOnlyItsReceiver) {
+  const auto victim = make_client(tampered_);
+  const auto peer = make_client(plain_);
+  const auto idle = make_client(plain_);
+  const SyncStateCache::V4State prior = peer->synced_state(kList);
+  ASSERT_EQ(victim->synced_state(kList), prior);
+  ASSERT_EQ(idle->synced_state(kList), prior);
+  const std::vector<crypto::Prefix32> prior_set = prior->prefixes();
+
+  churn_list(server_, 1);
+  tampered_.tamper_next_v4 = [](V4UpdateResponse& response) {
+    response.lists.at(0).removal_indices.push_back(1u << 30);
+  };
+  EXPECT_FALSE(victim->update());
+  EXPECT_EQ(victim->list_state(kList), 0u);
+  EXPECT_EQ(victim->local_prefix_count(), 0u);
+  EXPECT_EQ(victim->metrics().updates_failed, 1u);
+
+  // The shared prior is untouched: the idle client still holds it whole.
+  EXPECT_EQ(idle->synced_state(kList), prior);
+  EXPECT_EQ(prior->prefixes(), prior_set);
+  EXPECT_EQ(prior->checksum(), storage::RawHashStore::checksum_of(prior_set));
+
+  EXPECT_TRUE(peer->update());
+  EXPECT_EQ(peer->metrics().updates_failed, 0u);
+  EXPECT_EQ(peer->list_checksum(kList), server_checksum());
+
+  // The victim's next update is a full reset onto the same set.
+  EXPECT_TRUE(victim->update());
+  EXPECT_EQ(victim->list_checksum(kList), server_checksum());
+  EXPECT_EQ(victim->local_prefix_count(), peer->local_prefix_count());
+}
+
+TEST_F(V4DesyncTest, WrongChecksumDesyncsOnlyItsReceiver) {
+  const auto victim = make_client(tampered_);
+  const auto peer = make_client(plain_);
+  ASSERT_EQ(victim->synced_state(kList), peer->synced_state(kList));
+
+  churn_list(server_, 1);
+  // The victim asks first, so it runs the build the peer then hits; only
+  // the checksum it was sent is wrong, and that check is its own.
+  tampered_.tamper_next_v4 = [](V4UpdateResponse& response) {
+    response.lists.at(0).checksum ^= 1u;
+  };
+  const std::uint64_t builds_before = cache_->builds();
+  EXPECT_FALSE(victim->update());
+  EXPECT_EQ(victim->list_state(kList), 0u);
+  EXPECT_EQ(victim->local_prefix_count(), 0u);
+  EXPECT_EQ(victim->metrics().updates_failed, 1u);
+  EXPECT_EQ(cache_->builds(), builds_before + 1);
+
+  EXPECT_TRUE(peer->update());
+  EXPECT_EQ(cache_->builds(), builds_before + 1) << "the peer did not hit";
+  EXPECT_EQ(peer->metrics().updates_failed, 0u);
+  EXPECT_EQ(peer->list_checksum(kList), server_checksum());
+  EXPECT_EQ(peer->list_state(kList), server_.chunk_sequence(kList));
+}
+
+TEST(SyncStateCacheTest, ResentV3ChunkStaysIdempotent) {
+  SyncStateCache cache;
+  const Chunk add1{1, ChunkType::kAdd, {10, 20, 30}};
+  const Chunk add2{2, ChunkType::kAdd, {40}};
+  const Chunk sub3{3, ChunkType::kSub, {20}};
+  const auto kind = storage::StoreKind::kDeltaCoded;
+
+  const auto s1 = cache.next_v3(nullptr, kList, std::vector{add1}, kind, 0);
+  ASSERT_NE(s1, nullptr);
+  EXPECT_EQ(cache.builds(), 1u);
+
+  // A re-sent chunk -- even one whose number is reused for other
+  // contents -- changes nothing: the same state comes back, unbuilt.
+  EXPECT_EQ(cache.next_v3(s1, kList, std::vector{add1}, kind, 0), s1);
+  const Chunk reused1{1, ChunkType::kAdd, {99}};
+  EXPECT_EQ(cache.next_v3(s1, kList, std::vector{reused1}, kind, 0), s1);
+  EXPECT_EQ(cache.builds(), 1u);
+
+  // Mixed into new chunks, the re-sent one is ignored.
+  const auto resent =
+      cache.next_v3(s1, kList, std::vector{add1, add2, sub3}, kind, 0);
+  SyncStateCache fresh_cache;
+  const auto fresh =
+      fresh_cache.next_v3(s1, kList, std::vector{add2, sub3}, kind, 0);
+  const std::vector<crypto::Prefix32> expected = {10, 30, 40};
+  EXPECT_EQ(resent->chunks.effective_prefixes(), expected);
+  EXPECT_EQ(fresh->chunks.effective_prefixes(), expected);
+  EXPECT_EQ(resent->store->size(), 3u);
+  EXPECT_EQ(resent->store->memory_bytes(), fresh->store->memory_bytes());
+}
+
+template <typename Get>
+void race(Get get, SyncStateCache& cache, std::uint64_t builds_after) {
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<decltype(get())> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      results[static_cast<std::size_t>(t)] = get();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  ASSERT_NE(results[0], nullptr);
+  for (const auto& result : results) EXPECT_EQ(result, results[0]);
+  EXPECT_EQ(cache.builds(), builds_after);
+}
+
+TEST(SyncStateCacheTest, RacingGetOrBuildBuildsOnce) {
+  SyncStateCache cache;
+  const auto kind = storage::StoreKind::kBloom;
+  const auto v3_prior = cache.next_v3(
+      nullptr, kList, std::vector{Chunk{1, ChunkType::kAdd, {1, 2, 3}}},
+      kind, 512);
+  const std::vector<Chunk> v3_update = {Chunk{2, ChunkType::kAdd, {4, 5}}};
+  race([&] { return cache.next_v3(v3_prior, kList, v3_update, kind, 512); },
+       cache, 2);
+
+  V4SliceUpdate reset;
+  reset.list_name = kList;
+  reset.full_reset = true;
+  reset.additions = {10, 20, 30};
+  const auto v4_prior = cache.next_v4(nullptr, reset);
+  V4SliceUpdate slice;
+  slice.list_name = kList;
+  slice.removal_indices = {1};
+  slice.additions = {25};
+  race([&] { return cache.next_v4(v4_prior, slice); }, cache, 4);
+}
+
+TEST(SyncStateCacheTest, ChurnedRunKeepsEntriesBoundedByLiveStates) {
+  sim::SimConfig config;
+  config.num_users = 128;
+  config.ticks = 300;
+  config.num_shards = 4;
+  config.num_threads = 4;
+  config.seed = 12;
+  config.corpus.num_hosts = 300;
+  config.corpus.seed = 12;
+  config.corpus.max_pages = 40;
+  config.blacklist.lists = {"goog-malware-shavar", "goog-phish-shavar"};
+  config.blacklist.page_fraction = 0.05;
+  config.blacklist.site_fraction = 0.02;
+  config.mix_protocol = ProtocolVersion::kV4Sliced;
+  config.mix_fraction = 0.5;
+  config.churn.epoch_ticks = 5;
+  config.churn.add_rate = 0.05;
+  config.churn.remove_rate = 0.03;
+  // Re-syncs lag epochs, so clients reach one list state along several
+  // paths -- several live identities per list.
+  config.churn.minimum_wait_ticks = 12;
+  sim::Engine engine(config);
+
+  const auto live_states = [&] {
+    std::set<const void*> live;
+    for (std::size_t u = 0; u < engine.num_users(); ++u) {
+      const ProtocolClient& client = engine.user_client(u);
+      for (const auto& list : config.blacklist.lists) {
+        const void* state =
+            client.version() == ProtocolVersion::kV3Chunked
+                ? static_cast<const void*>(
+                      dynamic_cast<const Client&>(client)
+                          .synced_state(list)
+                          .get())
+                : static_cast<const void*>(
+                      dynamic_cast<const V4SlicedProtocol&>(client)
+                          .synced_state(list)
+                          .get());
+        if (state != nullptr) live.insert(state);
+      }
+    }
+    return live.size();
+  };
+  // Checked after every tick (the engine prunes at each barrier); the
+  // entries exist only while some client can still present their prior.
+  std::size_t max_entries = 0;
+  while (engine.step()) {
+    const std::size_t entries = engine.sync_states().live_entries();
+    max_entries = std::max(max_entries, entries);
+    ASSERT_LE(entries, live_states()) << "tick " << engine.current_tick();
+  }
+  ASSERT_GT(engine.metrics().churn_updates, 0u);
+  EXPECT_GT(max_entries, 0u);
+  // Sharing is real: far fewer builds than state transitions.
+  EXPECT_LT(engine.client_state_builds() * 4,
+            engine.population_metrics().updates_attempted *
+                config.blacklist.lists.size());
+}
+
+}  // namespace
+}  // namespace sbp::sb

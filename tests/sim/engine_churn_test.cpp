@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "crypto/digest.hpp"
@@ -52,18 +54,22 @@ struct RunResult {
   SimMetrics metrics;
   sb::TransportStats wire;
   sb::ClientMetrics population;
+  std::uint64_t client_state_builds = 0;
 };
 
-RunResult run_with_threads(SimConfig config, std::size_t threads) {
+RunResult run_with_threads(SimConfig config, std::size_t threads,
+                           bool collect_metrics = false) {
   config.num_threads = threads;
+  config.collect_metrics = collect_metrics;
   Engine engine(std::move(config));
   InMemorySink memory;
   CountingSink counting;
   FanoutSink fanout({&memory, &counting});
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
   engine.run();
-  return {memory.entries(), counting.fingerprint(), engine.metrics(),
-          engine.transport_stats(), engine.population_metrics()};
+  return {memory.entries(),         counting.fingerprint(),
+          engine.metrics(),         engine.transport_stats(),
+          engine.population_metrics(), engine.client_state_builds()};
 }
 
 void expect_equal_runs(const RunResult& a, const RunResult& b,
@@ -99,6 +105,9 @@ void expect_equal_runs(const RunResult& a, const RunResult& b,
       << label;
   EXPECT_EQ(a.population.updates_attempted, b.population.updates_attempted)
       << label;
+  // Shared sync states: which shard asks first for a transition never
+  // changes how many distinct transitions are built.
+  EXPECT_EQ(a.client_state_builds, b.client_state_builds) << label;
 }
 
 TEST(SimEngineChurnTest, ChurnedV3PopulationIsThreadCountInvariant) {
@@ -136,6 +145,13 @@ TEST(SimEngineChurnTest, MixedPopulationResyncsMidRunOnBothChannels) {
   const RunResult eight = run_with_threads(config(), 8);
   expect_equal_runs(one, two, "churned mixed 1 vs 2 threads");
   expect_equal_runs(one, eight, "churned mixed 1 vs 8 threads");
+  expect_equal_runs(one, run_with_threads(config(), 1, /*metrics=*/true),
+                    "churned mixed metrics off vs on, 1 thread");
+  expect_equal_runs(one, run_with_threads(config(), 8, /*metrics=*/true),
+                    "churned mixed metrics off vs on, 8 threads");
+  // Both generations share their states: far fewer builds than syncs.
+  EXPECT_GT(one.client_state_builds, 0u);
+  EXPECT_LT(one.client_state_builds * 4, one.population.updates_attempted);
 
   // 60 v3 + 60 v4 users sync once at construction; anything beyond that
   // is a mid-run re-sync, and both generations must show them.
@@ -193,6 +209,64 @@ TEST(SimEngineChurnTest, V4ClientsConvergeToPostEpochSet) {
     EXPECT_EQ(client->list_checksum(kList), server_checksum)
         << "user " << u << " did not converge to the post-epoch set";
     EXPECT_EQ(client->local_prefix_count(), server_set.size());
+  }
+}
+
+TEST(SimEngineChurnTest, SharedStatesMatchFreshPrivateClients) {
+  // The naive reference for shared sync states: after a churned mixed run,
+  // a fresh client with its own private cache full-syncs from scratch and
+  // must hold exactly the database of the user's incrementally synced,
+  // shared-state client. Re-syncs come every epoch (the default cadence),
+  // so the ticks after the last epoch (30..35) bring every user current.
+  SimConfig config = churn_config(89);
+  config.mix_protocol = sb::ProtocolVersion::kV4Sliced;
+  config.mix_fraction = 0.5;
+  config.num_threads = 4;
+  Engine engine(config);
+  std::set<crypto::Prefix32> universe;
+  const auto add_listed = [&] {
+    for (const auto& list : config.blacklist.lists) {
+      for (const auto prefix : engine.server().prefixes(list)) {
+        universe.insert(prefix);
+      }
+    }
+  };
+  add_listed();
+  engine.run();
+  ASSERT_GT(engine.metrics().churn_events, 0u);
+  add_listed();
+  const std::vector<crypto::Prefix32> probes(universe.begin(), universe.end());
+  const auto answers = [&probes](const sb::ProtocolClient& client) {
+    const auto flags = std::make_unique<bool[]>(probes.size());
+    client.local_contains_many(probes,
+                               std::span<bool>(flags.get(), probes.size()));
+    return std::vector<bool>(flags.get(), flags.get() + probes.size());
+  };
+
+  sb::SimClock clock;
+  sb::InProcessTransport transport(engine.server(), clock,
+                                   /*round_trip_ticks=*/0);
+  for (std::size_t u = 0; u < engine.num_users(); ++u) {
+    const sb::ProtocolClient& shared = engine.user_client(u);
+    sb::ClientConfig fresh_config;
+    fresh_config.protocol = shared.version();
+    fresh_config.store_kind = config.store_kind;
+    fresh_config.bloom_bits = config.bloom_bits;
+    const auto fresh = sb::make_protocol_client(transport, fresh_config);
+    for (const auto& list : config.blacklist.lists) fresh->subscribe(list);
+    ASSERT_TRUE(fresh->update());
+
+    EXPECT_EQ(shared.local_prefix_count(), fresh->local_prefix_count())
+        << "user " << u;
+    if (const auto* v4 = dynamic_cast<const sb::V4SlicedProtocol*>(&shared)) {
+      for (const auto& list : config.blacklist.lists) {
+        EXPECT_EQ(v4->list_checksum(list),
+                  dynamic_cast<const sb::V4SlicedProtocol&>(*fresh)
+                      .list_checksum(list))
+            << "user " << u << " list " << list;
+      }
+    }
+    EXPECT_EQ(answers(shared), answers(*fresh)) << "user " << u;
   }
 }
 

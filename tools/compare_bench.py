@@ -26,10 +26,10 @@ this once more in ci.yml.
 
 Baselines live in bench/baselines/ and are refreshed deliberately with
 --write-baseline (a throughput IMPROVEMENT is not an error, but committing
-it keeps the floor honest). Throughput baselines are hardware-dependent;
-the committed ones come from the slowest machine in rotation (the 1-core
-dev container), so the 25% floor under-triggers rather than flaps on
-faster CI runners. Determinism fields are hardware-INdependent:
+it keeps the floor honest). Throughput baselines are hardware-dependent
+and each file records its host's `hardware_threads`; BENCH_sim.json comes
+from a 4-thread host, so its thread sweep exercises the scaling floor.
+Determinism fields are hardware-INdependent:
 `deterministic_across_threads: false` always fails, on any machine.
 
 usage:
