@@ -104,6 +104,11 @@ class WebCorpus {
 
  private:
   [[nodiscard]] util::Rng site_rng(std::size_t index) const;
+  /// Draws the TLD from a fresh site stream and returns the domain.
+  [[nodiscard]] static std::string domain_of(std::size_t index,
+                                             util::Rng& rng);
+  /// Draws the page count, the stream's next draw after the TLD.
+  [[nodiscard]] std::uint64_t page_count(util::Rng& rng) const;
 
   CorpusConfig config_;
   util::PowerLawSampler page_sampler_;

@@ -215,6 +215,18 @@ UserState& Engine::user(std::size_t index) {
 
 std::size_t Engine::num_users() const noexcept { return config_.num_users; }
 
+std::uint64_t Engine::site_cache_hits() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->site_cache.hits();
+  return total;
+}
+
+std::uint64_t Engine::site_cache_misses() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->site_cache.misses();
+  return total;
+}
+
 sb::TransportStats Engine::transport_stats() const {
   sb::TransportStats total;
   for (const auto& shard : shards_) total += shard->transport->stats();
@@ -268,8 +280,8 @@ void Engine::stamp_universe(CachedUrl& entry) const {
 }
 
 const Engine::CachedUrl& Engine::url_prefixes(Shard& shard,
-                                              const std::string& url) {
-  const auto it = shard.url_cache.find(url);
+                                              TrafficModel::VisitId visit) {
+  const auto it = shard.url_cache.find(visit);
   if (it != shard.url_cache.end()) {
     ++shard.tick_metrics.url_cache_hits;
     if (it->second.universe_version != universe_version_) {
@@ -287,9 +299,11 @@ const Engine::CachedUrl& Engine::url_prefixes(Shard& shard,
   }
 
   // Build in place: the entry IS the LookupRequest the clients consume
-  // (decompose + hash happen exactly once per distinct URL per shard).
-  CachedUrl& entry = shard.url_cache.try_emplace(url).first->second;
-  entry.request.build(url);
+  // (decompose + hash happen exactly once per distinct URL per shard). The
+  // URL string exists only here, on a miss.
+  CachedUrl& entry = shard.url_cache.try_emplace(visit).first->second;
+  traffic_model_.url_of(visit, shard.site_cache, shard.url_scratch);
+  entry.request.build(shard.url_scratch);
   stamp_universe(entry);
   return entry;
 }
@@ -311,9 +325,10 @@ struct FlagScratch {
 
 }  // namespace
 
-void Engine::dispatch(Shard& shard, UserState& user, const std::string& url) {
+void Engine::dispatch(Shard& shard, UserState& user,
+                      TrafficModel::VisitId visit) {
   ++shard.tick_metrics.lookups;
-  const CachedUrl& entry = url_prefixes(shard, url);
+  const CachedUrl& entry = url_prefixes(shard, visit);
   if (!entry.request.valid()) return;
 
   // Prefilter: the client-equivalent local membership test, shared-hash
@@ -431,14 +446,13 @@ void Engine::tick_shard(Shard& shard) {
   }
 
   for (auto& user : shard.users) {
-    shard.scratch_urls.reset();
+    shard.visits.clear();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-    shard.tick_metrics.target_visits +=
-        plan_user_tick(user, config_.traffic, traffic_model_,
-                       shard.site_cache, shard.scratch_urls);
+    shard.tick_metrics.target_visits += plan_user_tick(
+        user, config_.traffic, traffic_model_, shard.visits);
     const std::uint64_t t1 = timed ? obs::now_ns() : 0;
-    for (std::size_t i = 0; i < shard.scratch_urls.size(); ++i) {
-      dispatch(shard, user, shard.scratch_urls[i]);
+    for (const TrafficModel::VisitId visit : shard.visits) {
+      dispatch(shard, user, visit);
     }
     if (timed) {
       const std::uint64_t t2 = obs::now_ns();
@@ -560,6 +574,8 @@ obs::Snapshot Engine::obs_snapshot() const {
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
   counters.counter("client_state_builds").value = client_state_builds();
+  counters.counter("site_cache_hits").value = site_cache_hits();
+  counters.counter("site_cache_misses").value = site_cache_misses();
 
   snapshot.per_tick = obs_series_;
   return snapshot;

@@ -16,14 +16,15 @@
 //                  incremental deltas (v3 missing chunks / v4 slices)
 //                  through their shard transports
 //                for each user of the shard:
-//                    plan this tick's URLs (sessions / revisits / targets)
-//                    dispatch each URL through the batched lookup layer
+//                    plan this tick's visits as 64-bit ids (sessions /
+//                      revisits / targets / power-law page draws)
+//                    dispatch each visit through the batched lookup layer
 //              barrier; merge shard log buffers + reduce shard counters
 //              advance the clock by one tick
 //
 // Parallel runtime: the shard is the unit of parallelism. Each shard owns
 // every piece of mutable state a tick touches -- its users, a zero-latency
-// sb::Transport (per-shard wire counters), the URL -> prefix cache, the
+// sb::Transport (per-shard wire counters), the visit id -> prefix cache, the
 // traffic model's site LRU, a query-log buffer and a tick-metrics
 // accumulator -- so worker threads share only immutable state: the traffic
 // model, the clock (read-only during a tick) and the server's published
@@ -44,10 +45,13 @@
 //
 // The batched dispatch layer is the engine's hot path: URL decompositions
 // and their SHA-256 prefixes are computed once per distinct URL in a
-// bounded per-shard cache (instead of once per user x visit), and each
-// visit first runs a cheap local-store prefilter (client->local_contains)
-// -- only the rare local hits enter the full sb::Client lookup flow with
-// its cache, backoff and full-hash round trip. Semantics match a per-user
+// bounded per-shard cache (instead of once per user x visit). The cache is
+// keyed by visit id, which is 1:1 with URL strings, so the URL string is
+// built -- through the site LRU, which sits behind the URL cache -- only
+// on a cache miss, where the LookupRequest consumes it. Each visit first
+// runs a cheap local-store prefilter (client->local_contains) -- only the
+// rare local hits enter the full sb::Client lookup flow with its cache,
+// backoff and full-hash round trip. Semantics match a per-user
 // client.lookup() for every URL: a prefilter miss is exactly the client's
 // "no local hit -> safe, nothing leaves the machine" path.
 //
@@ -206,6 +210,12 @@ class Engine {
     return sync_states_->builds();
   }
 
+  /// Site-cache hits and misses summed over the shards (exported as the
+  /// `site_cache_hits` / `site_cache_misses` counters). The site cache is
+  /// consulted once per URL-cache miss of a corpus page.
+  [[nodiscard]] std::uint64_t site_cache_hits() const noexcept;
+  [[nodiscard]] std::uint64_t site_cache_misses() const noexcept;
+
   /// The population's shared client-state cache (test support).
   [[nodiscard]] const sb::SyncStateCache& sync_states() const noexcept {
     return *sync_states_;
@@ -268,12 +278,18 @@ class Engine {
     /// with SimConfig.transport_factory set, whatever the factory built
     /// (e.g. a SocketTransport to a remote daemon).
     std::unique_ptr<sb::Transport> transport;
+    /// Consulted only on URL-cache misses, to build the missed URL.
     TrafficModel::SiteCache site_cache;
     std::vector<UserState> users;
-    std::unordered_map<std::string, CachedUrl> url_cache;
+    /// Keyed by visit id, which is 1:1 with URL strings (traffic_model.hpp).
+    std::unordered_map<TrafficModel::VisitId, CachedUrl> url_cache;
     sb::QueryLogBuffer log_buffer;
     SimMetrics tick_metrics;  ///< zeroed per tick, reduced post-barrier
-    UrlArena scratch_urls;
+    /// One user's planned visits; reused, so planning stops allocating once
+    /// the shard's high-water mark is reached.
+    std::vector<TrafficModel::VisitId> visits;
+    /// The URL of a URL-cache miss, built in a reused buffer.
+    std::string url_scratch;
     /// LOCAL user indices (into `users`) bucketed by re-sync slot: bucket
     /// s holds, ascending, the shard's users polling for updates at ticks
     /// == s (mod resync_cadence()). The re-sync phase runs INSIDE
@@ -302,8 +318,8 @@ class Engine {
   /// Recomputes entry.universe_hits against the current universe version.
   void stamp_universe(CachedUrl& entry) const;
   void tick_shard(Shard& shard);
-  const CachedUrl& url_prefixes(Shard& shard, const std::string& url);
-  void dispatch(Shard& shard, UserState& user, const std::string& url);
+  const CachedUrl& url_prefixes(Shard& shard, TrafficModel::VisitId visit);
+  void dispatch(Shard& shard, UserState& user, TrafficModel::VisitId visit);
   void mitigated_dispatch(Shard& shard, UserState& user,
                           const CachedUrl& entry);
 

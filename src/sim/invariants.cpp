@@ -138,6 +138,14 @@ void check_thread_determinism(const Scenario& base,
                     num(leg.client_state_builds) + " != threads=" +
                     num(baseline_threads) + " " +
                     num(baseline.client_state_builds));
+    collect.law(leg.site_cache_hits == baseline.site_cache_hits &&
+                    leg.site_cache_misses == baseline.site_cache_misses,
+                "threads=" + num(threads) + " site_cache hits/misses " +
+                    num(leg.site_cache_hits) + "/" +
+                    num(leg.site_cache_misses) + " != threads=" +
+                    num(baseline_threads) + " " +
+                    num(baseline.site_cache_hits) + "/" +
+                    num(baseline.site_cache_misses));
   }
 }
 
@@ -159,6 +167,12 @@ void check_metrics_transparency(const Scenario& base,
               "collect_metrics=true client_state_builds " +
                   num(leg.client_state_builds) + " != " +
                   num(baseline.client_state_builds));
+  collect.law(leg.site_cache_hits == baseline.site_cache_hits &&
+                  leg.site_cache_misses == baseline.site_cache_misses,
+              "collect_metrics=true site_cache hits/misses " +
+                  num(leg.site_cache_hits) + "/" + num(leg.site_cache_misses) +
+                  " != " + num(baseline.site_cache_hits) + "/" +
+                  num(baseline.site_cache_misses));
   if (!leg.obs || !leg.obs->enabled) {
     collect.fail("collect_metrics=true produced no obs snapshot");
   }
@@ -319,6 +333,12 @@ void check_counter_conservation(const Scenario& base,
   collect.law(m.url_cache_hits + m.url_cache_misses == m.lookups,
               "url_cache hits " + num(m.url_cache_hits) + " + misses " +
                   num(m.url_cache_misses) + " != lookups " + num(m.lookups));
+  // The site cache is consulted only to build the URL of a URL-cache miss
+  // (and not at all for interest-target URLs).
+  collect.law(r.site_cache_hits + r.site_cache_misses <= m.url_cache_misses,
+              "site_cache hits " + num(r.site_cache_hits) + " + misses " +
+                  num(r.site_cache_misses) + " > url_cache misses " +
+                  num(m.url_cache_misses));
 
   if (config.mitigation.dummy_requests) {
     collect.law(m.dispatched_lookups == 0,

@@ -159,6 +159,8 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   result.population = engine.population_metrics();
   result.wire = engine.transport_stats();
   result.client_state_builds = engine.client_state_builds();
+  result.site_cache_hits = engine.site_cache_hits();
+  result.site_cache_misses = engine.site_cache_misses();
   if (engine.metrics_enabled()) result.obs = engine.obs_snapshot();
   result.log_entries = counter.entries();
   result.log_prefixes = counter.prefixes();

@@ -43,6 +43,10 @@ struct ScenarioRunResult {
   sb::TransportStats wire;
   /// Engine::client_state_builds(): deterministic, but not a golden field.
   std::uint64_t client_state_builds = 0;
+  /// Engine::site_cache_hits() / site_cache_misses(): deterministic, but
+  /// not golden fields.
+  std::uint64_t site_cache_hits = 0;
+  std::uint64_t site_cache_misses = 0;
 
   std::uint64_t log_entries = 0;
   std::uint64_t log_prefixes = 0;

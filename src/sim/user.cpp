@@ -5,13 +5,13 @@ namespace sbp::sim {
 namespace {
 
 void remember(UserState& user, const TrafficConfig& traffic,
-              const std::string& url) {
+              TrafficModel::VisitId visit) {
   if (traffic.revisit_window == 0) return;
   if (user.history.size() < traffic.revisit_window) {
-    user.history.push_back(url);
+    user.history.push_back(visit);
     return;
   }
-  user.history[user.history_next] = url;
+  user.history[user.history_next] = visit;
   user.history_next = (user.history_next + 1) % user.history.size();
 }
 
@@ -19,7 +19,7 @@ void remember(UserState& user, const TrafficConfig& traffic,
 
 std::size_t plan_user_tick(UserState& user, const TrafficConfig& traffic,
                            const TrafficModel& model,
-                           TrafficModel::SiteCache& cache, UrlArena& urls) {
+                           std::vector<TrafficModel::VisitId>& visits) {
   if (!user.in_session) {
     if (!user.rng.next_bool(traffic.session_start_probability)) return 0;
     user.in_session = true;
@@ -29,21 +29,21 @@ std::size_t plan_user_tick(UserState& user, const TrafficConfig& traffic,
   for (std::size_t i = 0; i < traffic.lookups_per_active_tick; ++i) {
     if (user.interested && !traffic.target_urls.empty() &&
         user.rng.next_bool(traffic.target_visit_probability)) {
-      const auto& target =
-          traffic.target_urls[user.rng.next_below(traffic.target_urls.size())];
-      urls.next() = target;
+      const TrafficModel::VisitId target = model.target_visit(
+          user.rng.next_below(traffic.target_urls.size()));
+      visits.push_back(target);
       remember(user, traffic, target);
       ++target_visits;
       continue;
     }
     if (!user.history.empty() &&
         user.rng.next_bool(traffic.revisit_probability)) {
-      urls.next() = user.history[user.rng.next_below(user.history.size())];
+      visits.push_back(user.history[user.rng.next_below(user.history.size())]);
       continue;  // a revisit does not refresh the history slot
     }
-    std::string& url = urls.next();
-    model.sample_url_into(user.rng, cache, url);
-    remember(user, traffic, url);
+    const TrafficModel::VisitId page = model.sample_page(user.rng);
+    visits.push_back(page);
+    remember(user, traffic, page);
   }
 
   if (!user.rng.next_bool(traffic.session_continue_probability)) {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sb/protocol.hpp"
@@ -31,45 +30,21 @@ struct UserState {
   util::Rng rng{0};
   bool interested = false;  ///< member of the tracked interest group
   bool in_session = false;
-  /// Ring buffer of recently visited URLs (revisit locality).
-  std::vector<std::string> history;
+  /// Ring buffer of recently visited ids (revisit locality).
+  std::vector<TrafficModel::VisitId> history;
   std::size_t history_next = 0;
   /// The user's Safe Browsing stack -- any protocol generation
   /// (sb/protocol.hpp); populations can mix generations.
   std::unique_ptr<sb::ProtocolClient> client;
 };
 
-/// String-reusing URL list: next() hands out a cleared std::string whose
-/// heap buffer survives reset(), so per-tick URL planning stops allocating
-/// once a shard's high-water mark is reached. (A plain
-/// vector<string>::clear() destroys every string's buffer; this is the
-/// per-lookup heap-traffic fix for the planning phase.)
-class UrlArena {
- public:
-  void reset() noexcept { count_ = 0; }
-  [[nodiscard]] std::string& next() {
-    if (count_ == slots_.size()) slots_.emplace_back();
-    std::string& slot = slots_[count_++];
-    slot.clear();
-    return slot;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] const std::string& operator[](std::size_t i) const noexcept {
-    return slots_[i];
-  }
-
- private:
-  std::vector<std::string> slots_;
-  std::size_t count_ = 0;
-};
-
-/// Plans one tick of browsing for `user`: appends the URLs to visit to
-/// `urls` and returns how many of them are interest-target visits.
+/// Plans one tick of browsing for `user`: appends the visits' ids to
+/// `visits` and returns how many of them are interest-target visits.
 /// Advances session state and history deterministically from user.rng.
-/// `cache` is the caller's (shard's) site cache -- it affects speed only,
-/// never which URLs are planned.
+/// No URL string is built: TrafficModel::url_of() turns an id into its URL
+/// where the URL is consumed.
 std::size_t plan_user_tick(UserState& user, const TrafficConfig& traffic,
                            const TrafficModel& model,
-                           TrafficModel::SiteCache& cache, UrlArena& urls);
+                           std::vector<TrafficModel::VisitId>& visits);
 
 }  // namespace sbp::sim

@@ -14,20 +14,20 @@ PowerLawSampler::PowerLawSampler(double alpha, std::uint64_t x_min,
   if (x_min == 0 || x_max < x_min) {
     throw std::invalid_argument("PowerLawSampler: need 0 < x_min <= x_max");
   }
-}
-
-std::uint64_t PowerLawSampler::sample(Rng& rng) const {
   // Inverse transform for the continuous Pareto with tail exponent alpha-1:
   //   X = x_min * (1 - U)^(-1 / (alpha - 1))
   // truncated at x_max by resampling U on the feasible interval so the
   // distribution stays a proper (renormalized) power law on [x_min, x_max].
-  const double exponent = -1.0 / (alpha_ - 1.0);
-  const double tail_at_max =
+  exponent_ = -1.0 / (alpha_ - 1.0);
+  tail_at_max_ =
       std::pow(static_cast<double>(x_max_ + 1) / static_cast<double>(x_min_),
                -(alpha_ - 1.0));
+}
+
+std::uint64_t PowerLawSampler::sample(Rng& rng) const {
   // U uniform on [tail_at_max, 1): maps to X in [x_min, x_max + 1).
-  const double u = tail_at_max + rng.next_double() * (1.0 - tail_at_max);
-  const double x = static_cast<double>(x_min_) * std::pow(u, exponent);
+  const double u = tail_at_max_ + rng.next_double() * (1.0 - tail_at_max_);
+  const double x = static_cast<double>(x_min_) * std::pow(u, exponent_);
   auto result = static_cast<std::uint64_t>(x);
   if (result < x_min_) result = x_min_;
   if (result > x_max_) result = x_max_;

@@ -42,6 +42,8 @@ class PowerLawSampler {
   double alpha_;
   std::uint64_t x_min_;
   std::uint64_t x_max_;
+  double exponent_;     ///< -1 / (alpha - 1)
+  double tail_at_max_;  ///< P(X >= x_max + 1) of the untruncated law
 };
 
 /// Fits alpha-hat by the paper's MLE. Samples below `x_min` are ignored.

@@ -44,6 +44,8 @@ struct RunResult {
   SimMetrics metrics;
   sb::TransportStats wire;
   std::uint64_t client_state_builds = 0;
+  std::uint64_t site_cache_hits = 0;
+  std::uint64_t site_cache_misses = 0;
   std::optional<obs::Snapshot> snapshot;
 };
 
@@ -57,9 +59,14 @@ RunResult run(bool collect_metrics, std::size_t threads) {
   FanoutSink fanout({&memory, &counting});
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
   engine.run();
-  RunResult result{memory.entries(),         counting.fingerprint(),
-                   engine.metrics(),         engine.transport_stats(),
-                   engine.client_state_builds(), std::nullopt};
+  RunResult result{memory.entries(),
+                   counting.fingerprint(),
+                   engine.metrics(),
+                   engine.transport_stats(),
+                   engine.client_state_builds(),
+                   engine.site_cache_hits(),
+                   engine.site_cache_misses(),
+                   std::nullopt};
   if (engine.metrics_enabled()) result.snapshot = engine.obs_snapshot();
   return result;
 }
@@ -67,6 +74,7 @@ RunResult run(bool collect_metrics, std::size_t threads) {
 void expect_identical(const RunResult& off, const RunResult& on,
                       const char* label) {
   ASSERT_FALSE(off.entries.empty()) << label << ": population was silent";
+  ASSERT_GT(off.site_cache_misses, 0u) << label << ": no site was built";
   EXPECT_EQ(off.entries, on.entries) << label;
   EXPECT_EQ(off.fingerprint, on.fingerprint) << label;
   EXPECT_EQ(off.metrics.lookups, on.metrics.lookups) << label;
@@ -81,11 +89,21 @@ void expect_identical(const RunResult& off, const RunResult& on,
       << label;
   EXPECT_EQ(off.wire.update_requests, on.wire.update_requests) << label;
   EXPECT_EQ(off.client_state_builds, on.client_state_builds) << label;
+  EXPECT_EQ(off.site_cache_hits, on.site_cache_hits) << label;
+  EXPECT_EQ(off.site_cache_misses, on.site_cache_misses) << label;
+  EXPECT_LE(on.site_cache_hits + on.site_cache_misses,
+            on.metrics.url_cache_misses)
+      << label;
   if (on.snapshot) {
-    const obs::MetricsRegistry::Entry* builds =
-        on.snapshot->counters.find("client_state_builds");
-    ASSERT_NE(builds, nullptr) << label;
-    EXPECT_EQ(builds->counter.value, on.client_state_builds) << label;
+    for (const auto& [name, value] :
+         {std::pair{"client_state_builds", on.client_state_builds},
+          std::pair{"site_cache_hits", on.site_cache_hits},
+          std::pair{"site_cache_misses", on.site_cache_misses}}) {
+      const obs::MetricsRegistry::Entry* entry =
+          on.snapshot->counters.find(name);
+      ASSERT_NE(entry, nullptr) << label << " " << name;
+      EXPECT_EQ(entry->counter.value, value) << label << " " << name;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: no scalar membership probes on the engine/client hot paths.
+"""Grep gate: no scalar membership probes and no planner strings on the hot path.
 
 The batch storage API (PrefixStore::contains_many / contains_many32,
 ProtocolClient::local_contains_many) exists so the per-tick lookup flow
@@ -9,9 +9,14 @@ paths, but it must not creep back into the files on the tick-loop hot
 path -- a single scalar call inside the dispatch loop silently undoes the
 batch redesign without failing any functional test.
 
+The tick planner (src/sim/user.cpp) deals only in 64-bit visit ids: a URL
+string is built only on a URL-cache miss, where it is consumed.  Naming
+`std::string` there would bring per-visit string traffic back into the plan.
+
 This script fails (exit 1) if any hot-path file contains a scalar
-membership call.  Line comments and block comments are stripped before
-matching so prose mentioning the scalar API is fine.
+membership call, or if a string-free file names std::string.  Line comments
+and block comments are stripped before matching so prose mentioning the
+forbidden API is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
 """
@@ -21,10 +26,12 @@ import pathlib
 import re
 import sys
 
-# Files on the per-tick hot path: engine dispatch/prefilter and the
-# protocol-client lookup flow.  Extend this list when new code lands
+# Files on the per-tick hot path: tick planning, engine dispatch/prefilter
+# and the protocol-client lookup flow.  Extend this list when new code lands
 # between plan_user_tick and the query log.
 HOT_PATH_FILES = [
+    "src/sim/user.cpp",
+    "src/sim/traffic_model.cpp",
     "src/sim/engine.cpp",
     "src/sb/protocol.cpp",
     "src/sb/client.cpp",
@@ -39,6 +46,11 @@ FORBIDDEN = [
     (re.compile(r"\bcontains32\s*\("), "scalar PrefixStore::contains32"),
     (re.compile(r"(?:->|\.)\s*contains\s*\("), "scalar PrefixStore::contains"),
 ]
+
+# Hot-path files that must not name std::string at all: the planner works
+# in visit ids.
+STRING_FREE_FILES = ["src/sim/user.cpp"]
+STD_STRING = re.compile(r"\bstd::string\b")
 
 # Scalar *implementations* are allowed to exist (the virtual methods live
 # somewhere); what is forbidden is calling them from hot-path code.  A
@@ -73,15 +85,20 @@ def main() -> int:
             for pattern, label in FORBIDDEN:
                 if pattern.search(line):
                     violations.append((rel, lineno, label, line.strip()))
+            if rel in STRING_FREE_FILES and STD_STRING.search(line):
+                violations.append((rel, lineno, "std::string in the planner",
+                                   line.strip()))
 
     if violations:
-        print("check_hot_path: scalar membership calls on the hot path:")
+        print("check_hot_path: forbidden calls or types on the hot path:")
         for rel, lineno, label, text in violations:
             print(f"  {rel}:{lineno}: {label}: {text}")
-        print("use contains_many / contains_many32 / local_contains_many instead")
+        print("use contains_many / contains_many32 / local_contains_many for "
+              "membership; plan visit ids, build URLs via TrafficModel::url_of")
         return 1
 
-    print(f"check_hot_path: OK ({len(HOT_PATH_FILES)} hot-path files batch-only)")
+    print(f"check_hot_path: OK ({len(HOT_PATH_FILES)} hot-path files batch-only, "
+          f"{len(STRING_FREE_FILES)} string-free)")
     return 0
 
 
