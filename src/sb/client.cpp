@@ -62,34 +62,14 @@ bool Client::update() {
   return true;
 }
 
-bool Client::local_contains(crypto::Prefix32 prefix) const {
-  // Scalar convenience for tests/tools; delegates to the batch path so
-  // there is exactly one membership implementation.
-  bool hit = false;
-  local_contains_many(std::span<const crypto::Prefix32>(&prefix, 1),
-                      std::span<bool>(&hit, 1));
-  return hit;
-}
-
 void Client::local_contains_many(std::span<const crypto::Prefix32> prefixes,
                                  std::span<bool> out) const {
-  const std::size_t n = prefixes.size();
-  std::fill(out.begin(), out.begin() + n, false);
-  // OR each list store's batch answer into `out`, 64 queries at a time
-  // (stack scratch; batches above 64 are split, preserving order).
-  bool tmp[64];
-  for (const auto& state : lists_) {
-    if (!state.synced) continue;
-    const storage::PrefixStore& store = *state.synced->store;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::size_t count = std::min<std::size_t>(64, n - base);
-      store.contains_many32(prefixes.subspan(base, count),
-                            std::span<bool>(tmp, count));
-      for (std::size_t i = 0; i < count; ++i) {
-        out[base + i] = out[base + i] || tmp[i];
-      }
-    }
-  }
+  or_list_stores(
+      lists_,
+      [](const ListState& state) -> const storage::PrefixStore* {
+        return state.synced ? state.synced->store.get() : nullptr;
+      },
+      prefixes, out);
 }
 
 std::size_t Client::local_prefix_count() const noexcept {

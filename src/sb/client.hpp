@@ -52,13 +52,8 @@ class Client : public PrefixProtocolClient {
     return update_backoff_.wait_time(now);
   }
 
-  /// Local-store membership only (no network) -- used by mitigation
-  /// strategies that re-order server queries and by tests. Hot paths (the
-  /// engine prefilter, the lookup flow) go through local_contains_many.
-  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const override;
-
   /// Batch membership across all subscribed lists' stores (OR of each
-  /// store's sorted-probe answer) -- bit-identical to the scalar test.
+  /// store's sorted-probe answer).
   void local_contains_many(std::span<const crypto::Prefix32> prefixes,
                            std::span<bool> out) const override;
 

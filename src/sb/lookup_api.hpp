@@ -56,9 +56,6 @@ class V1LookupProtocol : public ProtocolClient {
   [[nodiscard]] LookupResult lookup(const LookupRequest& request) override;
 
   /// No local database: every URL is a wire candidate.
-  [[nodiscard]] bool local_contains(crypto::Prefix32) const override {
-    return true;
-  }
   void local_contains_many(std::span<const crypto::Prefix32> prefixes,
                            std::span<bool> out) const override {
     std::fill(out.begin(), out.begin() + prefixes.size(), true);

@@ -15,8 +15,10 @@
 // generations differ only in how the local store is synchronized.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -134,21 +136,21 @@ class ProtocolClient {
     return lookup(scratch_request_);
   }
 
-  /// Local-database membership (no network). v1 has no local database and
-  /// answers true: every URL is a candidate that goes to the wire.
-  /// Interface-level / test entry point -- hot paths use the batch form.
-  [[nodiscard]] virtual bool local_contains(crypto::Prefix32 prefix) const = 0;
-
-  /// Batch local-database membership: out[i] = local_contains(prefixes[i]),
-  /// answered through the stores' sorted-probe batch API. `out` must hold
-  /// prefixes.size() elements. This is the hot-path form the engine
-  /// prefilter and the prefix lookup flow use; the default forwards to the
-  /// scalar test for exotic subclasses.
+  /// Batch local-database membership (no network): out[i] = whether
+  /// prefixes[i] is in any subscribed list's local store. `out` must hold
+  /// prefixes.size() elements. THE client membership implementation; the
+  /// engine prefilter and the prefix lookup flow call it once per URL.
+  /// v1 has no local database and answers true: every URL is a candidate
+  /// that goes to the wire.
   virtual void local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                                   std::span<bool> out) const {
-    for (std::size_t i = 0; i < prefixes.size(); ++i) {
-      out[i] = local_contains(prefixes[i]);
-    }
+                                   std::span<bool> out) const = 0;
+
+  /// A batch of one local_contains_many, for cold paths and tests.
+  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const {
+    bool hit = false;
+    local_contains_many(std::span<const crypto::Prefix32>(&prefix, 1),
+                        std::span<bool>(&hit, 1));
+    return hit;
   }
 
   [[nodiscard]] virtual std::size_t local_prefix_count() const noexcept = 0;
@@ -200,6 +202,31 @@ class PrefixProtocolClient : public ProtocolClient {
   storage::FullHashCache cache_;
   BackoffState full_hash_backoff_;
 };
+
+/// The local_contains_many of a client holding one store per list: ORs
+/// every list's contains_many32 answer into `out`, 64 queries at a time
+/// (stack scratch; longer batches are split, preserving order).
+/// `store_of(list)` returns the list's store, or null when it has none yet.
+template <typename Lists, typename StoreOf>
+void or_list_stores(const Lists& lists, StoreOf store_of,
+                    std::span<const crypto::Prefix32> prefixes,
+                    std::span<bool> out) {
+  const std::size_t n = prefixes.size();
+  std::fill(out.begin(), out.begin() + n, false);
+  bool tmp[64];
+  for (const auto& list : lists) {
+    const auto* store = store_of(list);
+    if (store == nullptr) continue;
+    for (std::size_t base = 0; base < n; base += 64) {
+      const std::size_t count = std::min<std::size_t>(64, n - base);
+      store->contains_many32(prefixes.subspan(base, count),
+                             std::span<bool>(tmp, count));
+      for (std::size_t i = 0; i < count; ++i) {
+        out[base + i] = out[base + i] || tmp[i];
+      }
+    }
+  }
+}
 
 /// Instantiates the implementation for `config.protocol`.
 [[nodiscard]] std::unique_ptr<ProtocolClient> make_protocol_client(

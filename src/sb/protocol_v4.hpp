@@ -48,9 +48,8 @@ class V4SlicedProtocol : public PrefixProtocolClient {
     return update_backoff_.wait_time(now);
   }
 
-  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const override;
   /// Batch membership across the per-list raw-hash stores (sorted-probe
-  /// advancing binary search) -- bit-identical to the scalar test.
+  /// advancing binary search).
   void local_contains_many(std::span<const crypto::Prefix32> prefixes,
                            std::span<bool> out) const override;
   [[nodiscard]] std::size_t local_prefix_count() const noexcept override;

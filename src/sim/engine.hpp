@@ -49,9 +49,9 @@
 // keyed by visit id, which is 1:1 with URL strings, so the URL string is
 // built -- through the site LRU, which sits behind the URL cache -- only
 // on a cache miss, where the LookupRequest consumes it. Each visit first
-// runs a cheap local-store prefilter (client->local_contains) -- only the
-// rare local hits enter the full sb::Client lookup flow with its cache,
-// backoff and full-hash round trip. Semantics match a per-user
+// runs a cheap local-store prefilter (client->local_contains_many) --
+// only the rare local hits enter the full sb::Client lookup flow with its
+// cache, backoff and full-hash round trip. Semantics match a per-user
 // client.lookup() for every URL: a prefilter miss is exactly the client's
 // "no local hit -> safe, nothing leaves the machine" path.
 //
@@ -60,10 +60,13 @@
 // (seed blacklist + every churn epoch's adds -- a superset of any client's
 // store at any sync state, since stores only hold shipped prefixes) and
 // memoizes, per cached URL, which of its prefixes are in that universe.
-// URLs with no universe hit skip the per-user local_contains loop entirely
-// -- for exact stores this is outcome-identical, so it is disabled when
-// store_kind is Bloom (false positives must keep reaching the wire) and
-// bypassed per-user for v1 clients (no local store; every URL ships).
+// URLs with no universe hit skip the per-user local_contains_many probe
+// entirely -- for exact stores this is outcome-identical, so it is
+// disabled when store_kind is Bloom (false positives must keep reaching
+// the wire) and bypassed per-user for v1 clients (no local store; every
+// URL ships). It pays for itself: forcing every store through the
+// no-universe path cut benchmark throughput by 40-62% on browse-static and
+// by 33-50% on churn-resync (4-vCPU host, 3-8 s runs).
 // The universe only ever GROWS, so a cached "no universe hit" verdict
 // stays valid until an epoch adds prefixes; each epoch that does bumps a
 // version counter and every cache entry re-validates lazily on next use

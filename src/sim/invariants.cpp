@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -458,15 +459,18 @@ void check_counter_conservation(const Scenario& base,
   }
 }
 
-/// The batch membership contract (storage/prefix_store.hpp): for every
-/// store kind, contains_many32 over an arbitrary batch -- unsorted, with
-/// duplicates, empty -- is bit-identical to the scalar test applied
-/// element-wise, Bloom false positives included. Store shape (entry count,
-/// Bloom sizing) and query mix derive from the scenario's seed and
-/// blacklist knobs, so the fuzzer's configuration walk explores store
-/// sizes and densities no fixed unit test pins down. This is the oracle
-/// behind the engine's batch prefilter: a sorted-probe cursor bug here
-/// surfaces as a query-log divergence there.
+/// The membership contract (storage/prefix_store.hpp): for every store
+/// kind, contains_many32 over an arbitrary batch -- unsorted, with
+/// duplicates, empty -- answers like a plain reference. For the exact
+/// stores (raw-sorted, delta-coded, v4 raw-hash) the reference is
+/// std::binary_search over the sorted member list; for Bloom every member
+/// answers true and each batch answer equals the batch-of-one answer
+/// (false positives are a pure function of the queried bytes). Store shape
+/// (entry count, Bloom sizing) and query mix derive from the scenario's
+/// seed and blacklist knobs, so the fuzzer's configuration walk explores
+/// store sizes and densities no fixed unit test pins down. This is the
+/// oracle behind the engine's batch prefilter: a sorted-probe cursor bug
+/// here surfaces as a query-log divergence there.
 void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
   collect.begin(kBatchScalarEquivalence);
   const SimConfig& config = base.config;
@@ -474,7 +478,6 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
       std::size_t{1}, std::min<std::size_t>(config.blacklist.max_entries, 4096));
 
   util::Rng member_rng(config.seed ^ 0xBA7C45CA1A12ULL);
-  storage::PrefixBatch members(4);
   std::vector<crypto::Prefix32> member_list;
   for (std::size_t i = 0; i < entries; ++i) {
     member_list.push_back(static_cast<crypto::Prefix32>(member_rng.next()));
@@ -482,8 +485,8 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
   std::sort(member_list.begin(), member_list.end());
   member_list.erase(std::unique(member_list.begin(), member_list.end()),
                     member_list.end());
-  for (const auto p : member_list) members.add32(p);
-  members.sort_unique();
+  storage::PrefixBatch members(4);
+  members.assign_sorted32(member_list);
 
   // Query mix: ~half members, half random, deliberately unsorted, first
   // query duplicated at the tail (cursor-resumption stress). Sized past
@@ -499,36 +502,54 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
   queries.push_back(queries.front());
   queries.push_back(queries.front());
 
-  const std::size_t bloom_bits =
-      config.bloom_bits != 0 ? config.bloom_bits : members.size() * 16;
-  const std::pair<const char*, std::unique_ptr<storage::PrefixStore>>
-      stores[] = {
-          {"raw-sorted",
-           make_store(storage::StoreKind::kRawSorted, members)},
-          {"delta-coded",
-           make_store(storage::StoreKind::kDeltaCoded, members)},
-          {"bloom",
-           make_store(storage::StoreKind::kBloom, members, bloom_bits)},
-      };
-  std::vector<bool> expected(queries.size());
-  std::vector<char> raw(queries.size());
-  const std::span<bool> out(reinterpret_cast<bool*>(raw.data()),
-                            queries.size());
-  for (const auto& [name, store] : stores) {
+  const auto answers =
+      std::make_unique<bool[]>(std::max(queries.size(), member_list.size()));
+  const std::span<bool> out(answers.get(), queries.size());
+  // Reports the first index whose answer differs from `expected(i)`; one
+  // index per store kind is diagnosis enough.
+  const auto compare = [&](const std::string& name, const char* reference,
+                           auto&& expected) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      expected[i] = store->contains32(queries[i]);
-    }
-    store->contains_many32(queries, out);
-    store->contains_many32({}, {});  // empty batch must be a no-op
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (static_cast<bool>(out[i]) != expected[i]) {
-        collect.fail(std::string(name) + ": contains_many32[" + num(i) +
-                     "]=" + (out[i] ? "true" : "false") + " but scalar says " +
-                     (expected[i] ? "true" : "false") + " for prefix " +
-                     crypto::prefix32_hex(queries[i]));
-        break;  // one index per store kind is diagnosis enough
+      if (out[i] != expected(i)) {
+        collect.fail(name + ": contains_many32[" + num(i) + "]=" +
+                     (out[i] ? "true" : "false") + " but " + reference +
+                     " says " + (expected(i) ? "true" : "false") +
+                     " for prefix " + crypto::prefix32_hex(queries[i]));
+        return;
       }
     }
+  };
+  const auto listed = [&](std::size_t i) {
+    return std::binary_search(member_list.begin(), member_list.end(),
+                              queries[i]);
+  };
+
+  const std::pair<const char*, storage::StoreKind> exact[] = {
+      {"raw-sorted", storage::StoreKind::kRawSorted},
+      {"delta-coded", storage::StoreKind::kDeltaCoded},
+  };
+  for (const auto& [name, kind] : exact) {
+    const auto store = make_store(kind, members);
+    store->contains_many32(queries, out);
+    store->contains_many32({}, {});  // empty batch must be a no-op
+    compare(name, "binary search", listed);
+  }
+
+  const std::size_t bloom_bits =
+      config.bloom_bits != 0 ? config.bloom_bits : members.size() * 16;
+  const auto bloom =
+      make_store(storage::StoreKind::kBloom, members, bloom_bits);
+  bloom->contains_many32(queries, out);
+  compare("bloom", "batch of one",
+          [&](std::size_t i) { return bloom->contains32(queries[i]); });
+  const std::span<bool> all(answers.get(), member_list.size());
+  bloom->contains_many32(member_list, all);
+  const auto missed = std::find(all.begin(), all.end(), false);
+  if (missed != all.end()) {
+    collect.fail("bloom: member " +
+                 crypto::prefix32_hex(member_list[static_cast<std::size_t>(
+                     missed - all.begin())]) +
+                 " answered false");
   }
 
   // The v4 store is not a PrefixStore; same law, own entry point.
@@ -537,19 +558,8 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
     collect.fail("raw-hash: apply_slice rejected a sorted addition list");
     return;
   }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = v4_store.contains(queries[i]);
-  }
   v4_store.contains_many32(queries, out);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (static_cast<bool>(out[i]) != expected[i]) {
-      collect.fail("raw-hash: contains_many32[" + num(i) + "]=" +
-                   (out[i] ? "true" : "false") + " but scalar says " +
-                   (expected[i] ? "true" : "false") + " for prefix " +
-                   crypto::prefix32_hex(queries[i]));
-      break;
-    }
-  }
+  compare("raw-hash", "binary search", listed);
 }
 
 }  // namespace

@@ -46,14 +46,16 @@
 //                         contract of docs/persistence.md, exercised on
 //                         every generated scenario.
 //   batch-scalar-equivalence
-//                         for every store kind (raw-sorted, delta-coded,
-//                         Bloom, v4 raw-hash), batch contains_many32 over
-//                         an unsorted, duplicate-bearing query mix is
-//                         bit-identical to the scalar test element-wise,
-//                         Bloom false positives included; store shape and
-//                         query mix derive from the scenario's seed and
-//                         blacklist knobs. The contract behind the
-//                         engine's batched prefilter hot path.
+//                         for every store kind, batch contains_many32 over
+//                         an unsorted, duplicate-bearing query mix answers
+//                         like a plain reference: binary search over the
+//                         sorted members for the exact stores (raw-sorted,
+//                         delta-coded, v4 raw-hash); for Bloom, every
+//                         member answers true and each answer equals the
+//                         batch-of-one answer. Store shape and query mix
+//                         derive from the scenario's seed and blacklist
+//                         knobs. The contract behind the engine's batched
+//                         prefilter hot path.
 //
 // On failure, shrink_failing_scenario() greedily minimizes the scenario
 // (halve the population, drop churn, disable mitigation, ...) while the

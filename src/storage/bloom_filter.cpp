@@ -65,10 +65,8 @@ void BloomFilter::insert(std::span<const std::uint8_t> prefix) noexcept {
   ++count_;
 }
 
-bool BloomFilter::contains(
-    std::span<const std::uint8_t> prefix) const noexcept {
-  if (prefix.size() != stride_) return false;
-  const auto [h1, h2] = hash_pair(prefix);
+bool BloomFilter::probe(const std::uint8_t* prefix) const noexcept {
+  const auto [h1, h2] = hash_pair({prefix, stride_});
   for (unsigned i = 0; i < k_; ++i) {
     const std::uint64_t bit = (h1 + i * h2) % num_bits_;
     if ((bits_[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
@@ -78,23 +76,9 @@ bool BloomFilter::contains(
 
 void BloomFilter::contains_many(std::span<const std::uint8_t> flat,
                                 std::span<bool> out) const noexcept {
-  const std::size_t n = stride_ == 0 ? 0 : flat.size() / stride_;
+  const std::size_t n = flat.size() / stride_;
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = contains(flat.subspan(i * stride_, stride_));
-  }
-}
-
-void BloomFilter::contains_many32(std::span<const crypto::Prefix32> prefixes,
-                                  std::span<bool> out) const noexcept {
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    const crypto::Prefix32 prefix = prefixes[i];
-    const std::uint8_t bytes[4] = {
-        static_cast<std::uint8_t>(prefix >> 24),
-        static_cast<std::uint8_t>(prefix >> 16),
-        static_cast<std::uint8_t>(prefix >> 8),
-        static_cast<std::uint8_t>(prefix),
-    };
-    out[i] = contains(std::span<const std::uint8_t>(bytes, 4));
+    out[i] = probe(flat.data() + i * stride_);
   }
 }
 

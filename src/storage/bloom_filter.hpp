@@ -30,15 +30,10 @@ class BloomFilter final : public PrefixStore {
   [[nodiscard]] std::size_t prefix_bytes() const noexcept override {
     return stride_;
   }
-  [[nodiscard]] bool contains(
-      std::span<const std::uint8_t> prefix) const noexcept override;
-  /// Probe order is irrelevant to a Bloom filter, so the batch forms are
-  /// plain devirtualized loops -- still bit-identical to the scalar test
-  /// (false positives are a pure function of the queried bytes).
+  /// Probe order is irrelevant to a Bloom filter, so the batch is a plain
+  /// loop of independent probes.
   void contains_many(std::span<const std::uint8_t> flat,
                      std::span<bool> out) const noexcept override;
-  void contains_many32(std::span<const crypto::Prefix32> prefixes,
-                       std::span<bool> out) const noexcept override;
   [[nodiscard]] std::size_t size() const noexcept override { return count_; }
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
     return bits_.size() * sizeof(std::uint64_t);
@@ -57,6 +52,8 @@ class BloomFilter final : public PrefixStore {
 
  private:
   void insert(std::span<const std::uint8_t> prefix) noexcept;
+  /// One prefix_bytes()-wide membership probe.
+  [[nodiscard]] bool probe(const std::uint8_t* prefix) const noexcept;
 
   std::size_t stride_;
   std::size_t num_bits_;

@@ -43,47 +43,6 @@ DeltaCodedTable::DeltaCodedTable(const PrefixBatch& batch)
   }
 }
 
-bool DeltaCodedTable::contains(
-    std::span<const std::uint8_t> prefix) const noexcept {
-  if (prefix.size() != stride_ || count_ == 0) return false;
-  const std::uint32_t target_head = head32_of(prefix);
-  const std::size_t tail_len = stride_ > 4 ? stride_ - 4 : 0;
-
-  // Find the last index block whose head <= target, then back up over any
-  // blocks sharing the target head: entries with equal heads but different
-  // tails (widths > 32 bits) can straddle block boundaries.
-  auto it = std::upper_bound(
-      index_.begin(), index_.end(), target_head,
-      [](std::uint32_t value, const IndexEntry& e) { return value < e.head; });
-  if (it == index_.begin()) return false;
-  --it;
-  while (it != index_.begin() && it->head == target_head) --it;
-
-  std::size_t offset = it->byte_offset;
-  std::size_t ordinal = it->ordinal;
-  std::uint32_t head = 0;
-  while (ordinal < count_) {
-    const auto gap = util::varint_decode(deltas_, offset);
-    if (!gap) return false;  // corrupt table
-    if (ordinal % kIndexStride == 0) {
-      // Restart entry: gap is 0, absolute head comes from the index.
-      head = index_[ordinal / kIndexStride].head;
-    } else {
-      head += static_cast<std::uint32_t>(*gap);
-    }
-    const std::uint8_t* tail = deltas_.data() + offset;
-    offset += tail_len;
-    if (head > target_head) return false;
-    if (head == target_head &&
-        (tail_len == 0 ||
-         std::memcmp(tail, prefix.data() + 4, tail_len) == 0)) {
-      return true;
-    }
-    ++ordinal;
-  }
-  return false;
-}
-
 void DeltaCodedTable::seek_block(Cursor& cursor,
                                  std::size_t block) const noexcept {
   cursor.offset = index_[block].byte_offset;
@@ -140,8 +99,8 @@ void DeltaCodedTable::contains_many(std::span<const std::uint8_t> flat,
   BatchOrder scratch;
   const auto order =
       scratch.sorted(n, [queries, stride](std::uint32_t a, std::uint32_t b) {
-        return std::memcmp(queries + a * stride, queries + b * stride,
-                           stride) < 0;
+        return compare_prefix(queries + a * stride, queries + b * stride,
+                              stride) < 0;
       });
 
   // One forward decode cursor shared by the whole (ascending) batch: for
@@ -183,50 +142,6 @@ void DeltaCodedTable::contains_many(std::span<const std::uint8_t> flat,
         if (tail_cmp > 0) break;  // entry > query
       }
       // Entry < query: consume it and decode the next one.
-      cursor.loaded = false;
-    }
-    out[q] = found;
-  }
-}
-
-void DeltaCodedTable::contains_many32(
-    std::span<const crypto::Prefix32> prefixes,
-    std::span<bool> out) const noexcept {
-  const std::size_t n = prefixes.size();
-  if (n == 0) return;
-  if (stride_ != 4 || count_ == 0) {
-    std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n),
-              false);
-    return;
-  }
-
-  BatchOrder scratch;
-  const auto order =
-      scratch.sorted(n, [&prefixes](std::uint32_t a, std::uint32_t b) {
-        return prefixes[a] < prefixes[b];
-      });
-
-  // Same walk as contains_many, specialized for tail-less 32-bit entries
-  // (head comparison IS the full comparison).
-  Cursor cursor;
-  for (const std::uint32_t q : order) {
-    const std::uint32_t target = prefixes[q];
-    const std::size_t block = block_for(target);
-    if (block == static_cast<std::size_t>(-1)) {
-      out[q] = false;
-      continue;
-    }
-    if (!cursor.loaded || index_[block].ordinal >= cursor.ordinal) {
-      seek_block(cursor, block);
-    }
-
-    bool found = false;
-    while (true) {
-      if (!cursor.loaded && !advance(cursor, /*tail_len=*/0)) break;
-      if (cursor.head >= target) {
-        found = cursor.head == target;
-        break;
-      }
       cursor.loaded = false;
     }
     out[q] = found;

@@ -34,16 +34,12 @@ class DeltaCodedTable final : public PrefixStore {
   [[nodiscard]] std::size_t prefix_bytes() const noexcept override {
     return stride_;
   }
-  [[nodiscard]] bool contains(
-      std::span<const std::uint8_t> prefix) const noexcept override;
   /// Sorted probe: queries are visited in ascending order against a
   /// single resumable decode cursor, so one index binary search and one
   /// block decode are shared by every query landing in the same region --
   /// the batch amortization of the "slower than Bloom" per-query cost.
   void contains_many(std::span<const std::uint8_t> flat,
                      std::span<bool> out) const noexcept override;
-  void contains_many32(std::span<const crypto::Prefix32> prefixes,
-                       std::span<bool> out) const noexcept override;
   [[nodiscard]] std::size_t size() const noexcept override { return count_; }
   [[nodiscard]] std::size_t memory_bytes() const noexcept override;
 

@@ -9,30 +9,42 @@
 
 namespace sbp::storage {
 
-bool PrefixStore::contains32(crypto::Prefix32 prefix) const noexcept {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(prefix >> 24),
-      static_cast<std::uint8_t>(prefix >> 16),
-      static_cast<std::uint8_t>(prefix >> 8),
-      static_cast<std::uint8_t>(prefix),
-  };
-  return contains(std::span<const std::uint8_t>(bytes, 4));
-}
-
-void PrefixStore::contains_many(std::span<const std::uint8_t> flat,
-                                std::span<bool> out) const noexcept {
-  const std::size_t stride = prefix_bytes();
-  const std::size_t n = stride == 0 ? 0 : flat.size() / stride;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = contains(flat.subspan(i * stride, stride));
-  }
-}
-
 void PrefixStore::contains_many32(std::span<const crypto::Prefix32> prefixes,
                                   std::span<bool> out) const noexcept {
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    out[i] = contains32(prefixes[i]);
+  if (prefix_bytes() != 4) {
+    std::fill(out.begin(), out.begin() + prefixes.size(), false);
+    return;
   }
+  // Pack up to 64 prefixes big-endian on the stack per contains_many call.
+  constexpr std::size_t kChunk = 64;
+  std::uint8_t flat[kChunk * 4];
+  for (std::size_t base = 0; base < prefixes.size(); base += kChunk) {
+    const std::size_t count = std::min(kChunk, prefixes.size() - base);
+    for (std::size_t i = 0; i < count; ++i) {
+      const crypto::Prefix32 prefix = prefixes[base + i];
+      flat[i * 4] = static_cast<std::uint8_t>(prefix >> 24);
+      flat[i * 4 + 1] = static_cast<std::uint8_t>(prefix >> 16);
+      flat[i * 4 + 2] = static_cast<std::uint8_t>(prefix >> 8);
+      flat[i * 4 + 3] = static_cast<std::uint8_t>(prefix);
+    }
+    contains_many(std::span<const std::uint8_t>(flat, count * 4),
+                  out.subspan(base, count));
+  }
+}
+
+bool PrefixStore::contains(
+    std::span<const std::uint8_t> prefix) const noexcept {
+  if (prefix.size() != prefix_bytes()) return false;
+  bool hit = false;
+  contains_many(prefix, std::span<bool>(&hit, 1));
+  return hit;
+}
+
+bool PrefixStore::contains32(crypto::Prefix32 prefix) const noexcept {
+  bool hit = false;
+  contains_many32(std::span<const crypto::Prefix32>(&prefix, 1),
+                  std::span<bool>(&hit, 1));
+  return hit;
 }
 
 PrefixBatch::PrefixBatch(std::size_t prefix_bytes) : stride_(prefix_bytes) {
@@ -105,25 +117,6 @@ RawSortedStore::RawSortedStore(const PrefixBatch& batch)
     : stride_(batch.prefix_bytes()),
       data_(batch.flat().begin(), batch.flat().end()) {}
 
-bool RawSortedStore::contains(
-    std::span<const std::uint8_t> prefix) const noexcept {
-  if (prefix.size() != stride_) return false;
-  std::size_t lo = 0;
-  std::size_t hi = data_.size() / stride_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const int cmp =
-        std::memcmp(data_.data() + mid * stride_, prefix.data(), stride_);
-    if (cmp == 0) return true;
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return false;
-}
-
 void RawSortedStore::contains_many(std::span<const std::uint8_t> flat,
                                    std::span<bool> out) const noexcept {
   const std::size_t n = flat.size() / stride_;
@@ -136,8 +129,8 @@ void RawSortedStore::contains_many(std::span<const std::uint8_t> flat,
   BatchOrder scratch;
   const auto order =
       scratch.sorted(n, [queries, stride](std::uint32_t a, std::uint32_t b) {
-        return std::memcmp(queries + a * stride, queries + b * stride,
-                           stride) < 0;
+        return compare_prefix(queries + a * stride, queries + b * stride,
+                              stride) < 0;
       });
 
   // Ascending queries, each binary search restricted to the suffix after
@@ -150,7 +143,7 @@ void RawSortedStore::contains_many(std::span<const std::uint8_t> flat,
     std::size_t right = count;
     while (left < right) {
       const std::size_t mid = left + (right - left) / 2;
-      if (std::memcmp(entries + mid * stride, query, stride) < 0) {
+      if (compare_prefix(entries + mid * stride, query, stride) < 0) {
         left = mid + 1;
       } else {
         right = mid;
@@ -158,49 +151,7 @@ void RawSortedStore::contains_many(std::span<const std::uint8_t> flat,
     }
     lo = left;
     out[q] = left < count &&
-             std::memcmp(entries + left * stride, query, stride) == 0;
-  }
-}
-
-void RawSortedStore::contains_many32(
-    std::span<const crypto::Prefix32> prefixes,
-    std::span<bool> out) const noexcept {
-  if (stride_ != 4) {
-    std::fill(out.begin(), out.end(), false);
-    return;
-  }
-  const std::size_t n = prefixes.size();
-  if (n == 0) return;
-  const std::size_t count = data_.size() / 4;
-  const std::uint8_t* entries = data_.data();
-  const auto entry_at = [entries](std::size_t i) noexcept {
-    return (static_cast<std::uint32_t>(entries[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(entries[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(entries[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(entries[i * 4 + 3]);
-  };
-
-  BatchOrder scratch;
-  const auto order =
-      scratch.sorted(n, [&prefixes](std::uint32_t a, std::uint32_t b) {
-        return prefixes[a] < prefixes[b];
-      });
-
-  std::size_t lo = 0;
-  for (const std::uint32_t q : order) {
-    const crypto::Prefix32 query = prefixes[q];
-    std::size_t left = lo;
-    std::size_t right = count;
-    while (left < right) {
-      const std::size_t mid = left + (right - left) / 2;
-      if (entry_at(mid) < query) {
-        left = mid + 1;
-      } else {
-        right = mid;
-      }
-    }
-    lo = left;
-    out[q] = left < count && entry_at(left) == query;
+             compare_prefix(entries + left * stride, query, stride) == 0;
   }
 }
 

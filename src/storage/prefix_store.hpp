@@ -7,12 +7,14 @@
 // raw baseline.
 //
 // All stores hold fixed-width truncated digests ("prefixes"). Entries are
-// passed as raw big-endian byte strings of exactly `prefix_bytes()` bytes;
-// convenience overloads exist for the protocol's 32-bit prefixes.
+// passed as raw big-endian byte strings of exactly `prefix_bytes()` bytes.
+// Each store implements membership once, as the batch `contains_many`; the
+// scalar and 32-bit spellings are thin wrappers over that one path.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -28,17 +30,38 @@ enum class StoreKind {
   kBloom,       ///< Chromium pre-2012 (paper: constant 3 MB)
 };
 
+/// Three-way comparison of two `stride`-byte prefixes in lexicographic
+/// order, like memcmp. The protocol's 4-byte prefixes compare as one
+/// big-endian word instead of through memcmp: this comparison is the inner
+/// step of the sorted probes' query sort and binary search.
+[[nodiscard]] inline int compare_prefix(const std::uint8_t* a,
+                                        const std::uint8_t* b,
+                                        std::size_t stride) noexcept {
+  if (stride == 4) {
+    const auto word = [](const std::uint8_t* p) noexcept {
+      return (static_cast<std::uint32_t>(p[0]) << 24) |
+             (static_cast<std::uint32_t>(p[1]) << 16) |
+             (static_cast<std::uint32_t>(p[2]) << 8) |
+             static_cast<std::uint32_t>(p[3]);
+    };
+    const std::uint32_t x = word(a);
+    const std::uint32_t y = word(b);
+    return (x > y) - (x < y);
+  }
+  return std::memcmp(a, b, stride);
+}
+
 /// Abstract prefix membership store.
 ///
-/// Membership comes in two shapes: the scalar `contains` (one prefix, one
-/// answer) and the batch `contains_many` family, which answers a whole
-/// query batch in one call. Batch answers are defined to be bit-identical
-/// to calling the scalar test per element -- including Bloom false
-/// positives, which are a pure function of the queried bytes -- so the two
-/// forms are interchangeable; the batch form exists because sorted-probe
-/// implementations amortize their index searches across the batch (the
-/// simulation engine's hot path queries every decomposition of a URL at
-/// once). Batches may be empty, unsorted and contain duplicates.
+/// Membership has ONE implementation per store: the batch `contains_many`,
+/// which answers a whole query batch in one call so sorted-probe stores
+/// amortize their index searches across it (the simulation engine's hot
+/// path queries every decomposition of a URL at once). `contains`,
+/// `contains32` and `contains_many32` are non-virtual spellings of that
+/// same call -- a batch of one, or 32-bit prefixes packed big-endian -- so
+/// every spelling answers identically, Bloom false positives included
+/// (they are a pure function of the queried bytes). Batches may be empty,
+/// unsorted and contain duplicates.
 class PrefixStore {
  public:
   virtual ~PrefixStore() = default;
@@ -46,22 +69,25 @@ class PrefixStore {
   /// Width of stored prefixes in bytes (4 for the wire protocol).
   [[nodiscard]] virtual std::size_t prefix_bytes() const noexcept = 0;
 
-  /// Membership test. `prefix` must have exactly prefix_bytes() bytes.
-  /// Bloom filters may return false positives; exact stores never do.
-  [[nodiscard]] virtual bool contains(
-      std::span<const std::uint8_t> prefix) const noexcept = 0;
-
   /// Batch membership over `flat` = N concatenated prefix_bytes()-wide
-  /// entries; writes out[i] = contains(entry i). `out` must hold exactly
-  /// N elements. The default forwards to the scalar test element-wise;
-  /// sorted stores override with a sorted-probe walk.
+  /// entries; writes out[i] = whether entry i is stored. `out` must hold
+  /// exactly N elements. Bloom filters may return false positives; exact
+  /// stores never do.
   virtual void contains_many(std::span<const std::uint8_t> flat,
-                             std::span<bool> out) const noexcept;
+                             std::span<bool> out) const noexcept = 0;
 
-  /// Batch membership for the protocol's 32-bit prefixes; out[i] =
-  /// contains32(prefixes[i]) (all false unless prefix_bytes() == 4).
-  virtual void contains_many32(std::span<const crypto::Prefix32> prefixes,
-                               std::span<bool> out) const noexcept;
+  /// contains_many over the protocol's 32-bit prefixes (all false unless
+  /// prefix_bytes() == 4). `out` must hold prefixes.size() elements.
+  void contains_many32(std::span<const crypto::Prefix32> prefixes,
+                       std::span<bool> out) const noexcept;
+
+  /// A batch of one; false unless `prefix` has exactly prefix_bytes()
+  /// bytes.
+  [[nodiscard]] bool contains(
+      std::span<const std::uint8_t> prefix) const noexcept;
+
+  /// A batch of one 32-bit prefix (false unless prefix_bytes() == 4).
+  [[nodiscard]] bool contains32(crypto::Prefix32 prefix) const noexcept;
 
   /// Number of entries inserted at build time.
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
@@ -69,10 +95,6 @@ class PrefixStore {
   /// Total bytes of the in-memory representation (payload + indexes),
   /// the quantity reported in Table 2.
   [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
-
-  /// Convenience for the protocol's 32-bit prefixes (requires
-  /// prefix_bytes() == 4).
-  [[nodiscard]] bool contains32(crypto::Prefix32 prefix) const noexcept;
 };
 
 /// Builder input: fixed-stride concatenated big-endian prefix bytes.
@@ -121,14 +143,10 @@ class RawSortedStore final : public PrefixStore {
   [[nodiscard]] std::size_t prefix_bytes() const noexcept override {
     return stride_;
   }
-  [[nodiscard]] bool contains(
-      std::span<const std::uint8_t> prefix) const noexcept override;
   /// Sorted probe: the batch is visited in ascending order and each
   /// binary search resumes from the previous hit's position.
   void contains_many(std::span<const std::uint8_t> flat,
                      std::span<bool> out) const noexcept override;
-  void contains_many32(std::span<const crypto::Prefix32> prefixes,
-                       std::span<bool> out) const noexcept override;
   [[nodiscard]] std::size_t size() const noexcept override {
     return data_.size() / stride_;
   }

@@ -73,10 +73,6 @@ bool RawHashStore::apply_slice(
   return true;
 }
 
-bool RawHashStore::contains(crypto::Prefix32 prefix) const noexcept {
-  return std::binary_search(sorted_.begin(), sorted_.end(), prefix);
-}
-
 void RawHashStore::contains_many32(std::span<const crypto::Prefix32> prefixes,
                                    std::span<bool> out) const noexcept {
   const std::size_t n = prefixes.size();

@@ -48,14 +48,20 @@ class RawHashStore {
     checksum_ = kEmptyChecksum;
   }
 
-  [[nodiscard]] bool contains(crypto::Prefix32 prefix) const noexcept;
-
-  /// Batch membership: out[i] = contains(prefixes[i]); bit-identical to
-  /// the scalar test, amortizing the binary searches across a sorted
-  /// probe order (see storage::PrefixStore::contains_many). Batches may
-  /// be empty, unsorted and contain duplicates.
+  /// Batch membership: out[i] = whether prefixes[i] is stored, amortizing
+  /// the binary searches across a sorted probe order (see
+  /// storage::PrefixStore::contains_many). Batches may be empty, unsorted
+  /// and contain duplicates.
   void contains_many32(std::span<const crypto::Prefix32> prefixes,
                        std::span<bool> out) const noexcept;
+
+  /// A batch of one.
+  [[nodiscard]] bool contains(crypto::Prefix32 prefix) const noexcept {
+    bool hit = false;
+    contains_many32(std::span<const crypto::Prefix32>(&prefix, 1),
+                    std::span<bool>(&hit, 1));
+    return hit;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "analysis/kanonymity.hpp"
 #include "analysis/orphans.hpp"
@@ -12,7 +13,6 @@
 #include "mitigation/dummy_requests.hpp"
 #include "sb/blacklist_factory.hpp"
 #include "sb/client.hpp"
-#include "sb/database_io.hpp"
 #include "sb/lookup_api.hpp"
 #include "tracking/profile.hpp"
 #include "tracking/shadow_db.hpp"
@@ -124,16 +124,17 @@ TEST(EndToEndTest, SurveillancePipeline) {
 }
 
 TEST(EndToEndTest, ForensicCrawlDumpReload) {
-  // Crawl a provider, dump the database, reload offline, and run the orphan
-  // census on the copy -- the Section 7 workflow.
+  // Crawl a provider, checkpoint its database, restore it offline, and run
+  // the orphan census on the copy -- the Section 7 workflow.
   sb::Server provider(sb::Provider::kYandex);
   sb::BlacklistFactory factory(5);
   factory.populate(provider, {"ydx-phish-shavar", 200, 0.99, 0, 0});
   factory.populate(provider, {"ydx-malware-shavar", 300, 0.015, 3, 2});
 
-  const auto snapshot = sb::dump_database(provider);
+  const auto snapshot = provider.checkpoint_bytes();
   sb::Server offline;
-  ASSERT_TRUE(sb::load_database(snapshot, offline));
+  std::string error;
+  ASSERT_TRUE(offline.restore_bytes(snapshot, &error)) << error;
 
   const auto censuses = analysis::census_all(offline);
   ASSERT_EQ(censuses.size(), 2u);

@@ -166,6 +166,23 @@ TEST(ServerSnapshotTest, RestoreReplacesPreviousStateWholesale) {
   EXPECT_EQ(target.checkpoint_bytes(), source.checkpoint_bytes());
 }
 
+TEST(ServerSnapshotTest, EmptyServerRoundTrips) {
+  // A server with no lists is a valid snapshot: it restores into a fresh
+  // server as a byte fixpoint, and over a populated one it empties it.
+  const Server empty;
+  const std::vector<std::uint8_t> bytes = empty.checkpoint_bytes();
+  std::string error;
+  Server fresh;
+  ASSERT_TRUE(fresh.restore_bytes(bytes, &error)) << error;
+  EXPECT_EQ(fresh.checkpoint_bytes(), bytes);
+
+  Server target = populated_server();
+  ASSERT_TRUE(target.restore_bytes(bytes, &error)) << error;
+  EXPECT_EQ(target.provider(), empty.provider());
+  EXPECT_TRUE(target.list_names().empty());
+  EXPECT_EQ(target.checkpoint_bytes(), bytes);
+}
+
 TEST(ServerSnapshotTest, RestoreClearsRetainedQueryLog) {
   Server target = populated_server();
   const auto some = target.prefixes("ydx-malware-shavar");

@@ -1,6 +1,6 @@
 // Robustness fuzzing of the wire formats: random byte soup must never
 // crash, hang, or be accepted as valid protocol data beyond what the
-// format allows. Covers the legacy chunk/database formats AND every
+// format allows. Covers the legacy chunk format AND every
 // protocol frame type (v1 lookup, v3 update, full-hash, v4 sliced update):
 // random soup, truncations of valid frames, and single-byte corruption.
 // Deterministic seeds keep failures reproducible.
@@ -10,7 +10,6 @@
 
 #include "net/frame_codec.hpp"
 #include "sb/chunk.hpp"
-#include "sb/database_io.hpp"
 #include "sb/wire/frames.hpp"
 #include "sb/wire/rice.hpp"
 #include "util/rng.hpp"
@@ -64,34 +63,6 @@ TEST_P(WireFuzzTest, ChunkBitflipRoundTrip) {
       const auto reserialized = serialize_chunk(*decoded);
       EXPECT_EQ(reserialized.size(), offset);
     }
-  }
-}
-
-TEST_P(WireFuzzTest, DatabaseLoadNeverCrashes) {
-  util::Rng rng(300 + GetParam());
-  for (int i = 0; i < 500; ++i) {
-    const auto bytes = random_bytes(rng, 256);
-    Server server;
-    (void)load_database(bytes, server);  // must not crash or hang
-  }
-}
-
-TEST_P(WireFuzzTest, DatabaseMutatedHeaderRejected) {
-  // A valid dump with a corrupted length field must be rejected, not
-  // over-read.
-  util::Rng rng(400 + GetParam());
-  Server original;
-  original.add_expression("list-a", "one.example/");
-  original.add_expression("list-b", "two.example/");
-  const auto golden = dump_database(original);
-  for (int i = 0; i < 300; ++i) {
-    auto mutated = golden;
-    // Mutate within the structural header region (after magic+version).
-    const std::size_t pos = 5 + rng.next_below(16);
-    if (pos >= mutated.size()) continue;
-    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
-    Server server;
-    (void)load_database(mutated, server);  // any outcome but UB/crash
   }
 }
 

@@ -1,17 +1,21 @@
-// Batch/scalar equivalence for the membership API (ISSUE 10).
+// Membership against a plain reference.
 //
-// The batch `contains_many` family is DEFINED to be bit-identical to the
-// scalar test applied element-wise -- including Bloom false positives and
-// probes against empty stores. These tests exercise every concrete store
-// against that contract with empty, singleton, duplicate, unsorted and
-// large batches, so a sorted-probe implementation that mishandles cursor
-// resumption or duplicate keys fails here rather than as a silent query-log
-// divergence in the engine.
+// Each store implements membership once, as the batch `contains_many`;
+// `contains`, `contains32` and `contains_many32` are wrappers over it. These
+// tests check that one path against something that shares no code with it:
+// for the exact stores (raw-sorted, delta-coded, v4 raw-hash) the reference
+// is std::binary_search over the sorted member list; for Bloom every member
+// must answer true and each batch answer must equal the batch-of-one
+// answer. Batches are empty, singleton, duplicate-bearing, unsorted and
+// larger than the 64-entry inline scratch, so a sorted-probe walk that
+// mishandles cursor resumption or duplicate keys fails here rather than as
+// a silent query-log divergence in the engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,11 +29,13 @@
 namespace sbp::storage {
 namespace {
 
+using Entry = std::vector<std::uint8_t>;
+
 PrefixBatch random_batch(std::size_t n, std::uint64_t seed,
                          std::size_t stride = 4) {
   util::Rng rng(seed);
   PrefixBatch batch(stride);
-  std::vector<std::uint8_t> entry(stride);
+  Entry entry(stride);
   for (std::size_t i = 0; i < n; ++i) {
     for (auto& b : entry) b = static_cast<std::uint8_t>(rng.next());
     batch.add(entry);
@@ -38,20 +44,33 @@ PrefixBatch random_batch(std::size_t n, std::uint64_t seed,
   return batch;
 }
 
-// Query mix: ~half members (drawn from the store's own entries), half
-// random misses, deliberately unsorted, with duplicates appended.
-std::vector<crypto::Prefix32> query_mix32(const PrefixBatch& batch,
-                                          std::size_t n, std::uint64_t seed) {
+crypto::Prefix32 word_of(std::span<const std::uint8_t> e) {
+  return static_cast<crypto::Prefix32>(e[0]) << 24 |
+         static_cast<crypto::Prefix32>(e[1]) << 16 |
+         static_cast<crypto::Prefix32>(e[2]) << 8 |
+         static_cast<crypto::Prefix32>(e[3]);
+}
+
+/// The store's members as a sorted list of 32-bit prefixes.
+std::vector<crypto::Prefix32> members32(const PrefixBatch& batch) {
+  std::vector<crypto::Prefix32> out;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(word_of(batch.entry(i)));
+  }
+  return out;
+}
+
+// Query mix: ~half members (drawn from the member list), half random
+// misses, deliberately unsorted, with duplicates appended.
+std::vector<crypto::Prefix32> query_mix32(
+    const std::vector<crypto::Prefix32>& members, std::size_t n,
+    std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<crypto::Prefix32> queries;
   queries.reserve(n + 4);
   for (std::size_t i = 0; i < n; ++i) {
-    if (batch.size() > 0 && rng.next() % 2 == 0) {
-      const auto e = batch.entry(rng.next() % batch.size());
-      queries.push_back(static_cast<crypto::Prefix32>(e[0]) << 24 |
-                        static_cast<crypto::Prefix32>(e[1]) << 16 |
-                        static_cast<crypto::Prefix32>(e[2]) << 8 |
-                        static_cast<crypto::Prefix32>(e[3]));
+    if (!members.empty() && rng.next() % 2 == 0) {
+      queries.push_back(members[rng.next() % members.size()]);
     } else {
       queries.push_back(static_cast<crypto::Prefix32>(rng.next()));
     }
@@ -66,141 +85,171 @@ std::vector<crypto::Prefix32> query_mix32(const PrefixBatch& batch,
   return queries;
 }
 
-void expect_batch_matches_scalar32(const PrefixStore& store,
-                                   std::span<const crypto::Prefix32> queries) {
-  std::vector<bool> expected(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = store.contains32(queries[i]);
-  }
-  // vector<bool> has no .data(); batch output needs a real bool array.
-  std::vector<char> raw(queries.size() ? queries.size() : 1);
-  std::span<bool> out(reinterpret_cast<bool*>(raw.data()), queries.size());
-  store.contains_many32(queries, out);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(static_cast<bool>(out[i]), expected[i]) << "query index " << i;
-  }
-}
-
-void expect_batch_matches_scalar_flat(const PrefixStore& store,
-                                      const PrefixBatch& queries) {
-  const std::size_t n = queries.size();
-  std::vector<bool> expected(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    expected[i] = store.contains(queries.entry(i));
-  }
-  std::vector<char> raw(n ? n : 1);
-  std::span<bool> out(reinterpret_cast<bool*>(raw.data()), n);
-  store.contains_many(queries.flat(), out);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(static_cast<bool>(out[i]), expected[i]) << "query index " << i;
-  }
-}
-
-void run_store_suite(const PrefixStore& store, const PrefixBatch& members,
-                     std::uint64_t seed) {
-  // Empty batch: no writes, no crash.
-  expect_batch_matches_scalar32(store, {});
-
-  // Singleton hit and singleton miss.
-  if (members.size() > 0) {
-    const auto e = members.entry(0);
-    const crypto::Prefix32 member = static_cast<crypto::Prefix32>(e[0]) << 24 |
-                                    static_cast<crypto::Prefix32>(e[1]) << 16 |
-                                    static_cast<crypto::Prefix32>(e[2]) << 8 |
-                                    static_cast<crypto::Prefix32>(e[3]);
-    expect_batch_matches_scalar32(store, std::vector<crypto::Prefix32>{member});
-  }
-  expect_batch_matches_scalar32(store,
-                                std::vector<crypto::Prefix32>{0xDEADBEEFu});
-
-  // Unsorted mixes with duplicates, several sizes including ones past the
-  // 64-entry inline scratch.
+/// Every batch shape the suite runs: empty, singleton hit, singleton miss,
+/// and unsorted mixes past the 64-entry inline scratch.
+std::vector<std::vector<crypto::Prefix32>> query_batches(
+    const std::vector<crypto::Prefix32>& members, std::uint64_t seed) {
+  std::vector<std::vector<crypto::Prefix32>> batches;
+  batches.push_back({});
+  if (!members.empty()) batches.push_back({members.front()});
+  batches.push_back({0xDEADBEEFu});
   for (const std::size_t n : {3u, 17u, 64u, 65u, 300u}) {
-    expect_batch_matches_scalar32(store, query_mix32(members, n, seed + n));
+    batches.push_back(query_mix32(members, n, seed + n));
+  }
+  return batches;
+}
+
+/// Runs `batch_call(queries, out)` and returns the answers as plain bools.
+template <typename BatchCall>
+std::vector<bool> answers(std::span<const crypto::Prefix32> queries,
+                          BatchCall&& batch_call) {
+  // vector<bool> has no .data(); batch output needs a real bool array.
+  const auto buffer = std::make_unique<bool[]>(queries.size());
+  const std::span<bool> out(buffer.get(), queries.size());
+  batch_call(queries, out);
+  return {out.begin(), out.end()};
+}
+
+/// Exact store: contains_many32 equals binary search over the members.
+void expect_exact32(const PrefixStore& store, const PrefixBatch& batch,
+                    std::uint64_t seed) {
+  const auto members = members32(batch);
+  for (const auto& queries : query_batches(members, seed)) {
+    const auto got = answers(queries, [&](auto q, auto out) {
+      store.contains_many32(q, out);
+    });
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[i], std::binary_search(members.begin(), members.end(),
+                                           queries[i]))
+          << "query index " << i;
+    }
   }
 }
 
-TEST(BatchContainsTest, RawSortedStoreMatchesScalar) {
+TEST(BatchContainsTest, RawSortedStoreMatchesReference) {
   const PrefixBatch members = random_batch(5000, 11);
-  const RawSortedStore store(members);
-  run_store_suite(store, members, 101);
+  expect_exact32(RawSortedStore(members), members, 101);
 }
 
 TEST(BatchContainsTest, RawSortedStoreEmptyStore) {
   PrefixBatch empty(4);
   empty.sort_unique();
-  const RawSortedStore store(empty);
-  run_store_suite(store, empty, 102);
+  expect_exact32(RawSortedStore(empty), empty, 102);
 }
 
-TEST(BatchContainsTest, DeltaCodedTableMatchesScalar) {
+TEST(BatchContainsTest, DeltaCodedTableMatchesReference) {
   const PrefixBatch members = random_batch(5000, 12);
-  const DeltaCodedTable store(members);
-  run_store_suite(store, members, 103);
+  expect_exact32(DeltaCodedTable(members), members, 103);
 }
 
 TEST(BatchContainsTest, DeltaCodedTableEmptyStore) {
   PrefixBatch empty(4);
   empty.sort_unique();
-  const DeltaCodedTable store(empty);
-  run_store_suite(store, empty, 104);
+  expect_exact32(DeltaCodedTable(empty), empty, 104);
 }
 
-TEST(BatchContainsTest, DeltaCodedTableWideStride) {
-  // Stride-8 table: exercises the generic contains_many (flat byte) path,
-  // including the final partial block of the delta stream.
-  const PrefixBatch members = random_batch(1000, 13, 8);
-  const DeltaCodedTable store(members);
-  expect_batch_matches_scalar_flat(store, random_batch(257, 14, 8));
-}
-
-TEST(BatchContainsTest, BloomFilterMatchesScalarIncludingFalsePositives) {
-  const PrefixBatch members = random_batch(5000, 15);
-  // Deliberately undersized filter (~2 bits/entry) so the query mix is
-  // dense in false positives; equivalence must hold for those too.
-  const BloomFilter store(members, members.size() * 2);
-  run_store_suite(store, members, 105);
-}
-
-TEST(BatchContainsTest, RawHashStoreMatchesScalar) {
-  RawHashStore store;
-  std::vector<crypto::Prefix32> additions;
-  util::Rng rng(16);
-  for (std::size_t i = 0; i < 5000; ++i) {
-    additions.push_back(static_cast<crypto::Prefix32>(rng.next()));
+TEST(BatchContainsTest, WideStrideStoresMatchReference) {
+  // Stride-8 stores take the memcmp comparison path, and the delta table
+  // decodes raw tails, including its final partial block. Queries: every
+  // member, random misses, and members with a flipped tail byte (same
+  // 32-bit head, different entry).
+  const PrefixBatch batch = random_batch(1000, 13, 8);
+  std::vector<Entry> members;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto e = batch.entry(i);
+    members.emplace_back(e.begin(), e.end());
   }
-  std::sort(additions.begin(), additions.end());
-  additions.erase(std::unique(additions.begin(), additions.end()),
-                  additions.end());
-  ASSERT_TRUE(store.apply_slice({}, additions));
+  PrefixBatch queries(8);
+  const PrefixBatch misses = random_batch(257, 14, 8);
+  for (std::size_t i = 0; i < misses.size(); ++i) queries.add(misses.entry(i));
+  for (std::size_t i = 0; i < members.size(); i += 3) {
+    queries.add(members[i]);
+    Entry near = members[i];
+    near[7] ^= 0x01;
+    queries.add(near);
+  }
+  const std::size_t n = queries.size();
 
-  auto check = [&store](std::span<const crypto::Prefix32> queries) {
-    std::vector<bool> expected(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      expected[i] = store.contains(queries[i]);
-    }
-    std::vector<char> raw(queries.size() ? queries.size() : 1);
-    std::span<bool> out(reinterpret_cast<bool*>(raw.data()), queries.size());
-    store.contains_many32(queries, out);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(out[i]), expected[i])
+  const std::unique_ptr<PrefixStore> stores[] = {
+      make_store(StoreKind::kRawSorted, batch),
+      make_store(StoreKind::kDeltaCoded, batch)};
+  for (const auto& store : stores) {
+    const auto buffer = std::make_unique<bool[]>(n);
+    const std::span<bool> out(buffer.get(), n);
+    store->contains_many(queries.flat(), out);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto e = queries.entry(i);
+      EXPECT_EQ(out[i], std::binary_search(members.begin(), members.end(),
+                                           Entry(e.begin(), e.end())))
           << "query index " << i;
     }
-  };
+  }
+}
 
-  check({});  // empty batch
-  check(std::vector<crypto::Prefix32>{additions.front()});   // singleton hit
-  check(std::vector<crypto::Prefix32>{0xDEADBEEFu});         // singleton miss
-  util::Rng qrng(17);
-  for (const std::size_t n : {3u, 64u, 65u, 300u}) {
-    std::vector<crypto::Prefix32> queries;
-    for (std::size_t i = 0; i < n; ++i) {
-      queries.push_back(qrng.next() % 2 == 0
-                            ? additions[qrng.next() % additions.size()]
-                            : static_cast<crypto::Prefix32>(qrng.next()));
+TEST(BatchContainsTest, BloomFilterMembersHitAndBatchEqualsBatchOfOne) {
+  const PrefixBatch batch = random_batch(5000, 15);
+  // Deliberately undersized filter (~2 bits/entry) so the query mix is
+  // dense in false positives; batch answers must repeat them exactly.
+  const BloomFilter store(batch, batch.size() * 2);
+  const auto members = members32(batch);
+  const auto all = answers(members, [&](auto q, auto out) {
+    store.contains_many32(q, out);
+  });
+  EXPECT_EQ(std::count(all.begin(), all.end(), true),
+            static_cast<std::ptrdiff_t>(members.size()));
+  for (const auto& queries : query_batches(members, 105)) {
+    const auto got = answers(queries, [&](auto q, auto out) {
+      store.contains_many32(q, out);
+    });
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[i], store.contains32(queries[i])) << "query index " << i;
     }
-    queries.push_back(queries.front());  // duplicate
-    check(queries);
+  }
+}
+
+TEST(BatchContainsTest, RawHashStoreMatchesReference) {
+  const std::vector<crypto::Prefix32> members =
+      members32(random_batch(5000, 16));
+  RawHashStore store;
+  ASSERT_TRUE(store.apply_slice({}, members));
+  for (const auto& queries : query_batches(members, 106)) {
+    const auto got = answers(queries, [&](auto q, auto out) {
+      store.contains_many32(q, out);
+    });
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[i], std::binary_search(members.begin(), members.end(),
+                                           queries[i]))
+          << "query index " << i;
+    }
+  }
+}
+
+TEST(BatchContainsTest, WrappersRejectMismatchedWidths) {
+  // The width checks live in the PrefixStore wrappers, so every kind
+  // answers false to a query of the wrong width -- even for a prefix
+  // whose leading bytes are stored.
+  const PrefixBatch narrow = random_batch(100, 19);
+  const PrefixBatch wide = random_batch(100, 20, 8);
+  const auto narrow_entry = narrow.entry(0);
+  const auto wide_entry = wide.entry(0);
+  for (const StoreKind kind :
+       {StoreKind::kRawSorted, StoreKind::kDeltaCoded, StoreKind::kBloom}) {
+    const auto store4 = make_store(kind, narrow, 4096);
+    EXPECT_TRUE(store4->contains(narrow_entry));
+    const Entry padded = {narrow_entry[0], narrow_entry[1], narrow_entry[2],
+                          narrow_entry[3], 0, 0, 0, 0};
+    EXPECT_FALSE(store4->contains(padded));
+    EXPECT_FALSE(store4->contains(narrow_entry.first(3)));
+
+    const auto store8 = make_store(kind, wide, 4096);
+    EXPECT_TRUE(store8->contains(wide_entry));
+    EXPECT_FALSE(store8->contains(wide_entry.first(4)));
+    EXPECT_FALSE(store8->contains32(word_of(wide_entry)));
+    const crypto::Prefix32 heads[] = {word_of(wide_entry), 0u};
+    bool out[2] = {true, true};
+    store8->contains_many32(heads, out);
+    EXPECT_FALSE(out[0]);
+    EXPECT_FALSE(out[1]);
   }
 }
 

@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
-"""Grep gate: no scalar membership probes and no planner strings on the hot path.
+"""Grep gate: one membership virtual, no scalar probes and no planner strings on the hot path.
 
-The batch storage API (PrefixStore::contains_many / contains_many32,
-ProtocolClient::local_contains_many) exists so the per-tick lookup flow
-issues ONE batched probe per URL decomposition instead of a scalar call
-per prefix.  Scalar `contains` stays on the interfaces for tests and cold
-paths, but it must not creep back into the files on the tick-loop hot
-path -- a single scalar call inside the dispatch loop silently undoes the
-batch redesign without failing any functional test.
+Membership has one implementation per store: PrefixStore::contains_many and
+ProtocolClient::local_contains_many are the only membership virtuals, and
+the scalar and 32-bit spellings (contains, contains32, contains_many32,
+local_contains) are non-virtual batches over them.  A header under
+src/storage/ or src/sb/ that declares one of those spellings `virtual` or
+`override` brings back a second implementation for the tests to reconcile.
+
+The per-tick lookup flow issues ONE batched probe per URL decomposition.
+The scalar wrappers stay for tests and cold paths, but they must not creep
+back into the files on the tick-loop hot path -- a scalar call per prefix
+inside the dispatch loop silently undoes the batch design without failing
+any functional test.
 
 The tick planner (src/sim/user.cpp) deals only in 64-bit visit ids: a URL
 string is built only on a URL-cache miss, where it is consumed.  Naming
 `std::string` there would bring per-visit string traffic back into the plan.
 
-This script fails (exit 1) if any hot-path file contains a scalar
-membership call, or if a string-free file names std::string.  Line comments
-and block comments are stripped before matching so prose mentioning the
-forbidden API is fine.
+This script fails (exit 1) if a membership wrapper is declared virtual or
+override, if any hot-path file contains a scalar membership call, or if a
+string-free file names std::string.  Line comments and block comments are
+stripped before matching so prose mentioning the forbidden API is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
 """
@@ -52,10 +57,12 @@ FORBIDDEN = [
 STRING_FREE_FILES = ["src/sim/user.cpp"]
 STD_STRING = re.compile(r"\bstd::string\b")
 
-# Scalar *implementations* are allowed to exist (the virtual methods live
-# somewhere); what is forbidden is calling them from hot-path code.  A
-# definition line looks like `bool Client::local_contains(...)`.
-DEFINITION = re.compile(r"^\s*(\[\[nodiscard\]\]\s*)?(virtual\s+)?bool\s+[\w:]+contains\w*\s*\(")
+# Headers whose membership wrappers must stay non-virtual: a declaration of
+# one of WRAPPERS that says `virtual` or `override` is a second
+# implementation of membership.
+MEMBERSHIP_HEADER_DIRS = ["src/storage", "src/sb"]
+WRAPPERS = re.compile(r"\b(contains|contains32|contains_many32|local_contains)\s*\(")
+VIRTUAL = re.compile(r"\b(?:virtual|override)\b")
 
 LINE_COMMENT = re.compile(r"//.*$")
 BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
@@ -66,6 +73,17 @@ def strip_comments(text: str) -> str:
     return "\n".join(LINE_COMMENT.sub("", line) for line in text.splitlines())
 
 
+def virtual_wrappers(text: str):
+    """Yields (line, name, declaration) for each wrapper declared virtual."""
+    for match in WRAPPERS.finditer(text):
+        start = max(text.rfind(c, 0, match.start()) for c in ";{}") + 1
+        ends = [i for i in (text.find(c, match.end()) for c in ";{") if i != -1]
+        statement = text[start:min(ends, default=len(text))]
+        if VIRTUAL.search(statement):
+            yield (text.count("\n", 0, match.start()) + 1, match.group(1),
+                   " ".join(statement.split()))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", default=".", help="repository root (default: cwd)")
@@ -73,6 +91,17 @@ def main() -> int:
     root = pathlib.Path(args.repo_root)
 
     violations = []
+    headers = sorted(header for folder in MEMBERSHIP_HEADER_DIRS
+                     for header in (root / folder).rglob("*.hpp"))
+    if not headers:
+        print("check_hot_path: no headers under " + ", ".join(MEMBERSHIP_HEADER_DIRS),
+              file=sys.stderr)
+        return 1
+    for header in headers:
+        rel = header.relative_to(root).as_posix()
+        for lineno, name, text in virtual_wrappers(strip_comments(header.read_text())):
+            violations.append((rel, lineno, f"virtual membership wrapper {name}", text))
+
     for rel in HOT_PATH_FILES:
         path = root / rel
         if not path.is_file():
@@ -80,8 +109,6 @@ def main() -> int:
             return 1
         stripped = strip_comments(path.read_text())
         for lineno, line in enumerate(stripped.splitlines(), start=1):
-            if DEFINITION.search(line):
-                continue
             for pattern, label in FORBIDDEN:
                 if pattern.search(line):
                     violations.append((rel, lineno, label, line.strip()))
@@ -90,14 +117,16 @@ def main() -> int:
                                    line.strip()))
 
     if violations:
-        print("check_hot_path: forbidden calls or types on the hot path:")
+        print("check_hot_path: forbidden declarations, calls or types:")
         for rel, lineno, label, text in violations:
             print(f"  {rel}:{lineno}: {label}: {text}")
-        print("use contains_many / contains_many32 / local_contains_many for "
-              "membership; plan visit ids, build URLs via TrafficModel::url_of")
+        print("override only contains_many / local_contains_many; call the batch "
+              "forms on the hot path; plan visit ids, build URLs via "
+              "TrafficModel::url_of")
         return 1
 
-    print(f"check_hot_path: OK ({len(HOT_PATH_FILES)} hot-path files batch-only, "
+    print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
+          f"{len(HOT_PATH_FILES)} hot-path files batch-only, "
           f"{len(STRING_FREE_FILES)} string-free)")
     return 0
 
