@@ -31,6 +31,7 @@
 #include "sb/transport.hpp"
 #include "storage/full_hash_cache.hpp"
 #include "storage/prefix_store.hpp"
+#include "util/counters.hpp"
 
 namespace sbp::sb {
 
@@ -97,6 +98,23 @@ struct ClientMetrics {
   std::uint64_t backoff_suppressed = 0;  ///< requests withheld by backoff
   std::uint64_t updates_attempted = 0;
   std::uint64_t updates_failed = 0;
+
+  static constexpr util::CounterField<ClientMetrics> kCounters[] = {
+      {"lookups", &ClientMetrics::lookups},
+      {"local_hits", &ClientMetrics::local_hits},
+      {"multi_prefix_lookups", &ClientMetrics::multi_prefix_lookups},
+      {"full_hash_requests", &ClientMetrics::full_hash_requests},
+      {"cache_answers", &ClientMetrics::cache_answers},
+      {"malicious_verdicts", &ClientMetrics::malicious_verdicts},
+      {"network_errors", &ClientMetrics::network_errors},
+      {"backoff_suppressed", &ClientMetrics::backoff_suppressed},
+      {"updates_attempted", &ClientMetrics::updates_attempted},
+      {"updates_failed", &ClientMetrics::updates_failed},
+  };
+
+  ClientMetrics& operator+=(const ClientMetrics& other) noexcept {
+    return util::add_counters(*this, other);
+  }
 };
 
 /// One browser profile's Safe Browsing client, any generation.

@@ -36,6 +36,7 @@
 
 #include "obs/phase.hpp"
 #include "sb/server.hpp"
+#include "util/counters.hpp"
 
 namespace sbp::sb {
 
@@ -68,17 +69,20 @@ struct TransportStats {
   std::uint64_t update_bytes_up = 0;
   std::uint64_t update_bytes_down = 0;
 
+  static constexpr util::CounterField<TransportStats> kCounters[] = {
+      {"full_hash_requests", &TransportStats::full_hash_requests},
+      {"update_requests", &TransportStats::update_requests},
+      {"v4_update_requests", &TransportStats::v4_update_requests},
+      {"v1_requests", &TransportStats::v1_requests},
+      {"failed_requests", &TransportStats::failed_requests},
+      {"bytes_up", &TransportStats::bytes_up},
+      {"bytes_down", &TransportStats::bytes_down},
+      {"update_bytes_up", &TransportStats::update_bytes_up},
+      {"update_bytes_down", &TransportStats::update_bytes_down},
+  };
+
   TransportStats& operator+=(const TransportStats& other) noexcept {
-    full_hash_requests += other.full_hash_requests;
-    update_requests += other.update_requests;
-    v4_update_requests += other.v4_update_requests;
-    v1_requests += other.v1_requests;
-    failed_requests += other.failed_requests;
-    bytes_up += other.bytes_up;
-    bytes_down += other.bytes_down;
-    update_bytes_up += other.update_bytes_up;
-    update_bytes_down += other.update_bytes_down;
-    return *this;
+    return util::add_counters(*this, other);
   }
 };
 

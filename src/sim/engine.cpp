@@ -215,18 +215,6 @@ UserState& Engine::user(std::size_t index) {
 
 std::size_t Engine::num_users() const noexcept { return config_.num_users; }
 
-std::uint64_t Engine::site_cache_hits() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->site_cache.hits();
-  return total;
-}
-
-std::uint64_t Engine::site_cache_misses() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->site_cache.misses();
-  return total;
-}
-
 sb::TransportStats Engine::transport_stats() const {
   sb::TransportStats total;
   for (const auto& shard : shards_) total += shard->transport->stats();
@@ -511,6 +499,13 @@ bool Engine::step() {
   // with every client at rest, keeps the build count a function of the
   // states clients hold, never of how the shards interleaved.
   sync_states_->prune();
+  metrics_.client_state_builds = sync_states_->builds();
+  metrics_.site_cache_hits = 0;
+  metrics_.site_cache_misses = 0;
+  for (const auto& shard : shards_) {
+    metrics_.site_cache_hits += shard->site_cache.hits();
+    metrics_.site_cache_misses += shard->site_cache.misses();
+  }
 
   if (timed && config_.metrics_per_tick_series) {
     obs::TickSample sample;
@@ -555,27 +550,11 @@ obs::Snapshot Engine::obs_snapshot() const {
   // Mirror SimMetrics under the same names report_to_json uses, so the
   // metrics.json counters section matches the scenario report.
   obs::MetricsRegistry& counters = snapshot.counters;
-  counters.counter("ticks_run").value = metrics_.ticks_run;
-  counters.counter("lookups").value = metrics_.lookups;
-  counters.counter("local_hit_lookups").value = metrics_.local_hit_lookups;
-  counters.counter("dispatched_lookups").value = metrics_.dispatched_lookups;
-  counters.counter("mitigated_lookups").value = metrics_.mitigated_lookups;
-  counters.counter("malicious_verdicts").value = metrics_.malicious_verdicts;
-  counters.counter("target_visits").value = metrics_.target_visits;
-  counters.counter("churn_events").value = metrics_.churn_events;
-  counters.counter("churn_adds").value = metrics_.churn_adds;
-  counters.counter("churn_removes").value = metrics_.churn_removes;
-  counters.counter("injected_prefixes").value = metrics_.injected_prefixes;
-  counters.counter("churn_updates").value = metrics_.churn_updates;
-  counters.counter("url_cache_hits").value = metrics_.url_cache_hits;
-  counters.counter("url_cache_misses").value = metrics_.url_cache_misses;
-  counters.counter("url_cache_invalidations").value =
-      metrics_.url_cache_invalidations;
+  for (const auto& field : SimMetrics::kCounters) {
+    counters.counter(field.name).value = metrics_.*field.member;
+  }
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
-  counters.counter("client_state_builds").value = client_state_builds();
-  counters.counter("site_cache_hits").value = site_cache_hits();
-  counters.counter("site_cache_misses").value = site_cache_misses();
 
   snapshot.per_tick = obs_series_;
   return snapshot;
@@ -590,17 +569,7 @@ sb::ClientMetrics Engine::population_metrics() const {
   sb::ClientMetrics total;
   for (const auto& shard : shards_) {
     for (const auto& user : shard->users) {
-      const sb::ClientMetrics& m = user.client->metrics();
-      total.lookups += m.lookups;
-      total.local_hits += m.local_hits;
-      total.multi_prefix_lookups += m.multi_prefix_lookups;
-      total.full_hash_requests += m.full_hash_requests;
-      total.cache_answers += m.cache_answers;
-      total.malicious_verdicts += m.malicious_verdicts;
-      total.network_errors += m.network_errors;
-      total.backoff_suppressed += m.backoff_suppressed;
-      total.updates_attempted += m.updates_attempted;
-      total.updates_failed += m.updates_failed;
+      total += user.client->metrics();
     }
   }
   return total;

@@ -99,6 +99,7 @@
 #include "sim/thread_pool.hpp"
 #include "sim/traffic_model.hpp"
 #include "sim/user.hpp"
+#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace sbp::sim {
@@ -126,28 +127,43 @@ struct SimMetrics {
   /// prefixes and were lazily re-validated on their next use.
   std::uint64_t url_cache_invalidations = 0;
 
+  /// Shared-state counters, set from their sources at each tick barrier
+  /// (not summed): apply+rebuilds of client list states -- one per
+  /// distinct (prior state, update), however many clients made that
+  /// transition -- and the shards' site-cache hits and misses (the site
+  /// cache is consulted once per URL-cache miss of a corpus page).
+  std::uint64_t client_state_builds = 0;
+  std::uint64_t site_cache_hits = 0;
+  std::uint64_t site_cache_misses = 0;
+
+  static constexpr util::CounterField<SimMetrics> kCounters[] = {
+      {"ticks_run", &SimMetrics::ticks_run},
+      {"lookups", &SimMetrics::lookups},
+      {"local_hit_lookups", &SimMetrics::local_hit_lookups},
+      {"dispatched_lookups", &SimMetrics::dispatched_lookups},
+      {"mitigated_lookups", &SimMetrics::mitigated_lookups},
+      {"malicious_verdicts", &SimMetrics::malicious_verdicts},
+      {"target_visits", &SimMetrics::target_visits},
+      {"churn_events", &SimMetrics::churn_events},
+      {"churn_adds", &SimMetrics::churn_adds},
+      {"churn_removes", &SimMetrics::churn_removes},
+      {"injected_prefixes", &SimMetrics::injected_prefixes},
+      {"churn_updates", &SimMetrics::churn_updates},
+      {"url_cache_hits", &SimMetrics::url_cache_hits},
+      {"url_cache_misses", &SimMetrics::url_cache_misses},
+      {"url_cache_invalidations", &SimMetrics::url_cache_invalidations},
+      {"client_state_builds", &SimMetrics::client_state_builds},
+      {"site_cache_hits", &SimMetrics::site_cache_hits},
+      {"site_cache_misses", &SimMetrics::site_cache_misses},
+  };
+
   /// Field-wise sum -- the post-barrier reduction of per-shard tick
   /// accumulators (which never set the serial-phase fields ticks_run /
-  /// churn_events / churn_adds / churn_removes / injected_prefixes, so
-  /// summing everything is safe; churn_updates IS shard-set now that
-  /// re-syncs run inside the parallel shard tick).
+  /// churn_events / churn_adds / churn_removes / injected_prefixes nor the
+  /// shared-state counters, so summing everything is safe; churn_updates
+  /// IS shard-set now that re-syncs run inside the parallel shard tick).
   SimMetrics& operator+=(const SimMetrics& other) noexcept {
-    ticks_run += other.ticks_run;
-    lookups += other.lookups;
-    local_hit_lookups += other.local_hit_lookups;
-    dispatched_lookups += other.dispatched_lookups;
-    mitigated_lookups += other.mitigated_lookups;
-    malicious_verdicts += other.malicious_verdicts;
-    target_visits += other.target_visits;
-    churn_events += other.churn_events;
-    churn_adds += other.churn_adds;
-    churn_removes += other.churn_removes;
-    injected_prefixes += other.injected_prefixes;
-    churn_updates += other.churn_updates;
-    url_cache_hits += other.url_cache_hits;
-    url_cache_misses += other.url_cache_misses;
-    url_cache_invalidations += other.url_cache_invalidations;
-    return *this;
+    return util::add_counters(*this, other);
   }
 };
 
@@ -205,19 +221,6 @@ class Engine {
   [[nodiscard]] std::uint64_t churn_epochs() const noexcept {
     return epoch_count_;
   }
-
-  /// Apply+rebuilds of client list states so far -- one per distinct
-  /// (prior state, update), however many clients made that transition
-  /// (exported as the `client_state_builds` counter).
-  [[nodiscard]] std::uint64_t client_state_builds() const {
-    return sync_states_->builds();
-  }
-
-  /// Site-cache hits and misses summed over the shards (exported as the
-  /// `site_cache_hits` / `site_cache_misses` counters). The site cache is
-  /// consulted once per URL-cache miss of a corpus page.
-  [[nodiscard]] std::uint64_t site_cache_hits() const noexcept;
-  [[nodiscard]] std::uint64_t site_cache_misses() const noexcept;
 
   /// The population's shared client-state cache (test support).
   [[nodiscard]] const sb::SyncStateCache& sync_states() const noexcept {

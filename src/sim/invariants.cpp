@@ -4,10 +4,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/digest.hpp"
 #include "sb/wire/frames.hpp"
+#include "sim/scenario/generator.hpp"
 #include "sim/scenario/runner.hpp"
 #include "storage/bloom_filter.hpp"
 #include "storage/raw_hash_store.hpp"
@@ -119,6 +121,25 @@ void check_canonical_roundtrip(const Scenario& scenario, Collector& collect) {
   }
 }
 
+/// Appends "section.name got != want" for every counter of the three
+/// counter tables (engine, population, wire) on which two runs differ.
+void append_counter_diffs(const ScenarioRunResult& got,
+                          const ScenarioRunResult& want,
+                          std::vector<std::string>& diffs) {
+  const auto compare = [&diffs](const char* section, const auto& a,
+                                const auto& b) {
+    for (const auto& field : std::remove_cvref_t<decltype(a)>::kCounters) {
+      if (a.*field.member != b.*field.member) {
+        diffs.push_back(std::string(section) + "." + field.name + " " +
+                        num(a.*field.member) + " != " + num(b.*field.member));
+      }
+    }
+  };
+  compare("metrics", got.metrics, want.metrics);
+  compare("population", got.population, want.population);
+  compare("wire", got.wire, want.wire);
+}
+
 void check_thread_determinism(const Scenario& base,
                               const ScenarioRunResult& baseline,
                               std::size_t baseline_threads,
@@ -129,24 +150,12 @@ void check_thread_determinism(const Scenario& base,
   for (std::size_t i = 1; i < options.thread_counts.size(); ++i) {
     const std::size_t threads = options.thread_counts[i];
     const ScenarioRunResult leg = run_scenario(base, threads);
-    const std::vector<std::string> diffs = golden_diff(leg.golden(), expected);
+    std::vector<std::string> diffs = golden_diff(leg.golden(), expected);
+    append_counter_diffs(leg, baseline, diffs);
     if (!diffs.empty()) {
       collect.fail("threads=" + num(threads) + " vs threads=" +
                    num(baseline_threads) + ": " + join(diffs, "; "));
     }
-    collect.law(leg.client_state_builds == baseline.client_state_builds,
-                "threads=" + num(threads) + " client_state_builds " +
-                    num(leg.client_state_builds) + " != threads=" +
-                    num(baseline_threads) + " " +
-                    num(baseline.client_state_builds));
-    collect.law(leg.site_cache_hits == baseline.site_cache_hits &&
-                    leg.site_cache_misses == baseline.site_cache_misses,
-                "threads=" + num(threads) + " site_cache hits/misses " +
-                    num(leg.site_cache_hits) + "/" +
-                    num(leg.site_cache_misses) + " != threads=" +
-                    num(baseline_threads) + " " +
-                    num(baseline.site_cache_hits) + "/" +
-                    num(baseline.site_cache_misses));
   }
 }
 
@@ -159,21 +168,11 @@ void check_metrics_transparency(const Scenario& base,
   with_metrics.config.collect_metrics = true;
   with_metrics.config.metrics_per_tick_series = true;
   const ScenarioRunResult leg = run_scenario(with_metrics, baseline_threads);
-  const std::vector<std::string> diffs =
-      golden_diff(leg.golden(), baseline.golden());
+  std::vector<std::string> diffs = golden_diff(leg.golden(), baseline.golden());
+  append_counter_diffs(leg, baseline, diffs);
   if (!diffs.empty()) {
     collect.fail("collect_metrics=true vs false: " + join(diffs, "; "));
   }
-  collect.law(leg.client_state_builds == baseline.client_state_builds,
-              "collect_metrics=true client_state_builds " +
-                  num(leg.client_state_builds) + " != " +
-                  num(baseline.client_state_builds));
-  collect.law(leg.site_cache_hits == baseline.site_cache_hits &&
-                  leg.site_cache_misses == baseline.site_cache_misses,
-              "collect_metrics=true site_cache hits/misses " +
-                  num(leg.site_cache_hits) + "/" + num(leg.site_cache_misses) +
-                  " != " + num(baseline.site_cache_hits) + "/" +
-                  num(baseline.site_cache_misses));
   if (!leg.obs || !leg.obs->enabled) {
     collect.fail("collect_metrics=true produced no obs snapshot");
   }
@@ -336,9 +335,9 @@ void check_counter_conservation(const Scenario& base,
                   num(m.url_cache_misses) + " != lookups " + num(m.lookups));
   // The site cache is consulted only to build the URL of a URL-cache miss
   // (and not at all for interest-target URLs).
-  collect.law(r.site_cache_hits + r.site_cache_misses <= m.url_cache_misses,
-              "site_cache hits " + num(r.site_cache_hits) + " + misses " +
-                  num(r.site_cache_misses) + " > url_cache misses " +
+  collect.law(m.site_cache_hits + m.site_cache_misses <= m.url_cache_misses,
+              "site_cache hits " + num(m.site_cache_hits) + " + misses " +
+                  num(m.site_cache_misses) + " > url_cache misses " +
                   num(m.url_cache_misses));
 
   if (config.mitigation.dummy_requests) {
@@ -383,8 +382,8 @@ void check_counter_conservation(const Scenario& base,
       p.updates_attempted -
       std::min(p.updates_attempted, p.backoff_suppressed + p.updates_failed);
   const std::uint64_t lists = config.blacklist.lists.size();
-  collect.law(r.client_state_builds <= successful_updates * lists,
-              "client_state_builds " + num(r.client_state_builds) +
+  collect.law(m.client_state_builds <= successful_updates * lists,
+              "client_state_builds " + num(m.client_state_builds) +
                   " > successful updates " + num(successful_updates) +
                   " x lists " + num(lists));
 
@@ -680,8 +679,7 @@ std::vector<std::pair<const char*, Transform>> shrink_transforms() {
            c.blacklist.max_entries =
                std::max<std::size_t>(1, c.blacklist.max_entries / 2);
            if (c.bloom_bits > 0) {
-             c.bloom_bits = std::max<std::size_t>(
-                 4096, 32 * c.blacklist.max_entries);
+             c.bloom_bits = population_bloom_bits(c.blacklist.max_entries);
            }
          });
        }},

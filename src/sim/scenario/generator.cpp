@@ -56,6 +56,10 @@ std::vector<std::string> draw_lists(util::Rng& rng, sb::Provider provider) {
 
 }  // namespace
 
+std::size_t population_bloom_bits(std::size_t max_entries) {
+  return std::max<std::size_t>(4096, 32 * max_entries);
+}
+
 ScenarioGenerator::ScenarioGenerator(std::uint64_t seed,
                                      GeneratorLimits limits)
     : seed_(seed), limits_(limits), rng_(seed) {}
@@ -144,12 +148,8 @@ Scenario ScenarioGenerator::next() {
   } else {
     config.store_kind = storage::StoreKind::kBloom;
   }
-  // Bloom stores are per-client: size them to the blacklist (~32
-  // bits/entry, the Chromium ratio) -- bloom_bits 0 would instantiate the
-  // 3 MB constant once per simulated user.
   config.bloom_bits = config.store_kind == storage::StoreKind::kBloom
-                          ? std::max<std::size_t>(
-                                4096, 32 * blacklist.max_entries)
+                          ? population_bloom_bits(blacklist.max_entries)
                           : 0;
   config.full_hash_ttl = rng.next_bool(0.4) ? draw_range(rng, 5, 40) : 0;
 

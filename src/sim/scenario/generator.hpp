@@ -38,6 +38,11 @@ struct GeneratorLimits {
   std::size_t max_blacklist_entries = 384;  ///< >= 64 drawn
 };
 
+/// Per-client Bloom size for a population of `max_entries` blacklist
+/// entries: ~32 bits per entry (Chromium's 3 MB / 630k ratio), at least
+/// 4096. bloom_bits 0 would instantiate the 3 MB constant once per user.
+[[nodiscard]] std::size_t population_bloom_bits(std::size_t max_entries);
+
 /// Deterministic scenario stream: same seed (and limits) => identical
 /// sequence of scenarios, knob for knob. next() never repeats a name --
 /// scenarios are named "fuzz-<seed-hex>-<iteration>" so a repro names its

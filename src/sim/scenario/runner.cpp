@@ -47,55 +47,6 @@ class MultiPrefixSink : public sb::QueryLogSink {
   std::vector<std::vector<crypto::Prefix32>> retained_;
 };
 
-json::Value metrics_to_json(const SimMetrics& metrics) {
-  json::Value out{json::Object{}};
-  out.set("ticks_run", metrics.ticks_run);
-  out.set("lookups", metrics.lookups);
-  out.set("local_hit_lookups", metrics.local_hit_lookups);
-  out.set("dispatched_lookups", metrics.dispatched_lookups);
-  out.set("mitigated_lookups", metrics.mitigated_lookups);
-  out.set("malicious_verdicts", metrics.malicious_verdicts);
-  out.set("target_visits", metrics.target_visits);
-  out.set("churn_events", metrics.churn_events);
-  out.set("churn_adds", metrics.churn_adds);
-  out.set("churn_removes", metrics.churn_removes);
-  out.set("injected_prefixes", metrics.injected_prefixes);
-  out.set("churn_updates", metrics.churn_updates);
-  out.set("url_cache_hits", metrics.url_cache_hits);
-  out.set("url_cache_misses", metrics.url_cache_misses);
-  out.set("url_cache_invalidations", metrics.url_cache_invalidations);
-  return out;
-}
-
-json::Value population_to_json(const sb::ClientMetrics& population) {
-  json::Value out{json::Object{}};
-  out.set("lookups", population.lookups);
-  out.set("local_hits", population.local_hits);
-  out.set("multi_prefix_lookups", population.multi_prefix_lookups);
-  out.set("full_hash_requests", population.full_hash_requests);
-  out.set("cache_answers", population.cache_answers);
-  out.set("malicious_verdicts", population.malicious_verdicts);
-  out.set("network_errors", population.network_errors);
-  out.set("backoff_suppressed", population.backoff_suppressed);
-  out.set("updates_attempted", population.updates_attempted);
-  out.set("updates_failed", population.updates_failed);
-  return out;
-}
-
-json::Value wire_to_json(const sb::TransportStats& wire) {
-  json::Value out{json::Object{}};
-  out.set("full_hash_requests", wire.full_hash_requests);
-  out.set("update_requests", wire.update_requests);
-  out.set("v4_update_requests", wire.v4_update_requests);
-  out.set("v1_requests", wire.v1_requests);
-  out.set("failed_requests", wire.failed_requests);
-  out.set("bytes_up", wire.bytes_up);
-  out.set("bytes_down", wire.bytes_down);
-  out.set("update_bytes_up", wire.update_bytes_up);
-  out.set("update_bytes_down", wire.update_bytes_down);
-  return out;
-}
-
 }  // namespace
 
 ScenarioGolden ScenarioRunResult::golden() const noexcept {
@@ -158,9 +109,6 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   result.metrics = engine.metrics();
   result.population = engine.population_metrics();
   result.wire = engine.transport_stats();
-  result.client_state_builds = engine.client_state_builds();
-  result.site_cache_hits = engine.site_cache_hits();
-  result.site_cache_misses = engine.site_cache_misses();
   if (engine.metrics_enabled()) result.obs = engine.obs_snapshot();
   result.log_entries = counter.entries();
   result.log_prefixes = counter.prefixes();
@@ -212,13 +160,13 @@ json::Value report_to_json(const Scenario& scenario,
   out.set("query_log", std::move(log));
 
   if (scenario.report.metrics) {
-    out.set("metrics", metrics_to_json(result.metrics));
+    out.set("metrics", json::counters_to_json(result.metrics));
   }
   if (scenario.report.population) {
-    out.set("population", population_to_json(result.population));
+    out.set("population", json::counters_to_json(result.population));
   }
   if (scenario.report.transport) {
-    out.set("transport", wire_to_json(result.wire));
+    out.set("transport", json::counters_to_json(result.wire));
   }
   if (result.kanonymity) {
     const analysis::KAnonymityStats& stats = *result.kanonymity;
@@ -250,26 +198,22 @@ json::Value report_to_json(const Scenario& scenario,
 
 std::vector<std::string> golden_diff(const ScenarioGolden& observed,
                                      const ScenarioGolden& expected) {
-  std::vector<std::string> diffs;
-  const auto check = [&](const char* field, std::uint64_t got,
-                         std::uint64_t want, bool hex) {
-    if (got == want) return;
-    const auto show = [hex](std::uint64_t value) {
-      return hex ? json::hex_u64(value) : std::to_string(value);
-    };
-    diffs.push_back(std::string(field) + " " + show(got) + " != golden " +
-                    show(want));
+  // Both sides in their canonical form: one entry per golden field, in
+  // the field list's order, the fingerprint as its hex string.
+  const json::Value got = golden_to_json(observed);
+  const json::Value want = golden_to_json(expected);
+  const auto show = [](const json::Value& value) {
+    return value.is_string() ? value.as_string() : json::dump(value, 0);
   };
-  check("fingerprint", observed.fingerprint, expected.fingerprint, true);
-  check("entries", observed.entries, expected.entries, false);
-  check("prefixes", observed.prefixes, expected.prefixes, false);
-  check("multi_prefix_entries", observed.multi_prefix_entries,
-        expected.multi_prefix_entries, false);
-  check("lookups", observed.lookups, expected.lookups, false);
-  check("wire_bytes_up", observed.wire_bytes_up, expected.wire_bytes_up,
-        false);
-  check("wire_bytes_down", observed.wire_bytes_down,
-        expected.wire_bytes_down, false);
+  std::vector<std::string> diffs;
+  for (std::size_t i = 0; i < got.as_object().size(); ++i) {
+    const auto& [field, value] = got.as_object()[i];
+    const std::string shown = show(value);
+    const std::string golden = show(want.as_object()[i].second);
+    if (shown != golden) {
+      diffs.push_back(field + " " + shown + " != golden " + golden);
+    }
+  }
   return diffs;
 }
 

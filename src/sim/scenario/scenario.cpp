@@ -1,7 +1,11 @@
 #include "sim/scenario/scenario.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,17 +23,96 @@ json::Value u64_value(std::uint64_t value) {
   return json::Value(json::hex_u64(value));
 }
 
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// The validity rule of one field, checked on the field's final value (an
+/// absent key keeps its default, which always passes). kHex is a format:
+/// the u64 is written, and must be read, as a "0x..." string.
+enum class Rule {
+  kAny,
+  kAtLeastOne,
+  kAboveOne,
+  kUnitInterval,
+  kNonEmpty,
+  kHex,
+};
+
+/// " must be ..." when `value` breaks `rule`, else nullptr.
+template <class T>
+const char* violation(const T& value, Rule rule) {
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    if (rule == Rule::kAtLeastOne && !(value >= 1)) return " must be >= 1";
+    if (rule == Rule::kAboveOne && !(value > 1)) return " must be > 1";
+    if (rule == Rule::kUnitInterval && !(value >= 0 && value <= 1)) {
+      return " must be in [0, 1]";
+    }
+  } else if constexpr (std::is_same_v<T, std::string> || kIsVector<T>) {
+    if (rule == Rule::kNonEmpty && value.empty()) return " must be non-empty";
+  }
+  return nullptr;
+}
+
+// --------------------------- enum spellings --------------------------------
+
+/// One accepted spelling of an enum value. The first spelling listed for a
+/// value is its canonical (written) form; the rest are accepted aliases.
+template <class E>
+struct Spelling {
+  std::string_view text;
+  E value;
+};
+
+constexpr Spelling<sb::Provider> kProviders[] = {
+    {"google", sb::Provider::kGoogle},
+    {"yandex", sb::Provider::kYandex},
+};
+constexpr Spelling<sb::ProtocolVersion> kProtocols[] = {
+    {"v1-lookup", sb::ProtocolVersion::kV1Lookup},
+    {"v1", sb::ProtocolVersion::kV1Lookup},
+    {"v3-chunked", sb::ProtocolVersion::kV3Chunked},
+    {"v3", sb::ProtocolVersion::kV3Chunked},
+    {"v4-sliced", sb::ProtocolVersion::kV4Sliced},
+    {"v4", sb::ProtocolVersion::kV4Sliced},
+};
+constexpr Spelling<storage::StoreKind> kStores[] = {
+    {"raw-sorted", storage::StoreKind::kRawSorted},
+    {"raw", storage::StoreKind::kRawSorted},
+    {"delta-coded", storage::StoreKind::kDeltaCoded},
+    {"delta", storage::StoreKind::kDeltaCoded},
+    {"bloom", storage::StoreKind::kBloom},
+};
+
+std::span<const Spelling<sb::Provider>> spellings(sb::Provider) {
+  return kProviders;
+}
+std::span<const Spelling<sb::ProtocolVersion>> spellings(
+    sb::ProtocolVersion) {
+  return kProtocols;
+}
+std::span<const Spelling<storage::StoreKind>> spellings(storage::StoreKind) {
+  return kStores;
+}
+
 // ---------------------------------------------------------------------------
-// Strict object walker: every key must be consumed exactly once; leftovers
-// are an error naming the key and its context path ("config.traffic").
-// After the first error every accessor becomes a no-op, so callers read
-// linearly and check the accumulated error once.
+// Strict reader: every key must be consumed exactly once; leftovers are an
+// error naming the key and its context path ("config.traffic"). After the
+// first error every accessor becomes a no-op, so the field lists read
+// linearly and the caller checks the accumulated error once.
 // ---------------------------------------------------------------------------
-class ObjectReader {
+class Reader {
  public:
-  ObjectReader(const json::Value& value, std::string context,
-               std::string* error)
-      : context_(std::move(context)), error_(error) {
+  /// `root` marks the scenario document itself, whose blocks are named
+  /// "config", "report", ... rather than "scenario.config".
+  Reader(const json::Value& value, std::string context, std::string* error,
+         bool root = false)
+      : context_(std::move(context)), error_(error), root_(root) {
     if (!value.is_object()) {
       fail(context_ + " must be a JSON object");
       return;
@@ -38,106 +121,15 @@ class ObjectReader {
     consumed_.assign(object_->size(), false);
   }
 
-  [[nodiscard]] bool ok() const noexcept {
-    return error_ == nullptr || error_->empty();
-  }
-
-  /// Consumes `key`; nullptr when absent (absent = keep the default).
-  const json::Value* take(std::string_view key) {
-    if (!ok() || object_ == nullptr) return nullptr;
-    for (std::size_t i = 0; i < object_->size(); ++i) {
-      if ((*object_)[i].first == key) {
-        consumed_[i] = true;
-        return &(*object_)[i].second;
-      }
-    }
-    return nullptr;
-  }
-
-  void u64(std::string_view key, std::uint64_t& out) {
-    const json::Value* value = take(key);
-    if (value == nullptr) return;
-    // Values above int64 range travel as "0x..." hex strings (the repo's
-    // u64 convention, util/json/json.hpp) -- accept both spellings.
-    if (value->is_string()) {
-      const auto parsed = json::parse_hex_u64(value->as_string());
-      if (!parsed) {
-        fail(path(key) + ": not a \"0x...\" hex string");
-        return;
-      }
-      out = *parsed;
-      return;
-    }
-    if (!value->is_integer() || value->as_int64() < 0) {
-      fail(path(key) + " must be a non-negative integer");
-      return;
-    }
-    out = static_cast<std::uint64_t>(value->as_int64());
-  }
-
-  void size(std::string_view key, std::size_t& out) {
-    std::uint64_t raw = out;
-    u64(key, raw);
-    out = static_cast<std::size_t>(raw);
-  }
-
-  void unsigned_(std::string_view key, unsigned& out) {
-    std::uint64_t raw = out;
-    u64(key, raw);
+  /// One field: read `key` into `out` when present, then check `rule`.
+  template <class T>
+  void operator()(std::string_view key, T& out, Rule rule = Rule::kAny) {
     if (!ok()) return;
-    if (raw > std::numeric_limits<unsigned>::max()) {
-      fail(path(key) + " out of range");
-      return;
+    if (const json::Value* value = take(key)) {
+      read(*value, root_ ? std::string(key) : path(key), out, rule);
     }
-    out = static_cast<unsigned>(raw);
-  }
-
-  void number(std::string_view key, double& out) {
-    const json::Value* value = take(key);
-    if (value == nullptr) return;
-    if (!value->is_number()) {
-      fail(path(key) + " must be a number");
-      return;
-    }
-    out = value->as_double();
-  }
-
-  void boolean(std::string_view key, bool& out) {
-    const json::Value* value = take(key);
-    if (value == nullptr) return;
-    if (!value->is_bool()) {
-      fail(path(key) + " must be true or false");
-      return;
-    }
-    out = value->as_bool();
-  }
-
-  void string(std::string_view key, std::string& out) {
-    const json::Value* value = take(key);
-    if (value == nullptr) return;
-    if (!value->is_string()) {
-      fail(path(key) + " must be a string");
-      return;
-    }
-    out = value->as_string();
-  }
-
-  void string_list(std::string_view key, std::vector<std::string>& out) {
-    const json::Value* value = take(key);
-    if (value == nullptr) return;
-    if (!value->is_array()) {
-      fail(path(key) + " must be an array of strings");
-      return;
-    }
-    std::vector<std::string> items;
-    for (const auto& item : value->as_array()) {
-      if (!item.is_string()) {
-        fail(path(key) + " must contain only strings");
-        return;
-      }
-      items.push_back(item.as_string());
-    }
-    out = std::move(items);
+    if (!ok()) return;
+    if (const char* broken = violation(out, rule)) fail(path(key) + broken);
   }
 
   /// Call last: any unconsumed key is a strict-parse failure.
@@ -151,286 +143,289 @@ class ObjectReader {
     }
   }
 
+ private:
+  [[nodiscard]] bool ok() const noexcept { return error_->empty(); }
+
   void fail(std::string message) {
-    if (error_ != nullptr && error_->empty()) *error_ = std::move(message);
+    if (ok()) *error_ = std::move(message);
   }
 
   [[nodiscard]] std::string path(std::string_view key) const {
     return context_ + "." + std::string(key);
   }
 
-  [[nodiscard]] const std::string& context() const noexcept {
-    return context_;
+  /// Consumes `key`; nullptr when absent (absent = keep the default).
+  const json::Value* take(std::string_view key) {
+    if (object_ == nullptr) return nullptr;
+    for (std::size_t i = 0; i < object_->size(); ++i) {
+      if ((*object_)[i].first == key) {
+        consumed_[i] = true;
+        return &(*object_)[i].second;
+      }
+    }
+    return nullptr;
   }
 
- private:
+  /// Reads `value` (located at `where`) into `out`.
+  template <class T>
+  void read(const json::Value& value, const std::string& where, T& out,
+            Rule rule) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!value.is_bool()) return fail(where + " must be true or false");
+      out = value.as_bool();
+    } else if constexpr (std::is_same_v<T, double>) {
+      if (!value.is_number()) return fail(where + " must be a number");
+      out = value.as_double();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!value.is_string()) return fail(where + " must be a string");
+      out = value.as_string();
+    } else if constexpr (std::is_enum_v<T>) {
+      if (!value.is_string()) return fail(where + " must be a string");
+      std::string expected;
+      for (const auto& spelling : spellings(T{})) {
+        if (spelling.text == value.as_string()) {
+          out = spelling.value;
+          return;
+        }
+        expected += (expected.empty() ? "\"" : ", \"") +
+                    std::string(spelling.text) + "\"";
+      }
+      fail(where + ": unknown value \"" + value.as_string() +
+           "\" (expected one of " + expected + ")");
+    } else if constexpr (std::is_unsigned_v<T>) {
+      read_unsigned(value, where, out, rule);
+    } else if constexpr (kIsVector<T>) {
+      if (!value.is_array()) return fail(where + " must be an array");
+      out.clear();
+      for (std::size_t i = 0; i < value.as_array().size() && ok(); ++i) {
+        read(value.as_array()[i], where + "[" + std::to_string(i) + "]",
+             out.emplace_back(), Rule::kAny);
+      }
+    } else if constexpr (kIsOptional<T>) {
+      read(value, where, out.emplace(), rule);
+    } else {
+      Reader block(value, where, error_);
+      fields(block, out);
+      block.finish();
+    }
+  }
+
+  /// Values above int64 range travel as "0x..." hex strings (the repo's
+  /// u64 convention, util/json/json.hpp) -- accept both spellings.
+  template <class T>
+  void read_unsigned(const json::Value& value, const std::string& where,
+                     T& out, Rule rule) {
+    std::uint64_t raw = 0;
+    if (value.is_string()) {
+      const auto parsed = json::parse_hex_u64(value.as_string());
+      if (!parsed) return fail(where + ": not a \"0x...\" hex string");
+      raw = *parsed;
+    } else if (rule == Rule::kHex) {
+      return fail(where + " must be a \"0x...\" hex string");
+    } else if (!value.is_integer() || value.as_int64() < 0) {
+      return fail(where + " must be a non-negative integer");
+    } else {
+      raw = static_cast<std::uint64_t>(value.as_int64());
+    }
+    if (raw > std::numeric_limits<T>::max()) {
+      return fail(where + " out of range");
+    }
+    out = static_cast<T>(raw);
+  }
+
   const json::Object* object_ = nullptr;
   std::vector<bool> consumed_;
   std::string context_;
   std::string* error_;
+  bool root_;
 };
 
-// --------------------------- enum spellings --------------------------------
-
-bool parse_provider(ObjectReader& reader, std::string_view key,
-                    sb::Provider& out) {
-  std::string text;
-  reader.string(key, text);
-  if (text.empty()) return true;
-  if (text == "google") {
-    out = sb::Provider::kGoogle;
-  } else if (text == "yandex") {
-    out = sb::Provider::kYandex;
-  } else {
-    reader.fail(reader.path(key) + ": unknown provider \"" + text +
-                "\" (expected \"google\" or \"yandex\")");
-    return false;
-  }
-  return true;
-}
-
-bool parse_protocol(ObjectReader& reader, std::string_view key,
-                    sb::ProtocolVersion& out) {
-  std::string text;
-  reader.string(key, text);
-  if (text.empty()) return true;
-  if (text == "v1" || text == "v1-lookup") {
-    out = sb::ProtocolVersion::kV1Lookup;
-  } else if (text == "v3" || text == "v3-chunked") {
-    out = sb::ProtocolVersion::kV3Chunked;
-  } else if (text == "v4" || text == "v4-sliced") {
-    out = sb::ProtocolVersion::kV4Sliced;
-  } else {
-    reader.fail(reader.path(key) + ": unknown protocol \"" + text +
-                "\" (expected \"v1\", \"v3\" or \"v4\")");
-    return false;
-  }
-  return true;
-}
-
-bool parse_store(ObjectReader& reader, std::string_view key,
-                 storage::StoreKind& out) {
-  std::string text;
-  reader.string(key, text);
-  if (text.empty()) return true;
-  if (text == "raw" || text == "raw-sorted") {
-    out = storage::StoreKind::kRawSorted;
-  } else if (text == "delta" || text == "delta-coded") {
-    out = storage::StoreKind::kDeltaCoded;
-  } else if (text == "bloom") {
-    out = storage::StoreKind::kBloom;
-  } else {
-    reader.fail(reader.path(key) + ": unknown store \"" + text +
-                "\" (expected \"raw\", \"delta\" or \"bloom\")");
-    return false;
-  }
-  return true;
-}
-
-const char* provider_spelling(sb::Provider provider) {
-  return provider == sb::Provider::kYandex ? "yandex" : "google";
-}
-
-const char* protocol_spelling(sb::ProtocolVersion version) {
-  switch (version) {
-    case sb::ProtocolVersion::kV1Lookup: return "v1-lookup";
-    case sb::ProtocolVersion::kV3Chunked: return "v3-chunked";
-    case sb::ProtocolVersion::kV4Sliced: return "v4-sliced";
-  }
-  return "v3-chunked";
-}
-
-const char* store_spelling(storage::StoreKind kind) {
-  switch (kind) {
-    case storage::StoreKind::kRawSorted: return "raw-sorted";
-    case storage::StoreKind::kDeltaCoded: return "delta-coded";
-    case storage::StoreKind::kBloom: return "bloom";
-  }
-  return "delta-coded";
-}
-
-// --------------------------- config blocks --------------------------------
-
-void parse_corpus(const json::Value& value, corpus::CorpusConfig& out,
-                  std::string* error) {
-  ObjectReader reader(value, "config.corpus", error);
-  reader.size("num_hosts", out.num_hosts);
-  reader.u64("seed", out.seed);
-  reader.number("alpha", out.alpha);
-  reader.u64("max_pages", out.max_pages);
-  reader.number("single_page_fraction", out.single_page_fraction);
-  reader.u64("min_pages", out.min_pages);
-  reader.number("subdomain_probability", out.subdomain_probability);
-  reader.number("query_probability", out.query_probability);
-  reader.number("directory_page_probability", out.directory_page_probability);
-  reader.finish();
-}
-
-void parse_traffic(const json::Value& value, TrafficConfig& out,
-                   std::string* error) {
-  ObjectReader reader(value, "config.traffic", error);
-  reader.number("site_popularity_alpha", out.site_popularity_alpha);
-  reader.number("revisit_probability", out.revisit_probability);
-  reader.size("revisit_window", out.revisit_window);
-  reader.number("session_start_probability", out.session_start_probability);
-  reader.number("session_continue_probability",
-                out.session_continue_probability);
-  reader.size("lookups_per_active_tick", out.lookups_per_active_tick);
-  reader.string_list("target_urls", out.target_urls);
-  reader.number("interested_fraction", out.interested_fraction);
-  reader.number("target_visit_probability", out.target_visit_probability);
-  reader.finish();
-}
-
-void parse_blacklist(const json::Value& value, BlacklistConfig& out,
-                     std::string* error) {
-  ObjectReader reader(value, "config.blacklist", error);
-  reader.string_list("lists", out.lists);
-  reader.number("page_fraction", out.page_fraction);
-  reader.number("site_fraction", out.site_fraction);
-  reader.size("max_entries", out.max_entries);
-  reader.size("orphan_prefixes", out.orphan_prefixes);
-  reader.finish();
-  if (error->empty() && out.lists.empty()) {
-    *error = "config.blacklist.lists must name at least one list";
-  }
-}
-
-void parse_injection(const json::Value& value, std::size_t index,
-                     PrefixInjection& out, std::string* error) {
-  ObjectReader reader(
-      value, "config.churn.injections[" + std::to_string(index) + "]", error);
-  reader.u64("epoch", out.epoch);
-  reader.string("list", out.list);
-  reader.string("expression", out.expression);
-  reader.finish();
-  if (error->empty() && out.expression.empty()) {
-    *error = reader.context() + ".expression must be non-empty";
-  }
-}
-
-void parse_churn(const json::Value& value, ChurnConfig& out,
-                 std::string* error) {
-  ObjectReader reader(value, "config.churn", error);
-  reader.u64("epoch_ticks", out.epoch_ticks);
-  reader.number("add_rate", out.add_rate);
-  reader.number("remove_rate", out.remove_rate);
-  reader.size("max_epoch_adds", out.max_epoch_adds);
-  reader.u64("minimum_wait_ticks", out.minimum_wait_ticks);
-  if (const json::Value* injections = reader.take("injections")) {
-    if (!injections->is_array()) {
-      reader.fail("config.churn.injections must be an array");
+/// The canonical writer: every field explicit, in field-list order.
+class Writer {
+ public:
+  template <class T>
+  void operator()(std::string_view key, const T& value,
+                  Rule rule = Rule::kAny) {
+    if constexpr (kIsOptional<T>) {
+      if (value) out_.set(key, to_json(*value, rule));
     } else {
-      out.injections.clear();
-      for (std::size_t i = 0; i < injections->as_array().size(); ++i) {
-        PrefixInjection injection;
-        parse_injection(injections->as_array()[i], i, injection, error);
-        if (!error->empty()) return;
-        out.injections.push_back(std::move(injection));
+      out_.set(key, to_json(value, rule));
+    }
+  }
+
+  template <class T>
+  static json::Value to_json(const T& value, Rule rule = Rule::kAny) {
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                  std::is_same_v<T, std::string>) {
+      return json::Value(value);
+    } else if constexpr (std::is_enum_v<T>) {
+      for (const auto& spelling : spellings(value)) {
+        if (spelling.value == value) return json::Value(spelling.text);
       }
-    }
-  }
-  reader.finish();
-}
-
-void parse_mitigation(const json::Value& value, MitigationConfig& out,
-                      std::string* error) {
-  ObjectReader reader(value, "config.mitigation", error);
-  reader.boolean("dummy_requests", out.dummy_requests);
-  reader.unsigned_("dummies_per_prefix", out.dummies_per_prefix);
-  reader.finish();
-}
-
-void parse_config(const json::Value& value, SimConfig& out,
-                  std::string* error) {
-  ObjectReader reader(value, "config", error);
-  reader.size("num_users", out.num_users);
-  reader.u64("ticks", out.ticks);
-  reader.size("num_shards", out.num_shards);
-  reader.size("num_threads", out.num_threads);
-  reader.u64("seed", out.seed);
-  parse_provider(reader, "provider", out.provider);
-  parse_protocol(reader, "protocol", out.protocol);
-  reader.number("mix_fraction", out.mix_fraction);
-  parse_protocol(reader, "mix_protocol", out.mix_protocol);
-  parse_store(reader, "store_kind", out.store_kind);
-  reader.size("bloom_bits", out.bloom_bits);
-  reader.u64("full_hash_ttl", out.full_hash_ttl);
-  reader.size("url_cache_entries", out.url_cache_entries);
-  reader.size("site_cache_entries", out.site_cache_entries);
-  reader.boolean("collect_metrics", out.collect_metrics);
-  reader.boolean("metrics_per_tick_series", out.metrics_per_tick_series);
-  if (const json::Value* corpus = reader.take("corpus")) {
-    parse_corpus(*corpus, out.corpus, error);
-  }
-  if (const json::Value* traffic = reader.take("traffic")) {
-    parse_traffic(*traffic, out.traffic, error);
-  }
-  if (const json::Value* blacklist = reader.take("blacklist")) {
-    parse_blacklist(*blacklist, out.blacklist, error);
-  }
-  if (const json::Value* churn = reader.take("churn")) {
-    parse_churn(*churn, out.churn, error);
-  }
-  if (const json::Value* mitigation = reader.take("mitigation")) {
-    parse_mitigation(*mitigation, out.mitigation, error);
-  }
-  reader.finish();
-
-  if (!error->empty()) return;
-  if (out.num_users == 0) *error = "config.num_users must be >= 1";
-  else if (out.ticks == 0) *error = "config.ticks must be >= 1";
-  else if (out.num_shards == 0) *error = "config.num_shards must be >= 1";
-  else if (out.traffic.site_popularity_alpha <= 1.0) {
-    *error = "config.traffic.site_popularity_alpha must be > 1";
-  } else if (out.mix_fraction < 0.0 || out.mix_fraction > 1.0) {
-    *error = "config.mix_fraction must be in [0, 1]";
-  } else if (out.corpus.num_hosts == 0) {
-    *error = "config.corpus.num_hosts must be >= 1";
-  }
-}
-
-void parse_report(const json::Value& value, ReportConfig& out,
-                  std::string* error) {
-  ObjectReader reader(value, "report", error);
-  reader.boolean("transport", out.transport);
-  reader.boolean("metrics", out.metrics);
-  reader.boolean("population", out.population);
-  reader.boolean("kanonymity", out.kanonymity);
-  reader.boolean("reidentification", out.reidentification);
-  reader.size("reid_max_queries", out.reid_max_queries);
-  reader.finish();
-}
-
-void parse_golden(const json::Value& value, ScenarioGolden& out,
-                  std::string* error) {
-  ObjectReader reader(value, "golden", error);
-  std::string fingerprint;
-  reader.string("fingerprint", fingerprint);
-  if (!fingerprint.empty()) {
-    const auto parsed = json::parse_hex_u64(fingerprint);
-    if (!parsed) {
-      reader.fail("golden.fingerprint must be a \"0x...\" hex string");
+      return json::Value(spellings(value).front().text);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      return rule == Rule::kHex ? json::Value(json::hex_u64(value))
+                                : u64_value(value);
+    } else if constexpr (kIsVector<T>) {
+      json::Array items;
+      for (const auto& item : value) items.push_back(to_json(item));
+      return json::Value(std::move(items));
     } else {
-      out.fingerprint = *parsed;
+      Writer block;
+      fields(block, value);
+      return std::move(block.out_);
     }
   }
-  reader.u64("entries", out.entries);
-  reader.u64("prefixes", out.prefixes);
-  reader.u64("multi_prefix_entries", out.multi_prefix_entries);
-  reader.u64("lookups", out.lookups);
-  reader.u64("wire_bytes_up", out.wire_bytes_up);
-  reader.u64("wire_bytes_down", out.wire_bytes_down);
-  reader.finish();
+
+ private:
+  json::Value out_{json::Object{}};
+};
+
+// ---------------------------------------------------------------------------
+// The field lists: one per block, in canonical (written) order. Each entry
+// is the JSON name, the member and its validity rule; the Reader and the
+// Writer both walk these, so a knob is declared exactly once here. Field
+// names mirror docs/simulation.md.
+// ---------------------------------------------------------------------------
+
+/// `B` is `T`, possibly const: the Reader walks a mutable block, the
+/// Writer a const one.
+template <class B, class T>
+concept BlockOf = std::is_same_v<std::remove_const_t<B>, T>;
+
+template <class Io, BlockOf<corpus::CorpusConfig> B>
+void fields(Io& io, B& corpus) {
+  io("num_hosts", corpus.num_hosts, Rule::kAtLeastOne);
+  io("seed", corpus.seed);
+  io("alpha", corpus.alpha, Rule::kAboveOne);
+  io("max_pages", corpus.max_pages);
+  io("single_page_fraction", corpus.single_page_fraction);
+  io("min_pages", corpus.min_pages);
+  io("subdomain_probability", corpus.subdomain_probability);
+  io("query_probability", corpus.query_probability);
+  io("directory_page_probability", corpus.directory_page_probability);
 }
 
-void parse_snapshot_block(const json::Value& value, ScenarioSnapshot& out,
-                          std::string* error) {
-  ObjectReader reader(value, "snapshot", error);
-  reader.string("path", out.path);
-  reader.u64("at_epoch", out.at_epoch);
-  reader.finish();
-  if (out.path.empty()) reader.fail("snapshot.path must be non-empty");
+template <class Io, BlockOf<TrafficConfig> B>
+void fields(Io& io, B& traffic) {
+  io("site_popularity_alpha", traffic.site_popularity_alpha, Rule::kAboveOne);
+  io("revisit_probability", traffic.revisit_probability);
+  io("revisit_window", traffic.revisit_window);
+  io("session_start_probability", traffic.session_start_probability);
+  io("session_continue_probability", traffic.session_continue_probability);
+  io("lookups_per_active_tick", traffic.lookups_per_active_tick);
+  io("target_urls", traffic.target_urls);
+  io("interested_fraction", traffic.interested_fraction);
+  io("target_visit_probability", traffic.target_visit_probability);
+}
+
+template <class Io, BlockOf<BlacklistConfig> B>
+void fields(Io& io, B& blacklist) {
+  io("lists", blacklist.lists, Rule::kNonEmpty);
+  io("page_fraction", blacklist.page_fraction);
+  io("site_fraction", blacklist.site_fraction);
+  io("max_entries", blacklist.max_entries);
+  io("orphan_prefixes", blacklist.orphan_prefixes);
+}
+
+template <class Io, BlockOf<PrefixInjection> B>
+void fields(Io& io, B& injection) {
+  io("epoch", injection.epoch);
+  io("list", injection.list);
+  io("expression", injection.expression, Rule::kNonEmpty);
+}
+
+template <class Io, BlockOf<ChurnConfig> B>
+void fields(Io& io, B& churn) {
+  io("epoch_ticks", churn.epoch_ticks);
+  io("add_rate", churn.add_rate);
+  io("remove_rate", churn.remove_rate);
+  io("max_epoch_adds", churn.max_epoch_adds);
+  io("minimum_wait_ticks", churn.minimum_wait_ticks);
+  io("injections", churn.injections);
+}
+
+template <class Io, BlockOf<MitigationConfig> B>
+void fields(Io& io, B& mitigation) {
+  io("dummy_requests", mitigation.dummy_requests);
+  io("dummies_per_prefix", mitigation.dummies_per_prefix);
+}
+
+template <class Io, BlockOf<SimConfig> B>
+void fields(Io& io, B& config) {
+  io("num_users", config.num_users, Rule::kAtLeastOne);
+  io("ticks", config.ticks, Rule::kAtLeastOne);
+  io("num_shards", config.num_shards, Rule::kAtLeastOne);
+  io("num_threads", config.num_threads);
+  io("seed", config.seed);
+  io("provider", config.provider);
+  io("protocol", config.protocol);
+  io("mix_fraction", config.mix_fraction, Rule::kUnitInterval);
+  io("mix_protocol", config.mix_protocol);
+  io("store_kind", config.store_kind);
+  io("bloom_bits", config.bloom_bits);
+  io("full_hash_ttl", config.full_hash_ttl);
+  io("url_cache_entries", config.url_cache_entries);
+  io("site_cache_entries", config.site_cache_entries);
+  io("collect_metrics", config.collect_metrics);
+  io("metrics_per_tick_series", config.metrics_per_tick_series);
+  io("corpus", config.corpus);
+  io("traffic", config.traffic);
+  io("blacklist", config.blacklist);
+  io("churn", config.churn);
+  io("mitigation", config.mitigation);
+}
+
+template <class Io, BlockOf<ReportConfig> B>
+void fields(Io& io, B& report) {
+  io("transport", report.transport);
+  io("metrics", report.metrics);
+  io("population", report.population);
+  io("kanonymity", report.kanonymity);
+  io("reidentification", report.reidentification);
+  io("reid_max_queries", report.reid_max_queries);
+}
+
+template <class Io, BlockOf<ScenarioGolden> B>
+void fields(Io& io, B& golden) {
+  io("fingerprint", golden.fingerprint, Rule::kHex);
+  io("entries", golden.entries);
+  io("prefixes", golden.prefixes);
+  io("multi_prefix_entries", golden.multi_prefix_entries);
+  io("lookups", golden.lookups);
+  io("wire_bytes_up", golden.wire_bytes_up);
+  io("wire_bytes_down", golden.wire_bytes_down);
+}
+
+template <class Io, BlockOf<ScenarioSnapshot> B>
+void fields(Io& io, B& snapshot) {
+  io("path", snapshot.path, Rule::kNonEmpty);
+  io("at_epoch", snapshot.at_epoch);
+}
+
+template <class Io, BlockOf<Scenario> B>
+void fields(Io& io, B& scenario) {
+  io("name", scenario.name, Rule::kNonEmpty);
+  io("description", scenario.description);
+  io("config", scenario.config);
+  io("report", scenario.report);
+  io("golden", scenario.golden);
+  io("snapshot", scenario.snapshot);
+}
+
+/// An injection may name any subscribed list, or none (= the first list);
+/// a list no client subscribes to would make the injection unobservable.
+void check_injection_lists(const SimConfig& config, std::string* error) {
+  const std::vector<std::string>& lists = config.blacklist.lists;
+  for (std::size_t i = 0; i < config.churn.injections.size(); ++i) {
+    const std::string& list = config.churn.injections[i].list;
+    if (!list.empty() &&
+        std::find(lists.begin(), lists.end(), list) == lists.end()) {
+      *error = "config.churn.injections[" + std::to_string(i) +
+               "].list \"" + list + "\" is not in config.blacklist.lists";
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -442,32 +437,11 @@ std::optional<Scenario> parse_scenario(const json::Value& document,
   sink->clear();
 
   Scenario scenario;
-  ObjectReader reader(document, "scenario", sink);
-  reader.string("name", scenario.name);
-  reader.string("description", scenario.description);
-  if (const json::Value* config = reader.take("config")) {
-    parse_config(*config, scenario.config, sink);
-  }
-  if (const json::Value* report = reader.take("report")) {
-    parse_report(*report, scenario.report, sink);
-  }
-  if (const json::Value* golden = reader.take("golden")) {
-    ScenarioGolden parsed;
-    parse_golden(*golden, parsed, sink);
-    scenario.golden = parsed;
-  }
-  if (const json::Value* snapshot = reader.take("snapshot")) {
-    ScenarioSnapshot parsed;
-    parse_snapshot_block(*snapshot, parsed, sink);
-    scenario.snapshot = parsed;
-  }
+  Reader reader(document, "scenario", sink, /*root=*/true);
+  fields(reader, scenario);
   reader.finish();
-
+  if (sink->empty()) check_injection_lists(scenario.config, sink);
   if (!sink->empty()) return std::nullopt;
-  if (scenario.name.empty()) {
-    *sink = "scenario.name must be non-empty";
-    return std::nullopt;
-  }
   return scenario;
 }
 
@@ -492,130 +466,15 @@ std::optional<Scenario> load_scenario(const std::string& path,
 // ---------------------------------------------------------------------------
 
 json::Value config_to_json(const SimConfig& config) {
-  json::Value corpus{json::Object{}};
-  corpus.set("num_hosts", u64_value(config.corpus.num_hosts));
-  corpus.set("seed", u64_value(config.corpus.seed));
-  corpus.set("alpha", config.corpus.alpha);
-  corpus.set("max_pages", u64_value(config.corpus.max_pages));
-  corpus.set("single_page_fraction", config.corpus.single_page_fraction);
-  corpus.set("min_pages", u64_value(config.corpus.min_pages));
-  corpus.set("subdomain_probability", config.corpus.subdomain_probability);
-  corpus.set("query_probability", config.corpus.query_probability);
-  corpus.set("directory_page_probability",
-             config.corpus.directory_page_probability);
-
-  json::Value traffic{json::Object{}};
-  traffic.set("site_popularity_alpha", config.traffic.site_popularity_alpha);
-  traffic.set("revisit_probability", config.traffic.revisit_probability);
-  traffic.set("revisit_window", u64_value(config.traffic.revisit_window));
-  traffic.set("session_start_probability",
-              config.traffic.session_start_probability);
-  traffic.set("session_continue_probability",
-              config.traffic.session_continue_probability);
-  traffic.set("lookups_per_active_tick",
-              u64_value(config.traffic.lookups_per_active_tick));
-  json::Array targets;
-  for (const auto& url : config.traffic.target_urls) targets.push_back(url);
-  traffic.set("target_urls", std::move(targets));
-  traffic.set("interested_fraction", config.traffic.interested_fraction);
-  traffic.set("target_visit_probability",
-              config.traffic.target_visit_probability);
-
-  json::Value blacklist{json::Object{}};
-  json::Array lists;
-  for (const auto& list : config.blacklist.lists) lists.push_back(list);
-  blacklist.set("lists", std::move(lists));
-  blacklist.set("page_fraction", config.blacklist.page_fraction);
-  blacklist.set("site_fraction", config.blacklist.site_fraction);
-  blacklist.set("max_entries", u64_value(config.blacklist.max_entries));
-  blacklist.set("orphan_prefixes",
-                u64_value(config.blacklist.orphan_prefixes));
-
-  json::Value churn{json::Object{}};
-  churn.set("epoch_ticks", u64_value(config.churn.epoch_ticks));
-  churn.set("add_rate", config.churn.add_rate);
-  churn.set("remove_rate", config.churn.remove_rate);
-  churn.set("max_epoch_adds", u64_value(config.churn.max_epoch_adds));
-  churn.set("minimum_wait_ticks", u64_value(config.churn.minimum_wait_ticks));
-  json::Array injections;
-  for (const auto& injection : config.churn.injections) {
-    json::Value item{json::Object{}};
-    item.set("epoch", u64_value(injection.epoch));
-    item.set("list", injection.list);
-    item.set("expression", injection.expression);
-    injections.push_back(std::move(item));
-  }
-  churn.set("injections", std::move(injections));
-
-  json::Value mitigation{json::Object{}};
-  mitigation.set("dummy_requests", config.mitigation.dummy_requests);
-  mitigation.set("dummies_per_prefix",
-                 u64_value(config.mitigation.dummies_per_prefix));
-
-  json::Value out{json::Object{}};
-  out.set("num_users", u64_value(config.num_users));
-  out.set("ticks", u64_value(config.ticks));
-  out.set("num_shards", u64_value(config.num_shards));
-  out.set("num_threads", u64_value(config.num_threads));
-  out.set("seed", u64_value(config.seed));
-  out.set("provider", provider_spelling(config.provider));
-  out.set("protocol", protocol_spelling(config.protocol));
-  out.set("mix_fraction", config.mix_fraction);
-  out.set("mix_protocol", protocol_spelling(config.mix_protocol));
-  out.set("store_kind", store_spelling(config.store_kind));
-  out.set("bloom_bits", u64_value(config.bloom_bits));
-  out.set("full_hash_ttl", u64_value(config.full_hash_ttl));
-  out.set("url_cache_entries", u64_value(config.url_cache_entries));
-  out.set("site_cache_entries", u64_value(config.site_cache_entries));
-  out.set("collect_metrics", config.collect_metrics);
-  out.set("metrics_per_tick_series", config.metrics_per_tick_series);
-  out.set("corpus", std::move(corpus));
-  out.set("traffic", std::move(traffic));
-  out.set("blacklist", std::move(blacklist));
-  out.set("churn", std::move(churn));
-  out.set("mitigation", std::move(mitigation));
-  return out;
+  return Writer::to_json(config);
 }
 
 json::Value golden_to_json(const ScenarioGolden& golden) {
-  json::Value out{json::Object{}};
-  out.set("fingerprint", json::hex_u64(golden.fingerprint));
-  out.set("entries", u64_value(golden.entries));
-  out.set("prefixes", u64_value(golden.prefixes));
-  out.set("multi_prefix_entries", u64_value(golden.multi_prefix_entries));
-  out.set("lookups", u64_value(golden.lookups));
-  out.set("wire_bytes_up", u64_value(golden.wire_bytes_up));
-  out.set("wire_bytes_down", u64_value(golden.wire_bytes_down));
-  return out;
-}
-
-json::Value snapshot_to_json(const ScenarioSnapshot& snapshot) {
-  json::Value out{json::Object{}};
-  out.set("path", snapshot.path);
-  out.set("at_epoch", u64_value(snapshot.at_epoch));
-  return out;
+  return Writer::to_json(golden);
 }
 
 json::Value scenario_to_json(const Scenario& scenario) {
-  json::Value report{json::Object{}};
-  report.set("transport", scenario.report.transport);
-  report.set("metrics", scenario.report.metrics);
-  report.set("population", scenario.report.population);
-  report.set("kanonymity", scenario.report.kanonymity);
-  report.set("reidentification", scenario.report.reidentification);
-  report.set("reid_max_queries",
-             u64_value(scenario.report.reid_max_queries));
-
-  json::Value out{json::Object{}};
-  out.set("name", scenario.name);
-  out.set("description", scenario.description);
-  out.set("config", config_to_json(scenario.config));
-  out.set("report", std::move(report));
-  if (scenario.golden) out.set("golden", golden_to_json(*scenario.golden));
-  if (scenario.snapshot) {
-    out.set("snapshot", snapshot_to_json(*scenario.snapshot));
-  }
-  return out;
+  return Writer::to_json(scenario);
 }
 
 // ---------------------------------------------------------------------------

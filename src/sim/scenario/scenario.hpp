@@ -16,6 +16,8 @@
 // Parsing is STRICT: unknown keys, malformed values and out-of-range
 // numbers are located errors, not silent defaults -- a typoed knob in a
 // scenario file must fail loudly, exactly like a malformed wire frame.
+// Each block's keys, with their range rules, are declared once in a field
+// list in scenario.cpp that both the parser and the canonical writer walk.
 // Field names mirror docs/simulation.md (see docs/scenarios.md for the
 // file-format reference).
 #pragma once
@@ -97,8 +99,6 @@ struct Scenario {
 [[nodiscard]] util::json::Value scenario_to_json(const Scenario& scenario);
 [[nodiscard]] util::json::Value config_to_json(const SimConfig& config);
 [[nodiscard]] util::json::Value golden_to_json(const ScenarioGolden& golden);
-[[nodiscard]] util::json::Value snapshot_to_json(
-    const ScenarioSnapshot& snapshot);
 
 /// Reads a whole file into `out` (false + error message on I/O failure).
 /// Shared by sbsim and the scenario tests; lives here to keep the CLI thin.

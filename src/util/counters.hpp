@@ -1,0 +1,33 @@
+// Counter structs declared once (src/util).
+//
+// A counter struct (sim::SimMetrics, sb::ClientMetrics, sb::TransportStats)
+// lists its u64 fields a second time only in one table,
+//
+//   static constexpr util::CounterField<T> kCounters[] = {{"name", &T::name}};
+//
+// and every sum, export and comparison loops over that table, so adding a
+// counter is one member plus one table row. The hot paths still increment
+// the members directly.
+#pragma once
+
+#include <cstdint>
+
+namespace sbp::util {
+
+/// One named u64 counter of struct T: its export name and member.
+template <class T>
+struct CounterField {
+  const char* name;
+  std::uint64_t T::*member;
+};
+
+/// Field-wise `into += from` over T::kCounters.
+template <class T>
+T& add_counters(T& into, const T& from) noexcept {
+  for (const CounterField<T>& field : T::kCounters) {
+    into.*field.member += from.*field.member;
+  }
+  return into;
+}
+
+}  // namespace sbp::util

@@ -159,4 +159,15 @@ struct ParseResult {
 [[nodiscard]] std::optional<std::uint64_t> parse_hex_u64(
     std::string_view text);
 
+/// A counter struct (util/counters.hpp) as one object member per row of
+/// its `kCounters` table, in table order.
+template <class T>
+[[nodiscard]] Value counters_to_json(const T& counters) {
+  Value out{Object{}};
+  for (const auto& field : T::kCounters) {
+    out.set(field.name, counters.*field.member);
+  }
+  return out;
+}
+
 }  // namespace sbp::util::json

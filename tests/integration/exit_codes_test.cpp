@@ -88,6 +88,10 @@ TEST(SbsimExitCodes, OneOnUsageAndFileErrors) {
   const fs::path malformed = dir / "malformed.json";
   write(malformed, R"({"name": "x", "config": {"num_userz": 5}})");
   EXPECT_EQ(sbsim("run " + malformed.string()), 1);
+  // An out-of-range value is a parse error too, never an engine abort.
+  const fs::path flat_corpus = dir / "flat-corpus.json";
+  write(flat_corpus, R"({"name": "x", "config": {"corpus": {"alpha": 1.0}}})");
+  EXPECT_EQ(sbsim("run " + flat_corpus.string()), 1);
 }
 
 TEST(SbsimExitCodes, TwoOnGoldenDriftAndInvariantFailure) {

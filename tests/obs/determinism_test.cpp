@@ -43,9 +43,6 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   SimMetrics metrics;
   sb::TransportStats wire;
-  std::uint64_t client_state_builds = 0;
-  std::uint64_t site_cache_hits = 0;
-  std::uint64_t site_cache_misses = 0;
   std::optional<obs::Snapshot> snapshot;
 };
 
@@ -63,9 +60,6 @@ RunResult run(bool collect_metrics, std::size_t threads) {
                    counting.fingerprint(),
                    engine.metrics(),
                    engine.transport_stats(),
-                   engine.client_state_builds(),
-                   engine.site_cache_hits(),
-                   engine.site_cache_misses(),
                    std::nullopt};
   if (engine.metrics_enabled()) result.snapshot = engine.obs_snapshot();
   return result;
@@ -74,35 +68,29 @@ RunResult run(bool collect_metrics, std::size_t threads) {
 void expect_identical(const RunResult& off, const RunResult& on,
                       const char* label) {
   ASSERT_FALSE(off.entries.empty()) << label << ": population was silent";
-  ASSERT_GT(off.site_cache_misses, 0u) << label << ": no site was built";
+  ASSERT_GT(off.metrics.site_cache_misses, 0u)
+      << label << ": no site was built";
   EXPECT_EQ(off.entries, on.entries) << label;
   EXPECT_EQ(off.fingerprint, on.fingerprint) << label;
-  EXPECT_EQ(off.metrics.lookups, on.metrics.lookups) << label;
-  EXPECT_EQ(off.metrics.local_hit_lookups, on.metrics.local_hit_lookups)
-      << label;
-  EXPECT_EQ(off.metrics.malicious_verdicts, on.metrics.malicious_verdicts)
-      << label;
-  EXPECT_EQ(off.metrics.churn_updates, on.metrics.churn_updates) << label;
-  EXPECT_EQ(off.wire.bytes_up, on.wire.bytes_up) << label;
-  EXPECT_EQ(off.wire.bytes_down, on.wire.bytes_down) << label;
-  EXPECT_EQ(off.wire.full_hash_requests, on.wire.full_hash_requests)
-      << label;
-  EXPECT_EQ(off.wire.update_requests, on.wire.update_requests) << label;
-  EXPECT_EQ(off.client_state_builds, on.client_state_builds) << label;
-  EXPECT_EQ(off.site_cache_hits, on.site_cache_hits) << label;
-  EXPECT_EQ(off.site_cache_misses, on.site_cache_misses) << label;
-  EXPECT_LE(on.site_cache_hits + on.site_cache_misses,
+  for (const auto& field : SimMetrics::kCounters) {
+    EXPECT_EQ(off.metrics.*field.member, on.metrics.*field.member)
+        << label << " " << field.name;
+  }
+  for (const auto& field : sb::TransportStats::kCounters) {
+    EXPECT_EQ(off.wire.*field.member, on.wire.*field.member)
+        << label << " " << field.name;
+  }
+  EXPECT_LE(on.metrics.site_cache_hits + on.metrics.site_cache_misses,
             on.metrics.url_cache_misses)
       << label;
   if (on.snapshot) {
-    for (const auto& [name, value] :
-         {std::pair{"client_state_builds", on.client_state_builds},
-          std::pair{"site_cache_hits", on.site_cache_hits},
-          std::pair{"site_cache_misses", on.site_cache_misses}}) {
+    // The exported counters are the SimMetrics table, name for name.
+    for (const auto& field : SimMetrics::kCounters) {
       const obs::MetricsRegistry::Entry* entry =
-          on.snapshot->counters.find(name);
-      ASSERT_NE(entry, nullptr) << label << " " << name;
-      EXPECT_EQ(entry->counter.value, value) << label << " " << name;
+          on.snapshot->counters.find(field.name);
+      ASSERT_NE(entry, nullptr) << label << " " << field.name;
+      EXPECT_EQ(entry->counter.value, on.metrics.*field.member)
+          << label << " " << field.name;
     }
   }
 }

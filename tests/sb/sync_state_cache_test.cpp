@@ -409,7 +409,7 @@ TEST(SyncStateCacheTest, ChurnedRunKeepsEntriesBoundedByLiveStates) {
   ASSERT_GT(engine.metrics().churn_updates, 0u);
   EXPECT_GT(max_entries, 0u);
   // Sharing is real: far fewer builds than state transitions.
-  EXPECT_LT(engine.client_state_builds() * 4,
+  EXPECT_LT(engine.metrics().client_state_builds * 4,
             engine.population_metrics().updates_attempted *
                 config.blacklist.lists.size());
 }

@@ -69,7 +69,7 @@ RunResult run_with_threads(SimConfig config, std::size_t threads,
   engine.run();
   return {memory.entries(),         counting.fingerprint(),
           engine.metrics(),         engine.transport_stats(),
-          engine.population_metrics(), engine.client_state_builds()};
+          engine.population_metrics(), engine.metrics().client_state_builds};
 }
 
 void expect_equal_runs(const RunResult& a, const RunResult& b,

@@ -234,6 +234,15 @@ TEST(ScenarioParse, MalformedValuesAreRejected) {
       R"({"name": "x", "config": {"churn": {"injections": [{}]}}})");
   parse_fail(R"({"name": "x", "golden": {"fingerprint": "xyz"}})");
   parse_fail(R"({"name": "x", "config": {"traffic": {"target_urls": [1]}}})");
+  // PowerLawSampler needs an exponent > 1, like site_popularity_alpha.
+  EXPECT_NE(parse_fail(R"({"name": "x", "config": {"corpus": {"alpha": 1.0}}})")
+                .find("config.corpus.alpha"),
+            std::string::npos);
+  // An injection into a list no client subscribes to is never observable.
+  EXPECT_NE(parse_fail(R"({"name": "x", "config": {"churn": {"injections": [
+                {"epoch": 1, "list": "nope", "expression": "a.example/"}]}}})")
+                .find("config.churn.injections[0].list"),
+            std::string::npos);
 }
 
 // --------------------------- golden contract ------------------------------
@@ -365,6 +374,39 @@ TEST(ScenarioCorpus, EveryShippedScenarioIsACanonicalFixpoint) {
   }
 }
 #endif  // SBP_SCENARIOS_DIR
+
+#ifdef SBP_DOCS_DIR
+/// Every key the canonical dump writes under `config` has a table row in
+/// docs/simulation.md, and every `report` key one in docs/scenarios.md.
+TEST(ScenarioDocs, EveryCanonicalKeyHasADocsTableRow) {
+  std::string simulation;
+  std::string scenarios;
+  std::string error;
+  ASSERT_TRUE(read_file(std::string(SBP_DOCS_DIR) + "/simulation.md",
+                        &simulation, &error))
+      << error;
+  ASSERT_TRUE(read_file(std::string(SBP_DOCS_DIR) + "/scenarios.md",
+                        &scenarios, &error))
+      << error;
+
+  const auto expect_rows = [](const json::Value& block,
+                              const std::string& doc, const char* file,
+                              const auto& self) -> void {
+    for (const auto& [key, value] : block.as_object()) {
+      EXPECT_NE(doc.find("| `" + key + "` |"), std::string::npos)
+          << "`" << key << "` has no table row in " << file;
+      if (value.is_object()) self(value, doc, file, self);
+    }
+  };
+  const json::Value canonical = scenario_to_json(Scenario{});
+  ASSERT_NE(canonical.find("config"), nullptr);
+  ASSERT_NE(canonical.find("report"), nullptr);
+  expect_rows(*canonical.find("config"), simulation, "docs/simulation.md",
+              expect_rows);
+  expect_rows(*canonical.find("report"), scenarios, "docs/scenarios.md",
+              expect_rows);
+}
+#endif  // SBP_DOCS_DIR
 
 }  // namespace
 }  // namespace sbp::sim

@@ -164,17 +164,7 @@ json::Value stats_to_json(const sbp::net::Daemon& daemon,
   out.set("decode_errors", stats.decode_errors);
   out.set("update_encode_cache_hits", cache_hits);
 
-  const sbp::sb::TransportStats& wire = daemon.transport_stats();
-  json::Value wire_out{json::Object{}};
-  wire_out.set("full_hash_requests", wire.full_hash_requests);
-  wire_out.set("update_requests", wire.update_requests);
-  wire_out.set("v4_update_requests", wire.v4_update_requests);
-  wire_out.set("v1_requests", wire.v1_requests);
-  wire_out.set("bytes_up", wire.bytes_up);
-  wire_out.set("bytes_down", wire.bytes_down);
-  wire_out.set("update_bytes_up", wire.update_bytes_up);
-  wire_out.set("update_bytes_down", wire.update_bytes_down);
-  out.set("wire", std::move(wire_out));
+  out.set("wire", json::counters_to_json(daemon.transport_stats()));
 
   // The daemon-side query log, reduced to the constant-memory
   // deterministic observables the equivalence contract compares.

@@ -505,16 +505,7 @@ int cmd_loadgen(const std::vector<std::string>& args) {
                     result.population.full_hash_requests);
   deterministic.set("population_cache_answers",
                     result.population.cache_answers);
-  json::Value wire{json::Object{}};
-  wire.set("full_hash_requests", result.wire.full_hash_requests);
-  wire.set("update_requests", result.wire.update_requests);
-  wire.set("v4_update_requests", result.wire.v4_update_requests);
-  wire.set("v1_requests", result.wire.v1_requests);
-  wire.set("bytes_up", result.wire.bytes_up);
-  wire.set("bytes_down", result.wire.bytes_down);
-  wire.set("update_bytes_up", result.wire.update_bytes_up);
-  wire.set("update_bytes_down", result.wire.update_bytes_down);
-  deterministic.set("wire", std::move(wire));
+  deterministic.set("wire", json::counters_to_json(result.wire));
 
   json::Value report{json::Object{}};
   report.set("experiment", "loadgen");
