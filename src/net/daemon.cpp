@@ -5,8 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "sb/wire/frames.hpp"
-
 namespace sbp::net {
 
 bool Daemon::listen(const std::string& endpoint_spec, std::string* error) {
@@ -115,68 +113,21 @@ void Daemon::read_ready(Connection& connection) {
 
 bool Daemon::serve_envelope(Connection& connection,
                             const Envelope& envelope) {
-  if (envelope.payload.empty()) return false;
   const std::uint64_t start_ns = obs::now_ns();
+  const sb::ResponseFrame response =
+      server_.serve_frame(envelope.payload, envelope.tick);
+  if (response == nullptr) return false;  // not a decodable request
+
   const std::size_t request_bytes = envelope.payload.size();
-
-  std::vector<std::uint8_t> response;
-  obs::Channel channel;
-  bool update_channel = false;
-  switch (static_cast<sb::wire::FrameType>(envelope.payload[0])) {
-    case sb::wire::FrameType::kFullHashRequest: {
-      const auto request = sb::wire::decode_full_hash_request(envelope.payload);
-      if (!request) return false;
-      response = sb::wire::encode_full_hash_response(server_.get_full_hashes(
-          request->prefixes, request->cookie, envelope.tick));
-      channel = obs::Channel::kFullHash;
-      ++wire_.full_hash_requests;
-      break;
-    }
-    case sb::wire::FrameType::kV1LookupRequest: {
-      const auto request = sb::wire::decode_v1_lookup_request(envelope.payload);
-      if (!request) return false;
-      const bool malicious =
-          server_.lookup_v1(request->url, request->cookie, envelope.tick);
-      response = sb::wire::encode_v1_lookup_response({malicious});
-      channel = obs::Channel::kV1Lookup;
-      ++wire_.v1_requests;
-      break;
-    }
-    case sb::wire::FrameType::kUpdateRequest:
-    case sb::wire::FrameType::kV4UpdateRequest: {
-      const bool v4 = envelope.payload[0] ==
-                      static_cast<std::uint8_t>(
-                          sb::wire::FrameType::kV4UpdateRequest);
-      const auto encoded = server_.encoded_update_response(envelope.payload);
-      if (!encoded) return false;
-      response = *encoded;  // copy into the connection's frame
-      channel = v4 ? obs::Channel::kV4Update : obs::Channel::kV3Update;
-      if (v4) {
-        ++wire_.v4_update_requests;
-      } else {
-        ++wire_.update_requests;
-      }
-      update_channel = true;
-      break;
-    }
-    default:
-      return false;  // response tags and unknown bytes are protocol errors
-  }
-
-  wire_.bytes_up += request_bytes;
-  wire_.bytes_down += response.size();
-  if (update_channel) {
-    wire_.update_bytes_up += request_bytes;
-    wire_.update_bytes_down += response.size();
-  }
-  obs_.channel(channel).record(request_bytes, response.size(),
-                               obs::now_ns() - start_ns);
+  const sb::RequestChannel& channel =
+      *sb::request_channel(envelope.payload[0]);
+  channel.count_request(wire_, request_bytes);
+  channel.count_response(wire_, response->size());
+  obs_.channel(channel.channel)
+      .record(request_bytes, response->size(), obs::now_ns() - start_ns);
   ++stats_.frames_served;
 
-  const std::vector<std::uint8_t> out_envelope =
-      encode_envelope(envelope.tick, response);
-  connection.out.insert(connection.out.end(), out_envelope.begin(),
-                        out_envelope.end());
+  append_envelope(connection.out, envelope.tick, *response);
   return true;
 }
 

@@ -1,19 +1,23 @@
 // The sbserved event loop: sb::Server behind poll(2) (src/net).
 //
-// A single-threaded reactor serving the byte-level wire protocol -- all 8
-// frame types (full-hash, v3/v4 updates, v1 lookups) wrapped in the
-// envelope framing of net/frame_codec.hpp -- over any mix of TCP and Unix
-// listeners. Single-threaded is a feature, not a shortcut: every request
-// on every connection is served in arrival order by one thread, so the
-// server's query log is a deterministic function of the clients' request
-// stream, and the update endpoints (which mutate via seal) need no locks.
-// The encode-once update cache (Server::encoded_update_response) does the
-// fan-out: N clients at the same state token share one encoding.
+// A single-threaded reactor serving the byte-level wire protocol -- the
+// four request frame types (full-hash, v3/v4 updates, v1 lookups) wrapped
+// in the envelope framing of net/frame_codec.hpp -- over any mix of TCP and
+// Unix listeners. Single-threaded is a feature, not a shortcut: every
+// request on every connection is served in arrival order by one thread, so
+// the server's query log is a deterministic function of the clients'
+// request stream, and the update endpoints (which mutate via seal) need no
+// locks. The daemon never looks inside a frame: each payload goes to
+// Server::serve_frame, the same dispatch the in-process transport uses,
+// and its encode-once update cache does the fan-out (N clients at the same
+// state token share one encoding). The reply is written straight into the
+// connection's output buffer behind its envelope header.
 //
 // Connection handling is fully non-blocking: per-connection FrameDecoder
 // for partial reads, per-connection output buffer with POLLOUT-driven
 // flushing for short writes. A connection that sends garbage (envelope
-// oversize, undecodable frame, unknown tag) is counted in
+// oversize, or a payload serve_frame does not answer: unknown or response
+// tag, empty or undecodable frame) is counted in
 // stats().decode_errors and closed -- never crashes the daemon. EINTR at
 // any syscall is retried (poll: treated as a timeout); callers are
 // expected to have SIGPIPE ignored process-wide (net::ignore_sigpipe).
@@ -24,9 +28,10 @@
 //
 // Observability: always-on per-channel request/byte/latency histograms
 // (obs::TransportObs -- the same structure sbsim exports) plus
-// TransportStats wire totals and daemon counters. Byte counts are payload
-// (frame) bytes only, envelope headers excluded, so daemon-side counters
-// reconcile exactly with client-side TransportStats and with an
+// TransportStats wire totals and daemon counters. The wire totals bill
+// through sb::request_channel, like the client transports, and count
+// payload (frame) bytes only, envelope headers excluded, so daemon-side
+// counters reconcile exactly with client-side TransportStats and with an
 // in-process run (the equivalence contract).
 #pragma once
 
@@ -112,8 +117,9 @@ class Daemon {
   /// Reads everything available; serves each complete envelope. Marks the
   /// connection broken on EOF/error/garbage.
   void read_ready(Connection& connection);
-  /// Serves one request envelope (dispatch on the payload's frame tag).
-  /// False = undecodable (caller drops the connection).
+  /// Serves one request envelope through Server::serve_frame and appends
+  /// the reply envelope to connection.out. False = no reply (caller drops
+  /// the connection).
   [[nodiscard]] bool serve_envelope(Connection& connection,
                                     const Envelope& envelope);
   /// Flushes pending output as far as the socket allows.

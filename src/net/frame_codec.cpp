@@ -34,14 +34,26 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 }  // namespace
 
+void append_envelope(std::vector<std::uint8_t>& out, std::uint64_t tick,
+                     std::span<const std::uint8_t> payload) {
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u64(out, tick);
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 std::vector<std::uint8_t> encode_envelope(
     std::uint64_t tick, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kEnvelopeHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, tick);
-  out.insert(out.end(), payload.begin(), payload.end());
+  append_envelope(out, tick, payload);
   return out;
+}
+
+std::optional<EnvelopeHeader> decode_envelope_header(
+    const std::uint8_t* bytes) {
+  const EnvelopeHeader header{get_u32(bytes), get_u64(bytes + 4)};
+  if (header.payload_len > kMaxPayloadBytes) return std::nullopt;
+  return header;
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
@@ -51,8 +63,8 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
 
 std::optional<Envelope> FrameDecoder::next() {
   if (error_ || buffer_.size() < kEnvelopeHeaderBytes) return std::nullopt;
-  const std::uint32_t payload_len = get_u32(buffer_.data());
-  if (payload_len > kMaxPayloadBytes) {
+  const auto header = decode_envelope_header(buffer_.data());
+  if (!header) {
     // Nothing is allocated for the bogus length; the stream is
     // unrecoverable (we cannot know where the next frame starts).
     error_ = true;
@@ -60,11 +72,11 @@ std::optional<Envelope> FrameDecoder::next() {
     buffer_.shrink_to_fit();
     return std::nullopt;
   }
-  const std::size_t total = kEnvelopeHeaderBytes + payload_len;
+  const std::size_t total = kEnvelopeHeaderBytes + header->payload_len;
   if (buffer_.size() < total) return std::nullopt;
 
   Envelope envelope;
-  envelope.tick = get_u64(buffer_.data() + 4);
+  envelope.tick = header->tick;
   envelope.payload.assign(buffer_.begin() + kEnvelopeHeaderBytes,
                           buffer_.begin() + static_cast<std::ptrdiff_t>(total));
   buffer_.erase(buffer_.begin(),

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace sbp::net {
@@ -46,9 +47,25 @@ struct Envelope {
   std::vector<std::uint8_t> payload;
 };
 
+/// The fixed-size envelope header.
+struct EnvelopeHeader {
+  std::uint32_t payload_len = 0;
+  std::uint64_t tick = 0;
+};
+
+/// Appends [header][payload] to `out` (the daemon writes replies straight
+/// into a connection's output buffer this way).
+void append_envelope(std::vector<std::uint8_t>& out, std::uint64_t tick,
+                     std::span<const std::uint8_t> payload);
+
 /// [header][payload] ready to write to a socket.
 [[nodiscard]] std::vector<std::uint8_t> encode_envelope(
     std::uint64_t tick, const std::vector<std::uint8_t>& payload);
+
+/// Decodes the kEnvelopeHeaderBytes at `bytes`. nullopt when the declared
+/// payload length exceeds kMaxPayloadBytes: the stream is protocol-broken.
+[[nodiscard]] std::optional<EnvelopeHeader> decode_envelope_header(
+    const std::uint8_t* bytes);
 
 /// Incremental stream decoder; tolerant of arbitrary read fragmentation.
 class FrameDecoder {

@@ -1,18 +1,14 @@
 #include "net/socket_transport.hpp"
 
-#include "net/frame_codec.hpp"
-#include "sb/wire/frames.hpp"
+#include <memory>
 
-// Byte-accounting discipline mirrors InProcessTransport exactly (encode ->
-// count bytes_up -> request counter -> round-trip -> count bytes_down ->
-// decode -> record obs) so a networked run and an in-process run of the
-// same request stream produce field-identical TransportStats.
+#include "net/frame_codec.hpp"
 
 namespace sbp::net {
 
 SocketTransport::SocketTransport(const std::string& endpoint_spec,
                                  sb::SimClock& clock)
-    : Transport(clock) {
+    : FrameTransport(clock) {
   std::string error;
   const auto endpoint = parse_endpoint(endpoint_spec, &error);
   if (!endpoint) {
@@ -26,147 +22,39 @@ SocketTransport::SocketTransport(const std::string& endpoint_spec,
 void SocketTransport::fail(const std::string& what) {
   if (error_.empty()) error_ = what;
   fd_.reset();
-  ++stats_.failed_requests;
 }
 
-std::optional<std::vector<std::uint8_t>> SocketTransport::round_trip(
+bool SocketTransport::refuse(const sb::RequestChannel& /*request*/) {
+  return !fd_.valid();
+}
+
+sb::ResponseFrame SocketTransport::exchange(
     const std::vector<std::uint8_t>& request_frame) {
   const std::vector<std::uint8_t> envelope =
       encode_envelope(clock_.now(), request_frame);
   if (!write_all(fd_.get(), envelope.data(), envelope.size())) {
     fail("write failed");
-    return std::nullopt;
+    return nullptr;
   }
 
-  std::uint8_t header[kEnvelopeHeaderBytes];
-  if (!read_exact(fd_.get(), header, sizeof(header))) {
+  std::uint8_t header_bytes[kEnvelopeHeaderBytes];
+  if (!read_exact(fd_.get(), header_bytes, sizeof(header_bytes))) {
     fail("short read on response header");
-    return std::nullopt;
+    return nullptr;
   }
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(header[0]) |
-      static_cast<std::uint32_t>(header[1]) << 8 |
-      static_cast<std::uint32_t>(header[2]) << 16 |
-      static_cast<std::uint32_t>(header[3]) << 24;
-  if (payload_len > kMaxPayloadBytes) {
+  const auto header = decode_envelope_header(header_bytes);
+  if (!header) {
     fail("oversize response payload");
-    return std::nullopt;
+    return nullptr;
   }
-  std::vector<std::uint8_t> payload(payload_len);
-  if (payload_len > 0 &&
-      !read_exact(fd_.get(), payload.data(), payload.size())) {
+  auto payload =
+      std::make_shared<std::vector<std::uint8_t>>(header->payload_len);
+  if (!payload->empty() &&
+      !read_exact(fd_.get(), payload->data(), payload->size())) {
     fail("short read on response payload");
-    return std::nullopt;
+    return nullptr;
   }
   return payload;
-}
-
-std::optional<sb::FullHashResponse> SocketTransport::get_full_hashes_or_error(
-    const std::vector<crypto::Prefix32>& prefixes, sb::Cookie cookie) {
-  if (!fd_.valid()) {
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      sb::wire::encode_full_hash_request({cookie, prefixes});
-  stats_.bytes_up += request_frame.size();
-
-  ++stats_.full_hash_requests;
-  const auto response_frame = round_trip(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  auto decoded = sb::wire::decode_full_hash_response(*response_frame);
-  if (!decoded) {
-    fail("undecodable full-hash response");
-    return std::nullopt;
-  }
-  record_obs(obs::Channel::kFullHash, request_frame.size(),
-             response_frame->size(), start_ns);
-  return decoded;
-}
-
-std::optional<sb::UpdateResponse> SocketTransport::fetch_update_or_error(
-    const sb::UpdateRequest& request) {
-  if (!fd_.valid()) {
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      sb::wire::encode_update_request(request);
-  stats_.bytes_up += request_frame.size();
-  stats_.update_bytes_up += request_frame.size();
-
-  ++stats_.update_requests;
-  const auto response_frame = round_trip(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  stats_.update_bytes_down += response_frame->size();
-  auto decoded = sb::wire::decode_update_response(*response_frame);
-  if (!decoded) {
-    fail("undecodable v3 update response");
-    return std::nullopt;
-  }
-  record_obs(obs::Channel::kV3Update, request_frame.size(),
-             response_frame->size(), start_ns);
-  return decoded;
-}
-
-std::optional<sb::V4UpdateResponse> SocketTransport::fetch_v4_update_or_error(
-    const sb::V4UpdateRequest& request) {
-  if (!fd_.valid()) {
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      sb::wire::encode_v4_update_request(request);
-  stats_.bytes_up += request_frame.size();
-  stats_.update_bytes_up += request_frame.size();
-
-  ++stats_.v4_update_requests;
-  const auto response_frame = round_trip(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  stats_.update_bytes_down += response_frame->size();
-  auto decoded = sb::wire::decode_v4_update_response(*response_frame);
-  if (!decoded) {
-    fail("undecodable v4 update response");
-    return std::nullopt;
-  }
-  record_obs(obs::Channel::kV4Update, request_frame.size(),
-             response_frame->size(), start_ns);
-  return decoded;
-}
-
-std::optional<bool> SocketTransport::lookup_v1_or_error(std::string_view url,
-                                                        sb::Cookie cookie) {
-  if (!fd_.valid()) {
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      sb::wire::encode_v1_lookup_request({cookie, std::string(url)});
-  stats_.bytes_up += request_frame.size();
-
-  ++stats_.v1_requests;
-  const auto response_frame = round_trip(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  const auto response = sb::wire::decode_v1_lookup_response(*response_frame);
-  if (!response) {
-    fail("undecodable v1 lookup response");
-    return std::nullopt;
-  }
-  record_obs(obs::Channel::kV1Lookup, request_frame.size(),
-             response_frame->size(), start_ns);
-  return response->malicious;
 }
 
 }  // namespace sbp::net

@@ -1,12 +1,14 @@
 // sb::Transport over a stream socket (src/net).
 //
-// The networked twin of sb::InProcessTransport: the same four protocol
-// endpoints, but each request is encoded to a wire frame, wrapped in the
-// envelope framing of net/frame_codec.hpp and round-tripped synchronously
-// over one TCP or Unix connection to a running sbserved. Synchronous
-// blocking IO is deliberate -- the engine's client model is one
-// outstanding request per client, so a request/response pipeline would
-// buy nothing and cost the determinism argument (docs/networking.md).
+// The networked twin of sb::InProcessTransport. Both are sb::FrameTransport,
+// which encodes, bills, decodes and records every request; this class adds
+// only the byte exchange -- the request frame wrapped in the envelope
+// framing of net/frame_codec.hpp and round-tripped synchronously over one
+// TCP or Unix connection to a running sbserved -- and the refusal of every
+// request once the connection is gone. Synchronous blocking IO is
+// deliberate -- the engine's client model is one outstanding request per
+// client, so a request/response pipeline would buy nothing and cost the
+// determinism argument (docs/networking.md).
 //
 // Equivalence contract: byte counters (TransportStats, obs) count frame
 // payload bytes only -- identical to InProcessTransport for the same
@@ -21,11 +23,12 @@
 // nullopt -- the same nullopt surface the client retry logic already
 // handles for injected failures. No reconnects: a scenario run is one
 // connection per shard, and a daemon restart mid-run would break the
-// equivalence contract anyway.
+// equivalence contract anyway. A well-framed but undecodable response is
+// a failed request too; the envelope stream is still in step, so the
+// connection stays open.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +37,7 @@
 
 namespace sbp::net {
 
-class SocketTransport final : public sb::Transport {
+class SocketTransport final : public sb::FrameTransport {
  public:
   /// Connects to `endpoint_spec` ("tcp:HOST:PORT" or "unix:/PATH")
   /// immediately. On failure the transport is constructed in the error
@@ -45,21 +48,14 @@ class SocketTransport final : public sb::Transport {
   /// Human-readable description of the first failure, empty if none.
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
-  [[nodiscard]] std::optional<sb::FullHashResponse> get_full_hashes_or_error(
-      const std::vector<crypto::Prefix32>& prefixes, sb::Cookie cookie) override;
-  [[nodiscard]] std::optional<sb::UpdateResponse> fetch_update_or_error(
-      const sb::UpdateRequest& request) override;
-  [[nodiscard]] std::optional<sb::V4UpdateResponse> fetch_v4_update_or_error(
-      const sb::V4UpdateRequest& request) override;
-  [[nodiscard]] std::optional<bool> lookup_v1_or_error(
-      std::string_view url, sb::Cookie cookie) override;
-
  private:
+  /// Refuses every request once the connection is gone.
+  bool refuse(const sb::RequestChannel& request) override;
   /// Writes `request_frame` under an envelope stamped with clock().now(),
-  /// reads exactly one response envelope back. nullopt (and a dead
+  /// reads exactly one response envelope back. nullptr (and a dead
   /// connection) on any IO or framing error.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> round_trip(
-      const std::vector<std::uint8_t>& request_frame);
+  sb::ResponseFrame exchange(
+      const std::vector<std::uint8_t>& request_frame) override;
   void fail(const std::string& what);
 
   Fd fd_;

@@ -26,21 +26,20 @@ void Server::drain_log_buffer(QueryLogBuffer& buffer) {
 }
 
 void Server::invalidate_snapshot() noexcept {
-  snapshot_.store(nullptr, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot_.reset();
+  }
   // Any list mutation also invalidates every memoized update encoding.
   update_encode_cache_.clear();
 }
 
 std::shared_ptr<const Server::LookupSnapshot> Server::lookup_snapshot() const {
-  auto snapshot = snapshot_.load(std::memory_order_acquire);
-  if (snapshot) return snapshot;
-  // Stale: rebuild from the build-side state. Only reachable when a
-  // mutation happened since the last publish, and mutations are confined
-  // to single-threaded phases; the mutex merely serializes redundant
-  // rebuilds if several readers arrive right after a seal-free mutation.
-  const std::lock_guard<std::mutex> lock(snapshot_rebuild_mutex_);
-  snapshot = snapshot_.load(std::memory_order_acquire);
-  if (snapshot) return snapshot;
+  // Readers copy the pointer under the mutex. A rebuild also runs under it;
+  // it is only reachable when a mutation happened since the last publish,
+  // and mutations are confined to single-threaded phases.
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  if (snapshot_) return snapshot_;
   auto rebuilt = std::make_shared<LookupSnapshot>();
   for (const auto& [list_name, data] : lists_) {
     for (const auto& [prefix, digests] : data.digests_by_prefix) {
@@ -50,9 +49,8 @@ std::shared_ptr<const Server::LookupSnapshot> Server::lookup_snapshot() const {
       }
     }
   }
-  snapshot = std::move(rebuilt);
-  snapshot_.store(snapshot, std::memory_order_release);
-  return snapshot;
+  snapshot_ = std::move(rebuilt);
+  return snapshot_;
 }
 
 Server::ListData& Server::list(std::string_view name) {
@@ -281,9 +279,17 @@ UpdateResponse Server::fetch_update(const UpdateRequest& request) {
   return response;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>>
-Server::encoded_update_response(
-    const std::vector<std::uint8_t>& request_frame) {
+namespace {
+
+ResponseFrame share(std::vector<std::uint8_t> frame) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(frame));
+}
+
+}  // namespace
+
+template <typename Serve>
+ResponseFrame Server::serve_cached_update(
+    const std::vector<std::uint8_t>& request_frame, Serve&& serve) {
   // One mutex covers lookup, encode and insert, so concurrent re-syncs
   // from the engine's parallel shard tick serialize here: for each
   // distinct request frame exactly ONE caller encodes (a miss) and every
@@ -303,32 +309,45 @@ Server::encoded_update_response(
     ++update_encode_cache_hits_;
     return cached->second;
   }
-  if (request_frame.empty()) return nullptr;
-
-  std::vector<std::uint8_t> response_frame;
-  switch (static_cast<wire::FrameType>(request_frame[0])) {
-    case wire::FrameType::kUpdateRequest: {
-      const auto request = wire::decode_update_request(request_frame);
-      if (!request) return nullptr;
-      response_frame = wire::encode_update_response(fetch_update(*request));
-      break;
-    }
-    case wire::FrameType::kV4UpdateRequest: {
-      const auto request = wire::decode_v4_update_request(request_frame);
-      if (!request) return nullptr;
-      response_frame =
-          wire::encode_v4_update_response(fetch_v4_update(*request));
-      break;
-    }
-    default:
-      return nullptr;
-  }
-  auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(response_frame));
+  ResponseFrame response = serve();
   // Insert AFTER serving: fetch_* may seal, which clears the cache; the
   // entry stored now describes the post-seal state it was computed from.
-  update_encode_cache_.emplace(std::string(key), shared);
-  return shared;
+  if (response) update_encode_cache_.emplace(std::string(key), response);
+  return response;
+}
+
+ResponseFrame Server::serve_frame(
+    const std::vector<std::uint8_t>& request_frame, std::uint64_t tick) {
+  if (request_frame.empty()) return nullptr;
+  switch (static_cast<wire::FrameType>(request_frame[0])) {
+    case wire::FrameType::kFullHashRequest: {
+      const auto request = wire::decode_full_hash_request(request_frame);
+      if (!request) return nullptr;
+      return share(wire::encode_full_hash_response(
+          get_full_hashes(request->prefixes, request->cookie, tick)));
+    }
+    case wire::FrameType::kV1LookupRequest: {
+      const auto request = wire::decode_v1_lookup_request(request_frame);
+      if (!request) return nullptr;
+      return share(wire::encode_v1_lookup_response(
+          {lookup_v1(request->url, request->cookie, tick)}));
+    }
+    case wire::FrameType::kUpdateRequest:
+      return serve_cached_update(request_frame, [&]() -> ResponseFrame {
+        const auto request = wire::decode_update_request(request_frame);
+        if (!request) return nullptr;
+        return share(wire::encode_update_response(fetch_update(*request)));
+      });
+    case wire::FrameType::kV4UpdateRequest:
+      return serve_cached_update(request_frame, [&]() -> ResponseFrame {
+        const auto request = wire::decode_v4_update_request(request_frame);
+        if (!request) return nullptr;
+        return share(
+            wire::encode_v4_update_response(fetch_v4_update(*request)));
+      });
+    default:
+      return nullptr;  // response tags and unknown bytes
+  }
 }
 
 FullHashResponse Server::get_full_hashes(

@@ -16,21 +16,25 @@
 // ("orphans"), which the paper shows Yandex ships in bulk and which prove
 // arbitrary prefix injection is possible.
 //
+// Every endpoint is also reachable as bytes: serve_frame() takes one
+// encoded request frame (sb/wire/frames.hpp) and returns the encoded
+// response frame. It is the one request dispatch the in-process transport
+// and the socket daemon share.
+//
 // Concurrency model (the parallel simulation runtime, docs/architecture.md):
 // the sealed blacklist state is published as an immutable LookupSnapshot
-// behind an atomic shared_ptr, so the read endpoints (lookup_v1,
-// get_full_hashes) are lock-free and safe to call from many threads at
-// once. List mutation (add/remove/seal and the update endpoints, which may
-// seal) is NOT thread-safe and must never run concurrently with anything
-// else -- the engine confines it to the single-threaded phases between
-// parallel ticks. The query log shards the same way: a worker thread
-// registers a QueryLogBuffer via ScopedLogShard and every entry it produces
-// lands there; the engine drains the buffers in canonical shard order after
-// the tick barrier, so the merged stream is bit-identical at any thread
-// count.
+// behind a mutex-guarded shared_ptr, so the read endpoints (lookup_v1,
+// get_full_hashes) hold the mutex only for a pointer copy and are safe to
+// call from many threads at once. List mutation (add/remove/seal and the
+// update endpoints, which may seal) is NOT thread-safe and must never run
+// concurrently with anything else -- the engine confines it to the
+// single-threaded phases between parallel ticks. The query log shards the
+// same way: a worker thread registers a QueryLogBuffer via ScopedLogShard
+// and every entry it produces lands there; the engine drains the buffers
+// in canonical shard order after the tick barrier, so the merged stream is
+// bit-identical at any thread count.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -120,6 +124,11 @@ class QueryLogBuffer {
   friend class Server;
   std::vector<QueryLogEntry> entries_;
 };
+
+/// An encoded response frame as Server::serve_frame returns it. Shared, so
+/// one cached update encoding fans out to every client without a copy;
+/// null means the request frame got no reply.
+using ResponseFrame = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 /// Server reply to a full-hash request: for each queried prefix, all full
 /// digests beginning with it (empty vector = orphan prefix).
@@ -220,10 +229,10 @@ class Server {
     std::unordered_map<crypto::Prefix32, std::vector<FullHashMatch>> matches;
   };
 
-  /// The current snapshot. Lock-free once published: mutators invalidate,
-  /// seal_chunk republishes, and a read after an unsealed mutation
-  /// rebuilds lazily under a mutex (single-threaded contexts only -- see
-  /// the concurrency model above).
+  /// The current snapshot: a pointer copy under a mutex once published.
+  /// Mutators invalidate, seal_chunk republishes, and a read after an
+  /// unsealed mutation rebuilds it lazily (single-threaded contexts only --
+  /// see the concurrency model above).
   [[nodiscard]] std::shared_ptr<const LookupSnapshot> lookup_snapshot() const;
 
   /// RAII guard routing every log_query() on *this thread* into `buffer`
@@ -290,22 +299,26 @@ class Server {
   /// effective prefix set and returns removal-index/addition slices.
   [[nodiscard]] V4UpdateResponse fetch_v4_update(const V4UpdateRequest& request);
 
-  /// Encode-once/fan-out update serving: takes an ENCODED v3 or v4 update
-  /// request frame (tag 0x33 or 0x41), dispatches to the matching fetch_*
-  /// endpoint and returns the encoded response frame. The encoding is
-  /// memoized per request-frame bytes -- N clients resyncing from the same
-  /// state token share ONE encoding of the diff instead of re-encoding it
-  /// per client (ROADMAP: ~93 MB of wire_bytes_down re-encoded per
-  /// 20k-user run). Any list mutation or set_minimum_wait() invalidates
-  /// the whole cache, so a hit is always byte-identical to a fresh
-  /// encode. Returns nullptr when the frame fails to decode. THREAD-SAFE:
-  /// the whole serve (cache probe, encode, insert) runs under one mutex,
-  /// so the engine's parallel-phase re-syncs may call it concurrently --
-  /// provided no caller mutates lists concurrently (the engine's serial
-  /// churn epoch seals everything before the parallel phase opens, so the
-  /// seal inside fetch_* is always a no-op there).
-  [[nodiscard]] std::shared_ptr<const std::vector<std::uint8_t>>
-  encoded_update_response(const std::vector<std::uint8_t>& request_frame);
+  /// The byte-level endpoint: decodes one request frame (full-hash, v1
+  /// lookup, v3 or v4 update), serves it at `tick` through the typed
+  /// endpoint above or below, and returns the encoded response frame.
+  /// Response tags and unknown, empty or undecodable frames get no reply
+  /// (nullptr) and log nothing. `tick` stamps the query log; the update
+  /// endpoints ignore it.
+  ///
+  /// Update responses are memoized per request-frame bytes (the
+  /// encode-once/fan-out cache): N clients resyncing from the same state
+  /// token share ONE encoding of the diff. Any list mutation or
+  /// set_minimum_wait() drops the whole cache, so a hit is always
+  /// byte-identical to a fresh encode. THREAD-SAFE for the read endpoints,
+  /// and for updates too: the whole update serve (cache probe, encode,
+  /// insert) runs under one mutex, so the engine's parallel-phase re-syncs
+  /// may call it concurrently -- provided no caller mutates lists
+  /// concurrently (the engine's serial churn epoch seals everything before
+  /// the parallel phase opens, so the seal inside fetch_* is a no-op
+  /// there).
+  [[nodiscard]] ResponseFrame serve_frame(
+      const std::vector<std::uint8_t>& request_frame, std::uint64_t tick);
 
   /// Number of update requests served from the encode cache since
   /// construction (exported as the `update_encode_cache_hits` counter).
@@ -401,6 +414,11 @@ class Server {
   /// Mutators of digests_by_prefix drop the published snapshot; the next
   /// lookup_snapshot() (or seal_chunk) rebuilds it.
   void invalidate_snapshot() noexcept;
+  /// Serves one update frame through the encode cache; `serve` decodes,
+  /// serves and encodes on a miss (nullptr = undecodable, not cached).
+  template <typename Serve>
+  [[nodiscard]] ResponseFrame serve_cached_update(
+      const std::vector<std::uint8_t>& request_frame, Serve&& serve);
 
   Provider provider_;
   std::map<std::string, ListData, std::less<>> lists_;
@@ -409,8 +427,9 @@ class Server {
   bool retain_query_log_ = true;
   std::uint64_t minimum_wait_ = 0;
 
-  mutable std::atomic<std::shared_ptr<const LookupSnapshot>> snapshot_{};
-  mutable std::mutex snapshot_rebuild_mutex_;
+  /// Null when stale; guarded by snapshot_mutex_.
+  mutable std::shared_ptr<const LookupSnapshot> snapshot_;
+  mutable std::mutex snapshot_mutex_;
 
   /// Transparent hash: the encode cache is probed with a string_view of
   /// the request frame, so a hit copies no key.
@@ -429,7 +448,7 @@ class Server {
                      FrameKeyHash, std::equal_to<>>
       update_encode_cache_;
   std::uint64_t update_encode_cache_hits_ = 0;
-  /// Serializes encoded_update_response (parallel-phase client re-syncs).
+  /// Serializes update serving (parallel-phase client re-syncs).
   mutable std::mutex update_serve_mutex_;
 
   /// Thread-local routing target installed by ScopedLogShard.

@@ -1,136 +1,107 @@
 #include "sb/transport.hpp"
 
-#include "sb/wire/frames.hpp"
-
-// Every endpoint follows the same discipline: encode the request into its
-// wire frame, count the bytes, DECODE the frame and hand only the decoded
-// value to the server (nothing that is not in the frame can get through),
-// then encode/count/decode the response symmetrically. A decode failure --
-// impossible unless a codec is broken -- surfaces as a request error, which
-// the round-trip tests would catch immediately.
-//
-// The two update channels route the response through
-// Server::encoded_update_response so N clients resyncing from the same
-// state token share ONE encoding of the diff (the encode-once/fan-out
-// cache); byte accounting is unchanged because the cached bytes are
-// exactly what encode_*_update_response would have produced.
-
 namespace sbp::sb {
 
-std::optional<FullHashResponse> InProcessTransport::get_full_hashes_or_error(
+namespace {
+
+constexpr RequestChannel kRequestChannels[] = {
+    {wire::FrameType::kFullHashRequest, obs::Channel::kFullHash,
+     &TransportStats::full_hash_requests, false},
+    {wire::FrameType::kUpdateRequest, obs::Channel::kV3Update,
+     &TransportStats::update_requests, true},
+    {wire::FrameType::kV4UpdateRequest, obs::Channel::kV4Update,
+     &TransportStats::v4_update_requests, true},
+    {wire::FrameType::kV1LookupRequest, obs::Channel::kV1Lookup,
+     &TransportStats::v1_requests, false},
+};
+
+}  // namespace
+
+const RequestChannel* request_channel(std::uint8_t tag) noexcept {
+  for (const RequestChannel& channel : kRequestChannels) {
+    if (static_cast<std::uint8_t>(channel.tag) == tag) return &channel;
+  }
+  return nullptr;
+}
+
+// Nothing but the encoded frame crosses exchange(), so nothing that is not
+// in the frame can reach the server, and the billed sizes are true wire
+// sizes.
+template <typename Request, typename Response>
+std::optional<Response> FrameTransport::send(
+    wire::FrameType tag, const Request& request,
+    std::vector<std::uint8_t> (*encode)(const Request&),
+    std::optional<Response> (*decode)(std::span<const std::uint8_t>)) {
+  const RequestChannel& channel =
+      *request_channel(static_cast<std::uint8_t>(tag));
+  if (refuse(channel)) {
+    ++stats_.failed_requests;
+    return std::nullopt;
+  }
+  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
+  const std::vector<std::uint8_t> request_frame = encode(request);
+  channel.count_request(stats_, request_frame.size());
+  const ResponseFrame response_frame = exchange(request_frame);
+  if (response_frame == nullptr) {
+    ++stats_.failed_requests;
+    return std::nullopt;
+  }
+  channel.count_response(stats_, response_frame->size());
+  std::optional<Response> response = decode(*response_frame);
+  if (!response) {
+    ++stats_.failed_requests;
+    return std::nullopt;
+  }
+  record_obs(channel.channel, request_frame.size(), response_frame->size(),
+             start_ns);
+  return response;
+}
+
+std::optional<FullHashResponse> FrameTransport::get_full_hashes_or_error(
     const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) {
-  if (round_trip_ > 0) clock_.advance(round_trip_);
-  if (fail_full_hashes_ > 0) {
-    --fail_full_hashes_;
-    ++stats_.failed_requests;
-    return std::nullopt;  // dropped before reaching the server
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      wire::encode_full_hash_request({cookie, prefixes});
-  stats_.bytes_up += request_frame.size();
-  const auto request = wire::decode_full_hash_request(request_frame);
-  if (!request) return std::nullopt;
-
-  if (tap_) tap_(request->cookie, request->prefixes);
-  ++stats_.full_hash_requests;
-  const FullHashResponse response = server_.get_full_hashes(
-      request->prefixes, request->cookie, clock_.now());
-
-  const std::vector<std::uint8_t> response_frame =
-      wire::encode_full_hash_response(response);
-  stats_.bytes_down += response_frame.size();
-  auto decoded = wire::decode_full_hash_response(response_frame);
-  if (decoded) {
-    record_obs(obs::Channel::kFullHash, request_frame.size(),
-               response_frame.size(), start_ns);
-  }
-  return decoded;
+  return send(wire::FrameType::kFullHashRequest,
+              wire::FullHashRequest{cookie, prefixes},
+              &wire::encode_full_hash_request,
+              &wire::decode_full_hash_response);
 }
 
-std::optional<UpdateResponse> InProcessTransport::fetch_update_or_error(
+std::optional<UpdateResponse> FrameTransport::fetch_update_or_error(
     const UpdateRequest& request) {
-  if (round_trip_ > 0) clock_.advance(round_trip_);
-  if (fail_updates_ > 0) {
-    --fail_updates_;
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      wire::encode_update_request(request);
-  stats_.bytes_up += request_frame.size();
-  stats_.update_bytes_up += request_frame.size();
-
-  ++stats_.update_requests;
-  const auto response_frame = server_.encoded_update_response(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  stats_.update_bytes_down += response_frame->size();
-  auto decoded = wire::decode_update_response(*response_frame);
-  if (decoded) {
-    record_obs(obs::Channel::kV3Update, request_frame.size(),
-               response_frame->size(), start_ns);
-  }
-  return decoded;
+  return send(wire::FrameType::kUpdateRequest, request,
+              &wire::encode_update_request, &wire::decode_update_response);
 }
 
-std::optional<V4UpdateResponse> InProcessTransport::fetch_v4_update_or_error(
+std::optional<V4UpdateResponse> FrameTransport::fetch_v4_update_or_error(
     const V4UpdateRequest& request) {
-  if (round_trip_ > 0) clock_.advance(round_trip_);
-  if (fail_updates_ > 0) {
-    --fail_updates_;
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      wire::encode_v4_update_request(request);
-  stats_.bytes_up += request_frame.size();
-  stats_.update_bytes_up += request_frame.size();
-
-  ++stats_.v4_update_requests;
-  const auto response_frame = server_.encoded_update_response(request_frame);
-  if (!response_frame) return std::nullopt;
-
-  stats_.bytes_down += response_frame->size();
-  stats_.update_bytes_down += response_frame->size();
-  auto decoded = wire::decode_v4_update_response(*response_frame);
-  if (decoded) {
-    record_obs(obs::Channel::kV4Update, request_frame.size(),
-               response_frame->size(), start_ns);
-  }
-  return decoded;
+  return send(wire::FrameType::kV4UpdateRequest, request,
+              &wire::encode_v4_update_request,
+              &wire::decode_v4_update_response);
 }
 
-std::optional<bool> InProcessTransport::lookup_v1_or_error(
-    std::string_view url, Cookie cookie) {
-  if (round_trip_ > 0) clock_.advance(round_trip_);
-  if (fail_v1_ > 0) {
-    --fail_v1_;
-    ++stats_.failed_requests;
-    return std::nullopt;
-  }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame =
-      wire::encode_v1_lookup_request({cookie, std::string(url)});
-  stats_.bytes_up += request_frame.size();
-  const auto request = wire::decode_v1_lookup_request(request_frame);
-  if (!request) return std::nullopt;
-
-  ++stats_.v1_requests;
-  const bool malicious =
-      server_.lookup_v1(request->url, request->cookie, clock_.now());
-
-  const std::vector<std::uint8_t> response_frame =
-      wire::encode_v1_lookup_response({malicious});
-  stats_.bytes_down += response_frame.size();
-  const auto response = wire::decode_v1_lookup_response(response_frame);
+std::optional<bool> FrameTransport::lookup_v1_or_error(std::string_view url,
+                                                       Cookie cookie) {
+  const auto response =
+      send(wire::FrameType::kV1LookupRequest,
+           wire::V1LookupRequest{cookie, std::string(url)},
+           &wire::encode_v1_lookup_request, &wire::decode_v1_lookup_response);
   if (!response) return std::nullopt;
-  record_obs(obs::Channel::kV1Lookup, request_frame.size(),
-             response_frame.size(), start_ns);
   return response->malicious;
+}
+
+bool InProcessTransport::refuse(const RequestChannel& request) {
+  if (round_trip_ > 0) clock_.advance(round_trip_);
+  unsigned& failures = request.update ? fail_updates_
+                       : request.channel == obs::Channel::kFullHash
+                           ? fail_full_hashes_
+                           : fail_v1_;
+  if (failures == 0) return false;
+  --failures;
+  return true;
+}
+
+ResponseFrame InProcessTransport::exchange(
+    const std::vector<std::uint8_t>& request_frame) {
+  return server_.serve_frame(request_frame, clock_.now());
 }
 
 }  // namespace sbp::sb

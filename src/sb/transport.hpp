@@ -10,15 +10,18 @@
 // bytes_up/bytes_down are true wire sizes and nothing that is not in a
 // frame can cross the boundary.
 //
-// Two implementations share the abstract interface:
+// FrameTransport writes the client half of that discipline once: encode
+// the request frame, bill it, exchange it, bill and decode the response,
+// record obs. Its two implementations supply only what differs -- the
+// pre-send refusal and the byte exchange:
 //   * InProcessTransport (this file) -- the deterministic golden path: the
-//     frame round-trips through encode/decode in one address space and the
-//     server is called directly. It advances a simulated tick clock to
-//     model network latency (the Lookup API was deprecated partly for its
-//     per-request round-trip, Section 2.2) and offers a wire tap so
-//     experiments can observe traffic like a network-level eavesdropper.
+//     frame is handed to Server::serve_frame in one address space. It
+//     advances a simulated tick clock to model network latency (the Lookup
+//     API was deprecated partly for its per-request round-trip, Section
+//     2.2) and injects failures on request.
 //   * net::SocketTransport (src/net/socket_transport.hpp) -- the same
-//     frames over a real TCP/Unix socket to a running sbserved daemon.
+//     frames over a real TCP/Unix socket to a running sbserved daemon,
+//     which serves them through the same Server::serve_frame.
 //
 // ProtocolClient and every mitigation talk to the abstract Transport only,
 // so they work unchanged over either.
@@ -29,13 +32,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "obs/phase.hpp"
 #include "sb/server.hpp"
+#include "sb/wire/frames.hpp"
 #include "util/counters.hpp"
 
 namespace sbp::sb {
@@ -85,6 +89,35 @@ struct TransportStats {
     return util::add_counters(*this, other);
   }
 };
+
+/// What one request frame is billed to: its obs channel, its request
+/// counter, and whether its bytes also count as update-channel bytes. The
+/// client transports and the daemon's wire totals both bill through it, so
+/// the two sides of a connection count identically.
+struct RequestChannel {
+  wire::FrameType tag;
+  obs::Channel channel;
+  std::uint64_t TransportStats::*requests;
+  bool update;
+
+  /// Bills one sent request frame: its counter and bytes_up.
+  void count_request(TransportStats& stats,
+                     std::size_t bytes) const noexcept {
+    ++(stats.*requests);
+    stats.bytes_up += bytes;
+    if (update) stats.update_bytes_up += bytes;
+  }
+  /// Bills the response frame it got.
+  void count_response(TransportStats& stats,
+                      std::size_t bytes) const noexcept {
+    stats.bytes_down += bytes;
+    if (update) stats.update_bytes_down += bytes;
+  }
+};
+
+/// The channel of a request frame's tag byte; nullptr for response tags
+/// and unknown bytes.
+[[nodiscard]] const RequestChannel* request_channel(std::uint8_t tag) noexcept;
 
 /// Abstract transport: the four wire endpoints plus the shared clock,
 /// byte accounting and per-channel observability. Implementations return
@@ -154,10 +187,49 @@ class Transport {
   obs::TransportObs* obs_ = nullptr;
 };
 
-/// The in-process reference transport: frames round-trip through the wire
-/// codecs in one address space and sb::Server is called directly. This is
-/// the deterministic golden path every networked run is compared against.
-class InProcessTransport final : public Transport {
+/// The client half of every frame exchange, written once. Each endpoint
+/// asks refuse() first; a refused request counts only failed_requests.
+/// Otherwise it encodes the request frame, bills it (request counter,
+/// bytes_up), hands it to exchange(), bills and decodes the response frame
+/// and records obs. A failed exchange or an undecodable response counts
+/// failed_requests and returns nullopt.
+class FrameTransport : public Transport {
+ public:
+  [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
+      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) final;
+  [[nodiscard]] std::optional<UpdateResponse> fetch_update_or_error(
+      const UpdateRequest& request) final;
+  [[nodiscard]] std::optional<V4UpdateResponse> fetch_v4_update_or_error(
+      const V4UpdateRequest& request) final;
+  [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
+                                                       Cookie cookie) final;
+
+ protected:
+  using Transport::Transport;
+
+  /// Called before every request, before anything is encoded or counted.
+  /// True refuses it: the request never reaches the server.
+  [[nodiscard]] virtual bool refuse(const RequestChannel& request) = 0;
+
+  /// Carries one request frame to the server; returns its response frame,
+  /// or nullptr when the exchange failed.
+  [[nodiscard]] virtual ResponseFrame exchange(
+      const std::vector<std::uint8_t>& request_frame) = 0;
+
+ private:
+  template <typename Request, typename Response>
+  [[nodiscard]] std::optional<Response> send(
+      wire::FrameType tag, const Request& request,
+      std::vector<std::uint8_t> (*encode)(const Request&),
+      std::optional<Response> (*decode)(std::span<const std::uint8_t>));
+};
+
+/// The in-process reference transport: each request frame is served by
+/// Server::serve_frame in this address space, and the response frame is
+/// decoded from the server's own bytes (a cached update encoding is never
+/// copied). This is the deterministic golden path every networked run is
+/// compared against.
+class InProcessTransport final : public FrameTransport {
  public:
   /// Latencies are in clock ticks per round trip. With
   /// `round_trip_ticks == 0` the transport never writes the clock, so many
@@ -165,36 +237,26 @@ class InProcessTransport final : public Transport {
   /// from concurrent threads -- they only read it.
   InProcessTransport(Server& server, SimClock& clock,
                      std::uint64_t round_trip_ticks = 50)
-      : Transport(clock), server_(server), round_trip_(round_trip_ticks) {}
-
-  [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
-      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) override;
-  [[nodiscard]] std::optional<UpdateResponse> fetch_update_or_error(
-      const UpdateRequest& request) override;
-  [[nodiscard]] std::optional<V4UpdateResponse> fetch_v4_update_or_error(
-      const V4UpdateRequest& request) override;
-  [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
-                                                       Cookie cookie) override;
+      : FrameTransport(clock), server_(server), round_trip_(round_trip_ticks) {}
 
   /// Failure injection: the next `n` requests of each kind fail at the
-  /// network level. Used to exercise the client's backoff (Section 2.2.1's
-  /// request-frequency discipline).
+  /// network level (v3 and v4 updates share one budget). Used to exercise
+  /// the client's backoff (Section 2.2.1's request-frequency discipline).
   void inject_full_hash_failures(unsigned n) { fail_full_hashes_ = n; }
   void inject_update_failures(unsigned n) { fail_updates_ = n; }
   void inject_v1_failures(unsigned n) { fail_v1_ = n; }
 
   [[nodiscard]] Server& server() noexcept { return server_; }
 
-  /// Wire tap invoked with every full-hash request (prefix list + cookie)
-  /// as decoded from the frame, before the server processes it.
-  using FullHashTap =
-      std::function<void(Cookie, const std::vector<crypto::Prefix32>&)>;
-  void set_full_hash_tap(FullHashTap tap) { tap_ = std::move(tap); }
-
  private:
+  /// Charges the round trip (a failed request costs one too), then spends
+  /// one injected failure of the request's kind if any is left.
+  bool refuse(const RequestChannel& request) override;
+  ResponseFrame exchange(
+      const std::vector<std::uint8_t>& request_frame) override;
+
   Server& server_;
   std::uint64_t round_trip_;
-  FullHashTap tap_;
   unsigned fail_full_hashes_ = 0;
   unsigned fail_updates_ = 0;
   unsigned fail_v1_ = 0;

@@ -28,10 +28,10 @@
 // traffic model's site LRU, a query-log buffer and a tick-metrics
 // accumulator -- so worker threads share only immutable state: the traffic
 // model, the clock (read-only during a tick) and the server's published
-// LookupSnapshot (lock-free reads; see sb/server.hpp). Client re-syncs run
-// inside the parallel phase too: the serial churn epoch seals every list
-// BEFORE the barrier opens, so concurrent updates read frozen server
-// state (the update path itself is mutex-guarded, and its encode-cache
+// LookupSnapshot (a pointer copy per read; see sb/server.hpp). Client
+// re-syncs run inside the parallel phase too: the serial churn epoch seals
+// every list BEFORE the barrier opens, so concurrent updates read frozen
+// server state (the update path itself is mutex-guarded, and its encode-cache
 // totals are order-independent -- see sb/server.hpp), touch only
 // shard-owned client state plus the population's mutex-guarded
 // sb::SyncStateCache (one apply+rebuild per distinct state transition,
@@ -300,7 +300,7 @@ class Engine {
     /// s holds, ascending, the shard's users polling for updates at ticks
     /// == s (mod resync_cadence()). The re-sync phase runs INSIDE
     /// tick_shard -- updates touch only shard-owned state (client stores,
-    /// the shard transport) plus the server's lock-free snapshot reads and
+    /// the shard transport) plus the server's snapshot reads and
     /// its mutex-guarded update path, and produce no query-log entries, so
     /// parallelizing them preserves the log and every counter bit-for-bit.
     /// Empty when churn is off.

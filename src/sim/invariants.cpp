@@ -298,13 +298,13 @@ void check_checkpoint_restore(const Scenario& base, Collector& collect) {
   }
   const auto v3_frame = sb::wire::encode_update_request(v3_request);
   const auto v4_frame = sb::wire::encode_v4_update_request(v4_request);
-  const auto v3_original = original.encoded_update_response(v3_frame);
-  const auto v3_restored = restored.encoded_update_response(v3_frame);
+  const auto v3_original = original.serve_frame(v3_frame, /*tick=*/0);
+  const auto v3_restored = restored.serve_frame(v3_frame, /*tick=*/0);
   collect.law(v3_original != nullptr && v3_restored != nullptr &&
                   *v3_original == *v3_restored,
               "v3 update response bytes differ after restore");
-  const auto v4_original = original.encoded_update_response(v4_frame);
-  const auto v4_restored = restored.encoded_update_response(v4_frame);
+  const auto v4_original = original.serve_frame(v4_frame, /*tick=*/0);
+  const auto v4_restored = restored.serve_frame(v4_frame, /*tick=*/0);
   collect.law(v4_original != nullptr && v4_restored != nullptr &&
                   *v4_original == *v4_restored,
               "v4 update response bytes differ after restore");

@@ -100,13 +100,13 @@ TEST(ServerSnapshotTest, RestoredServerIsByteIndistinguishable) {
   // (chunks, slices, checksums, minimum wait) from either server.
   const auto v3 = fresh_v3_frame(original);
   const auto v4 = fresh_v4_frame(original);
-  const auto v3_a = original.encoded_update_response(v3);
-  const auto v3_b = restored.encoded_update_response(v3);
+  const auto v3_a = original.serve_frame(v3, /*tick=*/0);
+  const auto v3_b = restored.serve_frame(v3, /*tick=*/0);
   ASSERT_NE(v3_a, nullptr);
   ASSERT_NE(v3_b, nullptr);
   EXPECT_EQ(*v3_a, *v3_b);
-  const auto v4_a = original.encoded_update_response(v4);
-  const auto v4_b = restored.encoded_update_response(v4);
+  const auto v4_a = original.serve_frame(v4, /*tick=*/0);
+  const auto v4_b = restored.serve_frame(v4, /*tick=*/0);
   ASSERT_NE(v4_a, nullptr);
   ASSERT_NE(v4_b, nullptr);
   EXPECT_EQ(*v4_a, *v4_b);
@@ -143,8 +143,8 @@ TEST(ServerSnapshotTest, OpenChunkSealsIdenticallyAfterRestore) {
   }
   EXPECT_EQ(original.checkpoint_bytes(), restored.checkpoint_bytes());
   const auto v3 = fresh_v3_frame(original);
-  const auto a = original.encoded_update_response(v3);
-  const auto b = restored.encoded_update_response(v3);
+  const auto a = original.serve_frame(v3, /*tick=*/0);
+  const auto b = restored.serve_frame(v3, /*tick=*/0);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(*a, *b);

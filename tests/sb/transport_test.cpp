@@ -65,29 +65,54 @@ TEST_F(TransportTest, V4UpdateBytesAreEncodedFrameSizes) {
             wire::encode_v4_update_response(*response).size());
 }
 
-TEST_F(TransportTest, TapSeesRequestsBeforeServer) {
-  Cookie tapped_cookie = 0;
-  std::vector<crypto::Prefix32> tapped_prefixes;
-  transport_.set_full_hash_tap(
-      [&](Cookie cookie, const std::vector<crypto::Prefix32>& prefixes) {
-        tapped_cookie = cookie;
-        tapped_prefixes = prefixes;
-      });
-  (void)transport_.get_full_hashes({0xAA, 0xBB}, 42);
-  EXPECT_EQ(tapped_cookie, 42u);
-  EXPECT_EQ(tapped_prefixes, (std::vector<crypto::Prefix32>{0xAA, 0xBB}));
-}
+TEST_F(TransportTest, RepliesEqualServeFrameOnAllFourChannels) {
+  // The transport adds nothing to the server's bytes: on every channel the
+  // decoded reply re-encodes to exactly what Server::serve_frame returns
+  // for the same request frame on an identically seeded twin server.
+  Server twin;
+  twin.add_expression("list", "evil.example/");
+  twin.seal_chunk("list");
+  std::uint64_t reply_bytes = 0;
+  const auto serve = [&](const std::vector<std::uint8_t>& request) {
+    const ResponseFrame reply = twin.serve_frame(request, clock_.now());
+    EXPECT_NE(reply, nullptr);
+    if (reply == nullptr) return std::vector<std::uint8_t>{};
+    reply_bytes += reply->size();
+    return *reply;
+  };
 
-TEST_F(TransportTest, TapNotCalledOnInjectedFailure) {
-  int taps = 0;
-  transport_.set_full_hash_tap(
-      [&](Cookie, const std::vector<crypto::Prefix32>&) { ++taps; });
-  transport_.inject_full_hash_failures(1);
-  EXPECT_FALSE(transport_.get_full_hashes_or_error({0x1}, 1).has_value());
-  EXPECT_EQ(taps, 0);
-  // Next request goes through.
-  EXPECT_TRUE(transport_.get_full_hashes_or_error({0x1}, 1).has_value());
-  EXPECT_EQ(taps, 1);
+  const std::vector<crypto::Prefix32> prefixes = {
+      crypto::prefix32_of("evil.example/"), 0x1234};
+  const auto full_hash = transport_.get_full_hashes_or_error(prefixes, 7);
+  ASSERT_TRUE(full_hash.has_value());
+  EXPECT_EQ(wire::encode_full_hash_response(*full_hash),
+            serve(wire::encode_full_hash_request({7, prefixes})));
+
+  UpdateRequest update;
+  update.lists.push_back({"list", {}, {}});
+  const auto v3 = transport_.fetch_update_or_error(update);
+  ASSERT_TRUE(v3.has_value());
+  EXPECT_EQ(wire::encode_update_response(*v3),
+            serve(wire::encode_update_request(update)));
+
+  V4UpdateRequest v4_update;
+  v4_update.lists.push_back({"list", 0});
+  const auto v4 = transport_.fetch_v4_update_or_error(v4_update);
+  ASSERT_TRUE(v4.has_value());
+  EXPECT_EQ(wire::encode_v4_update_response(*v4),
+            serve(wire::encode_v4_update_request(v4_update)));
+
+  const auto malicious =
+      transport_.lookup_v1_or_error("http://evil.example/", 9);
+  ASSERT_TRUE(malicious.has_value());
+  EXPECT_TRUE(*malicious);
+  EXPECT_EQ(wire::encode_v1_lookup_response({*malicious}),
+            serve(wire::encode_v1_lookup_request({9, "http://evil.example/"})));
+
+  // Same observations at the same ticks, and the transport billed exactly
+  // the served bytes.
+  EXPECT_EQ(server_.query_log(), twin.query_log());
+  EXPECT_EQ(transport_.stats().bytes_down, reply_bytes);
 }
 
 TEST_F(TransportTest, FailureStillAdvancesClock) {

@@ -1,4 +1,4 @@
-// The encode-once/fan-out cache on Server::encoded_update_response: a
+// The encode-once/fan-out cache behind Server::serve_frame's update frames: a
 // fleet of clients resyncing from the same state token must be served one
 // shared encoding (byte-identical to a fresh encode), and EVERY mutation
 // path -- add_expression, seal_chunk, set_minimum_wait -- must drop the
@@ -36,11 +36,11 @@ TEST(UpdateEncodeCacheTest, SecondIdenticalRequestIsAHit) {
   Server server = seeded_server();
   const auto request = v3_request_from_scratch();
 
-  const auto first = server.encoded_update_response(request);
+  const auto first = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 0u);
 
-  const auto second = server.encoded_update_response(request);
+  const auto second = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 1u);
   // Fan-out shares the ONE buffer, not a copy of it.
@@ -55,9 +55,9 @@ TEST(UpdateEncodeCacheTest, HitBytesEqualAFreshEncode) {
   Server fresh = seeded_server();
   const auto request = v4_request_from_scratch();
 
-  const auto warm = cached.encoded_update_response(request);
-  const auto hit = cached.encoded_update_response(request);
-  const auto reference = fresh.encoded_update_response(request);
+  const auto warm = cached.serve_frame(request, /*tick=*/0);
+  const auto hit = cached.serve_frame(request, /*tick=*/0);
+  const auto reference = fresh.serve_frame(request, /*tick=*/0);
   ASSERT_NE(hit, nullptr);
   ASSERT_NE(reference, nullptr);
   EXPECT_EQ(cached.update_encode_cache_hits(), 1u);
@@ -67,8 +67,8 @@ TEST(UpdateEncodeCacheTest, HitBytesEqualAFreshEncode) {
 
 TEST(UpdateEncodeCacheTest, DistinctStateTokensAreDistinctEntries) {
   Server server = seeded_server();
-  const auto from_scratch = server.encoded_update_response(
-      v4_request_from_scratch());
+  const auto from_scratch = server.serve_frame(
+      v4_request_from_scratch(), /*tick=*/0);
   ASSERT_NE(from_scratch, nullptr);
   const auto decoded = wire::decode_v4_update_response(*from_scratch);
   ASSERT_TRUE(decoded.has_value());
@@ -76,30 +76,32 @@ TEST(UpdateEncodeCacheTest, DistinctStateTokensAreDistinctEntries) {
 
   // A client already at the new state asks again: different request
   // bytes, so a miss -- and a different (empty-diff) response.
-  const auto synced = server.encoded_update_response(
-      wire::encode_v4_update_request({{{kList, decoded->lists[0].new_state}}}));
+  const auto synced = server.serve_frame(
+      wire::encode_v4_update_request({{{kList, decoded->lists[0].new_state}}}),
+      /*tick=*/0);
   ASSERT_NE(synced, nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 0u);
   EXPECT_NE(*synced, *from_scratch);
 
   // Both entries now live side by side; each repeat is a hit.
-  (void)server.encoded_update_response(v4_request_from_scratch());
-  (void)server.encoded_update_response(
-      wire::encode_v4_update_request({{{kList, decoded->lists[0].new_state}}}));
+  (void)server.serve_frame(v4_request_from_scratch(), /*tick=*/0);
+  (void)server.serve_frame(
+      wire::encode_v4_update_request({{{kList, decoded->lists[0].new_state}}}),
+      /*tick=*/0);
   EXPECT_EQ(server.update_encode_cache_hits(), 2u);
 }
 
 TEST(UpdateEncodeCacheTest, ListMutationInvalidates) {
   Server server = seeded_server();
   const auto request = v3_request_from_scratch();
-  const auto before = server.encoded_update_response(request);
+  const auto before = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(before, nullptr);
 
   server.add_expression(kList, "fresh-threat.example/");
   server.seal_chunk(kList);
 
   // Not a hit: the cached diff predates the new chunk.
-  const auto after = server.encoded_update_response(request);
+  const auto after = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 0u);
   EXPECT_NE(*after, *before);
@@ -113,11 +115,11 @@ TEST(UpdateEncodeCacheTest, ListMutationInvalidates) {
 TEST(UpdateEncodeCacheTest, SetMinimumWaitInvalidates) {
   Server server = seeded_server();
   const auto request = v4_request_from_scratch();
-  const auto before = server.encoded_update_response(request);
+  const auto before = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(before, nullptr);
 
   server.set_minimum_wait(9);
-  const auto after = server.encoded_update_response(request);
+  const auto after = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 0u)
       << "the wait is baked into the encoding; a stale hit would serve "
@@ -129,15 +131,15 @@ TEST(UpdateEncodeCacheTest, SetMinimumWaitInvalidates) {
 
 TEST(UpdateEncodeCacheTest, UndecodableAndEmptyFramesAreRejected) {
   Server server = seeded_server();
-  EXPECT_EQ(server.encoded_update_response({}), nullptr);
-  // A full-hash request is not an update request.
-  EXPECT_EQ(server.encoded_update_response(
-                wire::encode_full_hash_request({1, {0x01020304}})),
+  EXPECT_EQ(server.serve_frame({}, /*tick=*/0), nullptr);
+  // An update response is not a request.
+  EXPECT_EQ(server.serve_frame(wire::encode_update_response({}), /*tick=*/0),
             nullptr);
   // Truncated v3 update request: correct tag, garbage body.
-  EXPECT_EQ(server.encoded_update_response(
+  EXPECT_EQ(server.serve_frame(
                 {static_cast<std::uint8_t>(wire::FrameType::kUpdateRequest),
-                 0xFF}),
+                 0xFF},
+                /*tick=*/0),
             nullptr);
   EXPECT_EQ(server.update_encode_cache_hits(), 0u);
 }
@@ -145,16 +147,16 @@ TEST(UpdateEncodeCacheTest, UndecodableAndEmptyFramesAreRejected) {
 TEST(UpdateEncodeCacheTest, CopiedServerStartsCold) {
   Server server = seeded_server();
   const auto request = v3_request_from_scratch();
-  (void)server.encoded_update_response(request);
-  (void)server.encoded_update_response(request);
+  (void)server.serve_frame(request, /*tick=*/0);
+  (void)server.serve_frame(request, /*tick=*/0);
   ASSERT_EQ(server.update_encode_cache_hits(), 1u);
 
   Server copy(server);
   EXPECT_EQ(copy.update_encode_cache_hits(), 0u);
-  const auto from_copy = copy.encoded_update_response(request);
+  const auto from_copy = copy.serve_frame(request, /*tick=*/0);
   ASSERT_NE(from_copy, nullptr);
   EXPECT_EQ(copy.update_encode_cache_hits(), 0u);  // first answer: a miss
-  const auto from_original = server.encoded_update_response(request);
+  const auto from_original = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(from_original, nullptr);
   EXPECT_EQ(*from_copy, *from_original);
 }

@@ -3,7 +3,9 @@
 // format allows. Covers the legacy chunk format AND every
 // protocol frame type (v1 lookup, v3 update, full-hash, v4 sliced update):
 // random soup, truncations of valid frames, and single-byte corruption.
-// Deterministic seeds keep failures reproducible.
+// The same inputs also go through Server::serve_frame, the byte-level
+// dispatch both transports share. Deterministic seeds keep failures
+// reproducible.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -21,6 +23,17 @@ std::vector<std::uint8_t> random_bytes(util::Rng& rng, std::size_t max_len) {
   std::vector<std::uint8_t> out(rng.next_below(max_len + 1));
   for (auto& byte : out) byte = static_cast<std::uint8_t>(rng.next());
   return out;
+}
+
+/// Random bytes behind a valid tag byte, so the fuzz reaches the body
+/// parsers instead of dying at the tag check.
+std::vector<std::uint8_t> tagged_random_bytes(util::Rng& rng,
+                                              std::size_t max_len) {
+  static constexpr std::uint8_t kTags[] = {0x11, 0x12, 0x31, 0x32,
+                                           0x33, 0x34, 0x41, 0x42};
+  auto bytes = random_bytes(rng, max_len);
+  bytes.insert(bytes.begin(), kTags[rng.next_below(std::size(kTags))]);
+  return bytes;
 }
 
 class WireFuzzTest : public ::testing::TestWithParam<int> {};
@@ -128,12 +141,8 @@ TEST_P(WireFuzzTest, FrameDecodersSurviveTaggedRandomSoup) {
   // Same, but with a valid tag byte up front so the fuzz reaches the body
   // parsers instead of dying at the tag check.
   util::Rng rng(600 + GetParam());
-  const std::uint8_t tags[] = {0x11, 0x12, 0x31, 0x32, 0x33, 0x34,
-                               0x41, 0x42};
   for (int i = 0; i < 2000; ++i) {
-    auto bytes = random_bytes(rng, 128);
-    bytes.insert(bytes.begin(), tags[rng.next_below(std::size(tags))]);
-    exercise_all_decoders(bytes);
+    exercise_all_decoders(tagged_random_bytes(rng, 128));
   }
 }
 
@@ -208,6 +217,73 @@ TEST_P(WireFuzzTest, FrameTruncationsAlwaysError) {
       EXPECT_FALSE(wire::decode_v4_update_response(prefix).has_value());
     }
   }
+}
+
+// -- Server::serve_frame ----------------------------------------------------
+
+/// A server holding the lists the golden frames name, so fuzzed update
+/// requests reach real diffs.
+Server fuzz_server() {
+  Server server;
+  server.add_expression("goog-malware-shavar", "evil.example/");
+  server.add_orphan_prefix("goog-malware-shavar", 0x01020304);
+  server.seal_chunk("goog-malware-shavar");
+  server.add_expression("goog-malware-proto", "worse.example/path");
+  server.seal_chunk("goog-malware-proto");
+  return server;
+}
+
+/// Serves `frame`: it must get a reply exactly when it decodes as one of
+/// the four requests, the reply must be that request's response frame,
+/// and a frame without a reply must log no query.
+void expect_serve_frame_contract(Server& server,
+                                 const std::vector<std::uint8_t>& frame) {
+  const bool request = wire::decode_full_hash_request(frame) ||
+                       wire::decode_v1_lookup_request(frame) ||
+                       wire::decode_update_request(frame) ||
+                       wire::decode_v4_update_request(frame);
+  const std::size_t logged = server.query_log().size();
+  const ResponseFrame reply = server.serve_frame(frame, /*tick=*/9);
+  ASSERT_EQ(reply != nullptr, request);
+  if (reply == nullptr) {
+    EXPECT_EQ(server.query_log().size(), logged);
+    return;
+  }
+  ASSERT_FALSE(reply->empty());
+  EXPECT_EQ((*reply)[0], frame[0] + 1);  // each response tag = request + 1
+  exercise_all_decoders(*reply);
+}
+
+TEST_P(WireFuzzTest, ServeFrameAnswersOnlyDecodableRequests) {
+  util::Rng rng(1300 + GetParam());
+  Server server = fuzz_server();
+  for (int i = 0; i < 1000; ++i) {
+    expect_serve_frame_contract(server, random_bytes(rng, 128));
+    expect_serve_frame_contract(server, tagged_random_bytes(rng, 128));
+  }
+  for (const auto& golden : golden_frames(rng)) {
+    expect_serve_frame_contract(server, golden);
+    for (int i = 0; i < 300; ++i) {
+      auto mutated = golden;
+      mutated[rng.next_below(mutated.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.next_below(255));
+      expect_serve_frame_contract(server, mutated);
+    }
+  }
+}
+
+TEST_P(WireFuzzTest, ServeFrameIgnoresTruncatedFrames) {
+  util::Rng rng(1400 + GetParam());
+  Server server = fuzz_server();
+  for (const auto& golden : golden_frames(rng)) {
+    for (std::size_t cut = 0; cut < golden.size(); ++cut) {
+      const std::vector<std::uint8_t> truncated(
+          golden.begin(), golden.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_EQ(server.serve_frame(truncated, /*tick=*/9), nullptr);
+    }
+  }
+  EXPECT_TRUE(server.query_log().empty());
+  EXPECT_EQ(server.update_encode_cache_hits(), 0u);
 }
 
 TEST_P(WireFuzzTest, RiceDecoderSurvivesRandomSoup) {

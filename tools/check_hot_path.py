@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes and no planner strings on the hot path.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, one request dispatch.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -18,10 +18,19 @@ The tick planner (src/sim/user.cpp) deals only in 64-bit visit ids: a URL
 string is built only on a URL-cache miss, where it is consumed.  Naming
 `std::string` there would bring per-visit string traffic back into the plan.
 
+Requests are dispatched once: Server::serve_frame decodes a request frame,
+serves it and encodes the reply, and both the in-process transport and the
+socket daemon hand it raw frames.  A file under src/net/ that names a
+request tag (FrameType::k...Request) or calls a frame codec
+(encode_/decode_ of a v1 lookup, full-hash, update or v4 update frame)
+brings back a second dispatch whose query log and byte counts the
+equivalence tests would have to reconcile.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
-override, if any hot-path file contains a scalar membership call, or if a
-string-free file names std::string.  Line comments and block comments are
-stripped before matching so prose mentioning the forbidden API is fine.
+override, if any hot-path file contains a scalar membership call, if a
+string-free file names std::string, or if a file under src/net/ dispatches
+frames itself.  Line comments and block comments are stripped before
+matching so prose mentioning the forbidden API is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
 """
@@ -56,6 +65,15 @@ FORBIDDEN = [
 # in visit ids.
 STRING_FREE_FILES = ["src/sim/user.cpp"]
 STD_STRING = re.compile(r"\bstd::string\b")
+
+# Files that carry frames without looking inside them: no request tags and
+# no frame codec calls (the envelope codec is fine).
+FRAME_CARRIER_DIRS = ["src/net"]
+FRAME_DISPATCH = [
+    (re.compile(r"\bFrameType::k\w*Request\b"), "request tag"),
+    (re.compile(r"\b(?:encode|decode)_(?:v1_lookup|full_hash|update|v4_update)_"
+                r"(?:request|response)\s*\("), "frame codec call"),
+]
 
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
@@ -116,18 +134,35 @@ def main() -> int:
                 violations.append((rel, lineno, "std::string in the planner",
                                    line.strip()))
 
+    carriers = sorted(path for folder in FRAME_CARRIER_DIRS
+                      for path in (root / folder).rglob("*")
+                      if path.suffix in (".cpp", ".hpp"))
+    if not carriers:
+        print("check_hot_path: no sources under " + ", ".join(FRAME_CARRIER_DIRS),
+              file=sys.stderr)
+        return 1
+    for path in carriers:
+        rel = path.relative_to(root).as_posix()
+        stripped = strip_comments(path.read_text())
+        for lineno, line in enumerate(stripped.splitlines(), start=1):
+            for pattern, label in FRAME_DISPATCH:
+                if pattern.search(line):
+                    violations.append((rel, lineno, f"frame dispatch ({label})",
+                                       line.strip()))
+
     if violations:
         print("check_hot_path: forbidden declarations, calls or types:")
         for rel, lineno, label, text in violations:
             print(f"  {rel}:{lineno}: {label}: {text}")
         print("override only contains_many / local_contains_many; call the batch "
               "forms on the hot path; plan visit ids, build URLs via "
-              "TrafficModel::url_of")
+              "TrafficModel::url_of; hand src/net frames to Server::serve_frame")
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
           f"{len(HOT_PATH_FILES)} hot-path files batch-only, "
-          f"{len(STRING_FREE_FILES)} string-free)")
+          f"{len(STRING_FREE_FILES)} string-free, "
+          f"{len(carriers)} src/net files frame-opaque)")
     return 0
 
 
