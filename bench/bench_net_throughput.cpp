@@ -7,22 +7,25 @@
 //
 //   1. the reference in-process run (the cost of the simulation itself);
 //   2. the same client fleet with every per-user transport replaced by a
-//      net::SocketTransport talking to a net::Daemon on a background
-//      thread over a Unix socket in /tmp.
+//      net::SocketTransport talking to a fresh net::Daemon on a background
+//      thread over a Unix socket in /tmp -- bench::kSamples (5) times.
 //
-// Both legs must agree on every deterministic observable (query-log
-// fingerprint, wire-byte totals) -- the equivalence contract of
-// docs/networking.md at bench scale; any divergence exits 2, like the
-// determinism gate in bench_sim_throughput. The JSON artifact
-// (BENCH_net.json, --out overrides) reports socket-leg request throughput,
-// per-channel client-observed round-trip latency percentiles, and byte
-// counters; tools/compare_bench.py gates requests_per_sec and p99 latency
-// against bench/baselines/BENCH_net.json.
+// Every socket sample must match the in-process leg under sim::run_diff
+// (golden block plus every engine, population and wire counter, with the
+// daemon's query log standing in for the fleet's) -- the equivalence
+// contract of docs/networking.md at bench scale; any divergence names the
+// field and exits 2, like the determinism gate in bench_sim_throughput.
+// The JSON artifact (BENCH_net.json, --out overrides) reports the socket
+// sample with the median run_seconds: request throughput, per-channel
+// client-observed round-trip latency percentiles, and byte counters;
+// tools/compare_bench.py gates requests_per_sec and p99 latency against
+// bench/baselines/BENCH_net.json.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -34,17 +37,18 @@
 #include "obs/phase.hpp"
 #include "sim/engine.hpp"
 #include "sim/log_sink.hpp"
+#include "sim/scenario/runner.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+namespace json = sbp::util::json;
+using sbp::bench::rounded;
+using sbp::sim::ScenarioRunResult;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-sbp::sim::SimConfig bench_config(std::size_t users, std::uint64_t ticks) {
-  sbp::sim::SimConfig config;
+sbp::sim::Scenario bench_scenario(std::size_t users, std::uint64_t ticks) {
+  sbp::sim::Scenario scenario;
+  scenario.name = "net-throughput";
+  sbp::sim::SimConfig& config = scenario.config;
   config.num_users = users;
   config.ticks = ticks;
   config.num_shards = 8;
@@ -59,35 +63,63 @@ sbp::sim::SimConfig bench_config(std::size_t users, std::uint64_t ticks) {
   config.mix_fraction = 0.5;  // both update protocols on the wire
   config.full_hash_ttl = 16;
   config.collect_metrics = true;  // per-channel latency histograms
-  return config;
+  return scenario;
 }
 
-struct Leg {
-  double run_seconds = 0.0;
-  sbp::sim::SimMetrics metrics;
-  sbp::sb::TransportStats wire;
-  sbp::obs::TransportObs channels;
-  std::uint64_t log_fingerprint = 0;
-  std::uint64_t log_entries = 0;
+/// One socket-leg run plus the daemon-side figures the artifact reports.
+struct SocketSample {
+  ScenarioRunResult run;
+  std::uint64_t frames_served = 0;
+  std::uint64_t update_encode_cache_hits = 0;
 };
 
-Leg run_leg(const sbp::sim::SimConfig& config, sbp::sim::CountingSink* sink) {
-  Leg leg;
-  sbp::sim::Engine engine(config);
-  if (sink != nullptr) {
-    engine.attach_sink(sink, /*retain_in_memory=*/false);
+/// Runs the fleet against a fresh daemon (serving a zero-user engine
+/// seeded from the same config) on a background thread. Update serving
+/// mutates server state, so each sample gets its own. The daemon's query
+/// log goes into the run's log_* fields: the fleet's local server never
+/// sees a query.
+SocketSample socket_sample(const sbp::sim::Scenario& scenario) {
+  sbp::sim::SimConfig server_config = scenario.config;
+  server_config.num_users = 0;
+  server_config.collect_metrics = false;
+  sbp::sim::Engine server_engine(server_config);
+  sbp::sim::CountingSink daemon_log;
+  server_engine.attach_sink(&daemon_log, /*retain_in_memory=*/false);
+
+  sbp::net::Daemon daemon(server_engine.server());
+  const std::string socket_path =
+      "/tmp/sbp_bench_net_" + std::to_string(::getpid()) + ".sock";
+  const std::string endpoint = "unix:" + socket_path;
+  std::string error;
+  if (!daemon.listen(endpoint, &error)) {
+    std::fprintf(stderr, "listen failed: %s\n", error.c_str());
+    std::exit(1);
   }
-  const auto start = Clock::now();
-  engine.run();
-  leg.run_seconds = seconds_since(start);
-  leg.metrics = engine.metrics();
-  leg.wire = engine.transport_stats();
-  leg.channels.merge_from(engine.obs_snapshot().transport);
-  if (sink != nullptr) {
-    leg.log_fingerprint = sink->fingerprint();
-    leg.log_entries = sink->entries();
-  }
-  return leg;
+  std::atomic<bool> stop{false};
+  std::thread daemon_thread([&] {
+    while (!stop.load(std::memory_order_relaxed)) daemon.poll_once(20);
+  });
+
+  sbp::sim::Scenario client = scenario;
+  client.config.transport_factory = [&endpoint](std::size_t,
+                                                sbp::sb::SimClock& clock) {
+    return std::make_unique<sbp::net::SocketTransport>(endpoint, clock);
+  };
+  SocketSample sample{sbp::sim::run_scenario(client)};
+
+  stop.store(true, std::memory_order_relaxed);
+  daemon_thread.join();
+  daemon.shutdown(/*drain_ms=*/1000);
+  std::remove(socket_path.c_str());
+
+  sample.run.log_entries = daemon_log.entries();
+  sample.run.log_prefixes = daemon_log.prefixes();
+  sample.run.log_multi_prefix_entries = daemon_log.multi_prefix_entries();
+  sample.run.log_fingerprint = daemon_log.fingerprint();
+  sample.frames_served = daemon.stats().frames_served;
+  sample.update_encode_cache_hits =
+      server_engine.server().update_encode_cache_hits();
+  return sample;
 }
 
 std::uint64_t total_requests(const sbp::sb::TransportStats& wire) {
@@ -108,143 +140,92 @@ int main(int argc, char** argv) {
   sbp::bench::header("net_throughput",
                      "client fleet -> Unix socket -> sbserved event loop, "
                      "vs the in-process transport");
-  std::printf("population: %zu users x %llu ticks\n", users,
-              static_cast<unsigned long long>(ticks));
+  std::printf("population: %zu users x %llu ticks, %zu socket samples\n",
+              users, static_cast<unsigned long long>(ticks),
+              sbp::bench::kSamples);
 
-  const sbp::sim::SimConfig config = bench_config(users, ticks);
+  const sbp::sim::Scenario scenario = bench_scenario(users, ticks);
 
   // Leg 1: in-process reference.
-  sbp::sim::CountingSink in_process_log;
-  const Leg in_process = run_leg(config, &in_process_log);
+  const ScenarioRunResult in_process = sbp::sim::run_scenario(scenario);
   std::printf("in-process: %.3f s, %llu requests, fingerprint 0x%016llx\n",
               in_process.run_seconds,
               static_cast<unsigned long long>(total_requests(in_process.wire)),
               static_cast<unsigned long long>(in_process.log_fingerprint));
 
-  // Leg 2: the daemon (serving a zero-user engine seeded from the same
-  // config) on a background thread, the fleet over SocketTransports.
-  sbp::sim::SimConfig server_config = config;
-  server_config.num_users = 0;
-  server_config.collect_metrics = false;
-  sbp::sim::Engine server_engine(server_config);
-  sbp::sim::CountingSink daemon_log;
-  server_engine.attach_sink(&daemon_log, /*retain_in_memory=*/false);
-
-  sbp::net::Daemon daemon(server_engine.server());
-  const std::string socket_path =
-      "/tmp/sbp_bench_net_" + std::to_string(::getpid()) + ".sock";
-  std::string error;
-  if (!daemon.listen("unix:" + socket_path, &error)) {
-    std::fprintf(stderr, "listen failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::atomic<bool> stop{false};
-  std::thread daemon_thread([&] {
-    while (!stop.load(std::memory_order_relaxed)) daemon.poll_once(20);
+  // Leg 2: the fleet over sockets, every sample held to leg 1.
+  bool equivalent = true;
+  const SocketSample socket = sbp::bench::median_sample([&] {
+    SocketSample sample = socket_sample(scenario);
+    const std::vector<std::string> diffs =
+        sbp::sim::run_diff(sample.run, in_process);
+    if (!diffs.empty()) {
+      equivalent = false;
+      std::fprintf(stderr,
+                   "EQUIVALENCE FAILURE: socket run diverged from "
+                   "in-process:\n");
+      for (const std::string& diff : diffs) {
+        std::fprintf(stderr, "  %s\n", diff.c_str());
+      }
+    }
+    return sample;
   });
 
-  sbp::sim::SimConfig client_config = config;
-  const std::string endpoint = "unix:" + socket_path;
-  client_config.transport_factory = [&endpoint](std::size_t,
-                                                sbp::sb::SimClock& clock) {
-    return std::make_unique<sbp::net::SocketTransport>(endpoint, clock);
-  };
-  const Leg socket_leg = run_leg(client_config, nullptr);
-
-  stop.store(true, std::memory_order_relaxed);
-  daemon_thread.join();
-  daemon.shutdown(/*drain_ms=*/1000);
-  std::remove(socket_path.c_str());
-
-  const std::uint64_t requests = total_requests(socket_leg.wire);
+  const ScenarioRunResult& run = socket.run;
+  const std::uint64_t requests = total_requests(run.wire);
   const double requests_per_sec =
-      static_cast<double>(requests) / socket_leg.run_seconds;
-  std::printf("socket:     %.3f s, %llu requests, %.0f req/s "
+      static_cast<double>(requests) / run.run_seconds;
+  std::printf("socket:     %.3f s (median), %llu requests, %.0f req/s "
               "(daemon fingerprint 0x%016llx)\n",
-              socket_leg.run_seconds,
-              static_cast<unsigned long long>(requests), requests_per_sec,
-              static_cast<unsigned long long>(daemon_log.fingerprint()));
+              run.run_seconds, static_cast<unsigned long long>(requests),
+              requests_per_sec,
+              static_cast<unsigned long long>(run.log_fingerprint));
 
-  // The equivalence gate: socket leg == in-process leg, bit for bit, on
-  // everything deterministic. The daemon-side log stands in for the
-  // socket leg's client-side log (its local server never sees a query).
-  const bool equivalent =
-      socket_leg.wire.failed_requests == 0 &&
-      daemon_log.fingerprint() == in_process.log_fingerprint &&
-      daemon_log.entries() == in_process.log_entries &&
-      socket_leg.wire.bytes_up == in_process.wire.bytes_up &&
-      socket_leg.wire.bytes_down == in_process.wire.bytes_down &&
-      total_requests(socket_leg.wire) == total_requests(in_process.wire) &&
-      socket_leg.metrics.malicious_verdicts ==
-          in_process.metrics.malicious_verdicts;
-  if (!equivalent) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE FAILURE: socket run diverged from in-process "
-                 "(failed_requests=%llu, fingerprint 0x%016llx vs "
-                 "0x%016llx)\n",
-                 static_cast<unsigned long long>(
-                     socket_leg.wire.failed_requests),
-                 static_cast<unsigned long long>(daemon_log.fingerprint()),
-                 static_cast<unsigned long long>(in_process.log_fingerprint));
-  }
-
-  std::string json = "{\n";
-  const auto append = [&](const char* format, auto... values) {
-    sbp::bench::json_append(json, format, values...);
-  };
-  append("  \"experiment\": \"net_throughput\",\n");
-  append("  \"transport\": \"unix\",\n");
-  append("  \"users\": %zu,\n", users);
-  append("  \"ticks\": %llu,\n", static_cast<unsigned long long>(ticks));
-  append("  \"seed\": %llu,\n", static_cast<unsigned long long>(config.seed));
-  append("  \"run_seconds\": %.3f,\n", socket_leg.run_seconds);
-  append("  \"in_process_run_seconds\": %.3f,\n", in_process.run_seconds);
-  append("  \"socket_slowdown\": %.2f,\n",
-         in_process.run_seconds > 0.0
-             ? socket_leg.run_seconds / in_process.run_seconds
-             : 0.0);
-  append("  \"requests\": %llu,\n", static_cast<unsigned long long>(requests));
-  append("  \"requests_per_sec\": %.0f,\n", requests_per_sec);
-  append("  \"failed_requests\": %llu,\n",
-         static_cast<unsigned long long>(socket_leg.wire.failed_requests));
-  append("  \"wire_bytes_up\": %llu,\n",
-         static_cast<unsigned long long>(socket_leg.wire.bytes_up));
-  append("  \"wire_bytes_down\": %llu,\n",
-         static_cast<unsigned long long>(socket_leg.wire.bytes_down));
-  append("  \"frames_served\": %llu,\n",
-         static_cast<unsigned long long>(daemon.stats().frames_served));
-  append("  \"update_encode_cache_hits\": %llu,\n",
-         static_cast<unsigned long long>(
-             server_engine.server().update_encode_cache_hits()));
-  append("  \"log_fingerprint\": \"0x%016llx\",\n",
-         static_cast<unsigned long long>(daemon_log.fingerprint()));
-  json += "  \"latency\": {\n";
-  bool first = true;
+  json::Value doc{json::Object{}};
+  doc.set("experiment", "net_throughput");
+  doc.set("transport", "unix");
+  doc.set("users", std::uint64_t{users});
+  doc.set("ticks", ticks);
+  doc.set("seed", scenario.config.seed);
+  doc.set("samples", std::uint64_t{sbp::bench::kSamples});
+  doc.set("run_seconds", rounded(run.run_seconds, 3));
+  doc.set("in_process_run_seconds", rounded(in_process.run_seconds, 3));
+  doc.set("socket_slowdown",
+          rounded(in_process.run_seconds > 0.0
+                      ? run.run_seconds / in_process.run_seconds
+                      : 0.0,
+                  2));
+  doc.set("requests", requests);
+  doc.set("requests_per_sec", rounded(requests_per_sec, 0));
+  doc.set("failed_requests", run.wire.failed_requests);
+  doc.set("wire_bytes_up", run.wire.bytes_up);
+  doc.set("wire_bytes_down", run.wire.bytes_down);
+  doc.set("frames_served", socket.frames_served);
+  doc.set("update_encode_cache_hits", socket.update_encode_cache_hits);
+  doc.set("log_fingerprint", json::hex_u64(run.log_fingerprint));
+  json::Value latency{json::Object{}};
   for (std::size_t c = 0; c < sbp::obs::kChannelCount; ++c) {
-    const sbp::obs::ChannelStats& stats = socket_leg.channels.channels[c];
+    const sbp::obs::ChannelStats& stats = run.obs->transport.channels[c];
     if (stats.requests == 0) continue;
-    const std::string name(
-        sbp::obs::channel_name(static_cast<sbp::obs::Channel>(c)));
-    append("%s    \"%s\": {\"requests\": %llu, \"p50_ns\": %llu, "
-           "\"p90_ns\": %llu, \"p99_ns\": %llu}",
-           first ? "" : ",\n", name.c_str(),
-           static_cast<unsigned long long>(stats.requests),
-           static_cast<unsigned long long>(stats.serve_ns.quantile(0.50)),
-           static_cast<unsigned long long>(stats.serve_ns.quantile(0.90)),
-           static_cast<unsigned long long>(stats.serve_ns.quantile(0.99)));
-    first = false;
-    std::printf("latency/%-10s p50=%lluus p99=%lluus over %llu requests\n",
-                name.c_str(),
+    const std::string_view channel =
+        sbp::obs::channel_name(static_cast<sbp::obs::Channel>(c));
+    json::Value entry{json::Object{}};
+    entry.set("requests", stats.requests);
+    entry.set("p50_ns", stats.serve_ns.quantile(0.50));
+    entry.set("p90_ns", stats.serve_ns.quantile(0.90));
+    entry.set("p99_ns", stats.serve_ns.quantile(0.99));
+    latency.set(channel, std::move(entry));
+    std::printf("latency/%-10.*s p50=%lluus p99=%lluus over %llu requests\n",
+                static_cast<int>(channel.size()), channel.data(),
                 static_cast<unsigned long long>(
                     stats.serve_ns.quantile(0.50) / 1000),
                 static_cast<unsigned long long>(
                     stats.serve_ns.quantile(0.99) / 1000),
                 static_cast<unsigned long long>(stats.requests));
   }
-  json += "\n  },\n";
-  append("  \"equivalent\": %s\n", equivalent ? "true" : "false");
-  json += "}\n";
+  doc.set("latency", std::move(latency));
+  doc.set("equivalent", equivalent);
 
-  if (!sbp::bench::write_json(json, out_path)) return 1;
+  if (!sbp::bench::write_json(doc, out_path)) return 1;
   return equivalent ? 0 : 2;
 }

@@ -11,8 +11,9 @@
 // (v1 -> v3) extended to the post-paper v4, and the acceptance gauge for
 // ISSUE 2: v4 updates must come in under v3 on identical content.
 //
-// Output: human-readable table + JSON (BENCH_protocol_bandwidth.json;
-// --out PATH overrides, --entries N rescales the list).
+// Output: human-readable table on stdout; the JSON goes only to
+// BENCH_protocol_bandwidth.json (--out PATH overrides, --entries N
+// rescales the list).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -219,50 +220,31 @@ int main(int argc, char** argv) {
   lookup_row("v3 full-hash", v3_lookups);
   lookup_row("v4 full-hash", v4_lookups);
 
-  char json[2048];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"experiment\": \"protocol_bandwidth\",\n"
-      "  \"entries\": %zu,\n"
-      "  \"urls\": %zu,\n"
-      "  \"v3_full_sync_bytes\": %llu,\n"
-      "  \"v4_full_sync_bytes\": %llu,\n"
-      "  \"v3_incremental_bytes\": %llu,\n"
-      "  \"v4_incremental_bytes\": %llu,\n"
-      "  \"v3_update_bytes_per_prefix\": %.3f,\n"
-      "  \"v4_update_bytes_per_prefix\": %.3f,\n"
-      "  \"v1_lookup_bytes_per_url\": %.3f,\n"
-      "  \"v3_lookup_bytes_per_url\": %.3f,\n"
-      "  \"v4_lookup_bytes_per_url\": %.3f,\n"
-      "  \"v4_smaller_than_v3\": %s\n"
-      "}\n",
-      entries, num_urls,
-      static_cast<unsigned long long>(v3.full_sync.total()),
-      static_cast<unsigned long long>(v4.full_sync.total()),
-      static_cast<unsigned long long>(v3.incremental.total()),
-      static_cast<unsigned long long>(v4.incremental.total()),
-      per(v3.full_sync.down, v3.prefixes), per(v4.full_sync.down, v4.prefixes),
-      per(v1_lookups.wire.total(), num_urls),
-      per(v3_lookups.wire.total(), num_urls),
-      per(v4_lookups.wire.total(), num_urls),
-      (v4.full_sync.total() < v3.full_sync.total() &&
-       v4.incremental.total() < v3.incremental.total())
-          ? "true"
-          : "false");
-  std::printf("\n%s", json);
-  if (FILE* out = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json, out);
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path.c_str());
-    return 1;
-  }
+  const bool v4_smaller = v4.full_sync.total() < v3.full_sync.total() &&
+                          v4.incremental.total() < v3.incremental.total();
+  sbp::util::json::Value doc{sbp::util::json::Object{}};
+  doc.set("experiment", "protocol_bandwidth");
+  doc.set("entries", std::uint64_t{entries});
+  doc.set("urls", std::uint64_t{num_urls});
+  doc.set("v3_full_sync_bytes", v3.full_sync.total());
+  doc.set("v4_full_sync_bytes", v4.full_sync.total());
+  doc.set("v3_incremental_bytes", v3.incremental.total());
+  doc.set("v4_incremental_bytes", v4.incremental.total());
+  doc.set("v3_update_bytes_per_prefix",
+          sbp::bench::rounded(per(v3.full_sync.down, v3.prefixes), 3));
+  doc.set("v4_update_bytes_per_prefix",
+          sbp::bench::rounded(per(v4.full_sync.down, v4.prefixes), 3));
+  doc.set("v1_lookup_bytes_per_url",
+          sbp::bench::rounded(per(v1_lookups.wire.total(), num_urls), 3));
+  doc.set("v3_lookup_bytes_per_url",
+          sbp::bench::rounded(per(v3_lookups.wire.total(), num_urls), 3));
+  doc.set("v4_lookup_bytes_per_url",
+          sbp::bench::rounded(per(v4_lookups.wire.total(), num_urls), 3));
+  doc.set("v4_smaller_than_v3", v4_smaller);
+  if (!sbp::bench::write_json(doc, out_path)) return 1;
   // The acceptance property doubles as the bench's exit status so CI
   // catches a regression without parsing JSON.
-  if (v4.full_sync.total() >= v3.full_sync.total() ||
-      v4.incremental.total() >= v3.incremental.total()) {
+  if (!v4_smaller) {
     std::fprintf(stderr, "FAIL: v4 updates not smaller than v3\n");
     return 1;
   }

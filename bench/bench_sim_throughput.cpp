@@ -10,28 +10,30 @@
 // rescale).
 //
 // The sweep doubles as the large-scale determinism gate: every run must
-// produce the SAME log fingerprint, entry counts and engine counters as
-// the single-thread baseline; any divergence exits nonzero (the parallel
-// runtime's acceptance criterion, also enforced at unit scale by
+// match the first single-thread run under sim::run_diff (golden block plus
+// every counter of SimMetrics, ClientMetrics and TransportStats); any
+// divergence names the field and exits 2 (the parallel runtime's
+// acceptance criterion, also enforced at unit scale by
 // tests/sim/engine_parallel_test.cpp). The JSON includes per-thread-count
 // results plus the speedup over the 1-thread run, so scaling PRs can see
 // the trajectory per commit. Top-level fields describe the single-thread
 // baseline, keeping the schema of earlier PRs.
 //
-// Each thread count runs TWICE: once plain (the primary numbers, schema
-// unchanged) and once with the src/obs profiling layer on -- the second
-// run must hit the same fingerprint (metrics cannot perturb the engine)
-// and contributes the per-phase wall-time breakdown plus the measured
-// metrics overhead to the sweep entry. Overhead is reported, not gated:
-// at bench scale it sits inside run-to-run noise; the <3% contract is
-// what the numbers document.
+// Each thread count runs bench::kSamples (5) times plain, and the sample
+// with the median run_seconds is reported with all of its fields -- one
+// cold sample swings too far for the CI throughput gate. One more run has
+// the src/obs profiling layer on: it must match too (metrics cannot
+// perturb the engine) and contributes the per-phase wall-time breakdown
+// plus the measured metrics overhead to the sweep entry. Overhead is
+// reported, not gated: at bench scale it sits inside run-to-run noise;
+// the <3% contract is what the numbers document.
+#include <algorithm>
 #include <atomic>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +42,7 @@
 #include "obs/phase.hpp"
 #include "sim/engine.hpp"
 #include "sim/log_sink.hpp"
+#include "sim/scenario/runner.hpp"
 
 // Heap-traffic instrumentation: replacing the global allocation functions
 // in this one TU counts every operator-new across the whole binary, which
@@ -63,6 +66,9 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
+namespace json = sbp::util::json;
+using sbp::bench::rounded;
+using sbp::sim::ScenarioRunResult;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -90,208 +96,131 @@ sbp::sim::SimConfig bench_config(std::size_t users, std::uint64_t ticks,
   return config;
 }
 
-/// One completed run of the population at a given thread count.
-struct SweepPoint {
-  std::size_t threads_requested = 0;
-  std::size_t threads_used = 0;
-  double setup_seconds = 0.0;
-  double run_seconds = 0.0;
-  sbp::sim::SimMetrics metrics;
-  sbp::sb::ClientMetrics population;
-  sbp::sb::TransportStats wire;
-  std::uint64_t log_entries = 0;
-  std::uint64_t log_prefixes = 0;
-  std::uint64_t log_multi_prefix_entries = 0;
-  std::uint64_t log_fingerprint = 0;
-  /// Global operator-new calls during the run phase (not setup).
-  std::uint64_t run_allocations = 0;
-
-  /// From the companion metrics-on run of the same thread count.
-  double metrics_run_seconds = 0.0;
-  double metrics_overhead = 0.0;  ///< (metrics_on - plain) / plain
-  std::array<std::uint64_t, sbp::obs::kPhaseCount> phase_wall_ns{};
+/// One run of the population: the engine's observables (sim::read_run)
+/// with engine construction and engine.run() timed apart, plus the global
+/// operator-new calls made during engine.run() alone.
+struct Sample {
+  ScenarioRunResult run;
+  std::uint64_t allocations = 0;
 };
 
-SweepPoint run_point(std::size_t users, std::uint64_t ticks,
-                     std::size_t threads, bool collect_metrics) {
-  SweepPoint point;
-  point.threads_requested = threads;
-
+Sample take_sample(std::size_t users, std::uint64_t ticks,
+                   std::size_t threads, bool collect_metrics) {
   const auto setup_start = Clock::now();
   sbp::sim::SimConfig config = bench_config(users, ticks, threads);
   config.collect_metrics = collect_metrics;
   sbp::sim::Engine engine(std::move(config));
-  point.setup_seconds = seconds_since(setup_start);
-  point.threads_used = engine.num_threads();
+  const double setup_seconds = seconds_since(setup_start);
 
-  sbp::sim::CountingSink sink;
-  engine.attach_sink(&sink, /*retain_in_memory=*/false);
+  sbp::sim::CountingSink log;
+  engine.attach_sink(&log, /*retain_in_memory=*/false);
 
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto run_start = Clock::now();
   engine.run();
-  point.run_seconds = seconds_since(run_start);
-  point.run_allocations =
+  const double run_seconds = seconds_since(run_start);
+  const std::uint64_t allocations =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
 
-  point.metrics = engine.metrics();
-  point.population = engine.population_metrics();
-  point.wire = engine.transport_stats();
-  point.log_entries = sink.entries();
-  point.log_prefixes = sink.prefixes();
-  point.log_multi_prefix_entries = sink.multi_prefix_entries();
-  point.log_fingerprint = sink.fingerprint();
-  if (collect_metrics) {
-    const sbp::obs::Snapshot snapshot = engine.obs_snapshot();
-    for (std::size_t i = 0; i < sbp::obs::kPhaseCount; ++i) {
-      point.phase_wall_ns[i] =
-          snapshot.phases.stats(static_cast<sbp::obs::Phase>(i)).total_ns;
-    }
-  }
-  return point;
+  Sample sample{sbp::sim::read_run(engine, log), allocations};
+  sample.run.setup_seconds = setup_seconds;
+  sample.run.run_seconds = run_seconds;
+  return sample;
 }
 
-/// The determinism gate: everything the provider observes must match the
-/// baseline bit for bit.
-bool matches_baseline(const SweepPoint& baseline, const SweepPoint& point) {
-  return point.log_fingerprint == baseline.log_fingerprint &&
-         point.log_entries == baseline.log_entries &&
-         point.log_prefixes == baseline.log_prefixes &&
-         point.log_multi_prefix_entries ==
-             baseline.log_multi_prefix_entries &&
-         point.metrics.lookups == baseline.metrics.lookups &&
-         point.metrics.local_hit_lookups ==
-             baseline.metrics.local_hit_lookups &&
-         point.metrics.malicious_verdicts ==
-             baseline.metrics.malicious_verdicts &&
-         point.wire.bytes_up == baseline.wire.bytes_up &&
-         point.wire.bytes_down == baseline.wire.bytes_down &&
-         point.wire.full_hash_requests == baseline.wire.full_hash_requests;
-}
-
-double user_ticks_per_sec(const SweepPoint& point, std::size_t users) {
+double user_ticks_per_sec(const ScenarioRunResult& run, std::size_t users) {
   return static_cast<double>(users) *
-         static_cast<double>(point.metrics.ticks_run) / point.run_seconds;
+         static_cast<double>(run.metrics.ticks_run) / run.run_seconds;
 }
 
-std::string format_json(const std::vector<SweepPoint>& sweep,
-                        const sbp::sim::SimConfig& config, std::size_t users,
-                        bool deterministic) {
-  const SweepPoint& base = sweep.front();
-  std::string json = "{\n";
-  const auto append = [&](const char* format, auto... values) {
-    sbp::bench::json_append(json, format, values...);
-  };
+double lookups_per_sec(const ScenarioRunResult& run) {
+  return static_cast<double>(run.metrics.lookups) / run.run_seconds;
+}
 
-  // Single-thread baseline: the schema earlier PRs track.
-  append("  \"experiment\": \"sim_throughput\",\n");
-  append("  \"users\": %zu,\n", users);
-  append("  \"ticks\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.ticks_run));
-  append("  \"shards\": %zu,\n", config.num_shards);
-  append("  \"seed\": %llu,\n", static_cast<unsigned long long>(config.seed));
-  append("  \"setup_seconds\": %.3f,\n", base.setup_seconds);
-  append("  \"run_seconds\": %.3f,\n", base.run_seconds);
-  append("  \"lookups\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.lookups));
-  append("  \"lookups_per_sec\": %.0f,\n",
-         static_cast<double>(base.metrics.lookups) / base.run_seconds);
-  append("  \"user_ticks_per_sec\": %.0f,\n", user_ticks_per_sec(base, users));
-  append("  \"users_per_sec_setup\": %.0f,\n",
-         static_cast<double>(users) / base.setup_seconds);
-  append("  \"local_hit_lookups\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.local_hit_lookups));
-  append("  \"full_hash_requests\": %llu,\n",
-         static_cast<unsigned long long>(base.wire.full_hash_requests));
-  append("  \"update_requests\": %llu,\n",
-         static_cast<unsigned long long>(base.wire.update_requests +
-                                         base.wire.v4_update_requests));
-  append("  \"wire_bytes_up\": %llu,\n",
-         static_cast<unsigned long long>(base.wire.bytes_up));
-  append("  \"wire_bytes_down\": %llu,\n",
-         static_cast<unsigned long long>(base.wire.bytes_down));
-  append("  \"cache_answers\": %llu,\n",
-         static_cast<unsigned long long>(base.population.cache_answers));
-  append("  \"churn_events\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.churn_events));
-  append("  \"churn_updates\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.churn_updates));
-  append("  \"url_cache_hits\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.url_cache_hits));
-  append("  \"url_cache_misses\": %llu,\n",
-         static_cast<unsigned long long>(base.metrics.url_cache_misses));
-  append("  \"log_entries\": %llu,\n",
-         static_cast<unsigned long long>(base.log_entries));
-  append("  \"log_prefixes\": %llu,\n",
-         static_cast<unsigned long long>(base.log_prefixes));
-  append("  \"log_multi_prefix_entries\": %llu,\n",
-         static_cast<unsigned long long>(base.log_multi_prefix_entries));
-  append("  \"log_fingerprint\": \"0x%016llx\",\n",
-         static_cast<unsigned long long>(base.log_fingerprint));
-  append("  \"allocations_per_tick\": %.0f,\n",
-         base.metrics.ticks_run > 0
-             ? static_cast<double>(base.run_allocations) /
-                   static_cast<double>(base.metrics.ticks_run)
-             : 0.0);
+double allocations_per_tick(const Sample& sample) {
+  const std::uint64_t ticks = sample.run.metrics.ticks_run;
+  return ticks > 0 ? static_cast<double>(sample.allocations) /
+                         static_cast<double>(ticks)
+                   : 0.0;
+}
+
+/// One thread_sweep entry: the median plain sample's numbers plus the
+/// metrics-on companion's overhead and per-phase wall-time breakdown.
+json::Value sweep_entry(std::size_t threads, const Sample& median,
+                        const Sample& with_metrics, const Sample& base,
+                        std::size_t users, double metrics_overhead) {
+  json::Value entry{json::Object{}};
+  entry.set("threads", std::uint64_t{threads});
+  entry.set("threads_used", std::uint64_t{median.run.threads_used});
+  entry.set("run_seconds", rounded(median.run.run_seconds, 3));
+  entry.set("user_ticks_per_sec",
+            rounded(user_ticks_per_sec(median.run, users), 0));
+  entry.set("lookups_per_sec", rounded(lookups_per_sec(median.run), 0));
+  entry.set("speedup",
+            rounded(base.run.run_seconds / median.run.run_seconds, 2));
+  entry.set("log_fingerprint", json::hex_u64(median.run.log_fingerprint));
+  entry.set("allocations", median.allocations);
+  entry.set("allocations_per_tick", rounded(allocations_per_tick(median), 0));
+  entry.set("metrics_run_seconds",
+            rounded(with_metrics.run.run_seconds, 3));
+  entry.set("metrics_overhead", rounded(metrics_overhead, 3));
+  json::Value phases{json::Object{}};
+  for (std::size_t p = 0; p < sbp::obs::kPhaseCount; ++p) {
+    const auto phase = static_cast<sbp::obs::Phase>(p);
+    phases.set(std::string(sbp::obs::phase_name(phase)) + "_ns",
+               with_metrics.run.obs->phases.stats(phase).total_ns);
+  }
+  entry.set("phases", std::move(phases));
+  return entry;
+}
+
+/// The single-thread baseline's top-level fields (the schema earlier PRs
+/// track), followed by the sweep.
+json::Value artifact(const Sample& base, std::size_t users,
+                     json::Array sweep, double max_speedup,
+                     double metrics_overhead_max, bool deterministic) {
+  const ScenarioRunResult& run = base.run;
+  const sbp::sim::SimConfig config = bench_config(users, 0, 1);
+  json::Value doc{json::Object{}};
+  doc.set("experiment", "sim_throughput");
+  doc.set("users", std::uint64_t{users});
+  doc.set("ticks", run.metrics.ticks_run);
+  doc.set("shards", std::uint64_t{config.num_shards});
+  doc.set("seed", config.seed);
+  doc.set("samples", std::uint64_t{sbp::bench::kSamples});
+  doc.set("setup_seconds", rounded(run.setup_seconds, 3));
+  doc.set("run_seconds", rounded(run.run_seconds, 3));
+  doc.set("lookups", run.metrics.lookups);
+  doc.set("lookups_per_sec", rounded(lookups_per_sec(run), 0));
+  doc.set("user_ticks_per_sec", rounded(user_ticks_per_sec(run, users), 0));
+  doc.set("users_per_sec_setup",
+          rounded(static_cast<double>(users) / run.setup_seconds, 0));
+  doc.set("local_hit_lookups", run.metrics.local_hit_lookups);
+  doc.set("full_hash_requests", run.wire.full_hash_requests);
+  doc.set("update_requests",
+          run.wire.update_requests + run.wire.v4_update_requests);
+  doc.set("wire_bytes_up", run.wire.bytes_up);
+  doc.set("wire_bytes_down", run.wire.bytes_down);
+  doc.set("cache_answers", run.population.cache_answers);
+  doc.set("churn_events", run.metrics.churn_events);
+  doc.set("churn_updates", run.metrics.churn_updates);
+  doc.set("url_cache_hits", run.metrics.url_cache_hits);
+  doc.set("url_cache_misses", run.metrics.url_cache_misses);
+  doc.set("log_entries", run.log_entries);
+  doc.set("log_prefixes", run.log_prefixes);
+  doc.set("log_multi_prefix_entries", run.log_multi_prefix_entries);
+  doc.set("log_fingerprint", json::hex_u64(run.log_fingerprint));
+  doc.set("allocations_per_tick", rounded(allocations_per_tick(base), 0));
   // Lets bench comparers scale speedup expectations to the machine that
   // produced the numbers (a 1-core CI runner cannot show parallel gains).
-  append("  \"hardware_threads\": %u,\n",
-         std::thread::hardware_concurrency());
-
-  // The thread sweep. Each entry carries the plain-run numbers (schema of
-  // earlier PRs) plus the companion metrics-on run: overhead ratio and the
-  // per-phase wall-time breakdown from the src/obs profiling layer.
-  json += "  \"thread_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& point = sweep[i];
-    append(
-        "    {\"threads\": %zu, \"threads_used\": %zu, "
-        "\"run_seconds\": %.3f, \"user_ticks_per_sec\": %.0f, "
-        "\"lookups_per_sec\": %.0f, \"speedup\": %.2f, "
-        "\"log_fingerprint\": \"0x%016llx\",\n",
-        point.threads_requested, point.threads_used, point.run_seconds,
-        user_ticks_per_sec(point, users),
-        static_cast<double>(point.metrics.lookups) / point.run_seconds,
-        base.run_seconds / point.run_seconds,
-        static_cast<unsigned long long>(point.log_fingerprint));
-    append("     \"allocations\": %llu, \"allocations_per_tick\": %.0f,\n",
-           static_cast<unsigned long long>(point.run_allocations),
-           point.metrics.ticks_run > 0
-               ? static_cast<double>(point.run_allocations) /
-                     static_cast<double>(point.metrics.ticks_run)
-               : 0.0);
-    append("     \"metrics_run_seconds\": %.3f, \"metrics_overhead\": %.3f,\n",
-           point.metrics_run_seconds, point.metrics_overhead);
-    json += "     \"phases\": {";
-    for (std::size_t p = 0; p < sbp::obs::kPhaseCount; ++p) {
-      const std::string name(
-          sbp::obs::phase_name(static_cast<sbp::obs::Phase>(p)));
-      append("%s\"%s_ns\": %llu", p > 0 ? ", " : "", name.c_str(),
-             static_cast<unsigned long long>(point.phase_wall_ns[p]));
-    }
-    append("}}%s\n", i + 1 < sweep.size() ? "," : "");
-  }
-  json += "  ],\n";
-  append("  \"max_speedup\": %.2f,\n",
-         base.run_seconds / [&] {
-           double best = base.run_seconds;
-           for (const auto& point : sweep) {
-             if (point.run_seconds < best) best = point.run_seconds;
-           }
-           return best;
-         }());
-  append("  \"metrics_overhead_max\": %.3f,\n", [&] {
-    double worst = 0.0;
-    for (const auto& point : sweep) {
-      if (point.metrics_overhead > worst) worst = point.metrics_overhead;
-    }
-    return worst;
-  }());
-  append("  \"deterministic_across_threads\": %s\n",
-         deterministic ? "true" : "false");
-  json += "}\n";
-  return json;
+  doc.set("hardware_threads",
+          std::uint64_t{std::thread::hardware_concurrency()});
+  doc.set("thread_sweep", std::move(sweep));
+  doc.set("max_speedup", rounded(max_speedup, 2));
+  doc.set("metrics_overhead_max", rounded(metrics_overhead_max, 3));
+  doc.set("deterministic_across_threads", deterministic);
+  return doc;
 }
 
 }  // namespace
@@ -302,24 +231,11 @@ int main(int argc, char** argv) {
   const std::uint64_t ticks = args.u64_flag("--ticks", 50);
   const std::string out_path = args.string_flag("--out", "BENCH_sim.json");
   // Comma-separated sweep, e.g. --threads 1,4,16
-  const std::string threads_text = args.string_flag("--threads", "");
+  const std::vector<std::uint64_t> threads_arg =
+      args.u64_list_flag("--threads", {1, 2, 4, 8});
   if (!args.finish()) return 1;
-  std::vector<std::size_t> thread_sweep = {1, 2, 4, 8};
-  if (!threads_text.empty()) {
-    thread_sweep.clear();
-    for (const char* cursor = threads_text.c_str(); *cursor != '\0';) {
-      char* end = nullptr;
-      const auto value = std::strtoull(cursor, &end, 10);
-      if (end == cursor || (*end != ',' && *end != '\0')) {
-        std::fprintf(stderr, "bad --threads list: %s\n",
-                     threads_text.c_str());
-        return 1;
-      }
-      thread_sweep.push_back(static_cast<std::size_t>(value));
-      cursor = (*end == ',') ? end + 1 : end;
-    }
-    if (thread_sweep.empty()) thread_sweep = {1};
-  }
+  std::vector<std::size_t> thread_sweep(threads_arg.begin(),
+                                        threads_arg.end());
   // The first point is the determinism baseline; force it to 1 thread.
   if (thread_sweep.front() != 1) {
     thread_sweep.insert(thread_sweep.begin(), 1);
@@ -328,59 +244,71 @@ int main(int argc, char** argv) {
   sbp::bench::header("sim_throughput",
                      "population simulation engine, streaming query log, "
                      "thread-scaling sweep");
-  std::printf("population: %zu users x %llu ticks\n", users,
-              static_cast<unsigned long long>(ticks));
+  std::printf("population: %zu users x %llu ticks, %zu samples per thread "
+              "count\n",
+              users, static_cast<unsigned long long>(ticks),
+              sbp::bench::kSamples);
 
-  std::vector<SweepPoint> sweep;
+  // Every run, plain or metrics-on, is diffed against the first one.
+  std::optional<ScenarioRunResult> reference;
   bool deterministic = true;
+  const auto check = [&](const ScenarioRunResult& run,
+                         const std::string& label) {
+    if (!reference) {
+      reference = run;
+      return;
+    }
+    const std::vector<std::string> diffs = sbp::sim::run_diff(run, *reference);
+    if (diffs.empty()) return;
+    deterministic = false;
+    std::fprintf(stderr,
+                 "DETERMINISM FAILURE: %s diverged from the single-thread "
+                 "baseline:\n",
+                 label.c_str());
+    for (const std::string& diff : diffs) {
+      std::fprintf(stderr, "  %s\n", diff.c_str());
+    }
+  };
+
+  std::optional<Sample> base;
+  json::Array sweep;
+  double best_seconds = 0.0;
+  double metrics_overhead_max = 0.0;
   for (const std::size_t threads : thread_sweep) {
-    SweepPoint point = run_point(users, ticks, threads, false);
-    const SweepPoint with_metrics = run_point(users, ticks, threads, true);
-    point.metrics_run_seconds = with_metrics.run_seconds;
-    point.metrics_overhead =
-        point.run_seconds > 0.0
-            ? (with_metrics.run_seconds - point.run_seconds) /
-                  point.run_seconds
+    const std::string label = std::to_string(threads) + "-thread run";
+    const Sample median = sbp::bench::median_sample([&] {
+      Sample sample = take_sample(users, ticks, threads, false);
+      check(sample.run, label);
+      return sample;
+    });
+    const Sample with_metrics = take_sample(users, ticks, threads, true);
+    check(with_metrics.run, "metrics-on " + label);
+    if (!base) {
+      base = median;
+      best_seconds = median.run.run_seconds;
+    }
+    best_seconds = std::min(best_seconds, median.run.run_seconds);
+    const double overhead =
+        median.run.run_seconds > 0.0
+            ? (with_metrics.run.run_seconds - median.run.run_seconds) /
+                  median.run.run_seconds
             : 0.0;
-    point.phase_wall_ns = with_metrics.phase_wall_ns;
+    metrics_overhead_max = std::max(metrics_overhead_max, overhead);
     std::printf(
-        "threads=%zu (used %zu): %.3f s run, %.0f user-ticks/s, "
+        "threads=%zu (used %zu): %.3f s run (median), %.0f user-ticks/s, "
         "fingerprint 0x%016llx (metrics on: %.3f s, %+.1f%%)\n",
-        point.threads_requested, point.threads_used, point.run_seconds,
-        user_ticks_per_sec(point, users),
-        static_cast<unsigned long long>(point.log_fingerprint),
-        point.metrics_run_seconds, point.metrics_overhead * 100.0);
-    if (!sweep.empty() && !matches_baseline(sweep.front(), point)) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE: %zu-thread run diverged from the "
-                   "single-thread baseline (fingerprint 0x%016llx vs "
-                   "0x%016llx)\n",
-                   point.threads_requested,
-                   static_cast<unsigned long long>(point.log_fingerprint),
-                   static_cast<unsigned long long>(
-                       sweep.front().log_fingerprint));
-    }
-    // The metrics-on companion is held to the same baseline: profiling
-    // must not perturb any deterministic observable at any thread count.
-    const SweepPoint& reference = sweep.empty() ? point : sweep.front();
-    if (!matches_baseline(reference, with_metrics)) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE: metrics-on %zu-thread run diverged "
-                   "from the plain baseline (fingerprint 0x%016llx vs "
-                   "0x%016llx)\n",
-                   point.threads_requested,
-                   static_cast<unsigned long long>(
-                       with_metrics.log_fingerprint),
-                   static_cast<unsigned long long>(
-                       reference.log_fingerprint));
-    }
-    sweep.push_back(point);
+        threads, median.run.threads_used, median.run.run_seconds,
+        user_ticks_per_sec(median.run, users),
+        static_cast<unsigned long long>(median.run.log_fingerprint),
+        with_metrics.run.run_seconds, overhead * 100.0);
+    sweep.push_back(
+        sweep_entry(threads, median, with_metrics, *base, users, overhead));
   }
 
-  const std::string json =
-      format_json(sweep, bench_config(users, ticks, 1), users, deterministic);
-  if (!sbp::bench::write_json(json, out_path)) return 1;
+  const json::Value doc =
+      artifact(*base, users, std::move(sweep),
+               base->run.run_seconds / best_seconds, metrics_overhead_max,
+               deterministic);
+  if (!sbp::bench::write_json(doc, out_path)) return 1;
   return deterministic ? 0 : 2;
 }

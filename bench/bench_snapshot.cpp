@@ -115,9 +115,9 @@ int main(int argc, char** argv) {
                      "checkpoint/restore cost vs cold rebuild "
                      "(docs/persistence.md)");
 
-  std::string json = "{\n  \"experiment\": \"snapshot\",\n  \"sizes\": [";
+  namespace json = sbp::util::json;
+  json::Array sizes;
   bool all_identical = true;
-  bool first = true;
   for (const std::size_t prefixes : {small, large}) {
     const SizeResult r = run_size(prefixes, reps);
     all_identical = all_identical && r.restore_identical;
@@ -129,20 +129,19 @@ int main(int argc, char** argv) {
         static_cast<double>(r.snapshot_bytes) /
             static_cast<double>(r.prefixes),
         r.restore_identical ? "yes" : "NO");
-    sbp::bench::json_append(
-        json,
-        "%s\n    {\"prefixes\": %zu, \"cold_build_ms\": %.3f, "
-        "\"checkpoint_ms\": %.3f, \"restore_ms\": %.3f, "
-        "\"snapshot_bytes\": %zu, \"restore_identical\": %s}",
-        first ? "" : ",", r.prefixes, r.cold_build_ms, r.checkpoint_ms,
-        r.restore_ms, r.snapshot_bytes,
-        r.restore_identical ? "true" : "false");
-    first = false;
+    json::Value entry{json::Object{}};
+    entry.set("prefixes", std::uint64_t{r.prefixes});
+    entry.set("cold_build_ms", sbp::bench::rounded(r.cold_build_ms, 3));
+    entry.set("checkpoint_ms", sbp::bench::rounded(r.checkpoint_ms, 3));
+    entry.set("restore_ms", sbp::bench::rounded(r.restore_ms, 3));
+    entry.set("snapshot_bytes", std::uint64_t{r.snapshot_bytes});
+    entry.set("restore_identical", r.restore_identical);
+    sizes.push_back(std::move(entry));
   }
-  sbp::bench::json_append(json,
-                          "\n  ],\n  \"restore_identical\": %s\n}\n",
-                          all_identical ? "true" : "false");
-
-  if (!sbp::bench::write_json(json, out_path)) return 1;
+  json::Value doc{json::Object{}};
+  doc.set("experiment", "snapshot");
+  doc.set("sizes", std::move(sizes));
+  doc.set("restore_identical", all_identical);
+  if (!sbp::bench::write_json(doc, out_path)) return 1;
   return all_identical ? 0 : 1;
 }

@@ -13,28 +13,23 @@
 // per-update average response size falls out exactly.
 //
 // Doubles as the churn determinism gate: the busiest churned cell re-runs
-// at 2 and 8 threads and must reproduce the single-thread fingerprint and
-// wire counters bit for bit (exit 2 otherwise) -- the population-scale
-// companion of tests/sim/engine_churn_test.cpp.
-#include <chrono>
+// at 2 and 8 threads and must match the single-thread run under
+// sim::run_diff -- golden block plus every engine, population and wire
+// counter -- or the bench names the field and exits 2. The
+// population-scale companion of tests/sim/engine_churn_test.cpp.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/update_dynamics.hpp"
 #include "bench_util.hpp"
-#include "sim/engine.hpp"
-#include "sim/log_sink.hpp"
+#include "sim/scenario/runner.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+namespace json = sbp::util::json;
+using sbp::bench::rounded;
+using sbp::sim::ScenarioRunResult;
 
 sbp::analysis::ChurnRates fitted_rates() {
   // The update-dynamics bridge: measure a paper-shaped churn run over the
@@ -49,15 +44,15 @@ sbp::analysis::ChurnRates fitted_rates() {
   return sbp::analysis::fit_churn_rates(sbp::analysis::simulate_churn(config));
 }
 
-sbp::sim::SimConfig cell_config(std::size_t users, std::uint64_t ticks,
-                                std::uint64_t epoch_ticks,
-                                sbp::analysis::ChurnRates rates,
-                                std::size_t threads) {
-  sbp::sim::SimConfig config;
+sbp::sim::Scenario cell_scenario(std::size_t users, std::uint64_t ticks,
+                                 std::uint64_t epoch_ticks,
+                                 sbp::analysis::ChurnRates rates) {
+  sbp::sim::Scenario scenario;
+  scenario.name = "update-churn";
+  sbp::sim::SimConfig& config = scenario.config;
   config.num_users = users;
   config.ticks = ticks;
   config.num_shards = 16;
-  config.num_threads = threads;
   config.seed = 2016;
   config.corpus.num_hosts = 10000;
   config.corpus.seed = 2016;
@@ -72,47 +67,47 @@ sbp::sim::SimConfig cell_config(std::size_t users, std::uint64_t ticks,
   config.churn.epoch_ticks = epoch_ticks;
   config.churn.add_rate = rates.add_rate;
   config.churn.remove_rate = rates.remove_rate;
-  return config;
+  return scenario;
 }
 
-struct Cell {
-  std::size_t users = 0;
-  std::uint64_t epoch_ticks = 0;
-  double run_seconds = 0.0;
-  sbp::sim::SimMetrics metrics;
-  sbp::sb::TransportStats wire;
-  std::uint64_t log_entries = 0;
-  std::uint64_t log_fingerprint = 0;
-};
-
-Cell run_cell(std::size_t users, std::uint64_t ticks,
-              std::uint64_t epoch_ticks, sbp::analysis::ChurnRates rates,
-              std::size_t threads) {
-  Cell cell;
-  cell.users = users;
-  cell.epoch_ticks = epoch_ticks;
-  sbp::sim::Engine engine(
-      cell_config(users, ticks, epoch_ticks, rates, threads));
-  sbp::sim::CountingSink sink;
-  engine.attach_sink(&sink, /*retain_in_memory=*/false);
-  const auto start = Clock::now();
-  engine.run();
-  cell.run_seconds = seconds_since(start);
-  cell.metrics = engine.metrics();
-  cell.wire = engine.transport_stats();
-  cell.log_entries = sink.entries();
-  cell.log_fingerprint = sink.fingerprint();
-  return cell;
+std::uint64_t update_requests(const ScenarioRunResult& cell) {
+  return cell.wire.update_requests + cell.wire.v4_update_requests;
 }
 
-bool same_observables(const Cell& a, const Cell& b) {
-  return a.log_fingerprint == b.log_fingerprint &&
-         a.log_entries == b.log_entries &&
-         a.metrics.churn_updates == b.metrics.churn_updates &&
-         a.wire.bytes_up == b.wire.bytes_up &&
-         a.wire.bytes_down == b.wire.bytes_down &&
-         a.wire.update_bytes_up == b.wire.update_bytes_up &&
-         a.wire.update_bytes_down == b.wire.update_bytes_down;
+double bytes_per_update(const ScenarioRunResult& cell) {
+  const std::uint64_t updates = update_requests(cell);
+  return updates > 0 ? static_cast<double>(cell.wire.update_bytes_down) /
+                           static_cast<double>(updates)
+                     : 0.0;
+}
+
+json::Value cell_entry(std::size_t users, std::uint64_t epoch_ticks,
+                       const ScenarioRunResult& cell) {
+  json::Value entry{json::Object{}};
+  entry.set("users", std::uint64_t{users});
+  entry.set("epoch_ticks", epoch_ticks);
+  entry.set("epochs", cell.metrics.churn_events);
+  entry.set("churn_adds", cell.metrics.churn_adds);
+  entry.set("churn_removes", cell.metrics.churn_removes);
+  entry.set("resyncs", cell.metrics.churn_updates);
+  entry.set("v3_update_requests", cell.wire.update_requests);
+  entry.set("v4_update_requests", cell.wire.v4_update_requests);
+  entry.set("update_bytes_up", cell.wire.update_bytes_up);
+  entry.set("update_bytes_down", cell.wire.update_bytes_down);
+  entry.set("bytes_per_update", rounded(bytes_per_update(cell), 2));
+  entry.set("wire_bytes_up", cell.wire.bytes_up);
+  entry.set("wire_bytes_down", cell.wire.bytes_down);
+  entry.set("full_hash_requests", cell.wire.full_hash_requests);
+  entry.set("url_cache_invalidations", cell.metrics.url_cache_invalidations);
+  entry.set("log_entries", cell.log_entries);
+  entry.set("run_seconds", rounded(cell.run_seconds, 3));
+  entry.set("user_ticks_per_sec",
+            rounded(static_cast<double>(users) *
+                        static_cast<double>(cell.metrics.ticks_run) /
+                        cell.run_seconds,
+                    0));
+  entry.set("log_fingerprint", json::hex_u64(cell.log_fingerprint));
+  return entry;
 }
 
 }  // namespace
@@ -143,103 +138,55 @@ int main(int argc, char** argv) {
   std::printf("%8s %7s %8s %8s %9s %12s %14s %10s\n", "users", "epoch",
               "epochs", "resyncs", "updates", "upd B down", "B/update",
               "run s");
-  std::vector<Cell> cells;
+  json::Array sweep;
   for (const std::size_t users : user_sweep) {
     for (const std::uint64_t epoch : epoch_sweep) {
-      Cell cell = run_cell(users, ticks, epoch, rates, /*threads=*/0);
-      const std::uint64_t updates =
-          cell.wire.update_requests + cell.wire.v4_update_requests;
+      const ScenarioRunResult cell = sbp::sim::run_scenario(
+          cell_scenario(users, ticks, epoch, rates), /*threads=*/0);
       std::printf("%8zu %7llu %8llu %8llu %9llu %12llu %14.1f %10.3f\n",
-                  cell.users,
-                  static_cast<unsigned long long>(cell.epoch_ticks),
+                  users, static_cast<unsigned long long>(epoch),
                   static_cast<unsigned long long>(cell.metrics.churn_events),
                   static_cast<unsigned long long>(cell.metrics.churn_updates),
-                  static_cast<unsigned long long>(updates),
+                  static_cast<unsigned long long>(update_requests(cell)),
                   static_cast<unsigned long long>(cell.wire.update_bytes_down),
-                  updates > 0 ? static_cast<double>(cell.wire.update_bytes_down)
-                                    / static_cast<double>(updates)
-                              : 0.0,
-                  cell.run_seconds);
-      cells.push_back(cell);
+                  bytes_per_update(cell), cell.run_seconds);
+      sweep.push_back(cell_entry(users, epoch, cell));
     }
   }
 
   // Determinism gate on the busiest churned cell (smallest epoch, largest
-  // population): 1, 2 and 8 threads must agree on every observable.
+  // population): 2 and 8 threads must match the 1-thread run.
   const std::uint64_t gate_epoch = epoch_sweep.back();
+  const sbp::sim::Scenario gate =
+      cell_scenario(base_users, ticks, gate_epoch, rates);
+  const ScenarioRunResult base = sbp::sim::run_scenario(gate, 1);
   bool deterministic = true;
-  const Cell base = run_cell(base_users, ticks, gate_epoch, rates, 1);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const Cell probe = run_cell(base_users, ticks, gate_epoch, rates,
-                                threads);
-    if (!same_observables(base, probe)) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE under churn: %zu threads diverged "
-                   "(fingerprint 0x%016llx vs 0x%016llx)\n",
-                   threads,
-                   static_cast<unsigned long long>(probe.log_fingerprint),
-                   static_cast<unsigned long long>(base.log_fingerprint));
+    const std::vector<std::string> diffs =
+        sbp::sim::run_diff(sbp::sim::run_scenario(gate, threads), base);
+    if (diffs.empty()) continue;
+    deterministic = false;
+    std::fprintf(stderr,
+                 "DETERMINISM FAILURE under churn: %zu threads diverged from "
+                 "1 thread:\n",
+                 threads);
+    for (const std::string& diff : diffs) {
+      std::fprintf(stderr, "  %s\n", diff.c_str());
     }
   }
   std::printf("\nchurn determinism (threads 1/2/8, epoch %llu): %s\n",
               static_cast<unsigned long long>(gate_epoch),
               deterministic ? "BIT-IDENTICAL" : "DIVERGED");
 
-  std::string json = "{\n";
-  const auto append = [&](const char* format, auto... values) {
-    sbp::bench::json_append(json, format, values...);
-  };
-  append("  \"experiment\": \"update_churn\",\n");
-  append("  \"base_users\": %zu,\n", base_users);
-  append("  \"ticks\": %llu,\n", static_cast<unsigned long long>(ticks));
-  append("  \"mix_fraction\": 0.5,\n");
-  append("  \"fitted_add_rate\": %.6f,\n", rates.add_rate);
-  append("  \"fitted_remove_rate\": %.6f,\n", rates.remove_rate);
-  json += "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const std::uint64_t updates =
-        cell.wire.update_requests + cell.wire.v4_update_requests;
-    append("    {\"users\": %zu, \"epoch_ticks\": %llu, \"epochs\": %llu, "
-           "\"churn_adds\": %llu, \"churn_removes\": %llu, "
-           "\"resyncs\": %llu, ",
-           cell.users, static_cast<unsigned long long>(cell.epoch_ticks),
-           static_cast<unsigned long long>(cell.metrics.churn_events),
-           static_cast<unsigned long long>(cell.metrics.churn_adds),
-           static_cast<unsigned long long>(cell.metrics.churn_removes),
-           static_cast<unsigned long long>(cell.metrics.churn_updates));
-    append("\"v3_update_requests\": %llu, \"v4_update_requests\": %llu, "
-           "\"update_bytes_up\": %llu, \"update_bytes_down\": %llu, ",
-           static_cast<unsigned long long>(cell.wire.update_requests),
-           static_cast<unsigned long long>(cell.wire.v4_update_requests),
-           static_cast<unsigned long long>(cell.wire.update_bytes_up),
-           static_cast<unsigned long long>(cell.wire.update_bytes_down));
-    append("\"bytes_per_update\": %.2f, \"wire_bytes_up\": %llu, "
-           "\"wire_bytes_down\": %llu, \"full_hash_requests\": %llu, ",
-           updates > 0 ? static_cast<double>(cell.wire.update_bytes_down) /
-                             static_cast<double>(updates)
-                       : 0.0,
-           static_cast<unsigned long long>(cell.wire.bytes_up),
-           static_cast<unsigned long long>(cell.wire.bytes_down),
-           static_cast<unsigned long long>(cell.wire.full_hash_requests));
-    append("\"url_cache_invalidations\": %llu, \"log_entries\": %llu, "
-           "\"run_seconds\": %.3f, \"user_ticks_per_sec\": %.0f, "
-           "\"log_fingerprint\": \"0x%016llx\"}%s\n",
-           static_cast<unsigned long long>(
-               cell.metrics.url_cache_invalidations),
-           static_cast<unsigned long long>(cell.log_entries),
-           cell.run_seconds,
-           static_cast<double>(cell.users) *
-               static_cast<double>(cell.metrics.ticks_run) / cell.run_seconds,
-           static_cast<unsigned long long>(cell.log_fingerprint),
-           i + 1 < cells.size() ? "," : "");
-  }
-  json += "  ],\n";
-  append("  \"deterministic_across_threads\": %s\n",
-         deterministic ? "true" : "false");
-  json += "}\n";
-
-  if (!sbp::bench::write_json(json, out_path)) return 1;
+  json::Value doc{json::Object{}};
+  doc.set("experiment", "update_churn");
+  doc.set("base_users", std::uint64_t{base_users});
+  doc.set("ticks", ticks);
+  doc.set("mix_fraction", 0.5);
+  doc.set("fitted_add_rate", rounded(rates.add_rate, 6));
+  doc.set("fitted_remove_rate", rounded(rates.remove_rate, 6));
+  doc.set("sweep", std::move(sweep));
+  doc.set("deterministic_across_threads", deterministic);
+  if (!sbp::bench::write_json(doc, out_path)) return 1;
   return deterministic ? 0 : 2;
 }

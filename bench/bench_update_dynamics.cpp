@@ -79,35 +79,29 @@ int main(int argc, char** argv) {
               analysis::paper_daily_churn_rates().add_rate);
 
   // JSON artifact, same conventions as BENCH_sim.json / BENCH_churn.json.
-  std::string json = "{\n";
-  const auto append = [&](const char* format, auto... values) {
-    bench::json_append(json, format, values...);
-  };
-  append("  \"experiment\": \"update_dynamics\",\n");
-  append("  \"initial_entries\": %zu,\n", config.initial_entries);
-  append("  \"adds_per_round\": %zu,\n", config.adds_per_round);
-  append("  \"removals_per_round\": %zu,\n", config.removals_per_round);
-  append("  \"rounds\": [\n");
-  for (std::size_t i = 0; i < report.rounds.size(); ++i) {
-    const auto& row = report.rounds[i];
-    append("    {\"round\": %zu, \"adds\": %zu, \"removals\": %zu, "
-           "\"incremental_bytes\": %llu, \"full_download_bytes\": %llu, "
-           "\"client_prefixes\": %zu, \"day0_knowledge_fraction\": %.4f}%s\n",
-           row.round, row.adds, row.removals,
-           static_cast<unsigned long long>(row.incremental_bytes),
-           static_cast<unsigned long long>(row.full_download_bytes),
-           row.client_prefixes, row.day0_knowledge_fraction,
-           i + 1 < report.rounds.size() ? "," : "");
+  util::json::Array rounds;
+  for (const auto& row : report.rounds) {
+    util::json::Value entry{util::json::Object{}};
+    entry.set("round", std::uint64_t{row.round});
+    entry.set("adds", std::uint64_t{row.adds});
+    entry.set("removals", std::uint64_t{row.removals});
+    entry.set("incremental_bytes", row.incremental_bytes);
+    entry.set("full_download_bytes", row.full_download_bytes);
+    entry.set("client_prefixes", std::uint64_t{row.client_prefixes});
+    entry.set("day0_knowledge_fraction",
+              bench::rounded(row.day0_knowledge_fraction, 4));
+    rounds.push_back(std::move(entry));
   }
-  append("  ],\n");
-  append("  \"total_incremental_bytes\": %llu,\n",
-         static_cast<unsigned long long>(report.total_incremental_bytes));
-  append("  \"total_full_download_bytes\": %llu,\n",
-         static_cast<unsigned long long>(report.total_full_download_bytes));
-  append("  \"total_bloom_reship_bytes\": %llu,\n",
-         static_cast<unsigned long long>(report.total_bloom_reship_bytes));
-  append("  \"fitted_add_rate\": %.6f,\n", rates.add_rate);
-  append("  \"fitted_remove_rate\": %.6f\n", rates.remove_rate);
-  json += "}\n";
-  return bench::write_json(json, out_path) ? 0 : 1;
+  util::json::Value doc{util::json::Object{}};
+  doc.set("experiment", "update_dynamics");
+  doc.set("initial_entries", std::uint64_t{config.initial_entries});
+  doc.set("adds_per_round", std::uint64_t{config.adds_per_round});
+  doc.set("removals_per_round", std::uint64_t{config.removals_per_round});
+  doc.set("rounds", std::move(rounds));
+  doc.set("total_incremental_bytes", report.total_incremental_bytes);
+  doc.set("total_full_download_bytes", report.total_full_download_bytes);
+  doc.set("total_bloom_reship_bytes", report.total_bloom_reship_bytes);
+  doc.set("fitted_add_rate", bench::rounded(rates.add_rate, 6));
+  doc.set("fitted_remove_rate", bench::rounded(rates.remove_rate, 6));
+  return bench::write_json(doc, out_path) ? 0 : 1;
 }

@@ -1,18 +1,23 @@
-// Shared formatting helpers for the table/figure reproduction benches.
+// Shared helpers for the table/figure reproduction benches: the strict
+// argument reader, the one BENCH_*.json writer, the median-of-N sampler
+// and report formatting.
 //
 // Every bench prints a self-describing report: the experiment id, the
 // workload parameters (including any scale factor relative to the paper),
 // and rows with paper= / measured= columns where the paper gives numbers.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/json/json.hpp"
+#include "util/strings.hpp"
 
 namespace sbp::bench {
 
@@ -57,6 +62,20 @@ class Args {
 
   std::uint64_t u64_flag(const char* name, std::uint64_t fallback) {
     return integer_like(string_flag(name, ""), name, fallback);
+  }
+
+  /// Value of `--name 1,2,8`; `fallback` when absent.
+  std::vector<std::uint64_t> u64_list_flag(
+      const char* name, std::vector<std::uint64_t> fallback) {
+    const std::string token = string_flag(name, "");
+    if (token.empty()) return fallback;
+    const auto values = util::parse_u64_list(token);
+    if (!values) {
+      fail(std::string(name) + ": not a list of non-negative integers: " +
+           token);
+      return fallback;
+    }
+    return *values;
   }
 
   /// Next unconsumed positional (non-"-…") argument, as a number.
@@ -120,18 +139,12 @@ class Args {
   std::uint64_t integer_like(const std::string& token, const char* what,
                              std::uint64_t fallback) {
     if (token.empty()) return fallback;
-    // Reject anything but plain digits up front: strtoull would silently
-    // wrap "-5" to 2^64-5 instead of erroring. errno catches overflow,
-    // which strtoull reports by saturating with *end == '\0'.
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(token[0])) ||
-        end == token.c_str() || *end != '\0' || errno == ERANGE) {
+    const std::optional<std::uint64_t> value = util::parse_u64(token);
+    if (!value) {
       fail(std::string(what) + ": not a non-negative integer: " + token);
       return fallback;
     }
-    return value;
+    return *value;
   }
 
   void fail(std::string message) {
@@ -144,33 +157,49 @@ class Args {
   std::string error_;
 };
 
-/// Appends printf-formatted text to a BENCH_*.json string under
-/// construction -- the one JSON builder every artifact-emitting bench
-/// shares, so buffer sizing and conventions cannot drift per bench.
-template <typename... Args>
-inline void json_append(std::string& json, const char* format,
-                        Args... values) {
-  char buffer[1024];
-  std::snprintf(buffer, sizeof(buffer), format, values...);
-  json += buffer;
-}
-
-/// Writes `json` to `path` (the artifact CI uploads) and prints only a
-/// one-line note. Machine-readable output goes to the --out file ONLY --
-/// never interleaved with the human-facing bench log on stdout, so the
-/// artifact is parseable without scraping log text around it. Returns
-/// false (after a stderr note) when the file cannot be written, so
-/// benches can exit nonzero.
-inline bool write_json(const std::string& json, const std::string& path) {
+/// Writes a BENCH_*.json artifact to `path` (the file CI uploads) and
+/// prints only a one-line note -- the one JSON writer every
+/// artifact-emitting bench shares. Machine-readable output goes to the
+/// --out file ONLY, never interleaved with the human-facing bench log on
+/// stdout. Returns false (after a stderr note) when the file cannot be
+/// written, so benches can exit nonzero.
+inline bool write_json(const util::json::Value& doc, const std::string& path) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "could not write %s\n", path.c_str());
     return false;
   }
-  std::fputs(json.c_str(), out);
+  const std::string text = util::json::dump(doc) + "\n";
+  std::fputs(text.c_str(), out);
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+/// `value` rounded to `digits` decimals, for artifact fields whose extra
+/// digits are timer noise (an integral result serializes as an integer).
+inline double rounded(double value, int digits) {
+  const double scale = std::pow(10.0, digits);
+  return std::round(value * scale) / scale;
+}
+
+/// Samples behind every reported timing of the throughput benches: a
+/// figure is the sample with the median run_seconds, never one cold run.
+inline constexpr std::size_t kSamples = 5;
+
+/// Calls `take()` kSamples times and returns the sample whose
+/// `run.run_seconds` is the median. `take` checks each sample itself
+/// (the benches run_diff every one against their reference run).
+template <class Take>
+auto median_sample(Take take) {
+  std::vector<decltype(take())> samples;
+  for (std::size_t i = 0; i < kSamples; ++i) samples.push_back(take());
+  const auto middle = samples.begin() + kSamples / 2;
+  std::nth_element(samples.begin(), middle, samples.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.run.run_seconds < b.run.run_seconds;
+                   });
+  return *middle;
 }
 
 inline void header(const char* experiment, const char* description) {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "crypto/digest.hpp"
@@ -121,37 +120,16 @@ void check_canonical_roundtrip(const Scenario& scenario, Collector& collect) {
   }
 }
 
-/// Appends "section.name got != want" for every counter of the three
-/// counter tables (engine, population, wire) on which two runs differ.
-void append_counter_diffs(const ScenarioRunResult& got,
-                          const ScenarioRunResult& want,
-                          std::vector<std::string>& diffs) {
-  const auto compare = [&diffs](const char* section, const auto& a,
-                                const auto& b) {
-    for (const auto& field : std::remove_cvref_t<decltype(a)>::kCounters) {
-      if (a.*field.member != b.*field.member) {
-        diffs.push_back(std::string(section) + "." + field.name + " " +
-                        num(a.*field.member) + " != " + num(b.*field.member));
-      }
-    }
-  };
-  compare("metrics", got.metrics, want.metrics);
-  compare("population", got.population, want.population);
-  compare("wire", got.wire, want.wire);
-}
-
 void check_thread_determinism(const Scenario& base,
                               const ScenarioRunResult& baseline,
                               std::size_t baseline_threads,
                               const InvariantOptions& options,
                               Collector& collect) {
   collect.begin(kThreadDeterminism);
-  const ScenarioGolden expected = baseline.golden();
   for (std::size_t i = 1; i < options.thread_counts.size(); ++i) {
     const std::size_t threads = options.thread_counts[i];
-    const ScenarioRunResult leg = run_scenario(base, threads);
-    std::vector<std::string> diffs = golden_diff(leg.golden(), expected);
-    append_counter_diffs(leg, baseline, diffs);
+    const std::vector<std::string> diffs =
+        run_diff(run_scenario(base, threads), baseline);
     if (!diffs.empty()) {
       collect.fail("threads=" + num(threads) + " vs threads=" +
                    num(baseline_threads) + ": " + join(diffs, "; "));
@@ -168,8 +146,7 @@ void check_metrics_transparency(const Scenario& base,
   with_metrics.config.collect_metrics = true;
   with_metrics.config.metrics_per_tick_series = true;
   const ScenarioRunResult leg = run_scenario(with_metrics, baseline_threads);
-  std::vector<std::string> diffs = golden_diff(leg.golden(), baseline.golden());
-  append_counter_diffs(leg, baseline, diffs);
+  const std::vector<std::string> diffs = run_diff(leg, baseline);
   if (!diffs.empty()) {
     collect.fail("collect_metrics=true vs false: " + join(diffs, "; "));
   }

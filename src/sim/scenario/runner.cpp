@@ -1,6 +1,8 @@
 #include "sim/scenario/runner.hpp"
 
 #include <chrono>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/reidentify.hpp"
@@ -61,16 +63,30 @@ ScenarioGolden ScenarioRunResult::golden() const noexcept {
   return out;
 }
 
+ScenarioRunResult read_run(const Engine& engine, const CountingSink& log) {
+  ScenarioRunResult result;
+  result.threads_used = engine.num_threads();
+  result.metrics = engine.metrics();
+  result.population = engine.population_metrics();
+  result.wire = engine.transport_stats();
+  if (engine.metrics_enabled()) {
+    result.obs = std::make_shared<const obs::Snapshot>(engine.obs_snapshot());
+  }
+  result.log_entries = log.entries();
+  result.log_prefixes = log.prefixes();
+  result.log_multi_prefix_entries = log.multi_prefix_entries();
+  result.log_fingerprint = log.fingerprint();
+  return result;
+}
+
 ScenarioRunResult run_scenario(const Scenario& scenario,
                                std::optional<std::size_t> threads_override) {
   SimConfig config = scenario.config;
   if (threads_override) config.num_threads = *threads_override;
 
-  ScenarioRunResult result;
   const auto setup_start = Clock::now();
   Engine engine(std::move(config));
-  result.setup_seconds = seconds_since(setup_start);
-  result.threads_used = engine.num_threads();
+  const double setup_seconds = seconds_since(setup_start);
 
   CountingSink counter;
   MultiPrefixSink multi(scenario.report.reid_max_queries);
@@ -79,6 +95,8 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   FanoutSink fanout(std::move(sinks));
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
 
+  bool snapshot_written = false;
+  std::string snapshot_error;
   const auto run_start = Clock::now();
   if (scenario.snapshot) {
     // Checkpoint the serving state mid-run: the first time the requested
@@ -91,29 +109,25 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
     while (engine.step()) {
       if (!written && scenario.snapshot->at_epoch > 0 &&
           engine.churn_epochs() >= scenario.snapshot->at_epoch) {
-        result.snapshot_written =
-            checkpoint_engine(engine, &counter, backend,
-                              &result.snapshot_error);
+        snapshot_written =
+            checkpoint_engine(engine, &counter, backend, &snapshot_error);
         written = true;
       }
     }
     if (!written) {
-      result.snapshot_written = checkpoint_engine(
-          engine, &counter, backend, &result.snapshot_error);
+      snapshot_written =
+          checkpoint_engine(engine, &counter, backend, &snapshot_error);
     }
   } else {
     engine.run();
   }
-  result.run_seconds = seconds_since(run_start);
+  const double run_seconds = seconds_since(run_start);
 
-  result.metrics = engine.metrics();
-  result.population = engine.population_metrics();
-  result.wire = engine.transport_stats();
-  if (engine.metrics_enabled()) result.obs = engine.obs_snapshot();
-  result.log_entries = counter.entries();
-  result.log_prefixes = counter.prefixes();
-  result.log_multi_prefix_entries = counter.multi_prefix_entries();
-  result.log_fingerprint = counter.fingerprint();
+  ScenarioRunResult result = read_run(engine, counter);
+  result.setup_seconds = setup_seconds;
+  result.run_seconds = run_seconds;
+  result.snapshot_written = snapshot_written;
+  result.snapshot_error = std::move(snapshot_error);
 
   if (scenario.report.kanonymity) {
     analysis::KAnonymityIndex index(32);
@@ -214,6 +228,25 @@ std::vector<std::string> golden_diff(const ScenarioGolden& observed,
       diffs.push_back(field + " " + shown + " != golden " + golden);
     }
   }
+  return diffs;
+}
+
+std::vector<std::string> run_diff(const ScenarioRunResult& got,
+                                  const ScenarioRunResult& want) {
+  std::vector<std::string> diffs = golden_diff(got.golden(), want.golden());
+  const auto compare = [&diffs](const char* section, const auto& a,
+                                const auto& b) {
+    for (const auto& field : std::remove_cvref_t<decltype(a)>::kCounters) {
+      if (a.*field.member != b.*field.member) {
+        diffs.push_back(std::string(section) + "." + field.name + " " +
+                        std::to_string(a.*field.member) + " != " +
+                        std::to_string(b.*field.member));
+      }
+    }
+  };
+  compare("metrics", got.metrics, want.metrics);
+  compare("population", got.population, want.population);
+  compare("wire", got.wire, want.wire);
   return diffs;
 }
 

@@ -9,10 +9,12 @@
 // log). verify_scenario() is the determinism contract as a check: re-run
 // the scenario at several thread counts and compare every deterministic
 // observable against the checked-in golden; any drift is a failure with a
-// field-level diagnosis.
+// field-level diagnosis. run_diff() is the same contract between two runs:
+// the one place that decides whether two runs match.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +25,8 @@
 #include "sim/scenario/scenario.hpp"
 
 namespace sbp::sim {
+
+class CountingSink;
 
 /// Re-identification of the run's own multi-prefix queries.
 struct ReidSummary {
@@ -50,10 +54,12 @@ struct ScenarioRunResult {
   std::optional<analysis::KAnonymityStats> kanonymity;
   std::optional<ReidSummary> reidentification;
 
-  /// Observability snapshot (src/obs), engaged when config.collect_metrics
-  /// is on: per-phase wall time, pool and transport instrumentation.
-  /// Orthogonal to every deterministic observable above.
-  std::optional<obs::Snapshot> obs;
+  /// Observability snapshot (src/obs), set when config.collect_metrics is
+  /// on: per-phase wall time, pool and transport instrumentation.
+  /// Orthogonal to every deterministic observable above. Shared and
+  /// immutable (the snapshot itself is move-only), so results copy as
+  /// values -- the benches keep reference runs to diff against.
+  std::shared_ptr<const obs::Snapshot> obs;
 
   /// Scenario snapshot block outcome: whether a checkpoint file was
   /// written, and the located failure reason when it was not (empty when
@@ -70,6 +76,14 @@ struct ScenarioRunResult {
 [[nodiscard]] ScenarioRunResult run_scenario(
     const Scenario& scenario,
     std::optional<std::size_t> threads_override = std::nullopt);
+
+/// The observables of a finished `engine` whose query log streamed through
+/// `log`: threads used, the three counter tables, the log summary and (with
+/// metrics on) the obs snapshot. Timings and analysis sections are left to
+/// the caller -- run_scenario() and the benches that time engine.run()
+/// alone both read their engines through this.
+[[nodiscard]] ScenarioRunResult read_run(const Engine& engine,
+                                         const CountingSink& log);
 
 /// The full `sbsim run` report (scenario identity + run observables +
 /// requested sections).
@@ -108,5 +122,14 @@ struct VerifyResult {
 /// check so mismatch diagnoses always name the drifted field.
 [[nodiscard]] std::vector<std::string> golden_diff(
     const ScenarioGolden& observed, const ScenarioGolden& expected);
+
+/// Every deterministic observable on which two runs differ: golden_diff of
+/// their golden blocks plus one "section.name got != want" entry per
+/// differing `kCounters` row of SimMetrics ("metrics"), ClientMetrics
+/// ("population") and TransportStats ("wire"). Empty iff the runs match.
+/// The invariants, `sbsim bless`, the population benches and the engine
+/// tests all gate on it.
+[[nodiscard]] std::vector<std::string> run_diff(const ScenarioRunResult& got,
+                                                const ScenarioRunResult& want);
 
 }  // namespace sbp::sim

@@ -96,17 +96,29 @@ std::string replace_all(std::string_view input, std::string_view from,
   }
 }
 
-long long parse_decimal(std::string_view input) noexcept {
-  if (input.empty()) return -1;
-  long long value = 0;
-  for (char c : input) {
-    if (c < '0' || c > '9') return -1;
-    if (value > (std::numeric_limits<long long>::max() - (c - '0')) / 10) {
-      return -1;  // overflow
+std::optional<std::uint64_t> parse_u64(std::string_view input) noexcept {
+  if (input.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : input) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // overflow
     }
-    value = value * 10 + (c - '0');
+    value = value * 10 + digit;
   }
   return value;
+}
+
+std::optional<std::vector<std::uint64_t>> parse_u64_list(
+    std::string_view input) {
+  std::vector<std::uint64_t> values;
+  for (const std::string_view item : split(input, ',')) {
+    const std::optional<std::uint64_t> value = parse_u64(item);
+    if (!value) return std::nullopt;
+    values.push_back(*value);
+  }
+  return values;
 }
 
 }  // namespace sbp::util

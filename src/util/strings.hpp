@@ -5,6 +5,8 @@
 // what the Safe Browsing canonicalization spec requires).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,7 +47,15 @@ namespace sbp::util {
                                       std::string_view from,
                                       std::string_view to);
 
-/// Parses a non-negative decimal integer; returns -1 on failure/overflow.
-[[nodiscard]] long long parse_decimal(std::string_view input) noexcept;
+/// The strict integer reader every CLI shares: plain decimal digits only
+/// (no sign, space or base prefix), nullopt on anything else or on u64
+/// overflow. "-1" must never wrap to 2^64-1.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(
+    std::string_view input) noexcept;
+
+/// A comma-separated parse_u64 list ("1,2,8"); nullopt when the list is
+/// empty or any item is malformed ("1,,2", "1,-1", "1,").
+[[nodiscard]] std::optional<std::vector<std::uint64_t>> parse_u64_list(
+    std::string_view input);
 
 }  // namespace sbp::util

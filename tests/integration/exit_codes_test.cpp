@@ -84,6 +84,16 @@ TEST(SbsimExitCodes, OneOnUsageAndFileErrors) {
   EXPECT_EQ(sbsim("fuzz --doctor no-such-invariant"), 1);
   EXPECT_EQ(sbsim("verify"), 1);
 
+  // Integer flags go through one strict reader: a sign or a trailing
+  // letter is a usage error before any engine is built, never a wrapped
+  // or truncated thread count.
+  const std::string loopback =
+      std::string(SBP_SCENARIOS_DIR) + "/net-loopback.json";
+  EXPECT_EQ(sbsim("loadgen " + loopback + " --in-process --threads -1"), 1);
+  EXPECT_EQ(sbsim("loadgen " + loopback + " --in-process --threads 2x"), 1);
+  EXPECT_EQ(sbsim("run " + loopback + " --threads -1"), 1);
+  EXPECT_EQ(sbsim("verify " + loopback + " --threads 1,-1"), 1);
+
   const fs::path dir = scratch_dir();
   const fs::path malformed = dir / "malformed.json";
   write(malformed, R"({"name": "x", "config": {"num_userz": 5}})");
@@ -222,10 +232,11 @@ TEST(SnapshotExitCodes, SbsimSnapshotZeroOnValidOneOnEveryCorruption) {
 
 #ifdef SBP_SBSERVED_PATH
 
-/// Runs `sbserved <args>` with output discarded; returns the exit code.
-int sbserved(const std::string& args) {
-  const std::string command =
-      std::string(SBP_SBSERVED_PATH) + " " + args + " >/dev/null 2>&1";
+/// Runs `<wrapper>sbserved <args>` with output discarded; returns the
+/// exit code.
+int sbserved(const std::string& args, const std::string& wrapper = "") {
+  const std::string command = wrapper + std::string(SBP_SBSERVED_PATH) +
+                              " " + args + " >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
@@ -251,6 +262,19 @@ TEST(SnapshotExitCodes, SbservedRefusesEveryCorruptionWithFour) {
         4)
         << "corruption mode " << mode << " (" << bad << ")";
   }
+}
+
+TEST(SbservedExitCodes, OneOnMalformedDrainBudget) {
+  const fs::path dir = scratch_dir();
+  const fs::path scenario = dir / "tiny.json";
+  write(scenario, kTinyScenario);
+  // Rejected while parsing flags, before the daemon serves, never read as
+  // a 0 ms drain. `timeout` turns a daemon that accepted the flag and
+  // kept serving into exit 124 instead of a hung suite.
+  EXPECT_EQ(sbserved("--drain-ms abc --listen unix:" +
+                     (dir / "drain.sock").string() + " " + scenario.string(),
+                     "timeout 20 "),
+            1);
 }
 
 #endif  // SBP_SBSERVED_PATH

@@ -14,11 +14,14 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "crypto/digest.hpp"
 #include "sb/protocol_v4.hpp"
 #include "sim/log_sink.hpp"
+#include "sim/scenario/runner.hpp"
 #include "storage/raw_hash_store.hpp"
 
 namespace sbp::sim {
@@ -48,13 +51,11 @@ SimConfig churn_config(std::uint64_t seed) {
   return config;
 }
 
+/// The log entries themselves plus the runner's view of the run
+/// (fingerprint and every counter table, client_state_builds included).
 struct RunResult {
   std::vector<sb::QueryLogEntry> entries;
-  std::uint64_t fingerprint = 0;
-  SimMetrics metrics;
-  sb::TransportStats wire;
-  sb::ClientMetrics population;
-  std::uint64_t client_state_builds = 0;
+  ScenarioRunResult run;
 };
 
 RunResult run_with_threads(SimConfig config, std::size_t threads,
@@ -67,55 +68,26 @@ RunResult run_with_threads(SimConfig config, std::size_t threads,
   FanoutSink fanout({&memory, &counting});
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
   engine.run();
-  return {memory.entries(),         counting.fingerprint(),
-          engine.metrics(),         engine.transport_stats(),
-          engine.population_metrics(), engine.metrics().client_state_builds};
+  return {memory.entries(), read_run(engine, counting)};
 }
 
+/// Every counter must be exact at any thread count: wire accounting (the
+/// update channel included) is what the provider bills and observes, and
+/// which shard asks first for a shared sync state never changes how many
+/// distinct states are built.
 void expect_equal_runs(const RunResult& a, const RunResult& b,
                        const char* label) {
   ASSERT_FALSE(a.entries.empty()) << label << ": population was silent";
   EXPECT_EQ(a.entries, b.entries) << label;
-  EXPECT_EQ(a.fingerprint, b.fingerprint) << label;
-
-  EXPECT_EQ(a.metrics.lookups, b.metrics.lookups) << label;
-  EXPECT_EQ(a.metrics.local_hit_lookups, b.metrics.local_hit_lookups)
-      << label;
-  EXPECT_EQ(a.metrics.malicious_verdicts, b.metrics.malicious_verdicts)
-      << label;
-  EXPECT_EQ(a.metrics.churn_events, b.metrics.churn_events) << label;
-  EXPECT_EQ(a.metrics.churn_adds, b.metrics.churn_adds) << label;
-  EXPECT_EQ(a.metrics.churn_removes, b.metrics.churn_removes) << label;
-  EXPECT_EQ(a.metrics.churn_updates, b.metrics.churn_updates) << label;
-  EXPECT_EQ(a.metrics.url_cache_invalidations,
-            b.metrics.url_cache_invalidations)
-      << label;
-
-  // Wire accounting, the update channel included, must be exact at any
-  // thread count -- it is part of what the provider bills and observes.
-  EXPECT_EQ(a.wire.full_hash_requests, b.wire.full_hash_requests) << label;
-  EXPECT_EQ(a.wire.update_requests, b.wire.update_requests) << label;
-  EXPECT_EQ(a.wire.v4_update_requests, b.wire.v4_update_requests) << label;
-  EXPECT_EQ(a.wire.bytes_up, b.wire.bytes_up) << label;
-  EXPECT_EQ(a.wire.bytes_down, b.wire.bytes_down) << label;
-  EXPECT_EQ(a.wire.update_bytes_up, b.wire.update_bytes_up) << label;
-  EXPECT_EQ(a.wire.update_bytes_down, b.wire.update_bytes_down) << label;
-
-  EXPECT_EQ(a.population.full_hash_requests, b.population.full_hash_requests)
-      << label;
-  EXPECT_EQ(a.population.updates_attempted, b.population.updates_attempted)
-      << label;
-  // Shared sync states: which shard asks first for a transition never
-  // changes how many distinct transitions are built.
-  EXPECT_EQ(a.client_state_builds, b.client_state_builds) << label;
+  EXPECT_EQ(run_diff(b.run, a.run), std::vector<std::string>{}) << label;
 }
 
 TEST(SimEngineChurnTest, ChurnedV3PopulationIsThreadCountInvariant) {
   const RunResult one = run_with_threads(churn_config(81), 1);
   const RunResult two = run_with_threads(churn_config(81), 2);
   const RunResult eight = run_with_threads(churn_config(81), 8);
-  EXPECT_GT(one.metrics.churn_events, 0u);
-  EXPECT_GT(one.metrics.churn_updates, 0u);
+  EXPECT_GT(one.run.metrics.churn_events, 0u);
+  EXPECT_GT(one.run.metrics.churn_updates, 0u);
   expect_equal_runs(one, two, "churned v3 1 vs 2 threads");
   expect_equal_runs(one, eight, "churned v3 1 vs 8 threads");
 }
@@ -150,19 +122,21 @@ TEST(SimEngineChurnTest, MixedPopulationResyncsMidRunOnBothChannels) {
   expect_equal_runs(one, run_with_threads(config(), 8, /*metrics=*/true),
                     "churned mixed metrics off vs on, 8 threads");
   // Both generations share their states: far fewer builds than syncs.
-  EXPECT_GT(one.client_state_builds, 0u);
-  EXPECT_LT(one.client_state_builds * 4, one.population.updates_attempted);
+  EXPECT_GT(one.run.metrics.client_state_builds, 0u);
+  EXPECT_LT(one.run.metrics.client_state_builds * 4,
+            one.run.population.updates_attempted);
 
   // 60 v3 + 60 v4 users sync once at construction; anything beyond that
   // is a mid-run re-sync, and both generations must show them.
-  EXPECT_GT(one.wire.update_requests, 60u) << "no v3 mid-run re-syncs";
-  EXPECT_GT(one.wire.v4_update_requests, 60u) << "no v4 mid-run re-syncs";
+  EXPECT_GT(one.run.wire.update_requests, 60u) << "no v3 mid-run re-syncs";
+  EXPECT_GT(one.run.wire.v4_update_requests, 60u)
+      << "no v4 mid-run re-syncs";
   // The update channel's exact frame bytes are accounted separately from
   // the full-hash traffic.
-  EXPECT_GT(one.wire.update_bytes_up, 0u);
-  EXPECT_GT(one.wire.update_bytes_down, 0u);
-  EXPECT_LT(one.wire.update_bytes_up, one.wire.bytes_up);
-  EXPECT_LT(one.wire.update_bytes_down, one.wire.bytes_down);
+  EXPECT_GT(one.run.wire.update_bytes_up, 0u);
+  EXPECT_GT(one.run.wire.update_bytes_down, 0u);
+  EXPECT_LT(one.run.wire.update_bytes_up, one.run.wire.bytes_up);
+  EXPECT_LT(one.run.wire.update_bytes_down, one.run.wire.bytes_down);
 }
 
 TEST(SimEngineChurnTest, EpochsMutateListsAndBumpSequences) {

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/log_sink.hpp"
+#include "sim/scenario/runner.hpp"
 
 namespace sbp::sim {
 namespace {
@@ -37,13 +40,11 @@ SimConfig parallel_config(std::uint64_t seed) {
   return config;
 }
 
-/// Everything a run observably produces.
+/// Everything a run observably produces: the log entries themselves plus
+/// the runner's view of the run (fingerprint and every counter table).
 struct RunResult {
   std::vector<sb::QueryLogEntry> entries;
-  std::uint64_t fingerprint = 0;
-  SimMetrics metrics;
-  sb::TransportStats wire;
-  sb::ClientMetrics population;
+  ScenarioRunResult run;
 };
 
 RunResult run_with_threads(SimConfig config, std::size_t threads) {
@@ -54,37 +55,14 @@ RunResult run_with_threads(SimConfig config, std::size_t threads) {
   FanoutSink fanout({&memory, &counting});
   engine.attach_sink(&fanout, /*retain_in_memory=*/false);
   engine.run();
-  return {memory.entries(), counting.fingerprint(), engine.metrics(),
-          engine.transport_stats(), engine.population_metrics()};
+  return {memory.entries(), read_run(engine, counting)};
 }
 
 void expect_equal_runs(const RunResult& a, const RunResult& b,
                        const char* label) {
   ASSERT_FALSE(a.entries.empty()) << label << ": population was silent";
   EXPECT_EQ(a.entries, b.entries) << label;
-  EXPECT_EQ(a.fingerprint, b.fingerprint) << label;
-
-  EXPECT_EQ(a.metrics.lookups, b.metrics.lookups) << label;
-  EXPECT_EQ(a.metrics.local_hit_lookups, b.metrics.local_hit_lookups)
-      << label;
-  EXPECT_EQ(a.metrics.dispatched_lookups, b.metrics.dispatched_lookups)
-      << label;
-  EXPECT_EQ(a.metrics.malicious_verdicts, b.metrics.malicious_verdicts)
-      << label;
-  EXPECT_EQ(a.metrics.target_visits, b.metrics.target_visits) << label;
-  EXPECT_EQ(a.metrics.url_cache_hits, b.metrics.url_cache_hits) << label;
-  EXPECT_EQ(a.metrics.url_cache_misses, b.metrics.url_cache_misses) << label;
-
-  EXPECT_EQ(a.wire.full_hash_requests, b.wire.full_hash_requests) << label;
-  EXPECT_EQ(a.wire.update_requests, b.wire.update_requests) << label;
-  EXPECT_EQ(a.wire.v4_update_requests, b.wire.v4_update_requests) << label;
-  EXPECT_EQ(a.wire.v1_requests, b.wire.v1_requests) << label;
-  EXPECT_EQ(a.wire.bytes_up, b.wire.bytes_up) << label;
-  EXPECT_EQ(a.wire.bytes_down, b.wire.bytes_down) << label;
-
-  EXPECT_EQ(a.population.full_hash_requests, b.population.full_hash_requests)
-      << label;
-  EXPECT_EQ(a.population.cache_answers, b.population.cache_answers) << label;
+  EXPECT_EQ(run_diff(b.run, a.run), std::vector<std::string>{}) << label;
 }
 
 TEST(SimEngineParallelTest, V3PopulationIsThreadCountInvariant) {
@@ -153,7 +131,7 @@ TEST(SimEngineParallelTest, TargetTrackingSurvivesParallelRuns) {
   const RunResult one = run_with_threads(config(), 1);
   const RunResult eight = run_with_threads(config(), 8);
   expect_equal_runs(one, eight, "tracking 1 vs 8 threads");
-  EXPECT_GT(one.metrics.target_visits, 0u);
+  EXPECT_GT(one.run.metrics.target_visits, 0u);
 }
 
 TEST(SimEngineParallelTest, DummyMitigationIsThreadCountInvariant) {
@@ -168,7 +146,7 @@ TEST(SimEngineParallelTest, DummyMitigationIsThreadCountInvariant) {
   const RunResult one = run_with_threads(config(), 1);
   const RunResult eight = run_with_threads(config(), 8);
   expect_equal_runs(one, eight, "dummy mitigation 1 vs 8 threads");
-  EXPECT_GT(one.metrics.mitigated_lookups, 0u);
+  EXPECT_GT(one.run.metrics.mitigated_lookups, 0u);
 }
 
 TEST(SimEngineParallelTest, DefaultThreadCountResolvesAndStaysDeterministic) {

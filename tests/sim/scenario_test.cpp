@@ -309,6 +309,55 @@ TEST(ScenarioGoldenContract, VerifyPassesHonestGoldenAndCatchesDrift) {
             std::string::npos);
 }
 
+/// True iff some diff entry reports `field` ("field got != want").
+bool names_field(const std::vector<std::string>& diffs,
+                 const std::string& field) {
+  return std::any_of(diffs.begin(), diffs.end(),
+                     [&field](const std::string& diff) {
+                       return diff.rfind(field + " ", 0) == 0;
+                     });
+}
+
+/// Perturbs each `kCounters` row of one counter table alone; run_diff must
+/// name "section.row" every time.
+template <class Counters>
+void expect_every_row_named(const char* section,
+                            Counters ScenarioRunResult::*table) {
+  const ScenarioRunResult want;
+  for (const auto& field : Counters::kCounters) {
+    ScenarioRunResult got = want;
+    (got.*table).*field.member += 1;
+    const std::string name = std::string(section) + "." + field.name;
+    EXPECT_TRUE(names_field(run_diff(got, want), name)) << name;
+  }
+}
+
+TEST(ScenarioGoldenContract, RunDiffNamesEveryDriftedObservable) {
+  ScenarioRunResult want;
+  want.log_fingerprint = 0x1234;
+  want.log_entries = 7;
+  want.metrics.lookups = 11;
+  want.wire.bytes_down = 13;
+  EXPECT_TRUE(run_diff(want, want).empty());
+
+  expect_every_row_named("metrics", &ScenarioRunResult::metrics);
+  expect_every_row_named("population", &ScenarioRunResult::population);
+  expect_every_row_named("wire", &ScenarioRunResult::wire);
+
+  // A golden field (the query log is not a counter table) is named too.
+  ScenarioRunResult drifted = want;
+  drifted.log_fingerprint ^= 1;
+  const std::vector<std::string> diffs = run_diff(drifted, want);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_TRUE(names_field(diffs, "fingerprint")) << diffs.front();
+
+  // Timings and thread counts are not observables.
+  drifted = want;
+  drifted.run_seconds = 9.0;
+  drifted.threads_used = 8;
+  EXPECT_TRUE(run_diff(drifted, want).empty());
+}
+
 TEST(ScenarioGoldenContract, ReportSectionsFollowReportConfig) {
   Scenario scenario = small_scenario();
   scenario.report.kanonymity = true;

@@ -72,14 +72,28 @@ TEST(StringsTest, ReplaceAll) {
   EXPECT_EQ(replace_all("none", "x", "y"), "none");
 }
 
-TEST(StringsTest, ParseDecimal) {
-  EXPECT_EQ(parse_decimal("0"), 0);
-  EXPECT_EQ(parse_decimal("443"), 443);
-  EXPECT_EQ(parse_decimal("317807"), 317807);
-  EXPECT_EQ(parse_decimal(""), -1);
-  EXPECT_EQ(parse_decimal("12a"), -1);
-  EXPECT_EQ(parse_decimal("-1"), -1);
-  EXPECT_EQ(parse_decimal("99999999999999999999999"), -1);  // overflow
+TEST(StringsTest, ParseU64AcceptsOnlyPlainDigits) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("443"), 443u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_u64(""), std::nullopt);
+  EXPECT_EQ(parse_u64("12a"), std::nullopt);
+  EXPECT_EQ(parse_u64("2x"), std::nullopt);
+  EXPECT_EQ(parse_u64("-1"), std::nullopt);  // never wraps to 2^64-1
+  EXPECT_EQ(parse_u64("+1"), std::nullopt);
+  EXPECT_EQ(parse_u64(" 1"), std::nullopt);
+  EXPECT_EQ(parse_u64("0x10"), std::nullopt);
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);  // overflow
+}
+
+TEST(StringsTest, ParseU64List) {
+  EXPECT_EQ(parse_u64_list("1,2,8"), (std::vector<std::uint64_t>{1, 2, 8}));
+  EXPECT_EQ(parse_u64_list("4"), (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(parse_u64_list(""), std::nullopt);
+  EXPECT_EQ(parse_u64_list("1,"), std::nullopt);
+  EXPECT_EQ(parse_u64_list("1,,2"), std::nullopt);
+  EXPECT_EQ(parse_u64_list("1,-1"), std::nullopt);
+  EXPECT_EQ(parse_u64_list("1, 2"), std::nullopt);
 }
 
 }  // namespace

@@ -20,6 +20,10 @@ fail the job instead of rotting silently in artifacts:
     at least 2x -- the committed min_speedup is the policy ceiling that
     kicks in once the hardware can express it.
 
+Throughput artifacts must be medians: a sim_throughput or net_throughput
+artifact whose `samples` is missing or below 3 fails, because one cold
+sample swings past the 25% floor on a shared runner (the benches take 5).
+
 The tool dispatches on the artifact's `experiment` field, so wiring a new
 bench in is: emit `experiment` + numbers, add a committed baseline, call
 this once more in ci.yml.
@@ -55,9 +59,22 @@ def load(path):
         sys.exit(1)
 
 
+MIN_SAMPLES = 3
+
+
+def check_samples(current):
+    """The reported timing must be a median over at least MIN_SAMPLES runs."""
+    samples = current.get("samples")
+    if isinstance(samples, bool) or not isinstance(samples, int) or \
+            samples < MIN_SAMPLES:
+        return [f"samples is {samples!r}: the timing must be the median of "
+                f"at least {MIN_SAMPLES} runs, not a single sample"]
+    return []
+
+
 def check_throughput(baseline, current, args):
     """sim_throughput: throughput floor + determinism gate + scaling floor."""
-    failures = []
+    failures = check_samples(current)
     base = baseline.get("user_ticks_per_sec")
     cur = current.get("user_ticks_per_sec")
     if not isinstance(base, (int, float)) or base <= 0:
@@ -185,7 +202,7 @@ def check_net(baseline, current, args):
     enough to catch an accidental sleep/extra-copy/Nagle-style stall in
     the daemon's request path.
     """
-    failures = []
+    failures = check_samples(current)
     if current.get("equivalent") is not True:
         failures.append(
             "equivalent is not true: the socket run diverged from the "

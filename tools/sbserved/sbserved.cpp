@@ -40,10 +40,13 @@
 // is static between signals, so every SIGUSR1 checkpoint is sealed by
 // construction. Snapshot failures at boot exit with the distinct code 4
 // and never serve partial state.
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/daemon.hpp"
@@ -56,6 +59,7 @@
 #include "sim/snapshot_io.hpp"
 #include "storage/snapshot.hpp"
 #include "util/json/json.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -106,6 +110,16 @@ struct Options {
   bool checkpoint_on_usr1 = false;
 };
 
+/// --drain-ms / "drain_ms": milliseconds as a non-negative int, read with
+/// the shared strict integer reader ("abc" and "-5" are errors, never 0).
+std::optional<int> parse_drain_ms(std::string_view text) {
+  const auto value = sbp::util::parse_u64(text);
+  if (!value || *value > static_cast<std::uint64_t>(INT_MAX)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
+}
+
 bool load_config_file(const std::string& path, Options* options,
                       std::string* error) {
   std::string text;
@@ -138,8 +152,15 @@ bool load_config_file(const std::string& path, Options* options,
       options->stats_out = value.as_string();
     } else if (key == "endpoints_out" && value.is_string()) {
       options->endpoints_out = value.as_string();
-    } else if (key == "drain_ms" && value.is_integer()) {
-      options->drain_ms = static_cast<int>(value.as_int64());
+    } else if (key == "drain_ms") {
+      // The value's JSON text through the CLI's reader: strings, floats,
+      // negatives and values past INT_MAX are rejected alike.
+      const auto drain_ms = parse_drain_ms(json::dump(value, 0));
+      if (!drain_ms) {
+        *error = path + ": drain_ms must be a non-negative integer";
+        return false;
+      }
+      options->drain_ms = *drain_ms;
     } else if (key == "snapshot" && value.is_string()) {
       options->snapshot_path = value.as_string();
     } else if (key == "restore" && value.is_bool()) {
@@ -216,7 +237,11 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--endpoints-out" && i + 1 < args.size()) {
       options.endpoints_out = args[++i];
     } else if (args[i] == "--drain-ms" && i + 1 < args.size()) {
-      options.drain_ms = std::atoi(args[++i].c_str());
+      const auto drain_ms = parse_drain_ms(args[++i]);
+      if (!drain_ms) {
+        return usage_error("--drain-ms needs a non-negative integer");
+      }
+      options.drain_ms = *drain_ms;
     } else if (args[i] == "--snapshot" && i + 1 < args.size()) {
       options.snapshot_path = args[++i];
     } else if (args[i] == "--restore") {

@@ -74,6 +74,7 @@
 #include "sim/snapshot_io.hpp"
 #include "storage/raw_hash_store.hpp"
 #include "storage/snapshot.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -147,22 +148,6 @@ std::optional<Scenario> load_or_complain(const std::string& path) {
   return scenario;
 }
 
-/// Parses "1,2,8" into thread counts; nullopt on malformed input.
-std::optional<std::vector<std::size_t>> parse_thread_list(
-    const std::string& text) {
-  std::vector<std::size_t> threads;
-  const char* cursor = text.c_str();
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(cursor, &end, 10);
-    if (end == cursor || (*end != ',' && *end != '\0')) return std::nullopt;
-    threads.push_back(static_cast<std::size_t>(value));
-    cursor = (*end == ',') ? end + 1 : end;
-  }
-  if (threads.empty()) return std::nullopt;
-  return threads;
-}
-
 // ------------------------------- commands ----------------------------------
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -175,13 +160,9 @@ int cmd_run(const std::vector<std::string>& args) {
   std::string prom_out;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      char* end = nullptr;
-      const std::string& text = args[++i];
-      threads = static_cast<std::size_t>(
-          std::strtoull(text.c_str(), &end, 10));
-      if (end == text.c_str() || *end != '\0') {
-        return usage_error("--threads needs a number");
-      }
+      const auto parsed = sbp::util::parse_u64(args[++i]);
+      if (!parsed) return usage_error("--threads needs a number");
+      threads = static_cast<std::size_t>(*parsed);
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out_path = args[++i];
     } else if (args[i] == "--metrics") {
@@ -304,9 +285,9 @@ int cmd_verify(const std::vector<std::string>& args) {
   bool with_metrics = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      const auto parsed = parse_thread_list(args[++i]);
+      const auto parsed = sbp::util::parse_u64_list(args[++i]);
       if (!parsed) return usage_error("bad --threads list");
-      threads = *parsed;
+      threads.assign(parsed->begin(), parsed->end());
     } else if (args[i] == "--metrics") {
       with_metrics = true;
     } else if (args[i].rfind("--", 0) == 0) {
@@ -357,15 +338,13 @@ int cmd_bless(const std::vector<std::string>& args) {
   std::size_t check_threads = 2;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--check-threads" && i + 1 < args.size()) {
-      char* end = nullptr;
-      const std::string& text = args[++i];
-      check_threads = static_cast<std::size_t>(
-          std::strtoull(text.c_str(), &end, 10));
       // A silently-zero parse would skip the determinism cross-check --
       // the one thing bless must never do.
-      if (end == text.c_str() || *end != '\0' || check_threads < 2) {
+      const auto parsed = sbp::util::parse_u64(args[++i]);
+      if (!parsed || *parsed < 2) {
         return usage_error("--check-threads needs an integer >= 2");
       }
+      check_threads = static_cast<std::size_t>(*parsed);
     } else if (args[i].rfind("--", 0) == 0) {
       return usage_error(("unknown flag for bless: " + args[i]).c_str());
     } else {
@@ -382,13 +361,14 @@ int cmd_bless(const std::vector<std::string>& args) {
     if (!scenario) return 1;
 
     // The golden is the 1-thread run; the cross-check run must agree on
-    // EVERY golden field (the same comparison verify gates on) or the
-    // scenario is not deterministic and must not be blessed.
+    // every golden field and every counter (run_diff, the comparison the
+    // fuzz invariants gate on) or the scenario is not deterministic and
+    // must not be blessed.
     Scenario bare = *scenario;
     bare.report = sbp::sim::ReportConfig{};
     const auto base = sbp::sim::run_scenario(bare, std::size_t{1});
     const auto check = sbp::sim::run_scenario(bare, check_threads);
-    const auto drift = sbp::sim::golden_diff(check.golden(), base.golden());
+    const auto drift = sbp::sim::run_diff(check, base);
     if (!drift.empty()) {
       std::fprintf(stderr,
                    "sbsim: %s is NOT deterministic across threads (1 vs "
@@ -441,13 +421,9 @@ int cmd_loadgen(const std::vector<std::string>& args) {
     } else if (args[i] == "--in-process") {
       in_process = true;
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      char* end = nullptr;
-      const std::string& text = args[++i];
-      threads = static_cast<std::size_t>(
-          std::strtoull(text.c_str(), &end, 10));
-      if (end == text.c_str() || *end != '\0') {
-        return usage_error("--threads needs a number");
-      }
+      const auto parsed = sbp::util::parse_u64(args[++i]);
+      if (!parsed) return usage_error("--threads needs a number");
+      threads = static_cast<std::size_t>(*parsed);
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out_path = args[++i];
     } else if (args[i].rfind("--", 0) == 0) {
@@ -657,12 +633,11 @@ int cmd_fuzz(const std::vector<std::string>& args) {
   std::string repro_file;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--iterations" && i + 1 < args.size()) {
-      char* end = nullptr;
-      const std::string& text = args[++i];
-      iterations = std::strtoull(text.c_str(), &end, 10);
-      if (end == text.c_str() || *end != '\0' || iterations == 0) {
+      const auto parsed = sbp::util::parse_u64(args[++i]);
+      if (!parsed || *parsed == 0) {
         return usage_error("--iterations needs a positive number");
       }
+      iterations = *parsed;
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       char* end = nullptr;
       const std::string& text = args[++i];
@@ -671,9 +646,9 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         return usage_error("--seed needs a number");
       }
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      const auto parsed = parse_thread_list(args[++i]);
+      const auto parsed = sbp::util::parse_u64_list(args[++i]);
       if (!parsed) return usage_error("bad --threads list");
-      threads = *parsed;
+      threads.assign(parsed->begin(), parsed->end());
       threads_overridden = true;
     } else if (args[i] == "--out-dir" && i + 1 < args.size()) {
       out_dir = args[++i];
