@@ -2,30 +2,33 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
-#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string_view>
-#include <unordered_set>
 
 namespace sbp::corpus {
 
 namespace {
 
-constexpr std::array<const char*, 8> kTlds = {
+constexpr std::array<std::string_view, 8> kTlds = {
     "com", "net", "org", "ru", "info", "biz", "co.uk", "com.au"};
 
-constexpr std::array<const char*, 10> kSubdomains = {
+constexpr std::array<std::string_view, 10> kSubdomains = {
     "www", "m", "fr", "nl", "blog", "shop", "mail", "mobile", "en", "cdn"};
 
-constexpr std::array<const char*, 8> kDirWords = {
+constexpr std::array<std::string_view, 8> kDirWords = {
     "tag", "user", "wp", "menu", "2016", "cat", "img", "data"};
 
-constexpr std::array<const char*, 6> kFileExts = {".html", ".php",  ".pwf",
-                                                  ".asp",  ".aspx", ""};
+constexpr std::array<std::string_view, 6> kFileExts = {
+    ".html", ".php", ".pwf", ".asp", ".aspx", ""};
 
-/// One entry of a site's directory pool.
+/// One entry of a site's directory pool. The deepest directory is "/"
+/// plus five "word<digit>/" components: at most 31 bytes.
 struct Directory {
-  std::string path;   ///< e.g. "/tag3/wp1/"
+  char path[32];
+  std::size_t size;   ///< bytes of path
   std::size_t depth;  ///< number of '/' in path: "/" is 1, "/a0/" is 2
 };
 
@@ -35,19 +38,46 @@ void append_number(std::string& out, std::uint64_t value) {
   out.append(digits, end);
 }
 
-/// page.path = dir + "p" + page_index + ext, in one allocation at most.
-void set_file_path(Page& page, const std::string& dir, std::uint64_t index,
-                   std::string_view ext) {
-  char digits[20];
-  char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
-  const std::size_t width = static_cast<std::size_t>(end - digits);
-  page.path.clear();
-  page.path.reserve(dir.size() + 1 + width + ext.size());
-  page.path += dir;
-  page.path += 'p';
-  page.path.append(digits, end);
-  page.path += ext;
+/// A file page's path: dir + "p" + page_index + ext.
+void append_file_path(std::string& out, std::string_view dir,
+                      std::uint64_t index, std::string_view ext) {
+  out += dir;
+  out += 'p';
+  append_number(out, index);
+  out += ext;
 }
+
+/// Per-thread open-addressed set of a site's directory-index pages, as
+/// page indices into the site being generated. Only index pages can
+/// collide: a file page's name carries its unique page index, and only an
+/// index page's path ends in '/'.
+class IndexPageSet {
+ public:
+  /// Empties the set, sized for up to `pages` members at load <= 1/2.
+  void reset(std::uint64_t pages) {
+    slots_.assign(std::bit_ceil(std::max<std::uint64_t>(8, 2 * pages)), 0);
+  }
+
+  /// Adds page `page`, whose expression is the tail of `site.bytes` after
+  /// the last recorded end; false if an equal page is already a member.
+  bool insert(const PackedSite& site, std::size_t page) {
+    const std::size_t begin = site.ends.empty() ? 0 : site.ends.back();
+    const std::string_view candidate =
+        std::string_view(site.bytes).substr(begin);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = std::hash<std::string_view>{}(candidate) & mask;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        slots_[i] = page + 1;
+        return true;
+      }
+      if (site.expression(slots_[i] - 1) == candidate) return false;
+    }
+  }
+
+ private:
+  std::vector<std::size_t> slots_;  ///< page index + 1; 0 = empty
+};
 
 }  // namespace
 
@@ -77,18 +107,12 @@ CorpusConfig CorpusConfig::random_like(std::size_t hosts,
 }
 
 std::string Page::expression() const {
-  std::string out;
-  append_expression_to(out);
-  return out;
-}
-
-void Page::append_expression_to(std::string& out) const {
-  out += host;
-  out += path;
+  std::string out = host + path;
   if (has_query) {
     out += '?';
     out += query;
   }
+  return out;
 }
 
 std::string Page::url() const { return "http://" + expression(); }
@@ -110,12 +134,12 @@ util::Rng WebCorpus::site_rng(std::size_t index) const {
 
 std::string WebCorpus::domain_of(std::size_t index, util::Rng& rng) {
   // "site%06zu.<tld>": the index zero-padded to at least six digits.
-  const char* tld = kTlds[rng.next_below(kTlds.size())];
+  const std::string_view tld = kTlds[rng.next_below(kTlds.size())];
   char digits[20];
   char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
   const std::size_t width = static_cast<std::size_t>(end - digits);
   std::string domain;
-  domain.reserve(4 + std::max<std::size_t>(6, width) + 1 + std::strlen(tld));
+  domain.reserve(4 + std::max<std::size_t>(6, width) + 1 + tld.size());
   domain += "site";
   if (width < 6) domain.append(6 - width, '0');
   domain.append(digits, end);
@@ -143,49 +167,33 @@ std::uint64_t WebCorpus::site_page_count(std::size_t index) const {
   return page_count(rng);
 }
 
-Site WebCorpus::site(std::size_t index) const {
+void WebCorpus::site_into(std::size_t index, PackedSite& out) const {
   util::Rng rng = site_rng(index);
-  Site site;
-  site.domain = domain_of(index, rng);
+  const std::string domain = domain_of(index, rng);
   const std::uint64_t pages = page_count(rng);
-  site.pages.reserve(pages);
+  out.bytes.clear();
+  out.ends.clear();
+  out.ends.reserve(pages);
 
   // Directory pool: grown as pages are placed; "/" is always present.
-  std::vector<Directory> directories = {{"/", 1}};
+  std::array<Directory, 64> directories;
+  directories[0] = {{'/'}, 1, 1};
+  std::size_t directory_count = 1;
   // Guard against duplicate pages (two index pages of the same directory):
   // crawl data has unique URLs per host, and the experiments' ground truth
-  // relies on it. Only directory-index pages can collide: a file page's
-  // name carries its unique page index, and only an index page's path ends
-  // in '/'. So only index pages are tracked, as indices into site.pages.
-  const auto page_hash = [&site](std::size_t i) {
-    const Page& page = site.pages[i];
-    const std::hash<std::string_view> hash;
-    return hash(page.host) ^ (hash(page.path) * 31) ^ (hash(page.query) * 961);
-  };
-  const auto same_page = [&site](std::size_t a, std::size_t b) {
-    const Page& x = site.pages[a];
-    const Page& y = site.pages[b];
-    return x.host == y.host && x.path == y.path &&
-           x.has_query == y.has_query && x.query == y.query;
-  };
-  std::unordered_set<std::size_t, decltype(page_hash), decltype(same_page)>
-      index_pages(0, page_hash, same_page);
-  std::string dir;
+  // relies on it.
+  thread_local IndexPageSet index_pages;
+  index_pages.reset(pages);
+  char dir[sizeof(Directory::path)];
 
   for (std::uint64_t p = 0; p < pages; ++p) {
-    Page& page = site.pages.emplace_back();
-
     // Host: registrable domain or one of its subdomains.
     if (rng.next_bool(config_.subdomain_probability)) {
-      const std::string_view sub =
-          kSubdomains[rng.next_below(kSubdomains.size())];
-      page.host.reserve(sub.size() + 1 + site.domain.size());
-      page.host += sub;
-      page.host += '.';
-      page.host += site.domain;
-    } else {
-      page.host = site.domain;
+      out.bytes += kSubdomains[rng.next_below(kSubdomains.size())];
+      out.bytes += '.';
     }
+    out.bytes += domain;
+    const std::size_t host_end = out.bytes.size();
 
     // Depth draw per the shallow-heavy distribution.
     double draw = rng.next_double();
@@ -198,46 +206,86 @@ Site WebCorpus::site(std::size_t index) const {
     if (depth > 6) depth = 6;
 
     // Build (or reuse) a directory of depth-1 components.
-    dir.assign(1, '/');
+    dir[0] = '/';
+    std::size_t dir_size = 1;
     std::size_t dir_depth = 1;
     if (depth > 1) {
       // Reuse an existing directory 70% of the time to create the shared
       // path prefixes that drive Type I collisions.
       if (rng.next_bool(0.7)) {
         const Directory& reused =
-            directories[rng.next_below(directories.size())];
-        dir = reused.path;
+            directories[rng.next_below(directory_count)];
+        std::copy_n(reused.path, reused.size, dir);
+        dir_size = reused.size;
         dir_depth = reused.depth;
       }
       // Extend to the target depth.
       while (dir_depth < depth) {
-        dir += kDirWords[rng.next_below(kDirWords.size())];
-        dir += static_cast<char>('0' + rng.next_below(10));
-        dir += '/';
+        const std::string_view word =
+            kDirWords[rng.next_below(kDirWords.size())];
+        dir_size = static_cast<std::size_t>(
+            std::copy(word.begin(), word.end(), dir + dir_size) - dir);
+        dir[dir_size++] = static_cast<char>('0' + rng.next_below(10));
+        dir[dir_size++] = '/';
         ++dir_depth;
-        if (directories.size() < 64) directories.push_back({dir, dir_depth});
+        if (directory_count < directories.size()) {
+          Directory& added = directories[directory_count++];
+          std::copy_n(dir, dir_size, added.path);
+          added.size = dir_size;
+          added.depth = dir_depth;
+        }
       }
     }
+    const std::string_view dir_path(dir, dir_size);
 
     const bool index_page =
         rng.next_bool(config_.directory_page_probability);
     if (index_page) {
-      page.path = dir;
+      out.bytes += dir_path;
     } else {
-      set_file_path(page, dir, p, kFileExts[rng.next_below(kFileExts.size())]);
+      append_file_path(out.bytes, dir_path, p,
+                       kFileExts[rng.next_below(kFileExts.size())]);
     }
 
-    if (rng.next_bool(config_.query_probability)) {
-      page.has_query = true;
-      page.query = "id=";
-      append_number(page.query, rng.next_below(1000));
+    const bool has_query = rng.next_bool(config_.query_probability);
+    const std::uint64_t query = has_query ? rng.next_below(1000) : 0;
+    if (has_query) {
+      out.bytes += "?id=";
+      append_number(out.bytes, query);
     }
 
-    if (index_page && !index_pages.insert(p).second) {
+    if (index_page && !index_pages.insert(out, p)) {
       // Duplicate (a directory index drawn twice): fall back to a file page
       // named by the page index, which is unique by construction.
-      set_file_path(page, dir, p, ".html");
+      out.bytes.resize(host_end);
+      append_file_path(out.bytes, dir_path, p, ".html");
+      if (has_query) {
+        out.bytes += "?id=";
+        append_number(out.bytes, query);
+      }
     }
+    if (out.bytes.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("WebCorpus: site exceeds 4 GiB of URLs");
+    }
+    out.ends.push_back(static_cast<std::uint32_t>(out.bytes.size()));
+  }
+}
+
+Site WebCorpus::site(std::size_t index) const {
+  PackedSite packed;
+  site_into(index, packed);
+  Site site;
+  site.domain = site_domain(index);
+  site.pages.resize(packed.size());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    const std::string_view expression = packed.expression(i);
+    const std::size_t path = expression.find('/');
+    const std::size_t query = expression.find('?', path);
+    Page& page = site.pages[i];
+    page.host = expression.substr(0, path);
+    page.path = expression.substr(path, query - path);
+    page.has_query = query != std::string_view::npos;
+    if (page.has_query) page.query = expression.substr(query + 1);
   }
   return site;
 }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/power_law.hpp"
@@ -67,14 +68,27 @@ struct Page {
   [[nodiscard]] std::string expression() const;
   /// A full URL "http://host/path?query".
   [[nodiscard]] std::string url() const;
-  /// Appends expression() to `out` without intermediate allocations.
-  void append_expression_to(std::string& out) const;
 };
 
 /// All pages of one host ("site" = registrable domain + its subdomains).
 struct Site {
   std::string domain;  ///< registrable domain, e.g. "site000042.com"
   std::vector<Page> pages;
+};
+
+/// A generated site in the generator's own form: every page's expression
+/// "host/path?query" back to back in one byte buffer, page i ending at
+/// ends[i]. Generated hosts hold no '/' and generated paths no '?', so each
+/// expression splits back into its Page fields unambiguously.
+struct PackedSite {
+  std::string bytes;
+  std::vector<std::uint32_t> ends;
+
+  [[nodiscard]] std::size_t size() const noexcept { return ends.size(); }
+  [[nodiscard]] std::string_view expression(std::size_t i) const noexcept {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::string_view(bytes).substr(begin, ends[i] - begin);
+  }
 };
 
 /// Deterministic, lazily-generated corpus: site(i) always returns the same
@@ -89,8 +103,11 @@ class WebCorpus {
   }
   [[nodiscard]] const CorpusConfig& config() const noexcept { return config_; }
 
-  /// Generates site `index` (0-based). Thread-compatible: const and
-  /// independent per call.
+  /// THE generator: writes site `index` (0-based) into `out`, reusing its
+  /// storage. Thread-compatible: const and independent per call.
+  void site_into(std::size_t index, PackedSite& out) const;
+
+  /// site_into split into Page fields (analysis and benches).
   [[nodiscard]] Site site(std::size_t index) const;
 
   /// Number of pages site `index` will have (cheap: no page generation).

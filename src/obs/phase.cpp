@@ -25,6 +25,10 @@ std::string_view phase_name(Phase phase) noexcept {
       return "log_drain";
     case Phase::kParallelTick:
       return "parallel_tick";
+    case Phase::kSite:
+      return "site";
+    case Phase::kUrlBuild:
+      return "url_build";
     case Phase::kCount:
       break;
   }

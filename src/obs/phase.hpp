@@ -48,6 +48,10 @@ enum class Phase : std::size_t {
   kChurnEpoch,     ///< serial: epoch mutation + reseal + republish
   kLogDrain,       ///< serial: post-barrier log merge + counter reduction
   kParallelTick,   ///< the whole parallel_for over shards, incl. barrier
+  /// Sub-phases of lookup, per URL-cache miss, per shard. They nest inside
+  /// lookup spans, so they are never added into shard-CPU sums.
+  kSite,           ///< the missed URL's string, via the site LRU
+  kUrlBuild,       ///< LookupRequest::build: canonicalize, decompose, hash
   kCount
 };
 

@@ -15,11 +15,13 @@
 // The engine's per-shard URL cache stores LookupRequests directly, so a
 // cached URL's decomposition work is shared by every user of the shard and
 // every protocol generation without re-deriving anything -- the client
-// flow is unchanged because url::decompose(raw) IS canonicalize +
-// decompose, byte for byte.
+// flow is unchanged because build() runs the same canonicalize_into ->
+// decompose_into core that url::decompose(raw) wraps, byte for byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
@@ -30,8 +32,15 @@
 namespace sbp::sb {
 
 /// One URL canonicalized, decomposed and hashed once -- the input shape of
-/// every generation's lookup flow. Reusable: build() overwrites in place,
-/// keeping the vectors' capacity (the per-lookup heap-traffic fix).
+/// every generation's lookup flow. Everything lives in ONE byte buffer:
+///
+///   [digests: 32 B x n][prefixes: 4 B x n][unique prefixes: 4 B x <= n]
+///   [expression ends: 4 B x n][raw URL bytes][expression bytes]
+///
+/// Reusable: build() overwrites in place and reallocates only when the new
+/// URL needs more bytes than the buffer holds, so a warm request (and the
+/// engine's URL cache of them) builds without touching the heap.
+/// Canonicalization and decomposition run on per-thread scratch buffers.
 class LookupRequest {
  public:
   LookupRequest() = default;
@@ -42,41 +51,72 @@ class LookupRequest {
   /// API did.
   void build(std::string_view raw_url);
 
-  [[nodiscard]] bool valid() const noexcept { return valid_; }
+  [[nodiscard]] bool valid() const noexcept { return count_ > 0; }
   /// The original (pre-canonicalization) URL bytes.
-  [[nodiscard]] std::string_view url() const noexcept { return url_; }
+  [[nodiscard]] std::string_view url() const noexcept {
+    return {chars(url_offset()), url_size_};
+  }
 
   /// Decomposition count (0 when invalid).
-  [[nodiscard]] std::size_t size() const noexcept {
-    return expressions_.size();
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  /// SB expression i, in paper order (most-specific first) -- what a
+  /// confirmed verdict reports as matched_expression.
+  [[nodiscard]] std::string_view expression(std::size_t i) const noexcept {
+    const std::uint32_t* ends = at<std::uint32_t>(ends_offset());
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return {chars(url_offset() + url_size_ + begin), ends[i] - begin};
   }
-  /// Per-decomposition SB expressions, in paper order (most-specific
-  /// first) -- what a confirmed verdict reports as matched_expression.
-  [[nodiscard]] std::span<const std::string> expressions() const noexcept {
-    return expressions_;
+  /// Every expression as a string, built on demand: for cold callers
+  /// only -- nothing on the lookup path materializes expressions.
+  [[nodiscard]] std::vector<std::string> expressions() const {
+    std::vector<std::string> out;
+    out.reserve(count_);
+    for (std::size_t i = 0; i < count_; ++i) out.emplace_back(expression(i));
+    return out;
   }
   /// Per-decomposition full digests (verdict confirmation).
   [[nodiscard]] std::span<const crypto::Digest256> digests() const noexcept {
-    return digests_;
+    return {at<crypto::Digest256>(0), count_};
   }
-  /// Per-decomposition 32-bit prefixes (same order as expressions).
+  /// Per-decomposition 32-bit prefixes (same order as the expressions).
   [[nodiscard]] std::span<const crypto::Prefix32> prefixes() const noexcept {
-    return prefixes_;
+    return {at<crypto::Prefix32>(prefixes_offset()), count_};
   }
   /// Deduplicated prefixes in first-seen decomposition order -- what a
   /// client tests against its local store / sends to the server.
   [[nodiscard]] std::span<const crypto::Prefix32> unique_prefixes()
       const noexcept {
-    return unique_prefixes_;
+    return {at<crypto::Prefix32>(prefixes_offset() + 4 * count_),
+            unique_count_};
   }
 
  private:
-  std::string url_;
-  bool valid_ = false;
-  std::vector<std::string> expressions_;
-  std::vector<crypto::Digest256> digests_;
-  std::vector<crypto::Prefix32> prefixes_;
-  std::vector<crypto::Prefix32> unique_prefixes_;
+  [[nodiscard]] std::size_t prefixes_offset() const noexcept {
+    return sizeof(crypto::Digest256) * count_;
+  }
+  [[nodiscard]] std::size_t ends_offset() const noexcept {
+    return prefixes_offset() + 8 * count_;
+  }
+  [[nodiscard]] std::size_t url_offset() const noexcept {
+    return ends_offset() + 4 * count_;
+  }
+  [[nodiscard]] const char* chars(std::size_t offset) const noexcept {
+    return reinterpret_cast<const char*>(buffer_.data()) + offset;
+  }
+  /// The objects build() copied into the buffer (memcpy into a byte array
+  /// implicitly creates them). Null while nothing was ever built.
+  template <typename T>
+  [[nodiscard]] const T* at(std::size_t offset) const noexcept {
+    return buffer_.empty() ? nullptr
+                           : std::launder(reinterpret_cast<const T*>(
+                                 buffer_.data() + offset));
+  }
+
+  /// Grown (never shrunk) to the largest request built into it.
+  std::vector<std::byte> buffer_;
+  std::size_t count_ = 0;
+  std::size_t unique_count_ = 0;
+  std::size_t url_size_ = 0;
 };
 
 }  // namespace sbp::sb

@@ -1,12 +1,15 @@
 #include "sb/protocol.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "sb/client.hpp"
 #include "sb/lookup_api.hpp"
 #include "sb/protocol_v4.hpp"
+#include "url/decompose.hpp"
 
 namespace sbp::sb {
 
@@ -21,34 +24,28 @@ LookupResult PrefixProtocolClient::lookup(const LookupRequest& request) {
 
   // One batched local-store probe across every decomposition prefix (the
   // request pre-computed digests and prefixes; see sb/lookup_request.hpp).
+  // A request holds at most url::kMaxDecompositions expressions, so the
+  // flags and hits live on the stack.
   const auto prefixes = request.prefixes();
   const auto digests = request.digests();
-  const auto expressions = request.expressions();
   const std::size_t n = prefixes.size();
-  bool inline_flags[64];
-  std::unique_ptr<bool[]> heap_flags;
-  bool* flags = inline_flags;
-  if (n > 64) {
-    heap_flags = std::make_unique<bool[]>(n);
-    flags = heap_flags.get();
-  }
-  local_contains_many(prefixes, std::span<bool>(flags, n));
+  std::array<bool, url::kMaxDecompositions> flags;
+  local_contains_many(prefixes, std::span<bool>(flags.data(), n));
 
-  struct Hit {
-    crypto::Digest256 digest;
-    crypto::Prefix32 prefix;
-    const std::string* expression;
-  };
-  std::vector<Hit> hits;
+  // A hit is a decomposition index: the expression string is built only
+  // for a confirmed verdict.
+  std::array<std::size_t, url::kMaxDecompositions> hit_slots;
+  std::size_t hit_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!flags[i]) continue;
     // Multiple decompositions can share a prefix; keep each digest.
-    hits.push_back({digests[i], prefixes[i], &expressions[i]});
+    hit_slots[hit_count++] = i;
     if (std::find(result.local_hits.begin(), result.local_hits.end(),
                   prefixes[i]) == result.local_hits.end()) {
       result.local_hits.push_back(prefixes[i]);
     }
   }
+  const std::span<const std::size_t> hits(hit_slots.data(), hit_count);
 
   if (hits.empty()) {
     result.verdict = Verdict::kSafe;  // a miss proves the URL is not listed
@@ -111,13 +108,13 @@ LookupResult PrefixProtocolClient::lookup(const LookupRequest& request) {
   // entries for its prefix. The matching entry carries the list tag, so
   // reporting needs nothing beyond what crossed the wire (entries are in
   // server response order: ascending list name).
-  for (const Hit& hit : hits) {
-    const auto it = resolved.find(hit.prefix);
+  for (const std::size_t hit : hits) {
+    const auto it = resolved.find(prefixes[hit]);
     if (it == resolved.end()) continue;
     for (const auto& entry : it->second) {
-      if (entry.digest != hit.digest) continue;
+      if (entry.digest != digests[hit]) continue;
       result.verdict = Verdict::kMalicious;
-      result.matched_expression = *hit.expression;
+      result.matched_expression = request.expression(hit);
       result.matched_list = entry.list_name;
       ++metrics_.malicious_verdicts;
       return result;

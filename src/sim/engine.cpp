@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
 #include <thread>
 #include <utility>
+
+#include "url/decompose.hpp"
 
 namespace sbp::sim {
 
@@ -147,7 +150,9 @@ void Engine::build_population() {
             : std::make_unique<sb::InProcessTransport>(
                   server_, clock_, /*round_trip_ticks=*/0);
     shards_.push_back(std::make_unique<Shard>(std::move(transport),
-                                              traffic_model_, obs_enabled_));
+                                              traffic_model_,
+                                              config_.url_cache_entries,
+                                              obs_enabled_));
   }
   const double interested = config_.traffic.interested_fraction;
 
@@ -257,66 +262,60 @@ void Engine::apply_churn_epoch() {
   ++metrics_.churn_events;
 }
 
-void Engine::stamp_universe(CachedUrl& entry) const {
-  entry.universe_hits.clear();
-  for (const auto prefix : entry.request.unique_prefixes()) {
-    if (listed_universe_.count(prefix) > 0) {
-      entry.universe_hits.push_back(prefix);
+void Engine::stamp_universe(UrlCache::Entry& entry) const {
+  const auto unique = entry.request.unique_prefixes();
+  entry.universe_hits = 0;
+  for (std::size_t i = 0; i < unique.size(); ++i) {
+    if (listed_universe_.count(unique[i]) > 0) {
+      entry.universe_hits |= std::uint32_t{1} << i;
     }
   }
   entry.universe_version = universe_version_;
 }
 
-const Engine::CachedUrl& Engine::url_prefixes(Shard& shard,
-                                              TrafficModel::VisitId visit) {
-  const auto it = shard.url_cache.find(visit);
-  if (it != shard.url_cache.end()) {
+const UrlCache::Entry& Engine::url_prefixes(Shard& shard,
+                                            TrafficModel::VisitId visit) {
+  if (UrlCache::Entry* hit = shard.url_cache.find(visit)) {
     ++shard.tick_metrics.url_cache_hits;
-    if (it->second.universe_version != universe_version_) {
+    if (hit->universe_version != universe_version_) {
       // Stale: an epoch grew the listed universe since this entry was
       // stamped -- its "safe" verdict may have been revoked by the adds.
-      stamp_universe(it->second);
+      stamp_universe(*hit);
       ++shard.tick_metrics.url_cache_invalidations;
     }
-    return it->second;
+    return *hit;
   }
   ++shard.tick_metrics.url_cache_misses;
-  if (config_.url_cache_entries > 0 &&
-      shard.url_cache.size() >= config_.url_cache_entries) {
-    shard.url_cache.clear();  // simple epoch eviction; hot URLs repopulate
-  }
 
   // Build in place: the entry IS the LookupRequest the clients consume
   // (decompose + hash happen exactly once per distinct URL per shard). The
-  // URL string exists only here, on a miss.
-  CachedUrl& entry = shard.url_cache.try_emplace(visit).first->second;
+  // URL string exists only here, on a miss. With metrics on, the miss is
+  // split into its site step (URL from the site LRU) and its url_build
+  // step; both nest inside the user's lookup span.
+  UrlCache::Entry& entry = shard.url_cache.insert(visit);
+  const bool timed = obs_enabled_;
+  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
   traffic_model_.url_of(visit, shard.site_cache, shard.url_scratch);
+  const std::uint64_t t1 = timed ? obs::now_ns() : 0;
   entry.request.build(shard.url_scratch);
+  if (timed) {
+    const std::uint64_t t2 = obs::now_ns();
+    record_phase(shard, obs::Phase::kSite, t1 - t0);
+    record_phase(shard, obs::Phase::kUrlBuild, t2 - t1);
+  }
   stamp_universe(entry);
   return entry;
 }
 
-namespace {
-
-/// Stack-first scratch for batch membership flags (std::vector<bool>
-/// cannot back a std::span<bool>).
-struct FlagScratch {
-  bool inline_[64];
-  std::unique_ptr<bool[]> heap;
-
-  std::span<bool> get(std::size_t n) {
-    if (n <= 64) return {inline_, n};
-    heap = std::make_unique<bool[]>(n);
-    return {heap.get(), n};
-  }
-};
-
-}  // namespace
+void Engine::record_phase(Shard& shard, obs::Phase phase, std::uint64_t ns) {
+  shard.obs_phases.record(phase, ns);
+  shard.tick_ns[static_cast<std::size_t>(phase)] += ns;
+}
 
 void Engine::dispatch(Shard& shard, UserState& user,
                       TrafficModel::VisitId visit) {
   ++shard.tick_metrics.lookups;
-  const CachedUrl& entry = url_prefixes(shard, visit);
+  const UrlCache::Entry& entry = url_prefixes(shard, visit);
   if (!entry.request.valid()) return;
 
   // Prefilter: the client-equivalent local membership test, shared-hash
@@ -326,26 +325,31 @@ void Engine::dispatch(Shard& shard, UserState& user,
   // universe subset is outcome-identical and shrinks the batch to empty
   // for the (vast majority of) URLs with no listed prefix; v1 has no
   // store (everything ships) and Bloom stores may false-positive outside
-  // the universe, so both test the full unique-prefix batch.
+  // the universe, so both test the full unique-prefix batch. A request
+  // holds at most url::kMaxDecompositions prefixes, so the batch and its
+  // flags live on the stack.
   const bool exact_store =
       universe_prefilter_ &&
       user.client->version() != sb::ProtocolVersion::kV1Lookup;
-  const std::span<const crypto::Prefix32> candidates =
-      exact_store ? std::span<const crypto::Prefix32>(entry.universe_hits)
-                  : entry.request.unique_prefixes();
-  bool any_hit = false;
-  if (!candidates.empty()) {
-    FlagScratch scratch;
-    const std::span<bool> flags = scratch.get(candidates.size());
-    user.client->local_contains_many(candidates, flags);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (flags[i]) {
-        any_hit = true;
-        break;
-      }
+  const auto unique = entry.request.unique_prefixes();
+  std::array<crypto::Prefix32, url::kMaxDecompositions> listed;
+  std::span<const crypto::Prefix32> candidates = unique;
+  if (exact_store) {
+    std::size_t n = 0;
+    for (std::uint32_t bits = entry.universe_hits; bits != 0;
+         bits &= bits - 1) {
+      listed[n++] = unique[static_cast<std::size_t>(std::countr_zero(bits))];
     }
+    candidates = std::span<const crypto::Prefix32>(listed.data(), n);
   }
-  if (!any_hit) return;
+  if (candidates.empty()) return;
+  std::array<bool, url::kMaxDecompositions> flags;
+  const std::span<bool> hit_flags(flags.data(), candidates.size());
+  user.client->local_contains_many(candidates, hit_flags);
+  if (std::find(hit_flags.begin(), hit_flags.end(), true) ==
+      hit_flags.end()) {
+    return;
+  }
   ++shard.tick_metrics.local_hit_lookups;
 
   if (config_.mitigation.dummy_requests) {
@@ -362,16 +366,17 @@ void Engine::dispatch(Shard& shard, UserState& user,
 }
 
 void Engine::mitigated_dispatch(Shard& shard, UserState& user,
-                                const CachedUrl& entry) {
+                                const UrlCache::Entry& entry) {
   // Firefox-style padded request (Section 8): the wire carries the real hit
   // prefixes plus deterministic dummies. This path models the padded wire
   // exchange directly; the client's full-hash cache and backoff are not
   // consulted (every mitigated hit produces one padded server query).
   const auto unique = entry.request.unique_prefixes();
-  FlagScratch scratch;
-  const std::span<bool> flags = scratch.get(unique.size());
-  user.client->local_contains_many(unique, flags);
-  std::vector<crypto::Prefix32> hits;
+  std::array<bool, url::kMaxDecompositions> flags;
+  user.client->local_contains_many(
+      unique, std::span<bool>(flags.data(), unique.size()));
+  std::vector<crypto::Prefix32>& hits = shard.mitigation_hits;
+  hits.clear();
   for (std::size_t i = 0; i < unique.size(); ++i) {
     if (flags[i]) hits.push_back(unique[i]);
   }
@@ -401,9 +406,7 @@ void Engine::tick_shard(Shard& shard) {
   // buffer; the engine merges buffers in shard order after the barrier.
   const sb::Server::ScopedLogShard log_scope(shard.log_buffer);
   shard.tick_metrics = SimMetrics{};
-  shard.tick_plan_ns = 0;
-  shard.tick_lookup_ns = 0;
-  shard.tick_resync_ns = 0;
+  shard.tick_ns = {};
   // Per-user spans cost three steady_clock reads when timing is on and
   // three predictable branches when it is off; everything recorded is
   // shard-confined, so timing cannot perturb any cross-shard state.
@@ -426,11 +429,7 @@ void Engine::tick_shard(Shard& shard) {
       (void)client.update();
       ++shard.tick_metrics.churn_updates;
     }
-    if (timed) {
-      const std::uint64_t ns = obs::now_ns() - r0;
-      shard.obs_phases.record(obs::Phase::kResync, ns);
-      shard.tick_resync_ns = ns;
-    }
+    if (timed) record_phase(shard, obs::Phase::kResync, obs::now_ns() - r0);
   }
 
   for (auto& user : shard.users) {
@@ -443,11 +442,8 @@ void Engine::tick_shard(Shard& shard) {
       dispatch(shard, user, visit);
     }
     if (timed) {
-      const std::uint64_t t2 = obs::now_ns();
-      shard.obs_phases.record(obs::Phase::kPlan, t1 - t0);
-      shard.obs_phases.record(obs::Phase::kLookup, t2 - t1);
-      shard.tick_plan_ns += t1 - t0;
-      shard.tick_lookup_ns += t2 - t1;
+      record_phase(shard, obs::Phase::kPlan, t1 - t0);
+      record_phase(shard, obs::Phase::kLookup, obs::now_ns() - t1);
     }
   }
 }
@@ -512,14 +508,12 @@ bool Engine::step() {
     sample.tick = tick_;
     sample.phase_ns = tick_ns;
     // The parallel phases report CPU time summed over shards (wall time
-    // at one thread; up to threads x wall when scaling perfectly).
+    // at one thread; up to threads x wall when scaling perfectly). Shards
+    // record only parallel phases, so their samples add straight in.
     for (const auto& shard : shards_) {
-      sample.phase_ns[static_cast<std::size_t>(obs::Phase::kPlan)] +=
-          shard->tick_plan_ns;
-      sample.phase_ns[static_cast<std::size_t>(obs::Phase::kLookup)] +=
-          shard->tick_lookup_ns;
-      sample.phase_ns[static_cast<std::size_t>(obs::Phase::kResync)] +=
-          shard->tick_resync_ns;
+      for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+        sample.phase_ns[p] += shard->tick_ns[p];
+      }
     }
     obs_series_.push_back(sample);
   }

@@ -48,8 +48,14 @@
 // bounded per-shard cache (instead of once per user x visit). The cache is
 // keyed by visit id, which is 1:1 with URL strings, so the URL string is
 // built -- through the site LRU, which sits behind the URL cache -- only
-// on a cache miss, where the LookupRequest consumes it. Each visit first
-// runs a cheap local-store prefilter (client->local_contains_many) --
+// on a cache miss, where the LookupRequest consumes it. The cache is a
+// flat open-addressed table (sim/url_cache.hpp) that grows on demand up to
+// url_cache_entries; eviction clears it with a generation bump, and its
+// entries keep their one-buffer LookupRequests, so a warm miss rebuilds an
+// entry in place: site-LRU hit, one slice copy, canonicalize + decompose
+// into per-thread scratch, hashing straight into the entry -- no heap
+// traffic. Each visit first runs a cheap local-store prefilter
+// (client->local_contains_many) --
 // only the rare local hits enter the full sb::Client lookup flow with its
 // cache, backoff and full-hash round trip. Semantics match a per-user
 // client.lookup() for every URL: a prefilter miss is exactly the client's
@@ -82,10 +88,10 @@
 // stable index.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -98,6 +104,7 @@
 #include "sim/config.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/traffic_model.hpp"
+#include "sim/url_cache.hpp"
 #include "sim/user.hpp"
 #include "util/counters.hpp"
 #include "util/rng.hpp"
@@ -254,27 +261,15 @@ class Engine {
   [[nodiscard]] obs::Snapshot obs_snapshot() const;
 
  private:
-  /// One URL decomposed and hashed once, shared across all users of a
-  /// shard AND passed straight into ProtocolClient::lookup -- the request
-  /// object is the same sb::LookupRequest every generation's lookup
-  /// consumes, so a cache hit re-derives nothing.
-  struct CachedUrl {
-    sb::LookupRequest request;
-    /// Subset of request.unique_prefixes() present in the listed-prefix
-    /// universe as of `universe_version` (same order); empty = no client
-    /// store can hit this URL, the prefilter fast path. Re-validated
-    /// lazily whenever an epoch grows the universe (0 = never stamped).
-    std::vector<crypto::Prefix32> universe_hits;
-    std::uint64_t universe_version = 0;
-  };
-
   /// Everything a tick mutates, owned per shard so worker threads never
   /// share writable state.
   struct Shard {
     Shard(std::unique_ptr<sb::Transport> transport_in,
-          const TrafficModel& traffic_model, bool obs_enabled)
+          const TrafficModel& traffic_model, std::size_t url_cache_entries,
+          bool obs_enabled)
         : transport(std::move(transport_in)),
-          site_cache(traffic_model.make_cache()) {
+          site_cache(traffic_model.make_cache()),
+          url_cache(url_cache_entries) {
       // Attached before the initial syncs in build_population, so setup
       // traffic lands in the channel stats too.
       if (obs_enabled) transport->set_obs(&obs_transport);
@@ -288,7 +283,7 @@ class Engine {
     TrafficModel::SiteCache site_cache;
     std::vector<UserState> users;
     /// Keyed by visit id, which is 1:1 with URL strings (traffic_model.hpp).
-    std::unordered_map<TrafficModel::VisitId, CachedUrl> url_cache;
+    UrlCache url_cache;
     sb::QueryLogBuffer log_buffer;
     SimMetrics tick_metrics;  ///< zeroed per tick, reduced post-barrier
     /// One user's planned visits; reused, so planning stops allocating once
@@ -296,6 +291,8 @@ class Engine {
     std::vector<TrafficModel::VisitId> visits;
     /// The URL of a URL-cache miss, built in a reused buffer.
     std::string url_scratch;
+    /// The padded path's locally hit prefixes, reused across lookups.
+    std::vector<crypto::Prefix32> mitigation_hits;
     /// LOCAL user indices (into `users`) bucketed by re-sync slot: bucket
     /// s holds, ascending, the shard's users polling for updates at ticks
     /// == s (mod resync_cadence()). The re-sync phase runs INSIDE
@@ -306,14 +303,13 @@ class Engine {
     /// Empty when churn is off.
     std::vector<std::vector<std::size_t>> resync_slots;
     /// Shard-confined profiling state (only touched with obs enabled):
-    /// resync/plan/lookup span profiles, the shard transport's channel
-    /// stats, and this tick's wall times for the per-tick series. Written
-    /// only by the worker ticking this shard; merged post-barrier.
+    /// resync/plan/lookup span profiles and lookup's site/url_build
+    /// sub-phases, the shard transport's channel stats, and this tick's
+    /// wall times for the per-tick series. Written only by the worker
+    /// ticking this shard; merged post-barrier.
     obs::PhaseProfile obs_phases;
     obs::TransportObs obs_transport;
-    std::uint64_t tick_plan_ns = 0;
-    std::uint64_t tick_lookup_ns = 0;
-    std::uint64_t tick_resync_ns = 0;
+    std::array<std::uint64_t, obs::kPhaseCount> tick_ns{};
   };
 
   void seed_blacklist();
@@ -322,12 +318,16 @@ class Engine {
   void build_listed_universe();
   void apply_churn_epoch();
   /// Recomputes entry.universe_hits against the current universe version.
-  void stamp_universe(CachedUrl& entry) const;
+  void stamp_universe(UrlCache::Entry& entry) const;
   void tick_shard(Shard& shard);
-  const CachedUrl& url_prefixes(Shard& shard, TrafficModel::VisitId visit);
+  /// Records a span of a shard-ticked phase into its profile and this
+  /// tick's sample (obs enabled only).
+  static void record_phase(Shard& shard, obs::Phase phase, std::uint64_t ns);
+  const UrlCache::Entry& url_prefixes(Shard& shard,
+                                      TrafficModel::VisitId visit);
   void dispatch(Shard& shard, UserState& user, TrafficModel::VisitId visit);
   void mitigated_dispatch(Shard& shard, UserState& user,
-                          const CachedUrl& entry);
+                          const UrlCache::Entry& entry);
 
   SimConfig config_;
   sb::Server server_;

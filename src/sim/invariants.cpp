@@ -7,9 +7,15 @@
 #include <utility>
 
 #include "crypto/digest.hpp"
+#include "mitigation/dummy_requests.hpp"
+#include "sb/protocol_v4.hpp"
+#include "sb/transport.hpp"
 #include "sb/wire/frames.hpp"
+#include "sim/log_sink.hpp"
 #include "sim/scenario/generator.hpp"
 #include "sim/scenario/runner.hpp"
+#include "sim/user.hpp"
+#include "url/decompose.hpp"
 #include "storage/bloom_filter.hpp"
 #include "storage/raw_hash_store.hpp"
 #include "storage/snapshot.hpp"
@@ -27,6 +33,7 @@ constexpr const char* kCounterConservation = "counter-conservation";
 constexpr const char* kCanonicalRoundtrip = "canonical-roundtrip";
 constexpr const char* kCheckpointRestore = "checkpoint-restore";
 constexpr const char* kBatchScalarEquivalence = "batch-scalar-equivalence";
+constexpr const char* kReferenceEquivalence = "reference-equivalence";
 
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep) {
@@ -538,13 +545,192 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
   compare("raw-hash", "binary search", listed);
 }
 
+/// The engine's seed derivation (engine.cpp), restated: the reference
+/// must give user u the same RNG stream, interest, generation and re-sync
+/// slot as the engine does.
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {
+  std::uint64_t state = seed ^ salt;
+  return util::splitmix64(state);
+}
+
+/// Whether member `i` of an n-member population falls in an exact
+/// even-spread `fraction` of it (the engine's interest/mix split).
+bool in_spread(std::size_t i, double fraction) {
+  return static_cast<std::size_t>(static_cast<double>(i + 1) * fraction) >
+         static_cast<std::size_t>(static_cast<double>(i) * fraction);
+}
+
+/// The engine.hpp claim, checked: every URL gets the result a per-user
+/// client.lookup(url) gives. A naive replay of the paper's Figure 3 client
+/// flow runs next to the engine on a shrunk population: each user builds
+/// each URL string from a freshly generated site, calls lookup(url) (or,
+/// under mitigation, pads its local hits itself) and re-syncs through a
+/// private sync-state cache. No URL cache, universe prefilter, site LRU or
+/// shared client state. A zero-user Engine is only the server side: it
+/// seeds the lists and applies each churn epoch before the users' tick.
+/// Query-log fingerprint, malicious verdicts, every TransportStats
+/// counter and each v4 user's list checksums must match the engine's.
+void check_reference_equivalence(const Scenario& base, Collector& collect) {
+  collect.begin(kReferenceEquivalence);
+  SimConfig config = base.config;
+  config.num_users = std::min<std::size_t>(config.num_users, 256);
+  config.ticks = std::min<std::uint64_t>(config.ticks, 64);
+  config.num_threads = 1;
+
+  Engine engine(config);
+  CountingSink engine_log;
+  engine.attach_sink(&engine_log);
+  engine.run();
+
+  SimConfig server_config = config;
+  server_config.num_users = 0;
+  Engine server_side(server_config);
+  CountingSink reference_log;
+  server_side.attach_sink(&reference_log);
+  sb::SimClock clock;
+  sb::InProcessTransport transport(server_side.server(), clock,
+                                   /*round_trip_ticks=*/0);
+  const TrafficModel& model = server_side.traffic_model();
+  const mitigation::DummyPolicy dummies(config.mitigation.dummies_per_prefix);
+  const std::size_t shards = std::max<std::size_t>(1, config.num_shards);
+  const std::uint64_t cadence = server_side.resync_cadence();
+  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+  std::vector<UserState> users(config.num_users);
+  std::vector<std::uint64_t> resync_slot(config.num_users, 0);
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    UserState& user = users[u];
+    user.cookie = static_cast<sb::Cookie>(u + 1);
+    user.rng = util::Rng(
+        derive_seed(config.seed, 0x05E2000000000000ULL + u * kGolden));
+    user.interested = in_spread(u, config.traffic.interested_fraction);
+    sb::ClientConfig client;
+    client.protocol = in_spread(config.num_users - 1 - u, config.mix_fraction)
+                          ? config.mix_protocol
+                          : config.protocol;
+    client.store_kind = config.store_kind;
+    client.bloom_bits = config.bloom_bits;
+    client.full_hash_ttl = config.full_hash_ttl;
+    client.cookie = user.cookie;
+    user.client = sb::make_protocol_client(transport, client);
+    for (const auto& list : config.blacklist.lists) {
+      user.client->subscribe(list);
+    }
+    (void)user.client->update();
+    if (config.churn.epoch_ticks > 0) {
+      resync_slot[u] =
+          derive_seed(config.seed, 0x5C4EDB1E00000000ULL + u * kGolden) %
+          cadence;
+    }
+  }
+
+  // The padded exchange of a mitigated lookup, from the URL string.
+  const auto padded_lookup = [&](sb::ProtocolClient& client,
+                                 const std::string& url) {
+    std::vector<crypto::Digest256> digests;
+    std::vector<crypto::Prefix32> unique;
+    for (const auto& d : url::decompose(url)) {
+      digests.push_back(crypto::Digest256::of(d.expression));
+      const crypto::Prefix32 prefix = digests.back().prefix32();
+      if (std::find(unique.begin(), unique.end(), prefix) == unique.end()) {
+        unique.push_back(prefix);
+      }
+    }
+    std::vector<crypto::Prefix32> hits;
+    for (const crypto::Prefix32 prefix : unique) {
+      if (client.local_contains(prefix)) hits.push_back(prefix);
+    }
+    if (hits.empty()) return false;
+    const auto response = transport.get_full_hashes_or_error(
+        dummies.pad_request(hits), client.cookie());
+    if (!response) return false;
+    for (const crypto::Digest256& digest : digests) {
+      const auto it = response->matches.find(digest.prefix32());
+      if (it == response->matches.end() ||
+          std::find(hits.begin(), hits.end(), it->first) == hits.end()) {
+        continue;
+      }
+      for (const auto& match : it->second) {
+        if (match.digest == digest) return true;
+      }
+    }
+    return false;
+  };
+
+  std::uint64_t malicious = 0;
+  std::vector<TrafficModel::VisitId> visits;
+  for (std::uint64_t tick = 0; tick < config.ticks; ++tick) {
+    server_side.step();  // this tick's churn epoch, if one is due
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (std::size_t u = s; u < users.size(); u += shards) {
+        UserState& user = users[u];
+        sb::ProtocolClient& client = *user.client;
+        if (config.churn.epoch_ticks > 0 && resync_slot[u] == tick % cadence &&
+            client.version() != sb::ProtocolVersion::kV1Lookup &&
+            client.update_wait(clock.now()) == 0) {
+          (void)client.update();
+        }
+        visits.clear();
+        (void)plan_user_tick(user, config.traffic, model, visits);
+        for (const TrafficModel::VisitId visit : visits) {
+          const std::string url =
+              (visit & TrafficModel::kTargetVisit) != 0
+                  ? config.traffic.target_urls[visit &
+                                               ~TrafficModel::kTargetVisit]
+                  : model.corpus()
+                        .site(static_cast<std::size_t>(visit >> 32))
+                        .pages[visit & 0xFFFFFFFFu]
+                        .url();
+          const bool verdict =
+              config.mitigation.dummy_requests
+                  ? padded_lookup(client, url)
+                  : client.lookup(url).verdict == sb::Verdict::kMalicious;
+          if (verdict) ++malicious;
+        }
+      }
+    }
+    clock.advance(1);
+  }
+
+  collect.law(engine_log.fingerprint() == reference_log.fingerprint(),
+              "log fingerprint engine=" + num(engine_log.fingerprint()) +
+                  " reference=" + num(reference_log.fingerprint()) +
+                  " (entries " + num(engine_log.entries()) + " vs " +
+                  num(reference_log.entries()) + ")");
+  collect.law(engine.metrics().malicious_verdicts == malicious,
+              "malicious_verdicts engine=" +
+                  num(engine.metrics().malicious_verdicts) +
+                  " reference=" + num(malicious));
+  const sb::TransportStats engine_wire = engine.transport_stats();
+  const sb::TransportStats reference_wire = transport.stats();
+  for (const auto& field : sb::TransportStats::kCounters) {
+    collect.law(engine_wire.*field.member == reference_wire.*field.member,
+                std::string("wire.") + field.name + " engine=" +
+                    num(engine_wire.*field.member) +
+                    " reference=" + num(reference_wire.*field.member));
+  }
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    const auto* mine = dynamic_cast<const sb::V4SlicedProtocol*>(
+        users[u].client.get());
+    const auto* theirs =
+        dynamic_cast<const sb::V4SlicedProtocol*>(&engine.user_client(u));
+    if (mine == nullptr || theirs == nullptr) continue;
+    for (const auto& list : config.blacklist.lists) {
+      collect.law(mine->list_checksum(list) == theirs->list_checksum(list),
+                  "user " + num(u) + " " + list + ": v4 list_checksum engine=" +
+                      num(theirs->list_checksum(list)) +
+                      " reference=" + num(mine->list_checksum(list)));
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& invariant_names() {
   static const std::vector<std::string> names = {
       kCanonicalRoundtrip,   kThreadDeterminism,   kMetricsTransparency,
       kProtocolEquivalence,  kCounterConservation, kCheckpointRestore,
-      kBatchScalarEquivalence};
+      kBatchScalarEquivalence, kReferenceEquivalence};
   return names;
 }
 
@@ -595,6 +781,7 @@ InvariantReport check_invariants(const Scenario& scenario,
   check_counter_conservation(base, baseline, collect);
   check_checkpoint_restore(base, collect);
   check_batch_scalar_equivalence(base, collect);
+  check_reference_equivalence(base, collect);
   collect.finish_doctor();
 
   return report;

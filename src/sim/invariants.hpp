@@ -56,6 +56,14 @@
 //                         derive from the scenario's seed and blacklist
 //                         knobs. The contract behind the engine's batched
 //                         prefilter hot path.
+//   reference-equivalence a naive per-user replay of the paper's Figure 3
+//                         client flow (URL string -> client.lookup(url),
+//                         private re-syncs; no URL cache, prefilter, site
+//                         LRU or shared client state) on a shrunk
+//                         population produces the engine's query-log
+//                         fingerprint, malicious verdicts, TransportStats
+//                         and v4 list checksums -- the licence for every
+//                         engine shortcut.
 //
 // On failure, shrink_failing_scenario() greedily minimizes the scenario
 // (halve the population, drop churn, disable mitigation, ...) while the

@@ -55,17 +55,18 @@ std::optional<TrafficModel::VisitId> TrafficModel::corpus_page_id(
       index >= corpus_.num_hosts()) {
     return std::nullopt;
   }
-  const corpus::Site site = corpus_.site(index);
-  for (std::size_t page = 0; page < site.pages.size(); ++page) {
-    if (site.pages[page].url() == url) {
+  corpus::PackedSite site;
+  corpus_.site_into(index, site);
+  for (std::size_t page = 0; page < site.size(); ++page) {
+    if (site.expression(page) == rest) {
       return static_cast<VisitId>(index) << 32 | page;
     }
   }
   return std::nullopt;
 }
 
-const corpus::Site& TrafficModel::site(std::size_t index,
-                                       SiteCache& cache) const {
+const corpus::PackedSite& TrafficModel::site(std::size_t index,
+                                             SiteCache& cache) const {
   const auto it = cache.by_index_.find(index);
   if (it != cache.by_index_.end()) {
     ++cache.hits_;
@@ -73,13 +74,14 @@ const corpus::Site& TrafficModel::site(std::size_t index,
     return it->second->site;
   }
   ++cache.misses_;
+  corpus_.site_into(index, cache.scratch_);
   if (cache.lru_.size() < cache.capacity_) {
-    cache.lru_.push_front({index, corpus_.site(index)});
+    cache.lru_.push_front({index, cache.scratch_});
     cache.by_index_.emplace(index, cache.lru_.begin());
     return cache.lru_.front().site;
   }
-  // Full: the least recently used entry's list and map nodes are reused
-  // for the new site.
+  // Full: the least recently used entry's list and map nodes are reused for
+  // the new site, but not its buffers -- a copy is sized to its own site.
   cache.lru_.splice(cache.lru_.begin(), cache.lru_,
                     std::prev(cache.lru_.end()));
   SiteCache::Entry& entry = cache.lru_.front();
@@ -87,7 +89,7 @@ const corpus::Site& TrafficModel::site(std::size_t index,
   node.key() = index;
   cache.by_index_.insert(std::move(node));
   entry.index = index;
-  entry.site = corpus_.site(index);
+  entry.site = corpus::PackedSite(cache.scratch_);
   return entry.site;
 }
 
@@ -106,9 +108,10 @@ void TrafficModel::url_of(VisitId id, SiteCache& cache,
     out = target_urls_[id & ~kTargetVisit];
     return;
   }
-  const corpus::Site& chosen = site(static_cast<std::size_t>(id >> 32), cache);
+  const corpus::PackedSite& chosen =
+      site(static_cast<std::size_t>(id >> 32), cache);
   out.assign("http://");
-  chosen.pages[id & 0xFFFFFFFFu].append_expression_to(out);
+  out.append(chosen.expression(id & 0xFFFFFFFFu));
 }
 
 }  // namespace sbp::sim

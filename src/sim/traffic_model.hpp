@@ -16,10 +16,16 @@
 //
 // url_of() generates sites lazily into a bounded LRU: popularity is
 // head-heavy, so a small cache serves almost every lookup without ever
-// materializing the corpus. The model itself is immutable after
-// construction (corpus generation is const and stateless), so one instance
-// is shared by every engine shard across threads; the mutable LRU lives in
-// a per-shard SiteCache handed into each url_of().
+// materializing the corpus. Each cached site is the generator's packed
+// form (corpus::PackedSite: one byte buffer of page expressions plus
+// per-page ends), so a hit copies one slice and allocates nothing. A miss
+// generates into the cache's scratch site and copies it into a buffer
+// sized to that site: entries never keep the capacity of a larger site
+// they replaced, so the cache's memory follows the sites it holds. The
+// model itself is immutable after construction (corpus generation is
+// const and stateless), so one instance is shared by every engine shard
+// across threads; the mutable LRU lives in a per-shard SiteCache handed
+// into each url_of().
 #pragma once
 
 #include <algorithm>
@@ -58,10 +64,11 @@ class TrafficModel {
     friend class TrafficModel;
     struct Entry {
       std::size_t index;
-      corpus::Site site;
+      corpus::PackedSite site;
     };
 
     std::size_t capacity_;
+    corpus::PackedSite scratch_;  ///< where a missed site is generated
     std::list<Entry> lru_;  ///< most recently used first
     std::unordered_map<std::size_t, std::list<Entry>::iterator> by_index_;
     std::uint64_t hits_ = 0;
@@ -94,7 +101,7 @@ class TrafficModel {
   }
 
  private:
-  const corpus::Site& site(std::size_t index, SiteCache& cache) const;
+  const corpus::PackedSite& site(std::size_t index, SiteCache& cache) const;
   /// The corpus page whose URL is exactly `url`, if any.
   [[nodiscard]] std::optional<VisitId> corpus_page_id(
       const std::string& url) const;

@@ -1,7 +1,9 @@
 #include "url/canonicalize.hpp"
 
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cstdint>
-#include <vector>
 
 #include "url/url.hpp"
 #include "util/hex.hpp"
@@ -37,25 +39,26 @@ std::optional<std::uint64_t> parse_ip_component(std::string_view comp) {
   return value;
 }
 
-/// inet_aton-style IP normalization. Returns the dotted-decimal form if
-/// `host` is a legal 1-4 component numeric IP, else nullopt.
-std::optional<std::string> normalize_ip(std::string_view host) {
+/// inet_aton-style IP parsing: the 32-bit address if `host` is a legal
+/// 1-4 component numeric IP, else nullopt.
+std::optional<std::uint32_t> ip_value(std::string_view host) {
   if (host.empty()) return std::nullopt;
-  const std::vector<std::string_view> comps = util::split(host, '.');
-  if (comps.empty() || comps.size() > 4) return std::nullopt;
-
-  std::vector<std::uint64_t> values;
-  values.reserve(comps.size());
-  for (std::string_view comp : comps) {
-    const auto value = parse_ip_component(comp);
+  std::array<std::uint64_t, 4> values{};
+  std::size_t n = 0;
+  for (std::size_t start = 0;;) {
+    if (n == values.size()) return std::nullopt;  // more than 4 components
+    const std::size_t dot = host.find('.', start);
+    const auto value = parse_ip_component(host.substr(
+        start, dot == std::string_view::npos ? dot : dot - start));
     if (!value) return std::nullopt;
-    values.push_back(*value);
+    values[n++] = *value;
+    if (dot == std::string_view::npos) break;
+    start = dot + 1;
   }
 
   // inet_aton semantics: the first n-1 components are single bytes; the last
   // component fills the remaining 5-n bytes.
   std::uint32_t ip = 0;
-  const std::size_t n = values.size();
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (values[i] > 0xFF) return std::nullopt;
     ip = (ip << 8) | static_cast<std::uint32_t>(values[i]);
@@ -67,44 +70,67 @@ std::optional<std::string> normalize_ip(std::string_view host) {
   if (values[n - 1] > last_max) return std::nullopt;
   // Widened shift: remaining_bytes is 4 for a single-component IP, and a
   // 32-bit shift by 32 is UB (caught by the CI UBSan job).
-  ip = static_cast<std::uint32_t>(
+  return static_cast<std::uint32_t>(
       (static_cast<std::uint64_t>(ip) << (8 * remaining_bytes)) |
       values[n - 1]);
+}
 
-  std::string out;
-  out.reserve(15);
+/// Step 4 into `out`: lowercase, drop leading/trailing dots, collapse dot
+/// runs, and rewrite a numeric IP as dotted decimal. Returns whether the
+/// host is an IP.
+bool canonical_host_into(std::string_view host, std::string& out) {
+  out.clear();
+  for (const char raw : host) {
+    const char c =
+        static_cast<char>(std::tolower(static_cast<unsigned char>(raw)));
+    if (c == '.' && (out.empty() || out.back() == '.')) continue;
+    out.push_back(c);
+  }
+  while (!out.empty() && out.back() == '.') out.pop_back();
+
+  const auto ip = ip_value(out);
+  if (!ip) return false;
+  out.clear();
   for (int shift = 24; shift >= 0; shift -= 8) {
     if (shift != 24) out.push_back('.');
-    out += std::to_string((ip >> shift) & 0xFF);
+    char digits[4];
+    char* end = std::to_chars(digits, digits + sizeof(digits),
+                              (*ip >> shift) & 0xFF)
+                    .ptr;
+    out.append(digits, end);
   }
-  return out;
+  return true;
 }
 
-}  // namespace
-
-std::string percent_unescape_once(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  for (std::size_t i = 0; i < input.size();) {
-    if (input[i] == '%' && i + 2 < input.size() &&
-        util::hex_digit_value(input[i + 1]) >= 0 &&
-        util::hex_digit_value(input[i + 2]) >= 0) {
-      const int hi = util::hex_digit_value(input[i + 1]);
-      const int lo = util::hex_digit_value(input[i + 2]);
-      out.push_back(static_cast<char>((hi << 4) | lo));
-      i += 3;
-    } else {
-      out.push_back(input[i]);
-      ++i;
+/// Step 5 into `out`: resolve "." and "..", and collapse empty segments
+/// (runs of slashes). The result keeps a trailing slash when the input
+/// semantically names a directory ("/a/", "/a/.", "/a/b/..").
+void canonical_path_into(std::string_view path, std::string& out) {
+  bool trailing_slash = path.empty() || path.back() == '/';
+  // `out` holds "/seg1/seg2..." for the kept segments; ".." pops the last.
+  out.clear();
+  std::string_view last;
+  for (std::size_t start = 0;;) {
+    const std::size_t slash = path.find('/', start);
+    last = path.substr(
+        start, slash == std::string_view::npos ? slash : slash - start);
+    if (last == "..") {
+      if (!out.empty()) out.resize(out.rfind('/'));
+    } else if (!last.empty() && last != ".") {
+      out.push_back('/');
+      out.append(last);
     }
+    if (slash == std::string_view::npos) break;
+    start = slash + 1;
   }
-  return out;
+  if (!path.empty() && (last == "." || last == "..")) trailing_slash = true;
+
+  if (out.empty() || trailing_slash) out.push_back('/');
 }
 
-std::string percent_escape(std::string_view input) {
+/// Step 6, appending to `out`.
+void append_escaped(std::string& out, std::string_view input) {
   static constexpr char kHexUpper[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(input.size());
   for (char c : input) {
     const auto byte = static_cast<unsigned char>(c);
     if (byte <= 0x20 || byte >= 0x7F || byte == '#' || byte == '%') {
@@ -115,110 +141,127 @@ std::string percent_escape(std::string_view input) {
       out.push_back(c);
     }
   }
+}
+
+/// One percent-unescaping pass in place (the output is never longer than
+/// the input). Returns whether any escape was decoded.
+bool unescape_once_in_place(std::string& value) {
+  std::size_t out = 0;
+  bool decoded = false;
+  for (std::size_t i = 0; i < value.size();) {
+    const int hi = value[i] == '%' && i + 2 < value.size()
+                       ? util::hex_digit_value(value[i + 1])
+                       : -1;
+    const int lo = hi >= 0 ? util::hex_digit_value(value[i + 2]) : -1;
+    if (lo >= 0) {
+      value[out++] = static_cast<char>((hi << 4) | lo);
+      i += 3;
+      decoded = true;
+    } else {
+      value[out++] = value[i++];
+    }
+  }
+  value.resize(out);
+  return decoded;
+}
+
+/// Step 3: unescape until a fixpoint.
+void unescape_fully(std::string& value) {
+  while (unescape_once_in_place(value)) {
+  }
+}
+
+}  // namespace
+
+std::string percent_unescape_once(std::string_view input) {
+  std::string out(input);
+  unescape_once_in_place(out);
+  return out;
+}
+
+std::string percent_escape(std::string_view input) {
+  std::string out;
+  out.reserve(input.size());
+  append_escaped(out, input);
   return out;
 }
 
 CanonicalHost canonicalize_host(std::string_view host) {
   CanonicalHost out;
-  std::string h = util::to_lower(host);
-
-  // Remove leading/trailing dots, collapse consecutive dots.
-  std::string collapsed;
-  collapsed.reserve(h.size());
-  for (char c : h) {
-    if (c == '.' && (collapsed.empty() || collapsed.back() == '.')) continue;
-    collapsed.push_back(c);
-  }
-  while (!collapsed.empty() && collapsed.back() == '.') collapsed.pop_back();
-
-  if (auto ip = normalize_ip(collapsed)) {
-    out.host = std::move(*ip);
-    out.is_ip = true;
-  } else {
-    out.host = std::move(collapsed);
-  }
+  out.is_ip = canonical_host_into(host, out.host);
   return out;
 }
 
 std::string canonicalize_path(std::string_view path) {
-  // Split on '/', resolve "." and "..", and collapse empty segments (runs of
-  // slashes). The result keeps a trailing slash when the input semantically
-  // names a directory ("/a/", "/a/.", "/a/b/..").
-  std::vector<std::string_view> kept;
-  bool trailing_slash = path.empty() || path.back() == '/';
-  const std::vector<std::string_view> segments = util::split(path, '/');
-  for (std::string_view seg : segments) {
-    if (seg.empty() || seg == ".") continue;
-    if (seg == "..") {
-      if (!kept.empty()) kept.pop_back();
-      continue;
-    }
-    kept.push_back(seg);
-  }
-  if (!path.empty()) {
-    const std::string_view last = segments.back();
-    if (last == "." || last == "..") trailing_slash = true;
-  }
-
-  std::string out = "/";
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    out.append(kept[i]);
-    if (i + 1 < kept.size()) out.push_back('/');
-  }
-  if (!kept.empty() && trailing_slash) out.push_back('/');
+  std::string out;
+  canonical_path_into(path, out);
   return out;
 }
 
-std::optional<CanonicalUrl> canonicalize(std::string_view raw) {
+bool canonicalize_into(std::string_view raw, CanonicalUrl& out,
+                       CanonicalizeScratch& scratch) {
   // 1. Trim surrounding whitespace, drop TAB/CR/LF anywhere.
-  std::string cleaned =
-      util::remove_chars(util::trim(raw, " \t\r\n"), "\t\r\n");
+  scratch.cleaned.clear();
+  for (const char c : util::trim(raw, " \t\r\n")) {
+    if (c != '\t' && c != '\r' && c != '\n') scratch.cleaned.push_back(c);
+  }
 
   // 2-3. Parse (which strips the fragment), then repeatedly unescape the
   // remaining components until a fixpoint.
-  UrlParts parts = parse(cleaned);
-
-  std::string scheme = parts.scheme.empty() ? "http" : parts.scheme;
-
-  auto unescape_fully = [](std::string value) {
-    while (true) {
-      std::string next = percent_unescape_once(value);
-      if (next == value) return value;
-      value = std::move(next);
-    }
-  };
+  const UrlView parts = parse_view(scratch.cleaned);
+  std::string& part = scratch.part;
 
   // Userinfo and port are dropped: SB expressions never contain them (paper
   // Section 2.2.1's generic URL usr:pwd@a.b.c:port loses usr/pwd/port).
-  std::string raw_host = unescape_fully(parts.host);
-  std::string raw_path = unescape_fully(parts.path);
-  std::string raw_query = unescape_fully(parts.query);
-
+  part.assign(parts.host);
+  unescape_fully(part);
   // Unescaping can surface authority delimiters that were hidden as %xx
   // ("a%40b" -> "a@b", "a%3A99" -> "a:99", "a%2Fb" -> "a/b"). Re-apply the
   // authority splitting so the output is a fixpoint of canonicalization.
-  if (const std::size_t at = raw_host.rfind('@'); at != std::string::npos) {
-    raw_host.erase(0, at + 1);
+  if (const std::size_t at = part.rfind('@'); at != std::string::npos) {
+    part.erase(0, at + 1);
   }
-  if (const std::size_t cut = raw_host.find_first_of("/?");
+  if (const std::size_t cut = part.find_first_of("/?");
       cut != std::string::npos) {
-    raw_host.resize(cut);  // spilled path/query bytes are dropped
+    part.resize(cut);  // spilled path/query bytes are dropped
   }
-  if (const std::size_t colon = raw_host.find(':');
-      colon != std::string::npos) {
-    raw_host.resize(colon);  // port (or junk after any ':') is dropped
+  if (const std::size_t colon = part.find(':'); colon != std::string::npos) {
+    part.resize(colon);  // port (or junk after any ':') is dropped
+  }
+  out.host_is_ip = canonical_host_into(part, scratch.canonical);
+  if (scratch.canonical.empty()) return false;
+  out.host.clear();
+  append_escaped(out.host, scratch.canonical);
+
+  if (parts.scheme.empty()) {
+    out.scheme.assign("http");
+  } else {
+    out.scheme.assign(parts.scheme);
+    for (char& c : out.scheme) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
   }
 
-  const CanonicalHost canonical_host = canonicalize_host(raw_host);
-  if (canonical_host.host.empty()) return std::nullopt;
+  part.assign(parts.path);
+  unescape_fully(part);
+  canonical_path_into(part, scratch.canonical);
+  out.path.clear();
+  append_escaped(out.path, scratch.canonical);
 
+  out.has_query = parts.has_query;
+  out.query.clear();
+  if (parts.has_query) {
+    part.assign(parts.query);
+    unescape_fully(part);
+    append_escaped(out.query, part);
+  }
+  return true;
+}
+
+std::optional<CanonicalUrl> canonicalize(std::string_view raw) {
   CanonicalUrl url;
-  url.scheme = std::move(scheme);
-  url.host = percent_escape(canonical_host.host);
-  url.host_is_ip = canonical_host.is_ip;
-  url.path = percent_escape(canonicalize_path(raw_path));
-  url.has_query = parts.has_query;
-  if (parts.has_query) url.query = percent_escape(raw_query);
+  CanonicalizeScratch scratch;
+  if (!canonicalize_into(raw, url, scratch)) return std::nullopt;
   return url;
 }
 

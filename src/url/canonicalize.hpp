@@ -40,9 +40,24 @@ struct CanonicalUrl {
   [[nodiscard]] std::string expression() const;
 };
 
-/// Canonicalizes `raw`. Returns std::nullopt only when no host can be
-/// extracted at all (e.g. empty input); Safe Browsing treats such inputs as
-/// unverifiable rather than malicious.
+/// Working memory of canonicalize_into. Keep one per caller (or thread)
+/// and reuse it: once its strings have grown to the inputs' sizes the
+/// canonicalizer allocates nothing.
+struct CanonicalizeScratch {
+  std::string cleaned;    ///< input minus surrounding whitespace, TAB CR LF
+  std::string part;       ///< the component being unescaped
+  std::string canonical;  ///< its canonical form, before the escaping pass
+};
+
+/// THE canonicalizer: writes the canonical form of `raw` into `out`,
+/// reusing its strings' storage. Returns false (leaving `out` unspecified)
+/// when no host can be extracted at all (e.g. empty input); Safe Browsing
+/// treats such inputs as unverifiable rather than malicious.
+[[nodiscard]] bool canonicalize_into(std::string_view raw, CanonicalUrl& out,
+                                     CanonicalizeScratch& scratch);
+
+/// canonicalize_into with fresh buffers, or std::nullopt when no host can
+/// be extracted.
 [[nodiscard]] std::optional<CanonicalUrl> canonicalize(std::string_view raw);
 
 /// Convenience: canonical spec string, or nullopt.

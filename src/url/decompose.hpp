@@ -16,8 +16,10 @@
 //     (at most 4 root-anchored prefixes in total).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/digest.hpp"
@@ -34,8 +36,38 @@ struct Decomposition {
                            ///< if present, else the exact path)
 };
 
-/// All decompositions of a canonicalized URL, most specific host first,
-/// paths ordered as in the paper's example. At most 30 entries, deduplicated.
+/// At most 5 host suffixes x 6 path prefixes.
+inline constexpr std::size_t kMaxHostSuffixes = 5;
+inline constexpr std::size_t kMaxPathPrefixes = 6;
+inline constexpr std::size_t kMaxDecompositions =
+    kMaxHostSuffixes * kMaxPathPrefixes;
+
+/// The decompositions of one URL, packed: expression i is
+/// text[begin(i), ends[i]), and its host-suffix part is the first
+/// host_sizes[i] bytes. Reused across decompose_into calls, it allocates
+/// nothing once `text` and `paths` have grown to the inputs' sizes.
+struct PackedExpressions {
+  std::string text;
+  std::size_t count = 0;
+  std::array<std::uint32_t, kMaxDecompositions> ends{};
+  std::array<std::uint32_t, kMaxDecompositions> host_sizes{};
+  /// Working memory: the path prefixes, back to back.
+  std::string paths;
+
+  [[nodiscard]] std::size_t begin(std::size_t i) const noexcept {
+    return i == 0 ? 0 : ends[i - 1];
+  }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const noexcept {
+    return std::string_view(text).substr(begin(i), ends[i] - begin(i));
+  }
+};
+
+/// THE decomposer: writes every expression of a canonicalized URL into
+/// `out`, most specific host first, paths ordered as in the paper's
+/// example. At most kMaxDecompositions entries, deduplicated.
+void decompose_into(const CanonicalUrl& url, PackedExpressions& out);
+
+/// decompose_into, one Decomposition per expression.
 [[nodiscard]] std::vector<Decomposition> decompose(const CanonicalUrl& url);
 
 /// Convenience: canonicalize then decompose; empty result if the URL cannot

@@ -13,8 +13,8 @@ bool is_scheme_char(char c) noexcept {
 
 }  // namespace
 
-UrlParts parse(std::string_view raw) {
-  UrlParts parts;
+UrlView parse_view(std::string_view raw) {
+  UrlView parts;
   std::string_view rest = raw;
 
   // Scheme: "name://" with name = ALPHA *(scheme-char). We only treat it as
@@ -27,7 +27,7 @@ UrlParts parse(std::string_view raw) {
     while (i < rest.size() && is_scheme_char(rest[i])) ++i;
     if (i + 2 < rest.size() && rest[i] == ':' && rest[i + 1] == '/' &&
         rest[i + 2] == '/') {
-      parts.scheme = util::to_lower(rest.substr(0, i));
+      parts.scheme = rest.substr(0, i);
       rest.remove_prefix(i + 3);
     }
   }
@@ -35,7 +35,7 @@ UrlParts parse(std::string_view raw) {
   // Fragment: everything after the FIRST '#'.
   if (const std::size_t hash = rest.find('#');
       hash != std::string_view::npos) {
-    parts.fragment = std::string(rest.substr(hash + 1));
+    parts.fragment = rest.substr(hash + 1);
     parts.has_fragment = true;
     rest = rest.substr(0, hash);
   }
@@ -53,7 +53,7 @@ UrlParts parse(std::string_view raw) {
   // behaviour for phishing URLs like http://google.com@evil.com/).
   if (const std::size_t at = authority.rfind('@');
       at != std::string_view::npos) {
-    parts.userinfo = std::string(authority.substr(0, at));
+    parts.userinfo = authority.substr(0, at);
     authority = authority.substr(at + 1);
   }
 
@@ -61,27 +61,42 @@ UrlParts parse(std::string_view raw) {
   // bracketed literals and the paper's analysis is IPv4/hostname only).
   if (const std::size_t colon = authority.rfind(':');
       colon != std::string_view::npos) {
-    parts.port = std::string(authority.substr(colon + 1));
+    parts.port = authority.substr(colon + 1);
     authority = authority.substr(0, colon);
   }
-  parts.host = std::string(authority);
+  parts.host = authority;
 
   // Path / query.
   if (!after.empty()) {
     if (after[0] == '?') {
       parts.has_query = true;
-      parts.query = std::string(after.substr(1));
+      parts.query = after.substr(1);
     } else {
       const std::size_t q = after.find('?');
       if (q == std::string_view::npos) {
-        parts.path = std::string(after);
+        parts.path = after;
       } else {
-        parts.path = std::string(after.substr(0, q));
+        parts.path = after.substr(0, q);
         parts.has_query = true;
-        parts.query = std::string(after.substr(q + 1));
+        parts.query = after.substr(q + 1);
       }
     }
   }
+  return parts;
+}
+
+UrlParts parse(std::string_view raw) {
+  const UrlView view = parse_view(raw);
+  UrlParts parts;
+  parts.scheme = util::to_lower(view.scheme);
+  parts.userinfo = std::string(view.userinfo);
+  parts.host = std::string(view.host);
+  parts.port = std::string(view.port);
+  parts.path = std::string(view.path);
+  parts.query = std::string(view.query);
+  parts.has_query = view.has_query;
+  parts.fragment = std::string(view.fragment);
+  parts.has_fragment = view.has_fragment;
   return parts;
 }
 

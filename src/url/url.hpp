@@ -27,6 +27,24 @@ struct UrlParts {
   bool has_fragment = false;
 };
 
+/// The same split without copies: every field is a view into the parsed
+/// input, and `scheme` keeps its original case. THE parser; parse() copies
+/// its fields, and the canonicalizer reads them in place.
+struct UrlView {
+  std::string_view scheme;
+  std::string_view userinfo;
+  std::string_view host;
+  std::string_view port;
+  std::string_view path;
+  std::string_view query;
+  bool has_query = false;
+  std::string_view fragment;
+  bool has_fragment = false;
+};
+
+/// Splits `raw` into views of its components (see UrlParts).
+[[nodiscard]] UrlView parse_view(std::string_view raw);
+
 /// Splits `raw` into parts. Never fails: pathological inputs produce
 /// best-effort components, mirroring how browsers treat them. A missing
 /// scheme leaves `scheme` empty (the canonicalizer defaults it to http).

@@ -70,15 +70,6 @@ bool ends_with(std::string_view value, std::string_view suffix) noexcept {
          value.substr(value.size() - suffix.size()) == suffix;
 }
 
-std::string remove_chars(std::string_view input, std::string_view chars) {
-  std::string out;
-  out.reserve(input.size());
-  for (char c : input) {
-    if (chars.find(c) == std::string_view::npos) out.push_back(c);
-  }
-  return out;
-}
-
 std::string replace_all(std::string_view input, std::string_view from,
                         std::string_view to) {
   std::string out;

@@ -37,10 +37,6 @@ namespace sbp::util {
 [[nodiscard]] bool ends_with(std::string_view value,
                              std::string_view suffix) noexcept;
 
-/// Removes every occurrence of any character in `chars`.
-[[nodiscard]] std::string remove_chars(std::string_view input,
-                                       std::string_view chars);
-
 /// Replaces all occurrences of `from` with `to` (non-overlapping, left to
 /// right). `from` must be non-empty.
 [[nodiscard]] std::string replace_all(std::string_view input,

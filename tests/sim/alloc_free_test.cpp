@@ -1,0 +1,208 @@
+// "Allocation-free" as a counted property: a counting global operator new
+// checks that, once warm, the URL-cache miss path touches the heap zero
+// times -- LookupRequest::build over corpus URLs, TrafficModel::url_of on
+// a site-LRU hit, and URL-cache hits and misses into reused entries -- and
+// that a warm engine tick stays near zero allocations per user-tick.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "sb/lookup_request.hpp"
+#include "sim/engine.hpp"
+#include "sim/traffic_model.hpp"
+#include "sim/url_cache.hpp"
+#include "url/decompose.hpp"
+#include "util/rng.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Every allocation of this binary goes through here (operator new[] and
+// the sized/unsized deletes forward to these by default).
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace sbp::sim {
+namespace {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+corpus::CorpusConfig browse_corpus() {
+  corpus::CorpusConfig config;
+  config.num_hosts = 2000;
+  config.seed = 2016;
+  config.max_pages = 300;
+  return config;
+}
+
+/// Corpus page URLs plus hand-written ones that exercise every
+/// canonicalization step (escapes, IPs, dot segments, whitespace).
+std::vector<std::string> sample_urls() {
+  const corpus::WebCorpus corpus(browse_corpus());
+  std::vector<std::string> urls = {
+      "http://www.google.com/%2E%2E/a/./b/../c?q=%25%32%35#frag",
+      "  http://0x7f.1/x//y/z.html\t",
+      "HTTP://USER:pw@A.B.C.D.E.F.example.COM:8080/1/2/3/4/5.php?x=y",
+      "http://3279880203/blah",
+      "",
+      "%%%",
+  };
+  util::Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const corpus::Site site = corpus.site(rng.next_below(corpus.num_hosts()));
+    urls.push_back(site.pages[rng.next_below(site.pages.size())].url());
+  }
+  return urls;
+}
+
+TEST(AllocFreeTest, WarmLookupRequestBuildAllocatesNothing) {
+  const std::vector<std::string> urls = sample_urls();
+  sb::LookupRequest request;
+  for (const std::string& url : urls) request.build(url);  // warm
+
+  std::size_t expressions = 0;
+  const std::uint64_t before = allocations();
+  for (const std::string& url : urls) {
+    request.build(url);
+    expressions += request.size();
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(expressions, urls.size());
+
+  // Same bytes as the allocating wrappers, also when rebuilt from the
+  // request's own URL bytes.
+  for (std::size_t i = 0; i < urls.size(); i += 97) {
+    request.build(urls[i]);
+    EXPECT_EQ(request.expressions(), url::decompose_expressions(urls[i]))
+        << urls[i];
+    EXPECT_EQ(request.url(), urls[i]);
+    sb::LookupRequest fresh;
+    fresh.build("x");
+    fresh.build(urls[i]);
+    fresh.build(fresh.url());
+    EXPECT_EQ(fresh.url(), urls[i]);
+    EXPECT_EQ(fresh.expressions(), request.expressions()) << urls[i];
+  }
+  // A view into the request's own URL that decomposes into more bytes
+  // than the buffer holds: the buffer grows while the view is read.
+  sb::LookupRequest self;
+  self.build("http://h/#a.b.c.d.e/1/2/3/4");
+  self.build(self.url().substr(10));
+  EXPECT_EQ(self.url(), "a.b.c.d.e/1/2/3/4");
+  EXPECT_EQ(self.expressions(),
+            url::decompose_expressions("a.b.c.d.e/1/2/3/4"));
+}
+
+TEST(AllocFreeTest, UrlOfOnSiteCacheHitAllocatesNothing) {
+  const TrafficModel model(TrafficConfig{}, browse_corpus(), 64);
+  TrafficModel::SiteCache cache = model.make_cache();
+  std::vector<TrafficModel::VisitId> ids;
+  for (std::uint64_t site = 0; site < 64; ++site) {
+    ids.push_back(site << 32 | 0);
+  }
+  std::string url;
+  for (const auto id : ids) model.url_of(id, cache, url);  // every site missed
+
+  const std::uint64_t before = allocations();
+  for (int round = 0; round < 4; ++round) {
+    for (const auto id : ids) model.url_of(id, cache, url);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.misses(), ids.size());
+  EXPECT_EQ(cache.hits(), 4 * ids.size());
+}
+
+TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {
+  const std::vector<std::string> urls = sample_urls();
+  constexpr std::size_t kEntries = 64;
+  UrlCache cache(kEntries);
+  // Round 0 fills every entry; each later round misses kEntries fresh keys
+  // (the first insert of a round clears the full cache) and entry i gets
+  // urls[i] again, so every rebuild fits the entry's buffer.
+  const auto run_round = [&](std::uint64_t round) {
+    for (std::size_t i = 0; i < kEntries; ++i) {
+      const std::uint64_t key = round * kEntries + i;
+      EXPECT_EQ(cache.find(key), nullptr);
+      UrlCache::Entry& entry = cache.insert(key);
+      entry.request.build(urls[i]);
+      EXPECT_EQ(cache.find(key), &entry);  // a hit
+    }
+  };
+  run_round(0);
+
+  const std::uint64_t before = allocations();
+  for (std::uint64_t round = 1; round < 8; ++round) run_round(round);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.size(), kEntries);
+  EXPECT_EQ(cache.find(0), nullptr);  // cleared with its generation
+}
+
+TEST(AllocFreeTest, UrlCacheHitsLikeAnExactMap) {
+  // The flat table's hit/miss sequence equals an exact map's under the
+  // same clear-when-full policy, which is why url_cache_* counters hold.
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{7},
+                                  std::size_t{100}}) {
+    UrlCache cache(bound);
+    std::unordered_map<std::uint64_t, std::uint64_t> reference;
+    util::Rng rng(bound + 1);
+    for (std::uint64_t step = 0; step < 20000; ++step) {
+      const std::uint64_t page = rng.next_below(rng.next_bool(0.5) ? 2 : 9);
+      const std::uint64_t key = rng.next_below(300) << 32 | page;
+      UrlCache::Entry* entry = cache.find(key);
+      const auto it = reference.find(key);
+      ASSERT_EQ(entry != nullptr, it != reference.end()) << "step " << step;
+      if (entry != nullptr) {
+        ASSERT_EQ(entry->universe_version, it->second) << "step " << step;
+        continue;
+      }
+      if (bound > 0 && reference.size() >= bound) reference.clear();
+      reference.emplace(key, step);
+      cache.insert(key).universe_version = step;
+      ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+    }
+  }
+}
+
+TEST(AllocFreeTest, WarmEngineTicksStayNearZeroAllocations) {
+  // No listed page or site: every lookup ends in the prefilter, so a warm
+  // tick is planning, URL-cache work and misses into reused entries.
+  SimConfig config;
+  config.num_users = 64;
+  config.num_shards = 2;
+  config.num_threads = 1;
+  config.ticks = 1200;
+  config.corpus = browse_corpus();
+  config.corpus.num_hosts = 64;
+  config.site_cache_entries = 64;
+  config.url_cache_entries = 256;
+  config.blacklist.page_fraction = 0.0;
+  config.blacklist.site_fraction = 0.0;
+  config.traffic.session_start_probability = 0.5;
+  Engine engine(config);
+  // Warm: every site cached, entry buffers grown to the URLs they see.
+  for (int tick = 0; tick < 1000; ++tick) engine.step();
+
+  const std::uint64_t misses = engine.metrics().url_cache_misses;
+  const std::uint64_t before = allocations();
+  for (int tick = 0; tick < 200; ++tick) engine.step();
+  const double per_user_tick =
+      static_cast<double>(allocations() - before) / (64.0 * 200.0);
+  EXPECT_GT(engine.metrics().url_cache_misses, misses + 1000);
+  EXPECT_LT(per_user_tick, 0.01);
+}
+
+}  // namespace
+}  // namespace sbp::sim

@@ -90,7 +90,7 @@ TEST(ScenarioGeneratorTest, EveryEmissionSurvivesTheStrictParser) {
 
 TEST(InvariantsTest, CatalogIsStable) {
   const auto& names = invariant_names();
-  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(names.size(), 8u);
   // Order is documented (docs/fuzzing.md) and repro files reference the
   // names, so this is an API, not an implementation detail.
   EXPECT_EQ(names[0], "canonical-roundtrip");
@@ -100,6 +100,7 @@ TEST(InvariantsTest, CatalogIsStable) {
   EXPECT_EQ(names[4], "counter-conservation");
   EXPECT_EQ(names[5], "checkpoint-restore");
   EXPECT_EQ(names[6], "batch-scalar-equivalence");
+  EXPECT_EQ(names[7], "reference-equivalence");
 }
 
 TEST(InvariantsTest, HoldOnGeneratedScenarios) {

@@ -61,11 +61,6 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_FALSE(ends_with("x", "xx"));
 }
 
-TEST(StringsTest, RemoveChars) {
-  EXPECT_EQ(remove_chars("a\tb\rc\nd", "\t\r\n"), "abcd");
-  EXPECT_EQ(remove_chars("abc", ""), "abc");
-}
-
 TEST(StringsTest, ReplaceAll) {
   EXPECT_EQ(replace_all("%25%25", "%25", "%"), "%%");
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, one request dispatch.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -26,11 +26,20 @@ request tag (FrameType::k...Request) or calls a frame codec
 brings back a second dispatch whose query log and byte counts the
 equivalence tests would have to reconcile.
 
+A URL-cache miss allocates nothing once warm: the site LRU hands out a
+slice of a packed site (WebCorpus::site_into) and LookupRequest::build runs
+the canonicalize_into / decompose_into core on reused buffers.  The
+allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)
+and vectors of strings must not creep back into the files that build a
+missed URL.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
-string-free file names std::string, or if a file under src/net/ dispatches
-frames itself.  Line comments and block comments are stripped before
-matching so prose mentioning the forbidden API is fine.
+string-free file names std::string, if a miss-path file calls an
+allocating URL or site wrapper or names std::vector<std::string>, or if a
+file under src/net/ dispatches frames itself.  Line comments and block
+comments are stripped before matching so prose mentioning the forbidden API
+is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
 """
@@ -65,6 +74,15 @@ FORBIDDEN = [
 # in visit ids.
 STRING_FREE_FILES = ["src/sim/user.cpp"]
 STD_STRING = re.compile(r"\bstd::string\b")
+
+# Files on the URL-cache miss path: the allocation-free core only.
+MISS_PATH_FILES = ["src/sb/lookup_request.cpp", "src/sim/traffic_model.cpp"]
+ALLOCATING = [
+    (re.compile(r"\burl::canonicalize\s*\("), "allocating url::canonicalize"),
+    (re.compile(r"\burl::decompose\s*\("), "allocating url::decompose"),
+    (re.compile(r"\bcorpus_\s*\.\s*site\s*\("), "allocating WebCorpus::site"),
+    (re.compile(r"\bstd::vector\s*<\s*std::string\s*>"), "std::vector<std::string>"),
+]
 
 # Files that carry frames without looking inside them: no request tags and
 # no frame codec calls (the envelope codec is fine).
@@ -134,6 +152,18 @@ def main() -> int:
                 violations.append((rel, lineno, "std::string in the planner",
                                    line.strip()))
 
+    for rel in MISS_PATH_FILES:
+        path = root / rel
+        if not path.is_file():
+            print(f"check_hot_path: missing miss-path file {rel}", file=sys.stderr)
+            return 1
+        stripped = strip_comments(path.read_text())
+        for lineno, line in enumerate(stripped.splitlines(), start=1):
+            for pattern, label in ALLOCATING:
+                if pattern.search(line):
+                    violations.append((rel, lineno, f"miss path ({label})",
+                                       line.strip()))
+
     carriers = sorted(path for folder in FRAME_CARRIER_DIRS
                       for path in (root / folder).rglob("*")
                       if path.suffix in (".cpp", ".hpp"))
@@ -156,12 +186,15 @@ def main() -> int:
             print(f"  {rel}:{lineno}: {label}: {text}")
         print("override only contains_many / local_contains_many; call the batch "
               "forms on the hot path; plan visit ids, build URLs via "
-              "TrafficModel::url_of; hand src/net frames to Server::serve_frame")
+              "TrafficModel::url_of; build missed URLs with site_into / "
+              "canonicalize_into / decompose_into; hand src/net frames to "
+              "Server::serve_frame")
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
           f"{len(HOT_PATH_FILES)} hot-path files batch-only, "
           f"{len(STRING_FREE_FILES)} string-free, "
+          f"{len(MISS_PATH_FILES)} miss-path files allocation-free, "
           f"{len(carriers)} src/net files frame-opaque)")
     return 0
 

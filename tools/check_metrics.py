@@ -12,10 +12,13 @@ Checks, in order:
   * the file parses as strict JSON (any NaN/Infinity literal is rejected
     at parse time, then every number is re-checked for finiteness);
   * `schema_version` is 1 and `enabled` is true;
-  * the `phases` object has all six engine phases, each with `wall_ns`,
+  * the `phases` object has all eight engine phases, each with `wall_ns`,
     `spans` and a `span_ns` distribution carrying count/sum/min/max/mean
     and the p50/p90/p99 quantiles;
-  * `phases_by_wall` (descending-wall reading order) names all six phases;
+  * lookup's sub-phases nest: `site` and `url_build` record one span each
+    per URL-cache miss (equal span counts), and their wall time together
+    never exceeds `lookup`'s;
+  * `phases_by_wall` (descending-wall reading order) names all eight phases;
   * `thread_pool` has the batch/dispatch/busy/imbalance fields and a
     per-worker array sized to `threads_used`;
   * `transport` has all four protocol channels with request/byte counts
@@ -32,7 +35,9 @@ import math
 import sys
 
 PHASES = ("plan", "lookup", "resync", "churn_epoch", "log_drain",
-          "parallel_tick")
+          "parallel_tick", "site", "url_build")
+# Sub-phases timed inside lookup spans (URL-cache misses only).
+LOOKUP_SUBPHASES = ("site", "url_build")
 CHANNELS = ("full_hash", "v3_update", "v4_update", "v1_lookup")
 DIST_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 POOL_DISTS = ("dispatch_ns", "busy_ns", "imbalance_items")
@@ -106,6 +111,22 @@ def check_document(doc, problems):
             span_ns = require(entry, path, "span_ns", (dict,), problems)
             if span_ns is not None:
                 check_distribution(span_ns, f"{path}.span_ns", problems)
+
+    if phases is not None and all(
+            isinstance(phases.get(name), dict) and
+            isinstance(phases[name].get("wall_ns"), int) and
+            isinstance(phases[name].get("spans"), int)
+            for name in ("lookup",) + LOOKUP_SUBPHASES):
+        site, build = (phases[name] for name in LOOKUP_SUBPHASES)
+        if site["spans"] != build["spans"]:
+            problems.append(f"$.phases: site spans {site['spans']} != "
+                            f"url_build spans {build['spans']} (one each "
+                            "per URL-cache miss)")
+        nested = site["wall_ns"] + build["wall_ns"]
+        if nested > phases["lookup"]["wall_ns"]:
+            problems.append(f"$.phases: site + url_build wall_ns {nested} > "
+                            f"lookup wall_ns {phases['lookup']['wall_ns']} "
+                            "(sub-phases must nest inside lookup)")
 
     by_wall = require(doc, "$", "phases_by_wall", (list,), problems)
     if by_wall is not None:
