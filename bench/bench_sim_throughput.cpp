@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/phase.hpp"
 #include "sim/engine.hpp"
 #include "sim/log_sink.hpp"
@@ -216,6 +217,9 @@ json::Value artifact(const Sample& base, std::size_t users,
   // produced the numbers (a 1-core CI runner cannot show parallel gains).
   doc.set("hardware_threads",
           std::uint64_t{std::thread::hardware_concurrency()});
+  // The SHA-256 compression the URL-cache misses ran ("sha-ni" or
+  // "portable"): url_build time depends on it, the digests do not.
+  doc.set("sha256_backend", sbp::crypto::sha256_backend());
   doc.set("thread_sweep", std::move(sweep));
   doc.set("max_speedup", rounded(max_speedup, 2));
   doc.set("metrics_overhead_max", rounded(metrics_overhead_max, 3));

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "crypto/sha256.hpp"
+
 namespace sbp::obs {
 
 namespace json = util::json;
@@ -121,6 +123,9 @@ json::Value snapshot_to_json(const Snapshot& snapshot) {
   out.set("threads_used",
           json::Value(static_cast<std::uint64_t>(snapshot.threads_used)));
   out.set("ticks", json::Value(snapshot.ticks));
+  // Which SHA-256 compression ran: the digests are the same either way,
+  // the url_build time is not.
+  out.set("sha256_backend", json::Value(crypto::sha256_backend()));
 
   json::Value phases{json::Object{}};
   for (std::size_t i = 0; i < kPhaseCount; ++i) {

@@ -6,6 +6,7 @@
 //   {
 //     "schema_version": 1,
 //     "enabled": true, "threads_used": N, "ticks": T,
+//     "sha256_backend": "sha-ni" | "portable",
 //     "phases": { "<phase>": { "wall_ns", "spans",
 //                              "span_ns": {count,sum,min,max,mean,
 //                                          p50,p90,p99} }, ... },

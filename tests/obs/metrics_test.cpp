@@ -105,6 +105,11 @@ TEST(ObsMetricsTest, SnapshotJsonCarriesAllSixPhases) {
   }
   EXPECT_NE(text.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"phases_by_wall\""), std::string::npos);
+  const json::Value* backend = doc.find("sha256_backend");
+  ASSERT_NE(backend, nullptr);
+  EXPECT_TRUE(backend->as_string() == "sha-ni" ||
+              backend->as_string() == "portable")
+      << backend->as_string();
   EXPECT_NE(text.find("\"thread_pool\""), std::string::npos);
   EXPECT_NE(text.find("\"full_hash\""), std::string::npos);
   EXPECT_NE(text.find("\"lookups\": 123"), std::string::npos);

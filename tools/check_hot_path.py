@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one CPU dispatch site.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -33,11 +33,19 @@ allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)
 and vectors of strings must not creep back into the files that build a
 missed URL.
 
+SHA-256 picks its block compression once, from CPUID, in one file:
+src/crypto/sha256.cpp is the only source that includes <immintrin.h> or
+<cpuid.h>, queries the CPU (__get_cpuid, __builtin_cpu_supports) or
+compiles a function for another target (target(...)).  No file under
+src/crypto/ reads the environment (getenv): nothing but the CPU chooses the
+kernel, so a second dispatch site or a hidden knob fails here.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
-allocating URL or site wrapper or names std::vector<std::string>, or if a
-file under src/net/ dispatches frames itself.  Line comments and block
+allocating URL or site wrapper or names std::vector<std::string>, if a
+file under src/net/ dispatches frames itself, or if CPU feature dispatch
+appears outside src/crypto/sha256.cpp or getenv under src/crypto/.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
 
@@ -92,6 +100,19 @@ FRAME_DISPATCH = [
     (re.compile(r"\b(?:encode|decode)_(?:v1_lookup|full_hash|update|v4_update)_"
                 r"(?:request|response)\s*\("), "frame codec call"),
 ]
+
+# CPU feature dispatch lives in one file; the crypto layer reads no
+# environment.
+CPU_DISPATCH_FILE = "src/crypto/sha256.cpp"
+CPU_DISPATCH = [
+    (re.compile(r"<\s*immintrin\.h\s*>"), "<immintrin.h>"),
+    (re.compile(r"<\s*cpuid\.h\s*>"), "<cpuid.h>"),
+    (re.compile(r"\b__get_cpuid"), "__get_cpuid"),
+    (re.compile(r"\b__builtin_cpu_supports\b"), "__builtin_cpu_supports"),
+    (re.compile(r"\btarget\s*\("), "target(...) attribute"),
+]
+NO_ENV_DIR = "src/crypto"
+GETENV = re.compile(r"\bgetenv\b")
 
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
@@ -180,6 +201,25 @@ def main() -> int:
                     violations.append((rel, lineno, f"frame dispatch ({label})",
                                        line.strip()))
 
+    sources = sorted(path for path in (root / "src").rglob("*")
+                     if path.suffix in (".cpp", ".hpp"))
+    if not (root / CPU_DISPATCH_FILE).is_file():
+        print(f"check_hot_path: missing dispatch file {CPU_DISPATCH_FILE}",
+              file=sys.stderr)
+        return 1
+    for path in sources:
+        rel = path.relative_to(root).as_posix()
+        stripped = strip_comments(path.read_text())
+        for lineno, line in enumerate(stripped.splitlines(), start=1):
+            if rel != CPU_DISPATCH_FILE:
+                for pattern, label in CPU_DISPATCH:
+                    if pattern.search(line):
+                        violations.append((rel, lineno, f"CPU dispatch ({label})",
+                                           line.strip()))
+            if rel.startswith(NO_ENV_DIR + "/") and GETENV.search(line):
+                violations.append((rel, lineno, "getenv in the crypto layer",
+                                   line.strip()))
+
     if violations:
         print("check_hot_path: forbidden declarations, calls or types:")
         for rel, lineno, label, text in violations:
@@ -188,14 +228,15 @@ def main() -> int:
               "forms on the hot path; plan visit ids, build URLs via "
               "TrafficModel::url_of; build missed URLs with site_into / "
               "canonicalize_into / decompose_into; hand src/net frames to "
-              "Server::serve_frame")
+              "Server::serve_frame; keep CPU dispatch in " + CPU_DISPATCH_FILE)
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
           f"{len(HOT_PATH_FILES)} hot-path files batch-only, "
           f"{len(STRING_FREE_FILES)} string-free, "
           f"{len(MISS_PATH_FILES)} miss-path files allocation-free, "
-          f"{len(carriers)} src/net files frame-opaque)")
+          f"{len(carriers)} src/net files frame-opaque, "
+          f"CPU dispatch only in {CPU_DISPATCH_FILE})")
     return 0
 
 

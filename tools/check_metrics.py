@@ -12,6 +12,8 @@ Checks, in order:
   * the file parses as strict JSON (any NaN/Infinity literal is rejected
     at parse time, then every number is re-checked for finiteness);
   * `schema_version` is 1 and `enabled` is true;
+  * `sha256_backend` names the SHA-256 compression that ran: "sha-ni" or
+    "portable";
   * the `phases` object has all eight engine phases, each with `wall_ns`,
     `spans` and a `span_ns` distribution carrying count/sum/min/max/mean
     and the p50/p90/p99 quantiles;
@@ -42,6 +44,7 @@ CHANNELS = ("full_hash", "v3_update", "v4_update", "v1_lookup")
 DIST_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 POOL_DISTS = ("dispatch_ns", "busy_ns", "imbalance_items")
 CHANNEL_DISTS = ("serve_ns", "request_bytes", "response_bytes")
+SHA256_BACKENDS = ("sha-ni", "portable")
 
 
 def reject_constant(token):
@@ -96,6 +99,10 @@ def check_document(doc, problems):
     if enabled is False:
         problems.append("$.enabled: metrics artifact written with metrics "
                         "off")
+    backend = require(doc, "$", "sha256_backend", (str,), problems)
+    if backend is not None and backend not in SHA256_BACKENDS:
+        problems.append(f"$.sha256_backend: {backend!r} is not one of "
+                        f"{', '.join(SHA256_BACKENDS)}")
     threads_used = require(doc, "$", "threads_used", (int,), problems)
     require(doc, "$", "ticks", (int,), problems)
 
