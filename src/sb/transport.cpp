@@ -31,7 +31,8 @@ template <typename Request, typename Response>
 std::optional<Response> FrameTransport::send(
     wire::FrameType tag, const Request& request,
     std::vector<std::uint8_t> (*encode)(const Request&),
-    std::optional<Response> (*decode)(std::span<const std::uint8_t>)) {
+    std::optional<Response> (*decode)(std::span<const std::uint8_t>),
+    DecodeMemo<Response>* memo) {
   const RequestChannel& channel =
       *request_channel(static_cast<std::uint8_t>(tag));
   if (refuse(channel)) {
@@ -47,10 +48,18 @@ std::optional<Response> FrameTransport::send(
     return std::nullopt;
   }
   channel.count_response(stats_, response_frame->size());
-  std::optional<Response> response = decode(*response_frame);
-  if (!response) {
-    ++stats_.failed_requests;
-    return std::nullopt;
+  std::optional<Response> response;
+  if (memo != nullptr && memo->frame != nullptr &&
+      (memo->frame == response_frame || *memo->frame == *response_frame)) {
+    response = memo->value;
+    ++update_decode_reuses_;
+  } else {
+    response = decode(*response_frame);
+    if (!response) {
+      ++stats_.failed_requests;
+      return std::nullopt;
+    }
+    if (memo != nullptr) *memo = {response_frame, *response};
   }
   record_obs(channel.channel, request_frame.size(), response_frame->size(),
              start_ns);
@@ -68,14 +77,15 @@ std::optional<FullHashResponse> FrameTransport::get_full_hashes_or_error(
 std::optional<UpdateResponse> FrameTransport::fetch_update_or_error(
     const UpdateRequest& request) {
   return send(wire::FrameType::kUpdateRequest, request,
-              &wire::encode_update_request, &wire::decode_update_response);
+              &wire::encode_update_request, &wire::decode_update_response,
+              &v3_memo_);
 }
 
 std::optional<V4UpdateResponse> FrameTransport::fetch_v4_update_or_error(
     const V4UpdateRequest& request) {
   return send(wire::FrameType::kV4UpdateRequest, request,
               &wire::encode_v4_update_request,
-              &wire::decode_v4_update_response);
+              &wire::decode_v4_update_response, &v4_memo_);
 }
 
 std::optional<bool> FrameTransport::lookup_v1_or_error(std::string_view url,

@@ -193,6 +193,16 @@ class Transport {
 /// bytes_up), hands it to exchange(), bills and decodes the response frame
 /// and records obs. A failed exchange or an undecodable response counts
 /// failed_requests and returns nullopt.
+///
+/// Each update channel (v3 chunked, v4 sliced) remembers the last response
+/// frame it decoded and the decoded value. Clients in the same list state
+/// get the same update bytes (the server hands out one cached frame), so a
+/// response that is the same frame -- the same buffer, or equal bytes --
+/// returns a copy of the remembered value instead of being decoded again.
+/// Decoding is a pure function of the bytes, so nothing observable changes:
+/// billing, obs and failures are exactly those of a fresh decode, and an
+/// undecodable frame is never remembered. The memo belongs to this
+/// transport alone (one per engine shard), so it takes no lock.
 class FrameTransport : public Transport {
  public:
   [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
@@ -203,6 +213,12 @@ class FrameTransport : public Transport {
       const V4UpdateRequest& request) final;
   [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
                                                        Cookie cookie) final;
+
+  /// Update responses answered from the decode memo instead of decoded
+  /// (exported as the `update_decode_reuses` counter).
+  [[nodiscard]] std::uint64_t update_decode_reuses() const noexcept {
+    return update_decode_reuses_;
+  }
 
  protected:
   using Transport::Transport;
@@ -217,11 +233,25 @@ class FrameTransport : public Transport {
       const std::vector<std::uint8_t>& request_frame) = 0;
 
  private:
+  /// The last frame one update channel decoded, and its decoded value.
+  template <typename Response>
+  struct DecodeMemo {
+    ResponseFrame frame;
+    Response value;
+  };
+
+  /// One request/response exchange; `memo` (update channels only) answers
+  /// a repeated response frame without decoding it.
   template <typename Request, typename Response>
   [[nodiscard]] std::optional<Response> send(
       wire::FrameType tag, const Request& request,
       std::vector<std::uint8_t> (*encode)(const Request&),
-      std::optional<Response> (*decode)(std::span<const std::uint8_t>));
+      std::optional<Response> (*decode)(std::span<const std::uint8_t>),
+      DecodeMemo<Response>* memo = nullptr);
+
+  DecodeMemo<UpdateResponse> v3_memo_;
+  DecodeMemo<V4UpdateResponse> v4_memo_;
+  std::uint64_t update_decode_reuses_ = 0;
 };
 
 /// The in-process reference transport: each request frame is served by

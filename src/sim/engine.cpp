@@ -226,6 +226,17 @@ sb::TransportStats Engine::transport_stats() const {
   return total;
 }
 
+std::uint64_t Engine::update_decode_reuses() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    if (const auto* frames =
+            dynamic_cast<const sb::FrameTransport*>(shard->transport.get())) {
+      total += frames->update_decode_reuses();
+    }
+  }
+  return total;
+}
+
 void Engine::apply_churn_epoch() {
   const ChurnSchedule::EpochPlan plan = churn_->plan_epoch(++epoch_count_);
   bool universe_grew = false;
@@ -549,6 +560,7 @@ obs::Snapshot Engine::obs_snapshot() const {
   }
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
+  counters.counter("update_decode_reuses").value = update_decode_reuses();
 
   snapshot.per_tick = obs_series_;
   return snapshot;

@@ -198,6 +198,10 @@ class Engine {
   [[nodiscard]] const sb::Server& server() const noexcept { return server_; }
   /// Wire counters summed across every shard transport.
   [[nodiscard]] sb::TransportStats transport_stats() const;
+  /// Update responses the shard transports answered from their decode
+  /// memos (sb::FrameTransport), summed; a factory-built transport that is
+  /// not a FrameTransport counts none.
+  [[nodiscard]] std::uint64_t update_decode_reuses() const;
   [[nodiscard]] const SimMetrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const TrafficModel& traffic_model() const noexcept {
     return traffic_model_;

@@ -12,8 +12,34 @@
 // owned function object (the bug ThreadSanitizer catches immediately if
 // entry is gated on the generation alone: a straggler waking after the
 // barrier would claim tickets of the NEXT batch and run a dead stack's fn).
+//
+// Spinning changes only when a thread takes the mutex, never what it
+// decides under it: a worker spins until open_generation_ names a batch it
+// has not entered, the caller until batch_done_ is set, and each then runs
+// the same mutex-gated wait as before (which returns at once when its
+// condition holds). A spin that runs out of time falls through to that
+// wait and parks.
 
 namespace sbp::sim {
+
+namespace {
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until ready() or until ThreadPool::kSpinNs have passed.
+template <typename Ready>
+void spin_until(Ready ready) {
+  const std::uint64_t deadline = obs::now_ns() + ThreadPool::kSpinNs;
+  while (!ready() && obs::now_ns() < deadline) cpu_relax();
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t resident =
@@ -58,14 +84,19 @@ std::size_t ThreadPool::run_claim_loop(
 
 void ThreadPool::worker_loop(std::size_t slot) {
   std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
+    spin_until([&] {
+      const std::uint64_t open = open_generation_.load();
+      return (open != 0 && open != seen_generation) || stop_;
+    });
+    std::unique_lock<std::mutex> lock(mutex_);
     work_cv_.wait(lock, [&] {
       return stop_ || (generation_ != seen_generation && batch_open_);
     });
     if (stop_) return;
     seen_generation = generation_;
     ++active_;
+    batch_done_.store(false);
     const auto* fn = fn_;
     const std::size_t count = count_;
     // Timing reads happen under the mutex (publish_ns_) or on thread-local
@@ -89,7 +120,10 @@ void ThreadPool::worker_loop(std::size_t slot) {
       mine.participated = true;
     }
     --active_;
-    if (executed_ == count_ && active_ == 0) done_cv_.notify_all();
+    if (executed_ == count_ && active_ == 0) {
+      batch_done_.store(true);
+      done_cv_.notify_all();
+    }
   }
 }
 
@@ -151,6 +185,8 @@ void ThreadPool::parallel_for(std::size_t count,
     }
     batch_open_ = true;
     ++generation_;
+    batch_done_.store(false);
+    open_generation_.store(generation_);
   }
   work_cv_.notify_all();
 
@@ -161,8 +197,15 @@ void ThreadPool::parallel_for(std::size_t count,
 
   std::unique_lock<std::mutex> lock(mutex_);
   executed_ += executed;
-  done_cv_.wait(lock, [&] { return executed_ == count_ && active_ == 0; });
+  const auto done = [&] { return executed_ == count_ && active_ == 0; };
+  if (!done()) {
+    lock.unlock();
+    spin_until([&] { return batch_done_.load(); });
+    lock.lock();
+    done_cv_.wait(lock, done);
+  }
   batch_open_ = false;  // stragglers that never woke skip this batch
+  open_generation_.store(0);
   fn_ = nullptr;
   if (timed) {
     // Every participant has deregistered (active_ == 0), so all slot

@@ -43,6 +43,7 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   SimMetrics metrics;
   sb::TransportStats wire;
+  std::uint64_t update_decode_reuses = 0;
   std::optional<obs::Snapshot> snapshot;
 };
 
@@ -60,6 +61,7 @@ RunResult run(bool collect_metrics, std::size_t threads) {
                    counting.fingerprint(),
                    engine.metrics(),
                    engine.transport_stats(),
+                   engine.update_decode_reuses(),
                    std::nullopt};
   if (engine.metrics_enabled()) result.snapshot = engine.obs_snapshot();
   return result;
@@ -83,7 +85,18 @@ void expect_identical(const RunResult& off, const RunResult& on,
   EXPECT_LE(on.metrics.site_cache_hits + on.metrics.site_cache_misses,
             on.metrics.url_cache_misses)
       << label;
+  // Each shard owns its transport's decode memo and its users re-sync in a
+  // fixed order, so the memo hits the same frames at any thread count.
+  ASSERT_GT(off.update_decode_reuses, 0u) << label << ": no decode reused";
+  EXPECT_EQ(off.update_decode_reuses, on.update_decode_reuses) << label;
+  EXPECT_LT(on.update_decode_reuses,
+            on.wire.update_requests + on.wire.v4_update_requests)
+      << label;
   if (on.snapshot) {
+    const obs::MetricsRegistry::Entry* reuses =
+        on.snapshot->counters.find("update_decode_reuses");
+    ASSERT_NE(reuses, nullptr) << label;
+    EXPECT_EQ(reuses->counter.value, on.update_decode_reuses) << label;
     // The exported counters are the SimMetrics table, name for name.
     for (const auto& field : SimMetrics::kCounters) {
       const obs::MetricsRegistry::Entry* entry =

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one CPU dispatch site.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one update decode site, one CPU dispatch site.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -33,6 +33,12 @@ allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)
 and vectors of strings must not creep back into the files that build a
 missed URL.
 
+Update responses are decoded in one place: FrameTransport::send
+(src/sb/transport.cpp) remembers the last frame each update channel decoded
+and answers a repeated frame from that memo.  A call to
+wire::decode_update_response or wire::decode_v4_update_response anywhere
+else in src/ is a second decode path that bypasses the memo.
+
 SHA-256 picks its block compression once, from CPUID, in one file:
 src/crypto/sha256.cpp is the only source that includes <immintrin.h> or
 <cpuid.h>, queries the CPU (__get_cpuid, __builtin_cpu_supports) or
@@ -44,7 +50,8 @@ This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
 allocating URL or site wrapper or names std::vector<std::string>, if a
-file under src/net/ dispatches frames itself, or if CPU feature dispatch
+file under src/net/ dispatches frames itself, if an update response is
+decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
@@ -100,6 +107,12 @@ FRAME_DISPATCH = [
     (re.compile(r"\b(?:encode|decode)_(?:v1_lookup|full_hash|update|v4_update)_"
                 r"(?:request|response)\s*\("), "frame codec call"),
 ]
+
+# Update responses are decoded only behind the transport's decode memo (the
+# frame codec itself declares and defines the decoders).
+UPDATE_DECODE_FILE = "src/sb/transport.cpp"
+UPDATE_CODEC_FILES = ("src/sb/wire/frames.hpp", "src/sb/wire/frames.cpp")
+UPDATE_DECODE = re.compile(r"\bdecode_(?:v4_)?update_response\b")
 
 # CPU feature dispatch lives in one file; the crypto layer reads no
 # environment.
@@ -203,14 +216,18 @@ def main() -> int:
 
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
-    if not (root / CPU_DISPATCH_FILE).is_file():
-        print(f"check_hot_path: missing dispatch file {CPU_DISPATCH_FILE}",
-              file=sys.stderr)
-        return 1
+    for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE):
+        if not (root / required).is_file():
+            print(f"check_hot_path: missing file {required}", file=sys.stderr)
+            return 1
     for path in sources:
         rel = path.relative_to(root).as_posix()
         stripped = strip_comments(path.read_text())
         for lineno, line in enumerate(stripped.splitlines(), start=1):
+            if (rel != UPDATE_DECODE_FILE and rel not in UPDATE_CODEC_FILES
+                    and UPDATE_DECODE.search(line)):
+                violations.append((rel, lineno, "update decode outside the "
+                                   "transport's memo", line.strip()))
             if rel != CPU_DISPATCH_FILE:
                 for pattern, label in CPU_DISPATCH:
                     if pattern.search(line):
@@ -228,7 +245,8 @@ def main() -> int:
               "forms on the hot path; plan visit ids, build URLs via "
               "TrafficModel::url_of; build missed URLs with site_into / "
               "canonicalize_into / decompose_into; hand src/net frames to "
-              "Server::serve_frame; keep CPU dispatch in " + CPU_DISPATCH_FILE)
+              "Server::serve_frame; decode update responses only in " +
+              UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE)
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -236,6 +254,7 @@ def main() -> int:
           f"{len(STRING_FREE_FILES)} string-free, "
           f"{len(MISS_PATH_FILES)} miss-path files allocation-free, "
           f"{len(carriers)} src/net files frame-opaque, "
+          f"update decodes only in {UPDATE_DECODE_FILE}, "
           f"CPU dispatch only in {CPU_DISPATCH_FILE})")
     return 0
 

@@ -25,7 +25,12 @@ Checks, in order:
     per-worker array sized to `threads_used`;
   * `transport` has all four protocol channels with request/byte counts
     and serve-time + frame-size distributions;
-  * `counters` is a non-empty object of integers.
+  * `counters` is a non-empty object of integers;
+  * an engine artifact (its counters carry `ticks_run`) has
+    `update_decode_reuses` -- update responses the client transports
+    answered from their decode memo -- and it is at most the v3 + v4 update
+    requests the `transport` section served. A daemon artifact has no
+    client transports and no such counter.
 
 stdlib only. Exit codes: 0 ok, 1 any failure (with one line per problem).
 
@@ -41,6 +46,7 @@ PHASES = ("plan", "lookup", "resync", "churn_epoch", "log_drain",
 # Sub-phases timed inside lookup spans (URL-cache misses only).
 LOOKUP_SUBPHASES = ("site", "url_build")
 CHANNELS = ("full_hash", "v3_update", "v4_update", "v1_lookup")
+UPDATE_CHANNELS = ("v3_update", "v4_update")
 DIST_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 POOL_DISTS = ("dispatch_ns", "busy_ns", "imbalance_items")
 CHANNEL_DISTS = ("serve_ns", "request_bytes", "response_bytes")
@@ -185,6 +191,25 @@ def check_document(doc, problems):
         for name, value in counters.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 problems.append(f"$.counters.{name}: not an integer")
+        if "ticks_run" in counters:
+            check_decode_reuses(counters, transport, problems)
+
+
+def check_decode_reuses(counters, transport, problems):
+    reuses = require(counters, "$.counters", "update_decode_reuses", (int,),
+                     problems)
+    if reuses is None or not isinstance(transport, dict):
+        return
+    served = 0
+    for channel in UPDATE_CHANNELS:
+        entry = transport.get(channel)
+        requests = entry.get("requests") if isinstance(entry, dict) else None
+        if not isinstance(requests, int):
+            return  # already reported by the transport checks
+        served += requests
+    if reuses > served:
+        problems.append(f"$.counters.update_decode_reuses: {reuses} > "
+                        f"{served} update requests served")
 
 
 def main():
