@@ -206,11 +206,12 @@ int main(int argc, char** argv) {
   json::Value latency{json::Object{}};
   for (std::size_t c = 0; c < sbp::obs::kChannelCount; ++c) {
     const sbp::obs::ChannelStats& stats = run.obs->transport.channels[c];
-    if (stats.requests == 0) continue;
+    const std::uint64_t requests = stats.request_bytes.count();
+    if (requests == 0) continue;
     const std::string_view channel =
         sbp::obs::channel_name(static_cast<sbp::obs::Channel>(c));
     json::Value entry{json::Object{}};
-    entry.set("requests", stats.requests);
+    entry.set("requests", requests);
     entry.set("p50_ns", stats.serve_ns.quantile(0.50));
     entry.set("p90_ns", stats.serve_ns.quantile(0.90));
     entry.set("p99_ns", stats.serve_ns.quantile(0.99));
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
                     stats.serve_ns.quantile(0.50) / 1000),
                 static_cast<unsigned long long>(
                     stats.serve_ns.quantile(0.99) / 1000),
-                static_cast<unsigned long long>(stats.requests));
+                static_cast<unsigned long long>(requests));
   }
   doc.set("latency", std::move(latency));
   doc.set("equivalent", equivalent);

@@ -207,14 +207,9 @@ obs::Snapshot Daemon::snapshot() const {
   snapshot.pool.workers.resize(1);
   snapshot.transport.merge_from(obs_);
 
-  obs::MetricsRegistry& counters = snapshot.counters;
-  counters.counter("connections_accepted").value =
-      stats_.connections_accepted;
-  counters.counter("connections_closed").value = stats_.connections_closed;
-  counters.counter("frames_served").value = stats_.frames_served;
-  counters.counter("decode_errors").value = stats_.decode_errors;
-  counters.counter("update_encode_cache_hits").value =
-      server_.update_encode_cache_hits();
+  util::append_counters(snapshot.counters, stats_);
+  snapshot.counters.emplace_back("update_encode_cache_hits",
+                                 server_.update_encode_cache_hits());
   return snapshot;
 }
 

@@ -46,6 +46,7 @@
 #include "obs/snapshot.hpp"
 #include "sb/server.hpp"
 #include "sb/transport.hpp"
+#include "util/counters.hpp"
 
 namespace sbp::net {
 
@@ -55,6 +56,13 @@ struct DaemonStats {
   std::uint64_t connections_closed = 0;
   std::uint64_t frames_served = 0;
   std::uint64_t decode_errors = 0;  ///< broken envelopes/frames (conn dropped)
+
+  static constexpr util::CounterField<DaemonStats> kCounters[] = {
+      {"connections_accepted", &DaemonStats::connections_accepted},
+      {"connections_closed", &DaemonStats::connections_closed},
+      {"frames_served", &DaemonStats::frames_served},
+      {"decode_errors", &DaemonStats::decode_errors},
+  };
 };
 
 class Daemon {

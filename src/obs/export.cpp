@@ -59,9 +59,9 @@ json::Value transport_to_json(const TransportObs& transport) {
   for (std::size_t i = 0; i < kChannelCount; ++i) {
     const ChannelStats& stats = transport.channels[i];
     json::Value channel{json::Object{}};
-    channel.set("requests", json::Value(stats.requests));
-    channel.set("bytes_up", json::Value(stats.bytes_up));
-    channel.set("bytes_down", json::Value(stats.bytes_down));
+    channel.set("requests", json::Value(stats.request_bytes.count()));
+    channel.set("bytes_up", json::Value(stats.request_bytes.sum()));
+    channel.set("bytes_down", json::Value(stats.response_bytes.sum()));
     channel.set("serve_ns", histogram_to_json(stats.serve_ns));
     channel.set("request_bytes", histogram_to_json(stats.request_bytes));
     channel.set("response_bytes", histogram_to_json(stats.response_bytes));
@@ -70,21 +70,9 @@ json::Value transport_to_json(const TransportObs& transport) {
   return out;
 }
 
-json::Value counters_to_json(const MetricsRegistry& counters) {
+json::Value counters_to_json(const util::CounterList& counters) {
   json::Value out{json::Object{}};
-  for (const auto& entry : counters.entries()) {
-    switch (entry->kind) {
-      case MetricsRegistry::Kind::kCounter:
-        out.set(entry->name, json::Value(entry->counter.value));
-        break;
-      case MetricsRegistry::Kind::kGauge:
-        out.set(entry->name, json::Value(entry->gauge.value));
-        break;
-      case MetricsRegistry::Kind::kHistogram:
-        out.set(entry->name, histogram_to_json(entry->histogram));
-        break;
-    }
-  }
+  for (const auto& [name, value] : counters) out.set(name, json::Value(value));
   return out;
 }
 
@@ -202,12 +190,13 @@ std::string summary_table(const Snapshot& snapshot) {
 
   for (std::size_t i = 0; i < kChannelCount; ++i) {
     const ChannelStats& stats = snapshot.transport.channels[i];
-    if (stats.requests == 0) continue;
+    if (stats.request_bytes.count() == 0) continue;
     std::snprintf(line, sizeof line,
                   "wire/%-10s req=%-8" PRIu64 " up=%-10" PRIu64
                   " down=%-10" PRIu64 " serve_p99=%sus\n",
                   std::string(channel_name(static_cast<Channel>(i))).c_str(),
-                  stats.requests, stats.bytes_up, stats.bytes_down,
+                  stats.request_bytes.count(), stats.request_bytes.sum(),
+                  stats.response_bytes.sum(),
                   format_us(stats.serve_ns.quantile(0.99)).c_str());
     out += line;
   }

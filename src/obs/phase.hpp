@@ -18,9 +18,9 @@
 //   * TransportObs -- per-channel request/latency/byte histograms on the
 //     wire path, the exact-byte refinement of sb::TransportStats.
 //
-// Everything here is POD-ish and allocation-free on the record path; a
-// null profile pointer disables a ScopedPhaseTimer entirely (no clock
-// read), which is how the engine keeps metrics-off overhead at zero.
+// Everything here is POD-ish and allocation-free on the record path. The
+// engine reads the clock only when metrics are on, which is how it keeps
+// metrics-off overhead at zero.
 #pragma once
 
 #include <array>
@@ -100,26 +100,6 @@ class PhaseProfile {
   std::array<PhaseStats, kPhaseCount> stats_{};
 };
 
-/// RAII span: records elapsed ns into `profile` on destruction. A null
-/// profile is fully inert -- no clock read, no store -- so metrics-off
-/// code paths pay one branch.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(PhaseProfile* profile, Phase phase) noexcept
-      : profile_(profile), phase_(phase),
-        start_ns_(profile != nullptr ? now_ns() : 0) {}
-  ~ScopedPhaseTimer() {
-    if (profile_ != nullptr) profile_->record(phase_, now_ns() - start_ns_);
-  }
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  PhaseProfile* profile_;
-  Phase phase_;
-  std::uint64_t start_ns_;
-};
-
 /// Thread-pool instrumentation, owned by the pool's creator and filled by
 /// ThreadPool under its batch mutex (see sim/thread_pool.cpp): workers
 /// stage per-batch samples in per-thread slots and the caller folds them
@@ -161,29 +141,22 @@ constexpr std::size_t kChannelCount = static_cast<std::size_t>(Channel::kCount);
 
 /// Per-channel request path stats: latency of one served request
 /// (encode + decode + server work, as the zero-latency transport runs it)
-/// and exact frame sizes both ways. Injected failures and decode errors
-/// are not recorded here (TransportStats.failed_requests counts those).
+/// and exact frame sizes both ways. The channel's request count is
+/// request_bytes.count(), its bytes up and down request_bytes.sum() and
+/// response_bytes.sum(). Injected failures and decode errors are not
+/// recorded here (TransportStats.failed_requests counts those).
 struct ChannelStats {
-  std::uint64_t requests = 0;
-  std::uint64_t bytes_up = 0;
-  std::uint64_t bytes_down = 0;
   Histogram serve_ns;
   Histogram request_bytes;
   Histogram response_bytes;
 
   void record(std::uint64_t up, std::uint64_t down,
               std::uint64_t ns) noexcept {
-    ++requests;
-    bytes_up += up;
-    bytes_down += down;
     request_bytes.record(up);
     response_bytes.record(down);
     serve_ns.record(ns);
   }
   void merge_from(const ChannelStats& other) noexcept {
-    requests += other.requests;
-    bytes_up += other.bytes_up;
-    bytes_down += other.bytes_down;
     serve_ns.merge_from(other.serve_ns);
     request_bytes.merge_from(other.request_bytes);
     response_bytes.merge_from(other.response_bytes);

@@ -13,12 +13,6 @@ void append_u64(std::string& out, std::uint64_t value) {
   out += buf;
 }
 
-void append_double(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
-}
-
 void type_header(std::string& out, std::string_view prefix,
                  std::string_view name, std::string_view type) {
   out += "# TYPE ";
@@ -148,9 +142,12 @@ std::string prometheus_text(const Snapshot& snapshot,
     std::string labels = "{channel=\"";
     labels += channel_name(static_cast<Channel>(i));
     labels += "\"}";
-    sample(out, prefix, "wire_requests_total", labels, stats.requests);
-    sample(out, prefix, "wire_bytes_up_total", labels, stats.bytes_up);
-    sample(out, prefix, "wire_bytes_down_total", labels, stats.bytes_down);
+    sample(out, prefix, "wire_requests_total", labels,
+           stats.request_bytes.count());
+    sample(out, prefix, "wire_bytes_up_total", labels,
+           stats.request_bytes.sum());
+    sample(out, prefix, "wire_bytes_down_total", labels,
+           stats.response_bytes.sum());
   }
   type_header(out, prefix, "wire_serve_ns", "histogram");
   for (std::size_t i = 0; i < kChannelCount; ++i) {
@@ -161,27 +158,9 @@ std::string prometheus_text(const Snapshot& snapshot,
                       snapshot.transport.channels[i].serve_ns);
   }
 
-  for (const auto& entry : snapshot.counters.entries()) {
-    switch (entry->kind) {
-      case MetricsRegistry::Kind::kCounter:
-        type_header(out, prefix, entry->name, "counter");
-        sample(out, prefix, entry->name, "", entry->counter.value);
-        break;
-      case MetricsRegistry::Kind::kGauge: {
-        type_header(out, prefix, entry->name, "gauge");
-        out += prefix;
-        out += '_';
-        out += entry->name;
-        out += ' ';
-        append_double(out, entry->gauge.value);
-        out += '\n';
-        break;
-      }
-      case MetricsRegistry::Kind::kHistogram:
-        type_header(out, prefix, entry->name, "histogram");
-        histogram_samples(out, prefix, entry->name, "", entry->histogram);
-        break;
-    }
+  for (const auto& [name, value] : snapshot.counters) {
+    type_header(out, prefix, name, "counter");
+    sample(out, prefix, name, "", value);
   }
   return out;
 }

@@ -6,16 +6,13 @@
 // is the single input to all three exporters -- metrics.json
 // (export.hpp), Prometheus text (prom_text.hpp) and the stderr summary
 // table -- so the formats can never disagree about the numbers.
-//
-// Move-only (MetricsRegistry holds unique_ptr entries); produced once per
-// run, so copyability is not needed.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
+#include "util/counters.hpp"
 
 namespace sbp::obs {
 
@@ -30,9 +27,10 @@ struct Snapshot {
   PoolObs pool;
   /// Wire channels merged over shards in canonical order.
   TransportObs transport;
-  /// Simulation counters (lookups, hits, resyncs, ...), names matching
-  /// the scenario report's "metrics" object.
-  MetricsRegistry counters;
+  /// Counters in export order, appended from kCounters tables
+  /// (util::append_counters): the engine's match the scenario report's
+  /// "metrics" object name for name.
+  util::CounterList counters;
   /// Optional per-tick phase series (config.metrics_per_tick_series).
   std::vector<TickSample> per_tick;
 };

@@ -311,16 +311,11 @@ const UrlCache::Entry& Engine::url_prefixes(Shard& shard,
   entry.request.build(shard.url_scratch);
   if (timed) {
     const std::uint64_t t2 = obs::now_ns();
-    record_phase(shard, obs::Phase::kSite, t1 - t0);
-    record_phase(shard, obs::Phase::kUrlBuild, t2 - t1);
+    shard.obs_phases.record(obs::Phase::kSite, t1 - t0);
+    shard.obs_phases.record(obs::Phase::kUrlBuild, t2 - t1);
   }
   stamp_universe(entry);
   return entry;
-}
-
-void Engine::record_phase(Shard& shard, obs::Phase phase, std::uint64_t ns) {
-  shard.obs_phases.record(phase, ns);
-  shard.tick_ns[static_cast<std::size_t>(phase)] += ns;
 }
 
 void Engine::dispatch(Shard& shard, UserState& user,
@@ -417,7 +412,6 @@ void Engine::tick_shard(Shard& shard) {
   // buffer; the engine merges buffers in shard order after the barrier.
   const sb::Server::ScopedLogShard log_scope(shard.log_buffer);
   shard.tick_metrics = SimMetrics{};
-  shard.tick_ns = {};
   // Per-user spans cost three steady_clock reads when timing is on and
   // three predictable branches when it is off; everything recorded is
   // shard-confined, so timing cannot perturb any cross-shard state.
@@ -440,7 +434,9 @@ void Engine::tick_shard(Shard& shard) {
       (void)client.update();
       ++shard.tick_metrics.churn_updates;
     }
-    if (timed) record_phase(shard, obs::Phase::kResync, obs::now_ns() - r0);
+    if (timed) {
+      shard.obs_phases.record(obs::Phase::kResync, obs::now_ns() - r0);
+    }
   }
 
   for (auto& user : shard.users) {
@@ -453,8 +449,8 @@ void Engine::tick_shard(Shard& shard) {
       dispatch(shard, user, visit);
     }
     if (timed) {
-      record_phase(shard, obs::Phase::kPlan, t1 - t0);
-      record_phase(shard, obs::Phase::kLookup, obs::now_ns() - t1);
+      shard.obs_phases.record(obs::Phase::kPlan, t1 - t0);
+      shard.obs_phases.record(obs::Phase::kLookup, obs::now_ns() - t1);
     }
   }
 }
@@ -463,9 +459,8 @@ bool Engine::step() {
   if (tick_ >= config_.ticks) return false;
 
   // Serial-phase timing: one clock pair per phase per tick, recorded into
-  // serial_profile_ and (for the optional series) this tick's sample.
+  // serial_profile_.
   const bool timed = obs_enabled_;
-  std::array<std::uint64_t, obs::kPhaseCount> tick_ns{};
   const auto timed_phase = [&](obs::Phase phase, auto&& body) {
     if (!timed) {
       body();
@@ -473,9 +468,7 @@ bool Engine::step() {
     }
     const std::uint64_t t0 = obs::now_ns();
     body();
-    const std::uint64_t ns = obs::now_ns() - t0;
-    serial_profile_.record(phase, ns);
-    tick_ns[static_cast<std::size_t>(phase)] = ns;
+    serial_profile_.record(phase, obs::now_ns() - t0);
   };
 
   if (churn_) {
@@ -515,16 +508,20 @@ bool Engine::step() {
   }
 
   if (timed && config_.metrics_per_tick_series) {
+    // This tick's sample is how far the summed phase totals (the serial
+    // profile plus every shard's) moved during the tick. The parallel
+    // phases thus report CPU time summed over shards (wall time at one
+    // thread; up to threads x wall when scaling perfectly).
     obs::TickSample sample;
     sample.tick = tick_;
-    sample.phase_ns = tick_ns;
-    // The parallel phases report CPU time summed over shards (wall time
-    // at one thread; up to threads x wall when scaling perfectly). Shards
-    // record only parallel phases, so their samples add straight in.
-    for (const auto& shard : shards_) {
-      for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
-        sample.phase_ns[p] += shard->tick_ns[p];
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      const auto phase = static_cast<obs::Phase>(p);
+      std::uint64_t total = serial_profile_.stats(phase).total_ns;
+      for (const auto& shard : shards_) {
+        total += shard->obs_phases.stats(phase).total_ns;
       }
+      sample.phase_ns[p] = total - series_totals_[p];
+      series_totals_[p] = total;
     }
     obs_series_.push_back(sample);
   }
@@ -552,15 +549,13 @@ obs::Snapshot Engine::obs_snapshot() const {
   }
   snapshot.pool = pool_obs_;
 
-  // Mirror SimMetrics under the same names report_to_json uses, so the
+  // SimMetrics under the same names report_to_json uses, so the
   // metrics.json counters section matches the scenario report.
-  obs::MetricsRegistry& counters = snapshot.counters;
-  for (const auto& field : SimMetrics::kCounters) {
-    counters.counter(field.name).value = metrics_.*field.member;
-  }
-  counters.counter("update_encode_cache_hits").value =
-      server_.update_encode_cache_hits();
-  counters.counter("update_decode_reuses").value = update_decode_reuses();
+  util::append_counters(snapshot.counters, metrics_);
+  snapshot.counters.emplace_back("update_encode_cache_hits",
+                                 server_.update_encode_cache_hits());
+  snapshot.counters.emplace_back("update_decode_reuses",
+                                 update_decode_reuses());
 
   snapshot.per_tick = obs_series_;
   return snapshot;

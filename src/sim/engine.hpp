@@ -308,12 +308,10 @@ class Engine {
     std::vector<std::vector<std::size_t>> resync_slots;
     /// Shard-confined profiling state (only touched with obs enabled):
     /// resync/plan/lookup span profiles and lookup's site/url_build
-    /// sub-phases, the shard transport's channel stats, and this tick's
-    /// wall times for the per-tick series. Written only by the worker
-    /// ticking this shard; merged post-barrier.
+    /// sub-phases, and the shard transport's channel stats. Written only
+    /// by the worker ticking this shard; merged post-barrier.
     obs::PhaseProfile obs_phases;
     obs::TransportObs obs_transport;
-    std::array<std::uint64_t, obs::kPhaseCount> tick_ns{};
   };
 
   void seed_blacklist();
@@ -324,9 +322,6 @@ class Engine {
   /// Recomputes entry.universe_hits against the current universe version.
   void stamp_universe(UrlCache::Entry& entry) const;
   void tick_shard(Shard& shard);
-  /// Records a span of a shard-ticked phase into its profile and this
-  /// tick's sample (obs enabled only).
-  static void record_phase(Shard& shard, obs::Phase phase, std::uint64_t ns);
   const UrlCache::Entry& url_prefixes(Shard& shard,
                                       TrafficModel::VisitId visit);
   void dispatch(Shard& shard, UserState& user, TrafficModel::VisitId visit);
@@ -354,11 +349,13 @@ class Engine {
   /// engine-thread phases (churn_epoch, parallel_tick, log_drain; resync
   /// is recorded per shard now that it runs inside the parallel tick);
   /// pool_obs_ is filled by the thread pool; the optional series grows by
-  /// one sample per tick. All engine-thread-only.
+  /// one sample per tick, the change in the summed phase totals since
+  /// series_totals_. All engine-thread-only.
   bool obs_enabled_ = false;
   obs::PhaseProfile serial_profile_;
   obs::PoolObs pool_obs_;
   std::vector<obs::TickSample> obs_series_;
+  std::array<std::uint64_t, obs::kPhaseCount> series_totals_{};
 
   /// The epoch mutation planner (null when churn.epoch_ticks == 0).
   /// Re-sync slots live per shard (Shard::resync_slots): the staggered

@@ -11,6 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace sbp::util {
 
@@ -28,6 +31,17 @@ T& add_counters(T& into, const T& from) noexcept {
     into.*field.member += from.*field.member;
   }
   return into;
+}
+
+/// Exported counters: (name, value) pairs in the order they were appended.
+using CounterList = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Appends one pair per row of T::kCounters, in table order.
+template <class T>
+void append_counters(CounterList& out, const T& from) {
+  for (const CounterField<T>& field : T::kCounters) {
+    out.emplace_back(field.name, from.*field.member);
+  }
 }
 
 }  // namespace sbp::util

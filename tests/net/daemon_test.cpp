@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -252,6 +253,52 @@ TEST(DaemonTest, ShutdownDrainsPendingResponses) {
   ASSERT_TRUE(read_exact(peer.get(), payload.data(), payload.size()));
   EXPECT_TRUE(sb::wire::decode_full_hash_response(payload).has_value());
 
+  std::remove(path.c_str());
+}
+
+TEST(DaemonTest, SnapshotCountersAreTheDaemonStatsTable) {
+  Harness harness;
+  const std::string path = test_socket_path("counters");
+  harness.listen("unix:" + path);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  Fd good = connect_to("unix:" + path);
+  Fd bad = connect_to("unix:" + path);
+  // One full-hash request, then the same update request twice: the second
+  // is served from the server's encode cache.
+  const auto update =
+      sb::wire::encode_update_request({{{"goog-malware-shavar", {}, {}}}});
+  std::vector<std::uint8_t> burst;
+  for (const auto& request :
+       {sb::wire::encode_full_hash_request({5, {0x0A0B0C0D}}), update,
+        update}) {
+    const auto envelope = encode_envelope(0, request);
+    burst.insert(burst.end(), envelope.begin(), envelope.end());
+  }
+  ASSERT_TRUE(write_all(good.get(), burst.data(), burst.size()));
+  const std::uint8_t poison[kEnvelopeHeaderBytes] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_TRUE(write_all(bad.get(), poison, sizeof(poison)));
+  harness.pump();
+
+  // Every DaemonStats::kCounters row in table order, then the server's
+  // encode-cache hits, each with the live value.
+  const DaemonStats& stats = harness.daemon.stats();
+  EXPECT_EQ(stats.frames_served, 3u);
+  EXPECT_EQ(stats.decode_errors, 1u);
+  const util::CounterList counters = harness.daemon.snapshot().counters;
+  const std::size_t rows = std::size(DaemonStats::kCounters);
+  ASSERT_EQ(counters.size(), rows + 1);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto& field = DaemonStats::kCounters[i];
+    EXPECT_EQ(counters[i].first, field.name);
+    EXPECT_EQ(counters[i].second, stats.*field.member) << field.name;
+  }
+  EXPECT_EQ(counters[rows].first, "update_encode_cache_hits");
+  EXPECT_EQ(counters[rows].second, 1u);
+  EXPECT_EQ(counters[rows].second,
+            harness.server.update_encode_cache_hits());
+
+  harness.daemon.shutdown();
   std::remove(path.c_str());
 }
 

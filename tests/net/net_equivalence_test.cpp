@@ -210,9 +210,11 @@ TEST(NetEquivalenceTest, SocketFleetMatchesInProcessRunBitForBit) {
   for (std::size_t c = 0; c < obs::kChannelCount; ++c) {
     const obs::ChannelStats& networked = networked_channels.channels[c];
     const obs::ChannelStats& reference = in_process_channels.channels[c];
-    EXPECT_EQ(networked.requests, reference.requests) << "channel " << c;
-    EXPECT_EQ(networked.bytes_up, reference.bytes_up) << "channel " << c;
-    EXPECT_EQ(networked.bytes_down, reference.bytes_down)
+    EXPECT_EQ(networked.request_bytes.count(), reference.request_bytes.count())
+        << "channel " << c;
+    EXPECT_EQ(networked.request_bytes.sum(), reference.request_bytes.sum())
+        << "channel " << c;
+    EXPECT_EQ(networked.response_bytes.sum(), reference.response_bytes.sum())
         << "channel " << c;
   }
 

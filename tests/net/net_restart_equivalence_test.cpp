@@ -183,14 +183,14 @@ TEST_P(RestartEquivalenceTest, InProcessRestartAtEpochBoundaryIsInvisible) {
   obs::TransportObs channels;
   channels.merge_from(engine.obs_snapshot().transport);
   for (std::size_t c = 0; c < obs::kChannelCount; ++c) {
-    EXPECT_EQ(channels.channels[c].requests,
-              reference.channels.channels[c].requests)
+    EXPECT_EQ(channels.channels[c].request_bytes.count(),
+              reference.channels.channels[c].request_bytes.count())
         << "channel " << c;
-    EXPECT_EQ(channels.channels[c].bytes_up,
-              reference.channels.channels[c].bytes_up)
+    EXPECT_EQ(channels.channels[c].request_bytes.sum(),
+              reference.channels.channels[c].request_bytes.sum())
         << "channel " << c;
-    EXPECT_EQ(channels.channels[c].bytes_down,
-              reference.channels.channels[c].bytes_down)
+    EXPECT_EQ(channels.channels[c].response_bytes.sum(),
+              reference.channels.channels[c].response_bytes.sum())
         << "channel " << c;
   }
 
@@ -328,11 +328,11 @@ TEST(SocketRestartEquivalenceTest, SocketFleetSurvivesServerRestore) {
   obs::TransportObs channels;
   channels.merge_from(fleet.obs_snapshot().transport);
   for (std::size_t c = 0; c < obs::kChannelCount; ++c) {
-    EXPECT_EQ(channels.channels[c].bytes_up,
-              reference.channels.channels[c].bytes_up)
+    EXPECT_EQ(channels.channels[c].request_bytes.sum(),
+              reference.channels.channels[c].request_bytes.sum())
         << "channel " << c;
-    EXPECT_EQ(channels.channels[c].bytes_down,
-              reference.channels.channels[c].bytes_down)
+    EXPECT_EQ(channels.channels[c].response_bytes.sum(),
+              reference.channels.channels[c].response_bytes.sum())
         << "channel " << c;
   }
 

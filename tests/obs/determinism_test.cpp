@@ -6,6 +6,8 @@
 // pool's sample staging is race-free.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <utility>
 
 #include "obs/snapshot.hpp"
@@ -93,18 +95,20 @@ void expect_identical(const RunResult& off, const RunResult& on,
             on.wire.update_requests + on.wire.v4_update_requests)
       << label;
   if (on.snapshot) {
-    const obs::MetricsRegistry::Entry* reuses =
-        on.snapshot->counters.find("update_decode_reuses");
-    ASSERT_NE(reuses, nullptr) << label;
-    EXPECT_EQ(reuses->counter.value, on.update_decode_reuses) << label;
-    // The exported counters are the SimMetrics table, name for name.
-    for (const auto& field : SimMetrics::kCounters) {
-      const obs::MetricsRegistry::Entry* entry =
-          on.snapshot->counters.find(field.name);
-      ASSERT_NE(entry, nullptr) << label << " " << field.name;
-      EXPECT_EQ(entry->counter.value, on.metrics.*field.member)
+    // The exported counters are the SimMetrics table, name for name and
+    // in table order, then the server's and the transports' two counters.
+    const util::CounterList& counters = on.snapshot->counters;
+    const std::size_t rows = std::size(SimMetrics::kCounters);
+    ASSERT_EQ(counters.size(), rows + 2) << label;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto& field = SimMetrics::kCounters[i];
+      EXPECT_EQ(counters[i].first, field.name) << label;
+      EXPECT_EQ(counters[i].second, on.metrics.*field.member)
           << label << " " << field.name;
     }
+    EXPECT_EQ(counters[rows].first, "update_encode_cache_hits") << label;
+    EXPECT_EQ(counters[rows + 1].first, "update_decode_reuses") << label;
+    EXPECT_EQ(counters[rows + 1].second, on.update_decode_reuses) << label;
   }
 }
 
@@ -158,9 +162,9 @@ TEST(ObsDeterminismTest, SnapshotContentsAreSane) {
   std::uint64_t obs_down = 0;
   std::uint64_t obs_requests = 0;
   for (const obs::ChannelStats& channel : snapshot.transport.channels) {
-    obs_up += channel.bytes_up;
-    obs_down += channel.bytes_down;
-    obs_requests += channel.requests;
+    obs_up += channel.request_bytes.sum();
+    obs_down += channel.response_bytes.sum();
+    obs_requests += channel.request_bytes.count();
   }
   EXPECT_EQ(obs_up, result.wire.bytes_up);
   EXPECT_EQ(obs_down, result.wire.bytes_down);
@@ -169,13 +173,6 @@ TEST(ObsDeterminismTest, SnapshotContentsAreSane) {
             result.wire.full_hash_requests + result.wire.update_requests +
                 result.wire.v4_update_requests + result.wire.v1_requests);
 
-  // Counters mirror the scenario report names.
-  ASSERT_NE(snapshot.counters.find("lookups"), nullptr);
-  EXPECT_EQ(snapshot.counters.find("lookups")->counter.value,
-            result.metrics.lookups);
-  ASSERT_NE(snapshot.counters.find("ticks_run"), nullptr);
-  EXPECT_EQ(snapshot.counters.find("ticks_run")->counter.value,
-            result.metrics.ticks_run);
 }
 
 TEST(ObsDeterminismTest, PerTickSeriesCoversEveryTick) {
@@ -191,12 +188,22 @@ TEST(ObsDeterminismTest, PerTickSeriesCoversEveryTick) {
 
   const obs::Snapshot snapshot = engine.obs_snapshot();
   ASSERT_EQ(snapshot.per_tick.size(), 10u);
+  std::array<std::uint64_t, obs::kPhaseCount> summed{};
   for (std::size_t i = 0; i < snapshot.per_tick.size(); ++i) {
     EXPECT_EQ(snapshot.per_tick[i].tick, i);
     // Plan + lookup ran this tick, so the sample cannot be all zeros.
     std::uint64_t total = 0;
-    for (const std::uint64_t ns : snapshot.per_tick[i].phase_ns) total += ns;
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      total += snapshot.per_tick[i].phase_ns[p];
+      summed[p] += snapshot.per_tick[i].phase_ns[p];
+    }
     EXPECT_GT(total, 0u) << "tick " << i;
+  }
+  // Every span lands in exactly one tick's sample.
+  for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+    const auto phase = static_cast<obs::Phase>(p);
+    EXPECT_EQ(summed[p], snapshot.phases.stats(phase).total_ns)
+        << obs::phase_name(phase);
   }
 }
 

@@ -1,10 +1,7 @@
-// MetricsRegistry semantics (get-or-create, registration order, exact
-// merge) and the two exporters that feed on it: the stable metrics.json
-// schema from snapshot_to_json and the Prometheus text format. The export
-// checks mirror what tools/check_metrics.py validates in CI, so a schema
-// change has to touch both sides deliberately.
-#include "obs/metrics.hpp"
-
+// The snapshot exporters: the stable metrics.json schema from
+// snapshot_to_json, the Prometheus text format and the stderr summary
+// table. The export checks mirror what tools/check_metrics.py validates in
+// CI, so a schema change has to touch both sides deliberately.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,57 +15,6 @@ namespace sbp::obs {
 namespace {
 
 namespace json = util::json;
-
-TEST(ObsMetricsTest, CounterGetOrCreateReturnsStableReference) {
-  MetricsRegistry registry;
-  Counter& lookups = registry.counter("lookups");
-  lookups.add();
-  lookups.add(41);
-  // Same name resolves to the same entry, not a fresh zero.
-  EXPECT_EQ(registry.counter("lookups").value, 42u);
-  EXPECT_EQ(registry.entries().size(), 1u);
-}
-
-TEST(ObsMetricsTest, EntriesKeepRegistrationOrder) {
-  MetricsRegistry registry;
-  registry.counter("zulu");
-  registry.gauge("alpha");
-  registry.histogram("mike");
-  ASSERT_EQ(registry.entries().size(), 3u);
-  EXPECT_EQ(registry.entries()[0]->name, "zulu");
-  EXPECT_EQ(registry.entries()[1]->name, "alpha");
-  EXPECT_EQ(registry.entries()[2]->name, "mike");
-}
-
-TEST(ObsMetricsTest, FirstRegistrationWinsOnKindConflict) {
-  MetricsRegistry registry;
-  registry.counter("metric").add(7);
-  registry.gauge("metric").set(3.5);  // ignored kind-wise: stays a counter
-  ASSERT_EQ(registry.entries().size(), 1u);
-  EXPECT_EQ(registry.entries()[0]->kind, MetricsRegistry::Kind::kCounter);
-  EXPECT_EQ(registry.counter("metric").value, 7u);
-}
-
-TEST(ObsMetricsTest, MergeSumsByNameAndAdoptsUnknownNames) {
-  MetricsRegistry a;
-  a.counter("shared").add(10);
-  a.gauge("occupancy").set(1.5);
-  a.histogram("sizes").record(8);
-
-  MetricsRegistry b;
-  b.counter("shared").add(5);
-  b.gauge("occupancy").set(2.5);
-  b.histogram("sizes").record(16);
-  b.counter("only_in_b").add(3);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("shared").value, 15u);
-  EXPECT_DOUBLE_EQ(a.gauge("occupancy").value, 4.0);  // gauges sum
-  EXPECT_EQ(a.histogram("sizes").count(), 2u);
-  EXPECT_EQ(a.histogram("sizes").sum(), 24u);
-  ASSERT_NE(a.find("only_in_b"), nullptr);
-  EXPECT_EQ(a.find("only_in_b")->counter.value, 3u);
-}
 
 /// A small but fully populated snapshot: every phase, the pool, one busy
 /// channel and a couple of counters.
@@ -89,9 +35,48 @@ Snapshot sample_snapshot() {
   snapshot.pool.workers[0] = {90000, 50, 5};
   snapshot.pool.workers[1] = {80000, 30, 5};
   snapshot.transport.channel(Channel::kFullHash).record(132, 52, 2100);
-  snapshot.counters.counter("lookups").add(123);
-  snapshot.counters.counter("ticks_run").add(5);
+  snapshot.counters = {{"lookups", 123}, {"ticks_run", 5}};
   return snapshot;
+}
+
+TEST(ObsMetricsTest, CountersAndChannelCountsExportFromOneRecord) {
+  Snapshot snapshot = sample_snapshot();
+  snapshot.counters = {{"zulu", 3}, {"alpha", 1}, {"mike", 2}};
+  snapshot.transport.channel(Channel::kV3Update).record(40, 900, 10);
+  snapshot.transport.channel(Channel::kV3Update).record(44, 100, 20);
+
+  // The counter list exports in list order, not sorted, to both formats.
+  const json::Value doc = snapshot_to_json(snapshot);
+  const json::Object& counters = doc.find("counters")->as_object();
+  ASSERT_EQ(counters.size(), 3u);
+  EXPECT_EQ(counters[0].first, "zulu");
+  EXPECT_EQ(counters[0].second.as_int64(), 3);
+  EXPECT_EQ(counters[1].first, "alpha");
+  EXPECT_EQ(counters[2].first, "mike");
+  const std::string text = prometheus_text(snapshot);
+  const std::size_t zulu = text.find("# TYPE sbsim_zulu counter\n"
+                                     "sbsim_zulu 3\n");
+  const std::size_t alpha = text.find("# TYPE sbsim_alpha counter\n"
+                                      "sbsim_alpha 1\n");
+  const std::size_t mike = text.find("# TYPE sbsim_mike counter\n"
+                                     "sbsim_mike 2\n");
+  ASSERT_NE(zulu, std::string::npos);
+  ASSERT_NE(alpha, std::string::npos);
+  ASSERT_NE(mike, std::string::npos);
+  EXPECT_LT(zulu, alpha);
+  EXPECT_LT(alpha, mike);
+
+  // A channel's request and byte counts are its frame-size histograms'
+  // count and sums.
+  const json::Value& channel = *doc.find("transport")->find("v3_update");
+  const json::Value& up = *channel.find("request_bytes");
+  const json::Value& down = *channel.find("response_bytes");
+  EXPECT_EQ(channel.find("requests")->as_int64(), 2);
+  EXPECT_EQ(channel.find("bytes_up")->as_int64(), 84);
+  EXPECT_EQ(channel.find("bytes_down")->as_int64(), 1000);
+  EXPECT_EQ(up.find("count")->as_int64(), 2);
+  EXPECT_EQ(up.find("sum")->as_int64(), 84);
+  EXPECT_EQ(down.find("sum")->as_int64(), 1000);
 }
 
 TEST(ObsMetricsTest, SnapshotJsonCarriesAllSixPhases) {

@@ -20,6 +20,8 @@ Checks, in order:
   * lookup's sub-phases nest: `site` and `url_build` record one span each
     per URL-cache miss (equal span counts), and their wall time together
     never exceeds `lookup`'s;
+  * when the `per_tick` series is present, each phase's per-tick times sum
+    to its `wall_ns`: every span lands in exactly one tick's sample;
   * `phases_by_wall` (descending-wall reading order) names all eight phases;
   * `thread_pool` has the batch/dispatch/busy/imbalance fields and a
     per-worker array sized to `threads_used`;
@@ -30,7 +32,9 @@ Checks, in order:
     `update_decode_reuses` -- update responses the client transports
     answered from their decode memo -- and it is at most the v3 + v4 update
     requests the `transport` section served. A daemon artifact has no
-    client transports and no such counter.
+    client transports and no such counter; its `frames_served` equals the
+    requests summed over the `transport` channels, since the daemon counts
+    each served frame in both.
 
 stdlib only. Exit codes: 0 ok, 1 any failure (with one line per problem).
 
@@ -141,6 +145,9 @@ def check_document(doc, problems):
                             f"lookup wall_ns {phases['lookup']['wall_ns']} "
                             "(sub-phases must nest inside lookup)")
 
+    if "per_tick" in doc and phases is not None:
+        check_per_tick(doc["per_tick"], phases, problems)
+
     by_wall = require(doc, "$", "phases_by_wall", (list,), problems)
     if by_wall is not None:
         named = {entry for entry in by_wall if isinstance(entry, str)}
@@ -193,6 +200,51 @@ def check_document(doc, problems):
                 problems.append(f"$.counters.{name}: not an integer")
         if "ticks_run" in counters:
             check_decode_reuses(counters, transport, problems)
+        else:
+            check_frames_served(counters, transport, problems)
+
+
+def check_per_tick(per_tick, phases, problems):
+    if not isinstance(per_tick, list) or not all(
+            isinstance(sample, dict) for sample in per_tick):
+        problems.append("$.per_tick: not an array of objects")
+        return
+    for phase in PHASES:
+        entry = phases.get(phase)
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("wall_ns"), int):
+            continue  # already reported by the phase checks
+        values = [sample.get(phase) for sample in per_tick]
+        if not all(isinstance(value, int) and not isinstance(value, bool)
+                   for value in values):
+            problems.append(f"$.per_tick: {phase} missing or not an integer")
+            continue
+        if sum(values) != entry["wall_ns"]:
+            problems.append(f"$.per_tick: {phase} sums to {sum(values)} != "
+                            f"phases.{phase}.wall_ns {entry['wall_ns']}")
+
+
+def transport_requests(transport, channels):
+    """Requests summed over `channels`; None when any is unreadable."""
+    served = 0
+    for channel in channels:
+        entry = transport.get(channel)
+        requests = entry.get("requests") if isinstance(entry, dict) else None
+        if not isinstance(requests, int):
+            return None  # already reported by the transport checks
+        served += requests
+    return served
+
+
+def check_frames_served(counters, transport, problems):
+    frames = require(counters, "$.counters", "frames_served", (int,),
+                     problems)
+    if frames is None or not isinstance(transport, dict):
+        return
+    served = transport_requests(transport, CHANNELS)
+    if served is not None and frames != served:
+        problems.append(f"$.counters.frames_served: {frames} != {served} "
+                        "requests over the transport channels")
 
 
 def check_decode_reuses(counters, transport, problems):
@@ -200,14 +252,8 @@ def check_decode_reuses(counters, transport, problems):
                      problems)
     if reuses is None or not isinstance(transport, dict):
         return
-    served = 0
-    for channel in UPDATE_CHANNELS:
-        entry = transport.get(channel)
-        requests = entry.get("requests") if isinstance(entry, dict) else None
-        if not isinstance(requests, int):
-            return  # already reported by the transport checks
-        served += requests
-    if reuses > served:
+    served = transport_requests(transport, UPDATE_CHANNELS)
+    if served is not None and reuses > served:
         problems.append(f"$.counters.update_decode_reuses: {reuses} > "
                         f"{served} update requests served")
 

@@ -174,16 +174,12 @@ bool load_config_file(const std::string& path, Options* options,
 }
 
 json::Value stats_to_json(const sbp::net::Daemon& daemon,
-                          const sbp::sim::CountingSink& log,
-                          std::uint64_t cache_hits) {
+                          const sbp::sim::CountingSink& log) {
   json::Value out{json::Object{}};
-  const sbp::net::DaemonStats& stats = daemon.stats();
-  out.set("connections_accepted", stats.connections_accepted);
-  out.set("connections_closed", stats.connections_closed);
+  for (const auto& [name, value] : daemon.snapshot().counters) {
+    out.set(name, value);
+  }
   out.set("open_connections", daemon.open_connections());
-  out.set("frames_served", stats.frames_served);
-  out.set("decode_errors", stats.decode_errors);
-  out.set("update_encode_cache_hits", cache_hits);
 
   out.set("wire", json::counters_to_json(daemon.transport_stats()));
 
@@ -349,8 +345,7 @@ int main(int argc, char** argv) {
     daemon.poll_once(/*timeout_ms=*/200);
     if (g_hup != 0) {
       g_hup = 0;
-      const std::string stats = json::dump(stats_to_json(
-          daemon, log_sink, engine.server().update_encode_cache_hits()));
+      const std::string stats = json::dump(stats_to_json(daemon, log_sink));
       std::fprintf(stderr, "%s\n", stats.c_str());
     }
     if (g_usr1 != 0) {
@@ -372,8 +367,7 @@ int main(int argc, char** argv) {
                options.drain_ms);
   daemon.shutdown(options.drain_ms);
 
-  const std::string stats = json::dump(stats_to_json(
-      daemon, log_sink, engine.server().update_encode_cache_hits()));
+  const std::string stats = json::dump(stats_to_json(daemon, log_sink));
   std::fprintf(stderr, "%s\n", stats.c_str());
   if (!options.stats_out.empty() &&
       !sbp::sim::write_file(options.stats_out, stats, &error)) {

@@ -400,9 +400,9 @@ int cmd_bless(const std::vector<std::string>& args) {
 /// (wall-clock ns; NOT deterministic, reported for capacity planning).
 json::Value channel_latency_json(const sbp::obs::ChannelStats& stats) {
   json::Value out{json::Object{}};
-  out.set("requests", stats.requests);
-  out.set("bytes_up", stats.bytes_up);
-  out.set("bytes_down", stats.bytes_down);
+  out.set("requests", stats.request_bytes.count());
+  out.set("bytes_up", stats.request_bytes.sum());
+  out.set("bytes_down", stats.response_bytes.sum());
   out.set("p50_ns", stats.serve_ns.quantile(0.50));
   out.set("p90_ns", stats.serve_ns.quantile(0.90));
   out.set("p99_ns", stats.serve_ns.quantile(0.99));
@@ -504,7 +504,7 @@ int cmd_loadgen(const std::vector<std::string>& args) {
     json::Value latency{json::Object{}};
     for (std::size_t c = 0; c < sbp::obs::kChannelCount; ++c) {
       const auto& stats = result.obs->transport.channels[c];
-      if (stats.requests == 0) continue;
+      if (stats.request_bytes.count() == 0) continue;
       latency.set(
           sbp::obs::channel_name(static_cast<sbp::obs::Channel>(c)),
           channel_latency_json(stats));
