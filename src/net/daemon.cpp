@@ -210,6 +210,8 @@ obs::Snapshot Daemon::snapshot() const {
   util::append_counters(snapshot.counters, stats_);
   snapshot.counters.emplace_back("update_encode_cache_hits",
                                  server_.update_encode_cache_hits());
+  snapshot.counters.emplace_back("update_serve_locked",
+                                 server_.update_serve_lock().acquisitions);
   return snapshot;
 }
 

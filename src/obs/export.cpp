@@ -54,6 +54,19 @@ json::Value pool_to_json(const PoolObs& pool) {
   return out;
 }
 
+json::Value locks_to_json(
+    const std::vector<std::pair<std::string, LockStats>>& locks) {
+  json::Value out{json::Object{}};
+  for (const auto& [name, stats] : locks) {
+    json::Value lock{json::Object{}};
+    lock.set("acquisitions", json::Value(stats.acquisitions));
+    lock.set("wait_ns", histogram_to_json(stats.wait_ns));
+    lock.set("hold_ns", histogram_to_json(stats.hold_ns));
+    out.set(name, std::move(lock));
+  }
+  return out;
+}
+
 json::Value transport_to_json(const TransportObs& transport) {
   json::Value out{json::Object{}};
   for (std::size_t i = 0; i < kChannelCount; ++i) {
@@ -129,6 +142,7 @@ json::Value snapshot_to_json(const Snapshot& snapshot) {
   out.set("phases_by_wall", json::Value(std::move(by_wall)));
 
   out.set("thread_pool", pool_to_json(snapshot.pool));
+  if (!snapshot.locks.empty()) out.set("locks", locks_to_json(snapshot.locks));
   out.set("transport", transport_to_json(snapshot.transport));
   out.set("counters", counters_to_json(snapshot.counters));
 
@@ -185,6 +199,16 @@ std::string summary_table(const Snapshot& snapshot) {
                   format_us(snapshot.pool.dispatch_ns.quantile(0.99)).c_str(),
                   format_us(snapshot.pool.busy_ns.quantile(0.99)).c_str(),
                   snapshot.pool.imbalance_items.max());
+    out += line;
+  }
+
+  for (const auto& [name, stats] : snapshot.locks) {
+    std::snprintf(line, sizeof line,
+                  "lock/%-12s acquisitions=%-8" PRIu64
+                  " wait_p99=%sus hold_p99=%sus\n",
+                  name.c_str(), stats.acquisitions,
+                  format_us(stats.wait_ns.quantile(0.99)).c_str(),
+                  format_us(stats.hold_ns.quantile(0.99)).c_str());
     out += line;
   }
 

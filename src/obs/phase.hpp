@@ -45,7 +45,9 @@ enum class Phase : std::size_t {
   kPlan = 0,       ///< per-user URL planning (traffic model), per shard
   kLookup,         ///< per-user dispatch through the batched lookup layer
   kResync,         ///< staggered client update() polls, per shard
-  kChurnEpoch,     ///< serial: epoch mutation + reseal + republish
+  /// serial: epoch mutation + reseal + republish, and the re-syncs the
+  /// epoch leads (one per shard, also timed as that shard's resync)
+  kChurnEpoch,
   kLogDrain,       ///< serial: post-barrier log merge + counter reduction
   kParallelTick,   ///< the whole parallel_for over shards, incl. barrier
   /// Sub-phases of lookup, per URL-cache miss, per shard. They nest inside
@@ -61,7 +63,8 @@ constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
 
 /// Accumulated wall time + span distribution of one phase. A "span" is
 /// one timed execution: per user for plan/lookup, per shard-tick for
-/// resync, per tick for log_drain, per epoch for churn_epoch.
+/// resync (two on an epoch tick: the lead re-sync and the rest), per tick
+/// for log_drain, per epoch for churn_epoch.
 struct PhaseStats {
   std::uint64_t spans = 0;
   std::uint64_t total_ns = 0;

@@ -9,8 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/lock.hpp"
 #include "obs/phase.hpp"
 #include "util/counters.hpp"
 
@@ -25,6 +28,9 @@ struct Snapshot {
   PhaseProfile phases;
   /// Thread-pool internals (zero batches when the run was sequential).
   PoolObs pool;
+  /// The shared-state mutexes by name (obs::TimedMutex): acquisitions,
+  /// plus wait and hold times when metrics were on. Empty for the daemon.
+  std::vector<std::pair<std::string, LockStats>> locks;
   /// Wire channels merged over shards in canonical order.
   TransportObs transport;
   /// Counters in export order, appended from kCounters tables

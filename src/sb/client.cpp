@@ -25,10 +25,16 @@ bool Client::update() {
     return false;
   }
 
-  UpdateRequest request;
-  for (const auto& state : lists_) {
-    UpdateRequest::ListState list_state;
+  // Rebuilt in place every update: one request per thread, so a warm
+  // re-sync allocates nothing and no client carries a request of its own.
+  thread_local UpdateRequest request;
+  request.lists.resize(lists_.size());
+  for (std::size_t i = 0; i < lists_.size(); ++i) {
+    const ListState& state = lists_[i];
+    UpdateRequest::ListState& list_state = request.lists[i];
     list_state.list_name = state.name;
+    list_state.add_chunks.clear();
+    list_state.sub_chunks.clear();
     if (state.synced) {
       for (const Chunk& c : state.synced->chunks.adds()) {
         list_state.add_chunks.push_back(c.number);
@@ -37,24 +43,22 @@ bool Client::update() {
         list_state.sub_chunks.push_back(c.number);
       }
     }
-    request.lists.push_back(std::move(list_state));
   }
 
-  const auto response = transport_.fetch_update_or_error(request);
-  if (!response) {
+  const SharedUpdate response = transport_.fetch_update_shared(request);
+  if (!response.value) {
     ++metrics_.updates_failed;
     update_backoff_.on_error(transport_.clock().now());
     return false;
   }
   update_backoff_.on_success(transport_.clock().now(),
-                             response->next_update_after);
-  for (const auto& update : response->lists) {
+                             response.value->next_update_after);
+  for (const auto& update : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != update.list_name) continue;
       // Moving the old state in lets a private cache drop it right away.
-      state.synced = sync_states().next_v3(std::move(state.synced),
-                                           state.name, update.chunks,
-                                           config_.store_kind,
+      state.synced = sync_states().next_v3(std::move(state.synced), response,
+                                           update, config_.store_kind,
                                            config_.bloom_bits);
     }
   }

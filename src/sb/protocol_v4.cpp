@@ -25,26 +25,32 @@ bool V4SlicedProtocol::update() {
     return false;
   }
 
-  V4UpdateRequest request;
-  for (const auto& state : lists_) {
-    request.lists.push_back({state.name, state.state});
+  // Rebuilt in place every update: one request per thread, so a warm
+  // re-sync allocates nothing and no client carries a request of its own.
+  thread_local V4UpdateRequest request;
+  request.lists.resize(lists_.size());
+  for (std::size_t i = 0; i < lists_.size(); ++i) {
+    request.lists[i].list_name = lists_[i].name;
+    request.lists[i].state = lists_[i].state;
   }
 
-  const auto response = transport_.fetch_v4_update_or_error(request);
-  if (!response) {
+  const SharedV4Update response = transport_.fetch_v4_update_shared(request);
+  if (!response.value) {
     ++metrics_.updates_failed;
     update_backoff_.on_error(transport_.clock().now());
     return false;
   }
   // Honor the server-set minimum wait before the next update.
-  update_backoff_.on_success(transport_.clock().now(), response->minimum_wait);
+  update_backoff_.on_success(transport_.clock().now(),
+                             response.value->minimum_wait);
 
   bool all_applied = true;
-  for (const auto& slice : response->lists) {
+  for (const auto& slice : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != slice.list_name) continue;
       // Moving the old state in lets a private cache drop it right away.
-      state.store = sync_states().next_v4(std::move(state.store), slice);
+      state.store =
+          sync_states().next_v4(std::move(state.store), response, slice);
       if (!state.store || state.store->checksum() != slice.checksum) {
         // Desynchronized: discard local state so the next update performs
         // a full resync (the Update API's recovery discipline). The shared

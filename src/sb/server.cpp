@@ -23,6 +23,8 @@ void Server::drain_log_buffer(QueryLogBuffer& buffer) {
     if (retain_query_log_) query_log_.push_back(std::move(entry));
   }
   buffer.entries_.clear();
+  update_encode_cache_hits_ += buffer.update_encode_cache_hits_;
+  buffer.update_encode_cache_hits_ = 0;
 }
 
 void Server::invalidate_snapshot() noexcept {
@@ -31,7 +33,7 @@ void Server::invalidate_snapshot() noexcept {
     snapshot_.reset();
   }
   // Any list mutation also invalidates every memoized update encoding.
-  update_encode_cache_.clear();
+  clear_update_cache();
 }
 
 std::shared_ptr<const Server::LookupSnapshot> Server::lookup_snapshot() const {
@@ -137,7 +139,7 @@ void Server::seal(ListData& data) {
   // A real seal bumps the chunk sequence, changing every update diff.
   // (The adds that filled the open chunk already cleared the cache via
   // invalidate_snapshot; this keeps seal safe on its own too.)
-  update_encode_cache_.clear();
+  clear_update_cache();
   Chunk chunk = std::move(data.open_chunk);
   chunk.type = ChunkType::kAdd;
   chunk.number = data.next_chunk_number++;
@@ -287,32 +289,47 @@ ResponseFrame share(std::vector<std::uint8_t> frame) {
 
 }  // namespace
 
+void Server::publish_update_cache() {
+  published_updates_.merge(pending_updates_);  // disjoint: moves every node
+}
+
 template <typename Serve>
 ResponseFrame Server::serve_cached_update(
     const std::vector<std::uint8_t>& request_frame, Serve&& serve) {
-  // One mutex covers lookup, encode and insert, so concurrent re-syncs
-  // from the engine's parallel shard tick serialize here: for each
-  // distinct request frame exactly ONE caller encodes (a miss) and every
-  // other sees the cached bytes (hits) -- the hit/miss totals are
-  // independent of arrival order, keeping metrics thread-count-invariant.
-  const std::lock_guard<std::mutex> lock(update_serve_mutex_);
   // Probe with a view of the frame bytes (transparent hash): a hit
-  // allocates nothing; only a miss materializes the key.
+  // allocates nothing; only a miss materializes the key. A live entry
+  // means no mutation (and so no pending open chunk) happened since it
+  // was stored, so the seal inside fetch_* would have been a no-op and
+  // the response identical: a hit may skip fetch_*.
   const std::string_view key(
       reinterpret_cast<const char*>(request_frame.data()),
       request_frame.size());
-  const auto cached = update_encode_cache_.find(key);
-  if (cached != update_encode_cache_.end()) {
-    // Safe to skip fetch_*: a live cache entry means no mutation (and so
-    // no pending open chunk) happened since it was stored, so the seal
-    // inside fetch_* would have been a no-op and the response identical.
-    ++update_encode_cache_hits_;
-    return cached->second;
+  // An engine worker reads the published table with no lock: it changes
+  // only at the tick barrier. The hit is counted in the worker's own
+  // shard buffer.
+  if (active_log_buffer_ != nullptr && !published_updates_.empty()) {
+    const auto cached = published_updates_.find(key);
+    if (cached != published_updates_.end()) {
+      ++active_log_buffer_->update_encode_cache_hits_;
+      return cached->second;
+    }
+  }
+  // Everything else serializes here: for each distinct request frame
+  // exactly ONE caller encodes (a miss) and every other sees the cached
+  // bytes (hits) -- the hit/miss totals are independent of arrival order,
+  // keeping metrics thread-count-invariant.
+  const obs::TimedMutex::Guard lock(update_serve_mutex_);
+  for (const UpdateCache* table : {&published_updates_, &pending_updates_}) {
+    const auto cached = table->find(key);
+    if (cached != table->end()) {
+      ++update_encode_cache_hits_;
+      return cached->second;
+    }
   }
   ResponseFrame response = serve();
   // Insert AFTER serving: fetch_* may seal, which clears the cache; the
   // entry stored now describes the post-seal state it was computed from.
-  if (response) update_encode_cache_.emplace(std::string(key), response);
+  if (response) pending_updates_.emplace(std::string(key), response);
   return response;
 }
 

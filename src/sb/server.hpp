@@ -26,13 +26,15 @@
 // behind a mutex-guarded shared_ptr, so the read endpoints (lookup_v1,
 // get_full_hashes) hold the mutex only for a pointer copy and are safe to
 // call from many threads at once. List mutation (add/remove/seal and the
-// update endpoints, which may seal) is NOT thread-safe and must never run
-// concurrently with anything else -- the engine confines it to the
-// single-threaded phases between parallel ticks. The query log shards the
+// update endpoints when they seal) and publish_update_cache() are NOT
+// thread-safe and must never run concurrently with anything else -- the
+// engine confines them to the single-threaded phases between parallel
+// ticks. The query log shards the
 // same way: a worker thread registers a QueryLogBuffer via ScopedLogShard
 // and every entry it produces lands there; the engine drains the buffers
 // in canonical shard order after the tick barrier, so the merged stream is
-// bit-identical at any thread count.
+// bit-identical at any thread count. The same buffer carries the thread's
+// update encode-cache hits, summed into the server's count by the drain.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "obs/lock.hpp"
 #include "sb/chunk.hpp"
 #include "sb/list_spec.hpp"
 
@@ -111,7 +114,9 @@ struct FullHashMatch {
 /// one via Server::ScopedLogShard; entries buffer here in production order
 /// (the per-shard `seq`) and reach the sink only when the engine drains the
 /// buffers in shard order after the tick barrier -- the canonical
-/// (tick, shard, seq) merge that makes parallel runs bit-identical.
+/// (tick, shard, seq) merge that makes parallel runs bit-identical. The
+/// thread's lock-free update encode-cache hits are counted here too, so no
+/// two threads write one counter.
 class QueryLogBuffer {
  public:
   [[nodiscard]] const std::vector<QueryLogEntry>& entries() const noexcept {
@@ -123,6 +128,7 @@ class QueryLogBuffer {
  private:
   friend class Server;
   std::vector<QueryLogEntry> entries_;
+  std::uint64_t update_encode_cache_hits_ = 0;
 };
 
 /// An encoded response frame as Server::serve_frame returns it. Shared, so
@@ -190,6 +196,20 @@ struct V4UpdateResponse {
   /// minimum_wait_duration).
   std::uint64_t minimum_wait = 0;
 };
+
+/// A decoded update response handed out by pointer (sb::Transport's shared
+/// update path): every client given the same response frame shares one
+/// decoded value. `frame` is the frame `value` was decoded from -- two
+/// responses with the same non-null frame have the same contents -- or
+/// null when the value came from no frame; a null `value` is a failed
+/// request.
+template <typename Response>
+struct SharedResponse {
+  std::shared_ptr<const Response> value;
+  ResponseFrame frame;
+};
+using SharedUpdate = SharedResponse<UpdateResponse>;
+using SharedV4Update = SharedResponse<V4UpdateResponse>;
 
 class Server {
  public:
@@ -310,21 +330,41 @@ class Server {
   /// encode-once/fan-out cache): N clients resyncing from the same state
   /// token share ONE encoding of the diff. Any list mutation or
   /// set_minimum_wait() drops the whole cache, so a hit is always
-  /// byte-identical to a fresh encode. THREAD-SAFE for the read endpoints,
-  /// and for updates too: the whole update serve (cache probe, encode,
-  /// insert) runs under one mutex, so the engine's parallel-phase re-syncs
-  /// may call it concurrently -- provided no caller mutates lists
-  /// concurrently (the engine's serial churn epoch seals everything before
-  /// the parallel phase opens, so the seal inside fetch_* is a no-op
-  /// there).
+  /// byte-identical to a fresh encode. The cache is two tables:
+  ///   * published -- read-only between publish_update_cache() calls. A
+  ///     thread with a ScopedLogShard (an engine worker) probes it with no
+  ///     lock and counts a hit in its shard buffer;
+  ///   * pending -- behind the serve mutex. Every other call probes
+  ///     published and pending under it, and a miss encodes into pending,
+  ///     so exactly one caller encodes each distinct request frame.
+  /// A server that never publishes (the daemon) serves every update under
+  /// the mutex. THREAD-SAFE for the read endpoints and for updates,
+  /// provided no caller mutates lists or publishes concurrently (the
+  /// engine's serial churn epoch seals everything before the parallel
+  /// phase opens, so the seal inside fetch_* is a no-op there).
   [[nodiscard]] ResponseFrame serve_frame(
       const std::vector<std::uint8_t>& request_frame, std::uint64_t tick);
 
+  /// Moves the encodings made since the last publish into the published
+  /// table. Only while no thread serves (sim::Engine: at the tick barrier).
+  void publish_update_cache();
+
   /// Number of update requests served from the encode cache since
   /// construction (exported as the `update_encode_cache_hits` counter).
+  /// Hits counted in shard buffers join it when the buffer is drained.
   [[nodiscard]] std::uint64_t update_encode_cache_hits() const noexcept {
     return update_encode_cache_hits_;
   }
+
+  /// The serve mutex's figures: its acquisitions (`update_serve_locked`,
+  /// the update requests served under it) and, with lock metrics on, its
+  /// wait and hold times. Only while no thread serves.
+  [[nodiscard]] obs::LockStats update_serve_lock() const {
+    return update_serve_mutex_.stats();
+  }
+  /// Times the serve mutex's waits and holds (obs::TimedMutex). Only while
+  /// no thread serves.
+  void set_lock_metrics(bool on) { update_serve_mutex_.set_metrics(on); }
 
   /// Full-hash lookup (shared by v3 and v4). Logs (tick, cookie, prefixes)
   /// -- the privacy-critical observation. Unknown prefixes yield empty
@@ -340,7 +380,7 @@ class Server {
   /// encoded response).
   void set_minimum_wait(std::uint64_t ticks) noexcept {
     minimum_wait_ = ticks;
-    update_encode_cache_.clear();
+    clear_update_cache();
   }
 
   // -- persistence (docs/persistence.md) ------------------------------------
@@ -414,6 +454,11 @@ class Server {
   /// Mutators of digests_by_prefix drop the published snapshot; the next
   /// lookup_snapshot() (or seal_chunk) rebuilds it.
   void invalidate_snapshot() noexcept;
+  /// Drops both update encode-cache tables.
+  void clear_update_cache() noexcept {
+    published_updates_.clear();
+    pending_updates_.clear();
+  }
   /// Serves one update frame through the encode cache; `serve` decodes,
   /// serves and encodes on a miss (nullptr = undecodable, not cached).
   template <typename Serve>
@@ -441,15 +486,16 @@ class Server {
   };
 
   /// Encoded update responses keyed by encoded request-frame bytes.
-  /// Cleared by every mutation (via invalidate_snapshot and seal) and by
+  using UpdateCache = std::unordered_map<std::string, ResponseFrame,
+                                         FrameKeyHash, std::equal_to<>>;
+  /// The encode cache's two tables (see serve_frame); disjoint. Cleared by
+  /// every mutation (via invalidate_snapshot and seal) and by
   /// set_minimum_wait; never copied (copies start cold).
-  std::unordered_map<std::string,
-                     std::shared_ptr<const std::vector<std::uint8_t>>,
-                     FrameKeyHash, std::equal_to<>>
-      update_encode_cache_;
+  UpdateCache published_updates_;
+  UpdateCache pending_updates_;  ///< guarded by update_serve_mutex_
   std::uint64_t update_encode_cache_hits_ = 0;
-  /// Serializes update serving (parallel-phase client re-syncs).
-  mutable std::mutex update_serve_mutex_;
+  /// Serializes the update serves that miss the published table.
+  obs::TimedMutex update_serve_mutex_;
 
   /// Thread-local routing target installed by ScopedLogShard.
   static thread_local QueryLogBuffer* active_log_buffer_;

@@ -12,17 +12,30 @@
 //   * Key: the IDENTITY of the prior state (its address; null = nothing
 //     synced yet, and every v4 full reset, whose result ignores the prior)
 //     plus the list name, and for v3 the store kind and Bloom size. Each
-//     such slot remembers the last update it built; a lookup compares the
-//     update's contents exactly (v3 chunks; v4 full_reset, removals,
-//     additions), so a hit returns exactly what a fresh build would --
-//     Bloom false positives included, since they depend only on the bytes.
+//     such slot remembers the update it last built from: the shared
+//     decoded response that holds it (not a copy) and the response frame
+//     it was decoded from. A caller presenting the same frame hits with a
+//     pointer compare -- one frame carries one update per list. Any other
+//     caller (a frame-less update, or equal bytes in another buffer: the
+//     socket transport's case) is compared by the update's contents (v3
+//     chunks; v4 full_reset, removals, additions). Either way a hit returns
+//     exactly what a fresh build would -- Bloom false positives included,
+//     since they depend only on the bytes.
 //   * Each entry holds a shared_ptr to its prior state, so a freed state's
 //     address is never reused as a live key.
 //   * prune() drops every entry whose prior state nothing but the cache
 //     references: no client can present it again, so memory stays bounded
 //     by the live states.
-//   * One mutex serializes get-or-build: concurrent clients asking for the
-//     same key see exactly one build.
+//   * Concurrency. In Pruning::kManual mode the slots live in two tables:
+//     a published one, read with no lock and changed only by publish() and
+//     prune() at quiescent points (sim::Engine: the tick barrier), and a
+//     pending one behind the mutex. A call that misses the published table
+//     takes the mutex, probes pending, and builds into pending on a miss,
+//     so concurrent clients asking for the same key see exactly one build;
+//     publish() (and prune(), which publishes first) moves pending into
+//     published. A kAfterBuild (private) cache keeps one table behind the
+//     mutex. The mutex is an obs::TimedMutex: its acquisitions are the
+//     `sync_state_locked` counter.
 //
 // What stays per client (sb::Client, sb::V4SlicedProtocol): the wire
 // exchange, backoff, the full-hash cache and its clear-on-update,
@@ -32,14 +45,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "obs/lock.hpp"
 #include "sb/chunk.hpp"
 #include "sb/server.hpp"
 #include "storage/prefix_store.hpp"
@@ -70,22 +82,32 @@ class SyncStateCache {
   explicit SyncStateCache(Pruning pruning = Pruning::kAfterBuild)
       : pruning_(pruning) {}
 
-  /// `prior` (null = nothing synced) after applying `chunks` -- the list's
-  /// chunks of one v3 update response -- with the store rebuilt as `kind`.
-  /// Re-sent chunks are no-ops (ChunkStore::apply); an update that brings
-  /// nothing new returns `prior` itself.
-  [[nodiscard]] V3State next_v3(V3State prior, std::string_view list,
-                                std::span<const Chunk> chunks,
+  /// `prior` (null = nothing synced) after applying `update` -- one list
+  /// of the v3 update response `response`, an element of
+  /// `response.value->lists` -- with the store rebuilt as `kind`. Re-sent
+  /// chunks are no-ops (ChunkStore::apply); an update that brings nothing
+  /// new returns `prior` itself.
+  [[nodiscard]] V3State next_v3(V3State prior, const SharedUpdate& response,
+                                const UpdateResponse::ListUpdate& update,
                                 storage::StoreKind kind,
                                 std::size_t bloom_bits);
 
-  /// `prior` (null = empty) after applying one v4 slice; null when the
-  /// slice does not apply (unsorted / out-of-range / duplicate -- the
-  /// client desyncs). The checksum is NOT checked here: that comparison is
-  /// per client. An empty incremental slice returns `prior` itself.
-  [[nodiscard]] V4State next_v4(V4State prior, const V4SliceUpdate& slice);
+  /// `prior` (null = empty) after applying `slice`, one list of the v4
+  /// update response `response`; null when the slice does not apply
+  /// (unsorted / out-of-range / duplicate -- the client desyncs). The
+  /// checksum is NOT checked here: that comparison is per client. An
+  /// empty incremental slice returns `prior` itself.
+  [[nodiscard]] V4State next_v4(V4State prior,
+                                const SharedV4Update& response,
+                                const V4SliceUpdate& slice);
 
-  /// Drops every entry whose prior state is referenced by the cache alone.
+  /// kManual: moves the entries built since the last publish into the
+  /// published table, which later calls read with no lock. Only while no
+  /// thread calls next_v3/next_v4. kAfterBuild: nothing to do.
+  void publish();
+
+  /// Drops every entry whose prior state is referenced by the cache alone,
+  /// after publish(). kManual: only while no thread calls next_v3/next_v4.
   void prune();
 
   /// Apply+rebuilds run so far (v3 and v4, failed v4 applies included).
@@ -93,50 +115,50 @@ class SyncStateCache {
   /// Entries currently held (test support: the memory bound).
   [[nodiscard]] std::size_t live_entries() const;
 
+  /// The get-or-build mutex's figures: its acquisitions (the
+  /// `sync_state_locked` counter: next_v3/next_v4 calls that missed the
+  /// published table) and, with lock metrics on, its wait and hold times.
+  /// Only while no thread calls next_v3/next_v4.
+  [[nodiscard]] obs::LockStats lock_stats() const { return mutex_.stats(); }
+  /// Times the mutex's waits and holds (obs::TimedMutex). Only while no
+  /// thread calls next_v3/next_v4.
+  void set_lock_metrics(bool on) { mutex_.set_metrics(on); }
+
  private:
-  /// The parts of a v4 slice its result depends on.
-  struct SliceContents {
-    bool full_reset = false;
-    std::vector<std::uint32_t> removal_indices;
-    std::vector<crypto::Prefix32> additions;
-
-    [[nodiscard]] bool matches(const V4SliceUpdate& slice) const {
-      return full_reset == slice.full_reset &&
-             removal_indices == slice.removal_indices &&
-             additions == slice.additions;
-    }
-  };
-
   /// One memo per generation: prior address -> that prior's slots.
-  template <typename State, typename Update>
+  template <typename State, typename Response, typename Update>
   struct Memo {
     using StatePtr = std::shared_ptr<const State>;
+    using Source = SharedResponse<Response>;
+    using UpdateType = Update;
     struct Entry {
       StatePtr prior;  // pins the key address
       std::string list;
       std::uint64_t variant = 0;  // v3: store kind + Bloom size; v4: 0
-      Update update;
+      Source source;                   // pins *update, names its frame
+      const Update* update = nullptr;  // inside *source.value
       StatePtr next;  // null: the v4 slice failed
     };
+    using Table = std::unordered_map<const State*, std::vector<Entry>>;
 
-    /// The slot for (prior, list, variant), or nullptr.
-    Entry* find(const State* prior, std::string_view list,
-                std::uint64_t variant);
-    /// Remembers update -> next in that slot, replacing its last update.
-    void remember(StatePtr prior, std::string_view list,
-                  std::uint64_t variant, Update update, StatePtr next);
-    void prune();
-    [[nodiscard]] std::size_t size() const;
-
-    std::unordered_map<const State*, std::vector<Entry>> buckets;
+    Table published;  ///< kManual: read lock-free, changed by publish()
+    Table pending;    ///< guarded by mutex_
   };
+  using V3Memo = Memo<ChunkedListState, UpdateResponse, std::vector<Chunk>>;
+  using V4Memo = Memo<storage::RawHashStore, V4UpdateResponse, V4SliceUpdate>;
 
-  void prune_locked();
+  /// The slot for (prior, list, variant) when it was built from `update`
+  /// (carried by `source`); else runs `build(prior)` into pending.
+  template <typename M, typename Build>
+  [[nodiscard]] typename M::StatePtr get_or_build(
+      M& memo, typename M::StatePtr prior, std::string_view list,
+      std::uint64_t variant, const typename M::Source& source,
+      const typename M::UpdateType& update, Build&& build);
 
   const Pruning pruning_;
-  mutable std::mutex mutex_;
-  Memo<ChunkedListState, std::vector<Chunk>> v3_;
-  Memo<storage::RawHashStore, SliceContents> v4_;
+  mutable obs::TimedMutex mutex_;
+  V3Memo v3_;
+  V4Memo v4_;
   std::uint64_t builds_ = 0;
   // v3 rebuild scratch, reused across builds (guarded by mutex_).
   std::vector<crypto::Prefix32> prefixes_;

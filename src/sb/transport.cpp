@@ -24,68 +24,122 @@ const RequestChannel* request_channel(std::uint8_t tag) noexcept {
   return nullptr;
 }
 
+SharedUpdate Transport::fetch_update_shared(const UpdateRequest& request) {
+  auto response = fetch_update_or_error(request);
+  if (!response) return {};
+  return {std::make_shared<const UpdateResponse>(std::move(*response)),
+          nullptr};
+}
+
+SharedV4Update Transport::fetch_v4_update_shared(
+    const V4UpdateRequest& request) {
+  auto response = fetch_v4_update_or_error(request);
+  if (!response) return {};
+  return {std::make_shared<const V4UpdateResponse>(std::move(*response)),
+          nullptr};
+}
+
 // Nothing but the encoded frame crosses exchange(), so nothing that is not
 // in the frame can reach the server, and the billed sizes are true wire
 // sizes.
-template <typename Request, typename Response>
-std::optional<Response> FrameTransport::send(
-    wire::FrameType tag, const Request& request,
-    std::vector<std::uint8_t> (*encode)(const Request&),
-    std::optional<Response> (*decode)(std::span<const std::uint8_t>),
-    DecodeMemo<Response>* memo) {
-  const RequestChannel& channel =
-      *request_channel(static_cast<std::uint8_t>(tag));
+template <typename Request>
+ResponseFrame FrameTransport::round_trip(const RequestChannel& channel,
+                                         const Request& request,
+                                         Encode<Request> encode,
+                                         std::uint64_t& start_ns) {
   if (refuse(channel)) {
     ++stats_.failed_requests;
-    return std::nullopt;
+    return nullptr;
   }
-  const std::uint64_t start_ns = obs_ != nullptr ? obs::now_ns() : 0;
-  const std::vector<std::uint8_t> request_frame = encode(request);
-  channel.count_request(stats_, request_frame.size());
-  const ResponseFrame response_frame = exchange(request_frame);
+  start_ns = obs_ != nullptr ? obs::now_ns() : 0;
+  encode(request, request_frame_);
+  channel.count_request(stats_, request_frame_.size());
+  ResponseFrame response_frame = exchange(request_frame_);
   if (response_frame == nullptr) {
+    ++stats_.failed_requests;
+    return nullptr;
+  }
+  channel.count_response(stats_, response_frame->size());
+  return response_frame;
+}
+
+template <typename Request, typename Response>
+std::optional<Response> FrameTransport::send(wire::FrameType tag,
+                                             const Request& request,
+                                             Encode<Request> encode,
+                                             Decode<Response> decode) {
+  const RequestChannel& channel =
+      *request_channel(static_cast<std::uint8_t>(tag));
+  std::uint64_t start_ns = 0;
+  const ResponseFrame frame = round_trip(channel, request, encode, start_ns);
+  if (frame == nullptr) return std::nullopt;
+  std::optional<Response> response = decode(*frame);
+  if (!response) {
     ++stats_.failed_requests;
     return std::nullopt;
   }
-  channel.count_response(stats_, response_frame->size());
-  std::optional<Response> response;
-  if (memo != nullptr && memo->frame != nullptr &&
-      (memo->frame == response_frame || *memo->frame == *response_frame)) {
-    response = memo->value;
+  record_obs(channel.channel, request_frame_.size(), frame->size(), start_ns);
+  return response;
+}
+
+template <typename Request, typename Response>
+SharedResponse<Response> FrameTransport::send_update(
+    wire::FrameType tag, const Request& request, Encode<Request> encode,
+    Decode<Response> decode, SharedResponse<Response>& memo) {
+  const RequestChannel& channel =
+      *request_channel(static_cast<std::uint8_t>(tag));
+  std::uint64_t start_ns = 0;
+  const ResponseFrame frame = round_trip(channel, request, encode, start_ns);
+  if (frame == nullptr) return {};
+  if (memo.frame != nullptr &&
+      (memo.frame == frame || *memo.frame == *frame)) {
     ++update_decode_reuses_;
   } else {
-    response = decode(*response_frame);
+    std::optional<Response> response = decode(*frame);
     if (!response) {
       ++stats_.failed_requests;
-      return std::nullopt;
+      return {};
     }
-    if (memo != nullptr) *memo = {response_frame, *response};
+    memo = {std::make_shared<const Response>(std::move(*response)), frame};
   }
-  record_obs(channel.channel, request_frame.size(), response_frame->size(),
-             start_ns);
-  return response;
+  record_obs(channel.channel, request_frame_.size(), frame->size(), start_ns);
+  return memo;
 }
 
 std::optional<FullHashResponse> FrameTransport::get_full_hashes_or_error(
     const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) {
   return send(wire::FrameType::kFullHashRequest,
               wire::FullHashRequest{cookie, prefixes},
-              &wire::encode_full_hash_request,
+              &wire::encode_full_hash_request_into,
               &wire::decode_full_hash_response);
+}
+
+SharedUpdate FrameTransport::fetch_update_shared(
+    const UpdateRequest& request) {
+  return send_update(wire::FrameType::kUpdateRequest, request,
+                     &wire::encode_update_request_into,
+                     &wire::decode_update_response, v3_memo_);
+}
+
+SharedV4Update FrameTransport::fetch_v4_update_shared(
+    const V4UpdateRequest& request) {
+  return send_update(wire::FrameType::kV4UpdateRequest, request,
+                     &wire::encode_v4_update_request_into,
+                     &wire::decode_v4_update_response, v4_memo_);
 }
 
 std::optional<UpdateResponse> FrameTransport::fetch_update_or_error(
     const UpdateRequest& request) {
-  return send(wire::FrameType::kUpdateRequest, request,
-              &wire::encode_update_request, &wire::decode_update_response,
-              &v3_memo_);
+  const SharedUpdate response = fetch_update_shared(request);
+  if (!response.value) return std::nullopt;
+  return *response.value;
 }
 
 std::optional<V4UpdateResponse> FrameTransport::fetch_v4_update_or_error(
     const V4UpdateRequest& request) {
-  return send(wire::FrameType::kV4UpdateRequest, request,
-              &wire::encode_v4_update_request,
-              &wire::decode_v4_update_response, &v4_memo_);
+  const SharedV4Update response = fetch_v4_update_shared(request);
+  if (!response.value) return std::nullopt;
+  return *response.value;
 }
 
 std::optional<bool> FrameTransport::lookup_v1_or_error(std::string_view url,
@@ -93,7 +147,8 @@ std::optional<bool> FrameTransport::lookup_v1_or_error(std::string_view url,
   const auto response =
       send(wire::FrameType::kV1LookupRequest,
            wire::V1LookupRequest{cookie, std::string(url)},
-           &wire::encode_v1_lookup_request, &wire::decode_v1_lookup_response);
+           &wire::encode_v1_lookup_request_into,
+           &wire::decode_v1_lookup_response);
   if (!response) return std::nullopt;
   return response->malicious;
 }

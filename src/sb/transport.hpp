@@ -149,6 +149,17 @@ class Transport {
   [[nodiscard]] virtual std::optional<bool> lookup_v1_or_error(
       std::string_view url, Cookie cookie) = 0;
 
+  /// The shared update path, which sb::Client and sb::V4SlicedProtocol
+  /// update through: the decoded response by pointer, with the frame it
+  /// was decoded from (see SharedResponse); a null value on a
+  /// transport-level failure. The default wraps the by-value endpoint
+  /// above (a value of its own, no frame); FrameTransport hands out its
+  /// decode memo, shared by every client given the same frame.
+  [[nodiscard]] virtual SharedUpdate fetch_update_shared(
+      const UpdateRequest& request);
+  [[nodiscard]] virtual SharedV4Update fetch_v4_update_shared(
+      const V4UpdateRequest& request);
+
   /// Convenience for tests/benches that never inject failures.
   [[nodiscard]] FullHashResponse get_full_hashes(
       const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) {
@@ -194,15 +205,20 @@ class Transport {
 /// and records obs. A failed exchange or an undecodable response counts
 /// failed_requests and returns nullopt.
 ///
-/// Each update channel (v3 chunked, v4 sliced) remembers the last response
-/// frame it decoded and the decoded value. Clients in the same list state
-/// get the same update bytes (the server hands out one cached frame), so a
-/// response that is the same frame -- the same buffer, or equal bytes --
-/// returns a copy of the remembered value instead of being decoded again.
-/// Decoding is a pure function of the bytes, so nothing observable changes:
-/// billing, obs and failures are exactly those of a fresh decode, and an
-/// undecodable frame is never remembered. The memo belongs to this
-/// transport alone (one per engine shard), so it takes no lock.
+/// The decode memo: each update channel (v3 chunked, v4 sliced) remembers
+/// the last response frame it decoded and the decoded value, as a
+/// SharedResponse. Clients in the same list state get the same update
+/// bytes (the server hands out one cached frame), so a response that is
+/// the same frame -- the same buffer, or equal bytes -- is answered from
+/// the memo instead of being decoded again: the shared path hands out the
+/// memo itself (the decoded value and the frame it was decoded from, so
+/// equal bytes in another buffer still name one frame), the by-value
+/// endpoints a copy of its value. Decoding is a pure function of the
+/// bytes, so nothing observable changes: billing, obs and failures are
+/// exactly those of a fresh decode, and an undecodable frame is never
+/// remembered. The memo, like the request frame buffer every endpoint
+/// encodes into, belongs to this transport alone (one per engine shard),
+/// so it takes no lock.
 class FrameTransport : public Transport {
  public:
   [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
@@ -213,6 +229,10 @@ class FrameTransport : public Transport {
       const V4UpdateRequest& request) final;
   [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
                                                        Cookie cookie) final;
+  [[nodiscard]] SharedUpdate fetch_update_shared(
+      const UpdateRequest& request) final;
+  [[nodiscard]] SharedV4Update fetch_v4_update_shared(
+      const V4UpdateRequest& request) final;
 
   /// Update responses answered from the decode memo instead of decoded
   /// (exported as the `update_decode_reuses` counter).
@@ -233,24 +253,37 @@ class FrameTransport : public Transport {
       const std::vector<std::uint8_t>& request_frame) = 0;
 
  private:
-  /// The last frame one update channel decoded, and its decoded value.
+  template <typename Request>
+  using Encode = void (*)(const Request&, std::vector<std::uint8_t>&);
   template <typename Response>
-  struct DecodeMemo {
-    ResponseFrame frame;
-    Response value;
-  };
+  using Decode = std::optional<Response> (*)(std::span<const std::uint8_t>);
 
-  /// One request/response exchange; `memo` (update channels only) answers
-  /// a repeated response frame without decoding it.
+  /// Refuses, or encodes, bills and exchanges one request frame: the
+  /// billed response frame, or null (counted in failed_requests).
+  /// `start_ns` is the obs start time.
+  template <typename Request>
+  [[nodiscard]] ResponseFrame round_trip(const RequestChannel& channel,
+                                         const Request& request,
+                                         Encode<Request> encode,
+                                         std::uint64_t& start_ns);
+
+  /// One full-hash or v1 exchange, decoded.
   template <typename Request, typename Response>
-  [[nodiscard]] std::optional<Response> send(
-      wire::FrameType tag, const Request& request,
-      std::vector<std::uint8_t> (*encode)(const Request&),
-      std::optional<Response> (*decode)(std::span<const std::uint8_t>),
-      DecodeMemo<Response>* memo = nullptr);
+  [[nodiscard]] std::optional<Response> send(wire::FrameType tag,
+                                             const Request& request,
+                                             Encode<Request> encode,
+                                             Decode<Response> decode);
 
-  DecodeMemo<UpdateResponse> v3_memo_;
-  DecodeMemo<V4UpdateResponse> v4_memo_;
+  /// One update exchange, answered from `memo` when the response repeats
+  /// the frame it remembers.
+  template <typename Request, typename Response>
+  [[nodiscard]] SharedResponse<Response> send_update(
+      wire::FrameType tag, const Request& request, Encode<Request> encode,
+      Decode<Response> decode, SharedResponse<Response>& memo);
+
+  std::vector<std::uint8_t> request_frame_;  ///< reused by every request
+  SharedUpdate v3_memo_;
+  SharedV4Update v4_memo_;
   std::uint64_t update_decode_reuses_ = 0;
 };
 

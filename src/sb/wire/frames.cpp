@@ -35,11 +35,18 @@ std::optional<T> finish(Reader& reader, T&& value) {
 
 std::vector<std::uint8_t> encode_v1_lookup_request(
     const V1LookupRequest& request) {
-  Writer writer;
+  std::vector<std::uint8_t> frame;
+  encode_v1_lookup_request_into(request, frame);
+  return frame;
+}
+
+void encode_v1_lookup_request_into(const V1LookupRequest& request,
+                                   std::vector<std::uint8_t>& out) {
+  Writer writer(std::move(out));
   writer.u8(static_cast<std::uint8_t>(FrameType::kV1LookupRequest));
   writer.varint(request.cookie);
   writer.string(request.url);
-  return writer.take();
+  out = writer.take();
 }
 
 std::optional<V1LookupRequest> decode_v1_lookup_request(
@@ -77,12 +84,19 @@ std::optional<V1LookupResponse> decode_v1_lookup_response(
 
 std::vector<std::uint8_t> encode_full_hash_request(
     const FullHashRequest& request) {
-  Writer writer;
+  std::vector<std::uint8_t> frame;
+  encode_full_hash_request_into(request, frame);
+  return frame;
+}
+
+void encode_full_hash_request_into(const FullHashRequest& request,
+                                   std::vector<std::uint8_t>& out) {
+  Writer writer(std::move(out));
   writer.u8(static_cast<std::uint8_t>(FrameType::kFullHashRequest));
   writer.varint(request.cookie);
   writer.varint(request.prefixes.size());
   for (const auto prefix : request.prefixes) writer.u32be(prefix);
-  return writer.take();
+  out = writer.take();
 }
 
 std::optional<FullHashRequest> decode_full_hash_request(
@@ -161,7 +175,14 @@ std::optional<FullHashResponse> decode_full_hash_response(
 // -- v3 chunked update ------------------------------------------------------
 
 std::vector<std::uint8_t> encode_update_request(const UpdateRequest& request) {
-  Writer writer;
+  std::vector<std::uint8_t> frame;
+  encode_update_request_into(request, frame);
+  return frame;
+}
+
+void encode_update_request_into(const UpdateRequest& request,
+                                std::vector<std::uint8_t>& out) {
+  Writer writer(std::move(out));
   writer.u8(static_cast<std::uint8_t>(FrameType::kUpdateRequest));
   writer.varint(request.lists.size());
   for (const auto& state : request.lists) {
@@ -171,7 +192,7 @@ std::vector<std::uint8_t> encode_update_request(const UpdateRequest& request) {
     writer.varint(state.sub_chunks.size());
     for (const auto number : state.sub_chunks) writer.varint(number);
   }
-  return writer.take();
+  out = writer.take();
 }
 
 std::optional<UpdateRequest> decode_update_request(
@@ -256,14 +277,21 @@ std::optional<UpdateResponse> decode_update_response(
 
 std::vector<std::uint8_t> encode_v4_update_request(
     const V4UpdateRequest& request) {
-  Writer writer;
+  std::vector<std::uint8_t> frame;
+  encode_v4_update_request_into(request, frame);
+  return frame;
+}
+
+void encode_v4_update_request_into(const V4UpdateRequest& request,
+                                   std::vector<std::uint8_t>& out) {
+  Writer writer(std::move(out));
   writer.u8(static_cast<std::uint8_t>(FrameType::kV4UpdateRequest));
   writer.varint(request.lists.size());
   for (const auto& state : request.lists) {
     writer.string(state.list_name);
     writer.varint(state.state);
   }
-  return writer.take();
+  out = writer.take();
 }
 
 std::optional<V4UpdateRequest> decode_v4_update_request(

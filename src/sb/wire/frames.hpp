@@ -65,6 +65,9 @@ struct FullHashRequest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_v1_lookup_request(
     const V1LookupRequest& request);
+/// The same frame, written into `out`'s storage.
+void encode_v1_lookup_request_into(const V1LookupRequest& request,
+                                   std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<V1LookupRequest> decode_v1_lookup_request(
     std::span<const std::uint8_t> frame);
 
@@ -75,6 +78,9 @@ struct FullHashRequest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_full_hash_request(
     const FullHashRequest& request);
+/// The same frame, written into `out`'s storage.
+void encode_full_hash_request_into(const FullHashRequest& request,
+                                   std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<FullHashRequest> decode_full_hash_request(
     std::span<const std::uint8_t> frame);
 
@@ -85,6 +91,9 @@ struct FullHashRequest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_update_request(
     const UpdateRequest& request);
+/// The same frame, written into `out`'s storage.
+void encode_update_request_into(const UpdateRequest& request,
+                                std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<UpdateRequest> decode_update_request(
     std::span<const std::uint8_t> frame);
 
@@ -95,6 +104,9 @@ struct FullHashRequest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_v4_update_request(
     const V4UpdateRequest& request);
+/// The same frame, written into `out`'s storage.
+void encode_v4_update_request_into(const V4UpdateRequest& request,
+                                   std::vector<std::uint8_t>& out);
 [[nodiscard]] std::optional<V4UpdateRequest> decode_v4_update_request(
     std::span<const std::uint8_t> frame);
 

@@ -27,6 +27,13 @@ namespace sbp::sb::wire {
 /// Append-only frame builder.
 class Writer {
  public:
+  Writer() = default;
+  /// Writes into `reuse`'s storage (cleared first), so a caller that hands
+  /// back the frame it took last time encodes without allocating.
+  explicit Writer(std::vector<std::uint8_t>&& reuse) : out_(std::move(reuse)) {
+    out_.clear();
+  }
+
   void u8(std::uint8_t value) { out_.push_back(value); }
 
   void u32be(std::uint32_t value) {

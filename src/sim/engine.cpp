@@ -39,6 +39,8 @@ Engine::Engine(SimConfig config)
                      config_.site_cache_entries),
       dummy_policy_(config_.mitigation.dummies_per_prefix) {
   obs_enabled_ = config_.collect_metrics;  // before shards are built
+  server_.set_lock_metrics(obs_enabled_);
+  sync_states_->set_lock_metrics(obs_enabled_);
   for (const auto& list : config_.blacklist.lists) {
     server_.create_list(list);
   }
@@ -211,7 +213,7 @@ void Engine::build_population() {
 
     shard.users.push_back(std::move(user));
   }
-  sync_states_->prune();
+  publish_shared_state();
 }
 
 UserState& Engine::user(std::size_t index) {
@@ -407,37 +409,66 @@ void Engine::mitigated_dispatch(Shard& shard, UserState& user,
   }
 }
 
+void Engine::publish_shared_state() {
+  // Release the sync states no client holds any more. Pruning only here,
+  // with every client at rest, keeps the build count a function of the
+  // states clients hold, never of how the shards interleaved. Both caches
+  // publish what this phase built, so the next parallel phase reads it
+  // with no lock -- and which calls take a lock depends only on this
+  // schedule, never on the thread count.
+  sync_states_->prune();
+  server_.publish_update_cache();
+}
+
+void Engine::resync_due(Shard& shard, bool lead_only) {
+  const std::uint64_t r0 = obs_enabled_ ? obs::now_ns() : 0;
+  const std::uint64_t now = clock_.now();
+  const std::vector<std::size_t>& due =
+      shard.resync_slots[tick_ % resync_cadence()];
+  while (shard.resync_next < due.size()) {
+    sb::ProtocolClient& client = *shard.users[due[shard.resync_next++]].client;
+    if (client.version() == sb::ProtocolVersion::kV1Lookup) continue;
+    // The client's own minimum-wait timer decides; it covers the server-
+    // imposed wait (echoed into backoff on every success) and any error
+    // backoff, so a poll here never produces a suppressed attempt.
+    if (client.update_wait(now) > 0) continue;
+    (void)client.update();
+    ++shard.tick_metrics.churn_updates;
+    if (lead_only) break;
+  }
+  if (obs_enabled_) {
+    shard.obs_phases.record(obs::Phase::kResync, obs::now_ns() - r0);
+  }
+}
+
+void Engine::lead_resyncs() {
+  // The epoch dropped the server's encode cache, so every re-sync of this
+  // tick would miss the published tables and queue on the update locks.
+  // Each shard's first due update runs here instead, on the engine thread,
+  // and what those updates encoded and built is published: the rest of
+  // the tick's re-syncs read it with no lock. Each shard still re-syncs
+  // its users in slot order, and re-syncs log nothing, so no output moves.
+  for (auto& shard : shards_) resync_due(*shard, /*lead_only=*/true);
+  sync_states_->publish();
+  server_.publish_update_cache();
+}
+
 void Engine::tick_shard(Shard& shard) {
   // Route every query-log entry this thread produces into the shard's
   // buffer; the engine merges buffers in shard order after the barrier.
   const sb::Server::ScopedLogShard log_scope(shard.log_buffer);
-  shard.tick_metrics = SimMetrics{};
   // Per-user spans cost three steady_clock reads when timing is on and
   // three predictable branches when it is off; everything recorded is
   // shard-confined, so timing cannot perturb any cross-shard state.
   const bool timed = obs_enabled_;
 
-  if (churn_) {
-    // Staggered client re-syncs for this shard's due users. Runs in the
-    // parallel phase: the epoch already sealed and republished, updates
-    // touch only shard-owned state + the server's mutex-guarded update
-    // path, and none of it reaches the query log (see Shard::resync_slots).
-    const std::uint64_t r0 = timed ? obs::now_ns() : 0;
-    const std::uint64_t now = clock_.now();
-    for (const std::size_t li : shard.resync_slots[tick_ % resync_cadence()]) {
-      sb::ProtocolClient& client = *shard.users[li].client;
-      if (client.version() == sb::ProtocolVersion::kV1Lookup) continue;
-      // The client's own minimum-wait timer decides; it covers the server-
-      // imposed wait (echoed into backoff on every success) and any error
-      // backoff, so a poll here never produces a suppressed attempt.
-      if (client.update_wait(now) > 0) continue;
-      (void)client.update();
-      ++shard.tick_metrics.churn_updates;
-    }
-    if (timed) {
-      shard.obs_phases.record(obs::Phase::kResync, obs::now_ns() - r0);
-    }
-  }
+  // Staggered client re-syncs for this shard's due users (those the epoch
+  // did not lead). Runs in the parallel phase: the epoch already sealed
+  // and republished, updates touch only shard-owned state + the server's
+  // update path and the shared sync-state cache (lock-free hits, locked
+  // misses), and none of it reaches the query log (see
+  // Shard::resync_slots).
+  if (churn_) resync_due(shard, /*lead_only=*/false);
 
   for (auto& user : shard.users) {
     shard.visits.clear();
@@ -471,11 +502,19 @@ bool Engine::step() {
     serial_profile_.record(phase, obs::now_ns() - t0);
   };
 
+  for (auto& shard : shards_) {
+    shard->tick_metrics = SimMetrics{};
+    shard->resync_next = 0;
+  }
   if (churn_) {
-    // Serial churn phase: epoch mutation (republishes the snapshot). The
-    // staggered re-syncs happen inside the parallel shard tick below.
+    // Serial churn phase: epoch mutation (republishes the snapshot) and
+    // the re-syncs it leads. The other staggered re-syncs happen inside
+    // the parallel shard tick below.
     if (tick_ > 0 && tick_ % config_.churn.epoch_ticks == 0) {
-      timed_phase(obs::Phase::kChurnEpoch, [&] { apply_churn_epoch(); });
+      timed_phase(obs::Phase::kChurnEpoch, [&] {
+        apply_churn_epoch();
+        lead_resyncs();
+      });
     }
   }
 
@@ -495,10 +534,7 @@ bool Engine::step() {
       metrics_ += shard->tick_metrics;
     }
   });
-  // Release the sync states no client holds any more. Pruning only here,
-  // with every client at rest, keeps the build count a function of the
-  // states clients hold, never of how the shards interleaved.
-  sync_states_->prune();
+  publish_shared_state();
   metrics_.client_state_builds = sync_states_->builds();
   metrics_.site_cache_hits = 0;
   metrics_.site_cache_misses = 0;
@@ -556,6 +592,14 @@ obs::Snapshot Engine::obs_snapshot() const {
                                  server_.update_encode_cache_hits());
   snapshot.counters.emplace_back("update_decode_reuses",
                                  update_decode_reuses());
+  const obs::LockStats update_serve = server_.update_serve_lock();
+  const obs::LockStats sync_state = sync_states_->lock_stats();
+  snapshot.counters.emplace_back("update_serve_locked",
+                                 update_serve.acquisitions);
+  snapshot.counters.emplace_back("sync_state_locked",
+                                 sync_state.acquisitions);
+  snapshot.locks = {{"update_serve", update_serve},
+                    {"sync_state", sync_state}};
 
   snapshot.per_tick = obs_series_;
   return snapshot;

@@ -31,13 +31,15 @@
 // LookupSnapshot (a pointer copy per read; see sb/server.hpp). Client
 // re-syncs run inside the parallel phase too: the serial churn epoch seals
 // every list BEFORE the barrier opens, so concurrent updates read frozen
-// server state (the update path itself is mutex-guarded, and its encode-cache
-// totals are order-independent -- see sb/server.hpp), touch only
-// shard-owned client state plus the population's mutex-guarded
-// sb::SyncStateCache (one apply+rebuild per distinct state transition,
-// whichever shard asks first; pruned only between ticks), and write
-// nothing to the query log -- which is exactly why moving them off the
-// engine thread changes no observable output. After the barrier
+// server state (the update encode cache: hits on the table published at
+// the last barrier read it with no lock, misses serialize on one mutex,
+// and the totals are order-independent -- see sb/server.hpp), touch only
+// shard-owned client state plus the population's sb::SyncStateCache (one
+// apply+rebuild per distinct state transition, whichever shard asks
+// first; hits on its published table take no lock; pruned and published
+// only between ticks), and write nothing to the query log -- which is
+// exactly why moving them off the engine thread changes no observable
+// output. After the barrier
 // the engine drains the per-shard log buffers in canonical
 // (tick, shard, seq) order and sums the per-shard counters, which is why
 // the same seed produces bit-identical logs and fingerprints at ANY
@@ -301,11 +303,15 @@ class Engine {
     /// s holds, ascending, the shard's users polling for updates at ticks
     /// == s (mod resync_cadence()). The re-sync phase runs INSIDE
     /// tick_shard -- updates touch only shard-owned state (client stores,
-    /// the shard transport) plus the server's snapshot reads and
-    /// its mutex-guarded update path, and produce no query-log entries, so
-    /// parallelizing them preserves the log and every counter bit-for-bit.
+    /// the shard transport) plus the server's snapshot reads, its update
+    /// path and the shared sync-state cache, and produce no query-log
+    /// entries, so parallelizing them preserves the log and every counter
+    /// bit-for-bit.
     /// Empty when churn is off.
     std::vector<std::vector<std::size_t>> resync_slots;
+    /// This tick's next position in its re-sync slot: past the users the
+    /// epoch's lead re-sync already polled (see Engine::lead_resyncs).
+    std::size_t resync_next = 0;
     /// Shard-confined profiling state (only touched with obs enabled):
     /// resync/plan/lookup span profiles and lookup's site/url_build
     /// sub-phases, and the shard transport's channel stats. Written only
@@ -321,6 +327,16 @@ class Engine {
   void apply_churn_epoch();
   /// Recomputes entry.universe_hits against the current universe version.
   void stamp_universe(UrlCache::Entry& entry) const;
+  /// Serial, at the barrier: prunes and publishes the sync-state cache and
+  /// publishes the server's update encode cache.
+  void publish_shared_state();
+  /// Polls `shard`'s users due this tick from shard.resync_next on, in slot
+  /// order, updating those whose update channel allows it; with
+  /// `lead_only`, stops after the first update.
+  void resync_due(Shard& shard, bool lead_only);
+  /// Serial, after an epoch: each shard's first due update, then both
+  /// shared caches publish what it encoded and built.
+  void lead_resyncs();
   void tick_shard(Shard& shard);
   const UrlCache::Entry& url_prefixes(Shard& shard,
                                       TrafficModel::VisitId visit);

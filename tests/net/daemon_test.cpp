@@ -281,13 +281,15 @@ TEST(DaemonTest, SnapshotCountersAreTheDaemonStatsTable) {
   harness.pump();
 
   // Every DaemonStats::kCounters row in table order, then the server's
-  // encode-cache hits, each with the live value.
+  // encode-cache hits and its locked update serves, each with the live
+  // value. The daemon never publishes its encode cache, so both update
+  // requests took the serve mutex.
   const DaemonStats& stats = harness.daemon.stats();
   EXPECT_EQ(stats.frames_served, 3u);
   EXPECT_EQ(stats.decode_errors, 1u);
   const util::CounterList counters = harness.daemon.snapshot().counters;
   const std::size_t rows = std::size(DaemonStats::kCounters);
-  ASSERT_EQ(counters.size(), rows + 1);
+  ASSERT_EQ(counters.size(), rows + 2);
   for (std::size_t i = 0; i < rows; ++i) {
     const auto& field = DaemonStats::kCounters[i];
     EXPECT_EQ(counters[i].first, field.name);
@@ -297,6 +299,10 @@ TEST(DaemonTest, SnapshotCountersAreTheDaemonStatsTable) {
   EXPECT_EQ(counters[rows].second, 1u);
   EXPECT_EQ(counters[rows].second,
             harness.server.update_encode_cache_hits());
+  EXPECT_EQ(counters[rows + 1].first, "update_serve_locked");
+  EXPECT_EQ(counters[rows + 1].second, 2u);
+  EXPECT_EQ(counters[rows + 1].second,
+            harness.server.update_serve_lock().acquisitions);
 
   harness.daemon.shutdown();
   std::remove(path.c_str());

@@ -46,6 +46,8 @@ struct RunResult {
   SimMetrics metrics;
   sb::TransportStats wire;
   std::uint64_t update_decode_reuses = 0;
+  std::uint64_t update_serve_locked = 0;
+  std::uint64_t sync_state_locked = 0;
   std::optional<obs::Snapshot> snapshot;
 };
 
@@ -64,6 +66,8 @@ RunResult run(bool collect_metrics, std::size_t threads) {
                    engine.metrics(),
                    engine.transport_stats(),
                    engine.update_decode_reuses(),
+                   engine.server().update_serve_lock().acquisitions,
+                   engine.sync_states().lock_stats().acquisitions,
                    std::nullopt};
   if (engine.metrics_enabled()) result.snapshot = engine.obs_snapshot();
   return result;
@@ -94,12 +98,21 @@ void expect_identical(const RunResult& off, const RunResult& on,
   EXPECT_LT(on.update_decode_reuses,
             on.wire.update_requests + on.wire.v4_update_requests)
       << label;
+  // Which calls miss the tables published at the tick barrier, and so take
+  // a mutex, is fixed by the barrier schedule alone.
+  ASSERT_GT(off.update_serve_locked, 0u) << label;
+  EXPECT_EQ(off.update_serve_locked, on.update_serve_locked) << label;
+  EXPECT_EQ(off.sync_state_locked, on.sync_state_locked) << label;
+  EXPECT_LT(on.update_serve_locked,
+            on.wire.update_requests + on.wire.v4_update_requests)
+      << label << ": no update request read the published table";
   if (on.snapshot) {
     // The exported counters are the SimMetrics table, name for name and
-    // in table order, then the server's and the transports' two counters.
+    // in table order, then the server's and the transports' two counters
+    // and the two lock counters.
     const util::CounterList& counters = on.snapshot->counters;
     const std::size_t rows = std::size(SimMetrics::kCounters);
-    ASSERT_EQ(counters.size(), rows + 2) << label;
+    ASSERT_EQ(counters.size(), rows + 4) << label;
     for (std::size_t i = 0; i < rows; ++i) {
       const auto& field = SimMetrics::kCounters[i];
       EXPECT_EQ(counters[i].first, field.name) << label;
@@ -109,6 +122,23 @@ void expect_identical(const RunResult& off, const RunResult& on,
     EXPECT_EQ(counters[rows].first, "update_encode_cache_hits") << label;
     EXPECT_EQ(counters[rows + 1].first, "update_decode_reuses") << label;
     EXPECT_EQ(counters[rows + 1].second, on.update_decode_reuses) << label;
+    EXPECT_EQ(counters[rows + 2].first, "update_serve_locked") << label;
+    EXPECT_EQ(counters[rows + 2].second, on.update_serve_locked) << label;
+    EXPECT_EQ(counters[rows + 3].first, "sync_state_locked") << label;
+    EXPECT_EQ(counters[rows + 3].second, on.sync_state_locked) << label;
+    // The locks section: each mutex's acquisitions, and one wait and one
+    // hold time per acquisition.
+    ASSERT_EQ(on.snapshot->locks.size(), 2u) << label;
+    EXPECT_EQ(on.snapshot->locks[0].first, "update_serve") << label;
+    EXPECT_EQ(on.snapshot->locks[1].first, "sync_state") << label;
+    for (const auto& [name, lock] : on.snapshot->locks) {
+      const std::uint64_t acquisitions = name == "update_serve"
+                                             ? on.update_serve_locked
+                                             : on.sync_state_locked;
+      EXPECT_EQ(lock.acquisitions, acquisitions) << label << " " << name;
+      EXPECT_EQ(lock.wait_ns.count(), acquisitions) << label << " " << name;
+      EXPECT_EQ(lock.hold_ns.count(), acquisitions) << label << " " << name;
+    }
   }
 }
 

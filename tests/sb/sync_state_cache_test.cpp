@@ -1,8 +1,10 @@
 // Shared immutable client sync states (sb/sync_state_cache.hpp). A cache
 // hit must be indistinguishable from a fresh private build, a corrupt or
 // mis-checksummed v4 slice must desync only the client that received it,
-// re-sent v3 chunks stay idempotent, racing clients share one build, and
-// a long churned population keeps the cache bounded by its live states.
+// re-sent v3 chunks stay idempotent, racing clients share one build (also
+// across a publish), equal frames in separate buffers share states exactly
+// as one shared frame does, and a long churned population keeps the cache
+// bounded by its live states.
 #include "sb/sync_state_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "crypto/digest.hpp"
 #include "sb/client.hpp"
 #include "sb/protocol_v4.hpp"
+#include "sb/wire/frames.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +64,49 @@ class TamperingTransport final : public Transport {
  private:
   InProcessTransport inner_;
 };
+
+/// The socket transport's case in one address space: each response frame
+/// arrives in a buffer of its own, so equal frames never share a pointer.
+class CopyingTransport final : public FrameTransport {
+ public:
+  CopyingTransport(Server& server, SimClock& clock)
+      : FrameTransport(clock), server_(server) {}
+
+ private:
+  bool refuse(const RequestChannel&) override { return false; }
+  ResponseFrame exchange(
+      const std::vector<std::uint8_t>& request_frame) override {
+    const ResponseFrame frame = server_.serve_frame(request_frame, 0);
+    if (frame == nullptr) return nullptr;
+    return std::make_shared<const std::vector<std::uint8_t>>(*frame);
+  }
+
+  Server& server_;
+};
+
+/// `cache.next_v3` for chunks that came from no response frame: copied
+/// into a response of their own, so the cache compares them by contents.
+SyncStateCache::V3State next_v3(SyncStateCache& cache,
+                                SyncStateCache::V3State prior,
+                                std::string_view list,
+                                std::vector<Chunk> chunks,
+                                storage::StoreKind kind,
+                                std::size_t bloom_bits) {
+  auto response = std::make_shared<UpdateResponse>();
+  response->lists.push_back({std::string(list), std::move(chunks)});
+  return cache.next_v3(std::move(prior), SharedUpdate{response, nullptr},
+                       response->lists.front(), kind, bloom_bits);
+}
+
+/// `cache.next_v4` for a slice that came from no response frame.
+SyncStateCache::V4State next_v4(SyncStateCache& cache,
+                                SyncStateCache::V4State prior,
+                                const V4SliceUpdate& slice) {
+  auto response = std::make_shared<V4UpdateResponse>();
+  response->lists.push_back(slice);
+  return cache.next_v4(std::move(prior), SharedV4Update{response, nullptr},
+                       response->lists.front());
+}
 
 void seed_list(Server& server, int first, int count) {
   for (int i = first; i < first + count; ++i) {
@@ -290,23 +336,23 @@ TEST(SyncStateCacheTest, ResentV3ChunkStaysIdempotent) {
   const Chunk sub3{3, ChunkType::kSub, {20}};
   const auto kind = storage::StoreKind::kDeltaCoded;
 
-  const auto s1 = cache.next_v3(nullptr, kList, std::vector{add1}, kind, 0);
+  const auto s1 = next_v3(cache, nullptr, kList, std::vector{add1}, kind, 0);
   ASSERT_NE(s1, nullptr);
   EXPECT_EQ(cache.builds(), 1u);
 
   // A re-sent chunk -- even one whose number is reused for other
   // contents -- changes nothing: the same state comes back, unbuilt.
-  EXPECT_EQ(cache.next_v3(s1, kList, std::vector{add1}, kind, 0), s1);
+  EXPECT_EQ(next_v3(cache, s1, kList, std::vector{add1}, kind, 0), s1);
   const Chunk reused1{1, ChunkType::kAdd, {99}};
-  EXPECT_EQ(cache.next_v3(s1, kList, std::vector{reused1}, kind, 0), s1);
+  EXPECT_EQ(next_v3(cache, s1, kList, std::vector{reused1}, kind, 0), s1);
   EXPECT_EQ(cache.builds(), 1u);
 
   // Mixed into new chunks, the re-sent one is ignored.
   const auto resent =
-      cache.next_v3(s1, kList, std::vector{add1, add2, sub3}, kind, 0);
+      next_v3(cache, s1, kList, std::vector{add1, add2, sub3}, kind, 0);
   SyncStateCache fresh_cache;
   const auto fresh =
-      fresh_cache.next_v3(s1, kList, std::vector{add2, sub3}, kind, 0);
+      next_v3(fresh_cache, s1, kList, std::vector{add2, sub3}, kind, 0);
   const std::vector<crypto::Prefix32> expected = {10, 30, 40};
   EXPECT_EQ(resent->chunks.effective_prefixes(), expected);
   EXPECT_EQ(fresh->chunks.effective_prefixes(), expected);
@@ -336,23 +382,151 @@ void race(Get get, SyncStateCache& cache, std::uint64_t builds_after) {
 TEST(SyncStateCacheTest, RacingGetOrBuildBuildsOnce) {
   SyncStateCache cache;
   const auto kind = storage::StoreKind::kBloom;
-  const auto v3_prior = cache.next_v3(
-      nullptr, kList, std::vector{Chunk{1, ChunkType::kAdd, {1, 2, 3}}},
-      kind, 512);
+  const auto v3_prior =
+      next_v3(cache, nullptr, kList,
+              std::vector{Chunk{1, ChunkType::kAdd, {1, 2, 3}}}, kind, 512);
   const std::vector<Chunk> v3_update = {Chunk{2, ChunkType::kAdd, {4, 5}}};
-  race([&] { return cache.next_v3(v3_prior, kList, v3_update, kind, 512); },
+  race([&] { return next_v3(cache, v3_prior, kList, v3_update, kind, 512); },
        cache, 2);
 
   V4SliceUpdate reset;
   reset.list_name = kList;
   reset.full_reset = true;
   reset.additions = {10, 20, 30};
-  const auto v4_prior = cache.next_v4(nullptr, reset);
+  const auto v4_prior = next_v4(cache, nullptr, reset);
   V4SliceUpdate slice;
   slice.list_name = kList;
   slice.removal_indices = {1};
   slice.additions = {25};
-  race([&] { return cache.next_v4(v4_prior, slice); }, cache, 4);
+  race([&] { return next_v4(cache, v4_prior, slice); }, cache, 4);
+}
+
+/// What a fleet run shows of its shared cache: builds and locked calls per
+/// round, and per round which clients share a state (each client's index
+/// of the first client holding the same object).
+struct FleetRun {
+  std::vector<std::uint64_t> builds;
+  std::vector<std::uint64_t> locked;
+  std::vector<std::vector<std::size_t>> sharing;
+  std::vector<std::vector<int>> answers;
+};
+
+/// Six v3 and six v4 clients spread over two transports (two engine
+/// shards), re-syncing through four churn rounds -- one client lagging a
+/// round -- on a kManual cache pruned after every round.
+template <typename TransportT>
+FleetRun run_fleet() {
+  Server server;
+  SimClock clock;
+  TransportT first(server, clock);
+  TransportT second(server, clock);
+  seed_list(server, 0, 30);
+  auto cache =
+      std::make_shared<SyncStateCache>(SyncStateCache::Pruning::kManual);
+  std::vector<std::unique_ptr<ProtocolClient>> clients;
+  for (int i = 0; i < 12; ++i) {
+    ClientConfig config;
+    config.protocol = i < 6 ? ProtocolVersion::kV3Chunked
+                            : ProtocolVersion::kV4Sliced;
+    config.sync_states = cache;
+    clients.push_back(
+        make_protocol_client(i % 2 == 0 ? static_cast<Transport&>(first)
+                                        : static_cast<Transport&>(second),
+                             config));
+    clients.back()->subscribe(kList);
+  }
+  FleetRun run;
+  for (int round = 0; round < 4; ++round) {
+    if (round > 0) churn_list(server, round);
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (round == 1 && (i == 4 || i == 10)) continue;  // lagging
+      EXPECT_TRUE(clients[i]->update()) << "round " << round;
+    }
+    cache->prune();
+    server.publish_update_cache();
+    run.builds.push_back(cache->builds());
+    run.locked.push_back(cache->lock_stats().acquisitions);
+    std::vector<std::size_t> sharing;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      std::size_t j = 0;
+      while (state_of(*clients[j]) != state_of(*clients[i])) ++j;
+      sharing.push_back(j);
+    }
+    run.sharing.push_back(std::move(sharing));
+    const auto probes = probe_set(server);
+    for (const auto& client : clients) {
+      run.answers.push_back(answers(*client, probes));
+    }
+  }
+  return run;
+}
+
+TEST(SyncStateCacheTest, EqualFramesInSeparateBuffersShareLikeOneFrame) {
+  const FleetRun shared = run_fleet<InProcessTransport>();
+  const FleetRun copied = run_fleet<CopyingTransport>();
+  EXPECT_EQ(copied.builds, shared.builds);
+  EXPECT_EQ(copied.locked, shared.locked);
+  EXPECT_EQ(copied.sharing, shared.sharing);
+  EXPECT_EQ(copied.answers, shared.answers);
+  // Clients on the two transports share one state per generation, and the
+  // lagging clients hold states of their own after round 1.
+  const std::vector<std::size_t> in_step = {0, 0, 0, 0, 0, 0,
+                                            6, 6, 6, 6, 6, 6};
+  EXPECT_EQ(shared.sharing[0], in_step);
+  EXPECT_EQ(shared.sharing[1], (std::vector<std::size_t>{
+                                   0, 0, 0, 0, 4, 0, 6, 6, 6, 6, 10, 6}));
+  // Per round: one v3 and one v4 build, and from round 2 on one more each
+  // for the lagging clients, which reach every state along a path of
+  // their own.
+  EXPECT_EQ(shared.builds, (std::vector<std::uint64_t>{2, 4, 8, 12}));
+}
+
+TEST(SyncStateCacheTest, RacingGetOrBuildBuildsOnceAcrossAPublish) {
+  SyncStateCache cache(SyncStateCache::Pruning::kManual);
+  const auto kind = storage::StoreKind::kBloom;
+  const auto v3_prior =
+      next_v3(cache, nullptr, kList,
+              std::vector{Chunk{1, ChunkType::kAdd, {1, 2, 3}}}, kind, 512);
+  const std::vector<Chunk> v3_update = {Chunk{2, ChunkType::kAdd, {4, 5}}};
+  race([&] { return next_v3(cache, v3_prior, kList, v3_update, kind, 512); },
+       cache, 2);
+  const auto built = next_v3(cache, v3_prior, kList, v3_update, kind, 512);
+
+  // Published: the same update hits with no lock, as a frame-less update
+  // (a content compare) and as a shared frame (a pointer compare).
+  cache.prune();
+  const std::uint64_t locked = cache.lock_stats().acquisitions;
+  race([&] { return next_v3(cache, v3_prior, kList, v3_update, kind, 512); },
+       cache, 2);
+  auto response = std::make_shared<UpdateResponse>();
+  response->lists.push_back({kList, v3_update});
+  const SharedUpdate shared{
+      response, std::make_shared<const std::vector<std::uint8_t>>(
+                    wire::encode_update_response(*response))};
+  race([&] {
+         return cache.next_v3(v3_prior, shared, response->lists[0], kind, 512);
+       },
+       cache, 2);
+  EXPECT_EQ(cache.lock_stats().acquisitions, locked);
+  EXPECT_EQ(next_v3(cache, v3_prior, kList, v3_update, kind, 512), built);
+
+  // A different update from the same prior: one build, shared by all.
+  const std::vector<Chunk> other = {Chunk{2, ChunkType::kAdd, {6}}};
+  race([&] { return next_v3(cache, v3_prior, kList, other, kind, 512); },
+       cache, 3);
+
+  V4SliceUpdate reset;
+  reset.list_name = kList;
+  reset.full_reset = true;
+  reset.additions = {10, 20, 30};
+  const auto v4_prior = next_v4(cache, nullptr, reset);
+  V4SliceUpdate slice;
+  slice.list_name = kList;
+  slice.removal_indices = {1};
+  slice.additions = {25};
+  race([&] { return next_v4(cache, v4_prior, slice); }, cache, 5);
+  cache.prune();
+  race([&] { return next_v4(cache, v4_prior, slice); }, cache, 5);
 }
 
 TEST(SyncStateCacheTest, ChurnedRunKeepsEntriesBoundedByLiveStates) {

@@ -2,10 +2,16 @@
 // fleet of clients resyncing from the same state token must be served one
 // shared encoding (byte-identical to a fresh encode), and EVERY mutation
 // path -- add_expression, seal_chunk, set_minimum_wait -- must drop the
-// cache so no client ever sees a stale diff.
+// cache, published table included, so no client ever sees a stale diff.
+// Concurrent serves encode each distinct frame once, before and after a
+// publish.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sb/server.hpp"
@@ -159,6 +165,152 @@ TEST(UpdateEncodeCacheTest, CopiedServerStartsCold) {
   const auto from_original = server.serve_frame(request, /*tick=*/0);
   ASSERT_NE(from_original, nullptr);
   EXPECT_EQ(*from_copy, *from_original);
+}
+
+TEST(UpdateEncodeCacheTest, PublishedEncodingsDropOnEveryMutation) {
+  const auto v3 = v3_request_from_scratch();
+  const auto v4 = v4_request_from_scratch();
+  const std::vector<std::function<void(Server&)>> mutations = {
+      [](Server& server) {
+        server.add_expression(kList, "fresh-threat.example/");
+        server.seal_chunk(kList);
+      },
+      [](Server& server) {
+        server.remove_expression(kList, "evil.example/");
+      },
+      [](Server& server) { server.set_minimum_wait(9); },
+  };
+  for (std::size_t m = 0; m < mutations.size(); ++m) {
+    Server server = seeded_server();
+    (void)server.serve_frame(v3, /*tick=*/0);
+    const auto before_v4 = server.serve_frame(v4, /*tick=*/0);
+    server.publish_update_cache();
+    mutations[m](server);
+
+    // Both answers are fresh encodes of the mutated lists, also for a
+    // shard worker, which reads the published table without a lock.
+    QueryLogBuffer buffer;
+    Server fresh = seeded_server();
+    mutations[m](fresh);
+    {
+      const Server::ScopedLogShard shard(buffer);
+      EXPECT_EQ(*server.serve_frame(v3, /*tick=*/0),
+                *fresh.serve_frame(v3, /*tick=*/0))
+          << "mutation " << m;
+      EXPECT_EQ(*server.serve_frame(v4, /*tick=*/0),
+                *fresh.serve_frame(v4, /*tick=*/0))
+          << "mutation " << m;
+    }
+    server.drain_log_buffer(buffer);
+    EXPECT_EQ(server.update_encode_cache_hits(), 0u) << "mutation " << m;
+    EXPECT_NE(*server.serve_frame(v4, /*tick=*/0), *before_v4)
+        << "mutation " << m;
+  }
+}
+
+/// Encoded update requests from distinct client states: v3 inventories and
+/// v4 state tokens.
+std::vector<std::vector<std::uint8_t>> distinct_requests(int count) {
+  std::vector<std::vector<std::uint8_t>> requests;
+  for (int i = 0; i < count; ++i) {
+    if (i % 2 == 0) {
+      requests.push_back(wire::encode_v4_update_request(
+          {{{kList, static_cast<std::uint64_t>(i / 2)}}}));
+    } else {
+      std::vector<std::uint32_t> adds;
+      for (std::uint32_t n = 1; n <= static_cast<std::uint32_t>(i / 2); ++n) {
+        adds.push_back(n);
+      }
+      requests.push_back(wire::encode_update_request({{{kList, adds, {}}}}));
+    }
+  }
+  return requests;
+}
+
+/// Every thread serves every request `rounds` times (each thread starts at
+/// its own offset) inside its own shard scope, then the buffers are
+/// drained. Returns, per thread, the frames it got, in request order of
+/// the last round.
+std::vector<std::vector<ResponseFrame>> serve_concurrently(
+    Server& server, const std::vector<std::vector<std::uint8_t>>& requests,
+    int threads, int rounds) {
+  std::vector<QueryLogBuffer> buffers(static_cast<std::size_t>(threads));
+  std::vector<std::vector<ResponseFrame>> got(
+      static_cast<std::size_t>(threads),
+      std::vector<ResponseFrame>(requests.size()));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      const auto index = static_cast<std::size_t>(t);
+      const Server::ScopedLogShard shard(buffers[index]);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const std::size_t r = (i + index) % requests.size();
+          got[index][r] = server.serve_frame(requests[r], /*tick=*/0);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& worker : workers) worker.join();
+  for (auto& buffer : buffers) server.drain_log_buffer(buffer);
+  return got;
+}
+
+TEST(UpdateEncodeCacheTest, ConcurrentServesEncodeEachFrameOnce) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  Server server = seeded_server();
+  server.add_expression(kList, "third.example/");
+  server.seal_chunk(kList);
+  Server reference = seeded_server();
+  reference.add_expression(kList, "third.example/");
+  reference.seal_chunk(kList);
+  const auto all = distinct_requests(12);
+  const std::vector<std::vector<std::uint8_t>> first(all.begin(),
+                                                     all.begin() + 8);
+
+  // Checks one phase: `distinct` requests encoded once each, every other
+  // call a hit, and every thread handed that one encoding -- the bytes of
+  // a fresh encode.
+  std::uint64_t hits = 0;
+  const auto phase = [&](const std::vector<std::vector<std::uint8_t>>& sent,
+                         std::size_t distinct, const std::string& label) {
+    const auto got = serve_concurrently(server, sent, kThreads, kRounds);
+    const std::uint64_t calls = sent.size() * kThreads * kRounds;
+    hits += calls - distinct;
+    EXPECT_EQ(server.update_encode_cache_hits(), hits) << label;
+    for (std::size_t r = 0; r < sent.size(); ++r) {
+      const auto fresh = reference.serve_frame(sent[r], /*tick=*/0);
+      for (const auto& thread : got) {
+        ASSERT_NE(thread[r], nullptr) << label;
+        EXPECT_EQ(thread[r], got[0][r]) << label << ": encoded twice";
+        EXPECT_EQ(*thread[r], *fresh) << label;
+      }
+    }
+  };
+
+  // Nothing published: every call takes the serve mutex.
+  phase(first, first.size(), "before publish");
+  const std::uint64_t calls = first.size() * kThreads * kRounds;
+  EXPECT_EQ(server.update_serve_lock().acquisitions, calls);
+
+  // Published: the first requests are lock-free hits; only the new ones
+  // take the mutex (and are encoded once each).
+  server.publish_update_cache();
+  phase(all, all.size() - first.size(), "after publish");
+  EXPECT_EQ(server.update_serve_lock().acquisitions,
+            calls + (all.size() - first.size()) * kThreads * kRounds);
+
+  // A list mutation drops both tables: everything is encoded again.
+  server.publish_update_cache();
+  server.add_expression(kList, "fourth.example/");
+  server.seal_chunk(kList);
+  reference.add_expression(kList, "fourth.example/");
+  reference.seal_chunk(kList);
+  phase(all, all.size(), "after mutation");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // "Allocation-free" as a counted property: a counting global operator new
 // checks that, once warm, the URL-cache miss path touches the heap zero
 // times -- LookupRequest::build over corpus URLs, TrafficModel::url_of on
-// a site-LRU hit, and URL-cache hits and misses into reused entries -- and
+// a site-LRU hit, and URL-cache hits and misses into reused entries --
+// that a warm v3 or v4 re-sync served from the shared caches does too, and
 // that a warm engine tick stays near zero allocations per user-tick.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,9 @@
 #include <vector>
 
 #include "sb/lookup_request.hpp"
+#include "sb/protocol.hpp"
+#include "sb/sync_state_cache.hpp"
+#include "sb/transport.hpp"
 #include "sim/engine.hpp"
 #include "sim/traffic_model.hpp"
 #include "sim/url_cache.hpp"
@@ -174,6 +178,79 @@ TEST(AllocFreeTest, UrlCacheHitsLikeAnExactMap) {
       ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
     }
   }
+}
+
+TEST(AllocFreeTest, WarmResyncsWithBothCachesHittingAllocateNothing) {
+  // Per generation, a leader re-syncs first (the server encodes, the cache
+  // builds), both caches publish as at a tick barrier, and the followers
+  // -- same state, same request -- then re-sync on an engine worker's
+  // path: the server's published encoding, the transport's decode memo,
+  // the sync-state cache's published slot.
+  constexpr const char* kList = "goog-malware-shavar";
+  sb::Server server;
+  for (int i = 0; i < 400; ++i) {
+    server.add_expression(kList, "site" + std::to_string(i) + ".example/");
+  }
+  server.seal_chunk(kList);
+  sb::SimClock clock;
+  sb::InProcessTransport transport(server, clock, /*round_trip_ticks=*/0);
+  auto cache = std::make_shared<sb::SyncStateCache>(
+      sb::SyncStateCache::Pruning::kManual);
+  std::vector<std::unique_ptr<sb::ProtocolClient>> leaders;
+  std::vector<std::unique_ptr<sb::ProtocolClient>> followers;
+  for (const auto protocol :
+       {sb::ProtocolVersion::kV3Chunked, sb::ProtocolVersion::kV4Sliced}) {
+    sb::ClientConfig config;
+    config.protocol = protocol;
+    config.sync_states = cache;
+    leaders.push_back(sb::make_protocol_client(transport, config));
+    leaders.back()->subscribe(kList);
+    for (int i = 0; i < 8; ++i) {
+      followers.push_back(sb::make_protocol_client(transport, config));
+      followers.back()->subscribe(kList);
+    }
+  }
+
+  std::uint64_t follower_allocations = 0;
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) {
+      server.remove_expression(kList,
+                               "site" + std::to_string(round) + ".example/");
+      for (int i = 0; i < 5; ++i) {
+        server.add_expression(
+            kList, "new" + std::to_string(round * 10 + i) + ".example/");
+      }
+      server.seal_chunk(kList);
+    }
+    for (auto& leader : leaders) ASSERT_TRUE(leader->update());
+    if (round == 0) {
+      // The initial syncs build from nothing: those slots are pruned at
+      // the barrier, so the whole fleet syncs before it, as in the engine.
+      for (auto& follower : followers) ASSERT_TRUE(follower->update());
+    }
+    cache->prune();
+    server.publish_update_cache();
+    if (round == 0) continue;
+
+    sb::QueryLogBuffer buffer;
+    const std::uint64_t hits = server.update_encode_cache_hits();
+    const std::uint64_t builds = cache->builds();
+    const std::uint64_t before = allocations();
+    {
+      const sb::Server::ScopedLogShard shard(buffer);
+      for (auto& follower : followers) ASSERT_TRUE(follower->update());
+    }
+    // Round 1 warms the per-thread request and the transport's request
+    // frame buffer.
+    if (round >= 2) follower_allocations += allocations() - before;
+    server.drain_log_buffer(buffer);
+    EXPECT_EQ(server.update_encode_cache_hits(), hits + followers.size());
+    EXPECT_EQ(cache->builds(), builds);
+  }
+  // Nothing remains: the request is rebuilt in reused buffers, the
+  // response frame and its decoded value are shared by pointer, and the
+  // next state is the published one.
+  EXPECT_EQ(follower_allocations, 0u);
 }
 
 TEST(AllocFreeTest, WarmEngineTicksStayNearZeroAllocations) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one update decode site, one CPU dispatch site.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -33,7 +33,7 @@ allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)
 and vectors of strings must not creep back into the files that build a
 missed URL.
 
-Update responses are decoded in one place: FrameTransport::send
+Update responses are decoded in one place: FrameTransport::send_update
 (src/sb/transport.cpp) remembers the last frame each update channel decoded
 and answers a repeated frame from that memo.  A call to
 wire::decode_update_response or wire::decode_v4_update_response anywhere
@@ -46,13 +46,20 @@ compiles a function for another target (target(...)).  No file under
 src/crypto/ reads the environment (getenv): nothing but the CPU chooses the
 kernel, so a second dispatch site or a hidden knob fails here.
 
+The shared-state mutexes lock through one helper, obs::TimedMutex
+(src/obs/lock.hpp), which reads the clock only to time waits and holds
+with metrics on.  A clock read (now_ns) there that no enclosing
+`if (...metrics...)` guards would put two clock reads on every locked
+update serve and sync-state build of a metrics-off run.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
 allocating URL or site wrapper or names std::vector<std::string>, if a
 file under src/net/ dispatches frames itself, if an update response is
 decoded outside src/sb/transport.cpp, or if CPU feature dispatch
-appears outside src/crypto/sha256.cpp or getenv under src/crypto/.  Line comments and block
+appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
+src/obs/lock.hpp reads the clock outside `if (...metrics...)`.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
 
@@ -127,6 +134,13 @@ CPU_DISPATCH = [
 NO_ENV_DIR = "src/crypto"
 GETENV = re.compile(r"\bgetenv\b")
 
+# The timed lock helper reads the clock only under a metrics check.
+TIMED_LOCK_FILE = "src/obs/lock.hpp"
+CLOCK_READ = re.compile(r"\bnow_ns\s*\(")
+METRICS_IF = r"\bif\s*\([^()]*\bmetrics_?\b[^()]*\)\s*"
+METRICS_STATEMENT = re.compile(r"\s*" + METRICS_IF)  # at a statement start
+METRICS_BLOCK = re.compile(METRICS_IF + "$")  # just before a block's `{`
+
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
 # implementation of membership.
@@ -151,6 +165,31 @@ def virtual_wrappers(text: str):
         statement = text[start:min(ends, default=len(text))]
         if VIRTUAL.search(statement):
             yield (text.count("\n", 0, match.start()) + 1, match.group(1),
+                   " ".join(statement.split()))
+
+
+def unguarded_clock_reads(text: str):
+    """Yields (line, statement) for each clock read that neither a braceless
+    `if (...metrics...)` nor any enclosing `if (...metrics...) {` block
+    guards."""
+    for match in CLOCK_READ.finditer(text):
+        start = max(text.rfind(c, 0, match.start()) for c in ";{}") + 1
+        end = text.find(";", match.end())
+        statement = text[start:end if end != -1 else len(text)]
+        guarded = METRICS_STATEMENT.match(text, start)
+        depth = 0
+        for i in range(match.start() - 1, -1, -1):
+            if guarded:
+                break
+            if text[i] == "}":
+                depth += 1
+            elif text[i] == "{":
+                if depth > 0:
+                    depth -= 1
+                else:
+                    guarded = METRICS_BLOCK.search(text, 0, i)
+        if not guarded:
+            yield (text.count("\n", 0, match.start()) + 1,
                    " ".join(statement.split()))
 
 
@@ -216,7 +255,7 @@ def main() -> int:
 
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
-    for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE):
+    for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE):
         if not (root / required).is_file():
             print(f"check_hot_path: missing file {required}", file=sys.stderr)
             return 1
@@ -236,6 +275,10 @@ def main() -> int:
             if rel.startswith(NO_ENV_DIR + "/") and GETENV.search(line):
                 violations.append((rel, lineno, "getenv in the crypto layer",
                                    line.strip()))
+    lock_text = strip_comments((root / TIMED_LOCK_FILE).read_text())
+    for lineno, text in unguarded_clock_reads(lock_text):
+        violations.append((TIMED_LOCK_FILE, lineno,
+                           "clock read outside if (metrics)", text))
 
     if violations:
         print("check_hot_path: forbidden declarations, calls or types:")
@@ -246,7 +289,9 @@ def main() -> int:
               "TrafficModel::url_of; build missed URLs with site_into / "
               "canonicalize_into / decompose_into; hand src/net frames to "
               "Server::serve_frame; decode update responses only in " +
-              UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE)
+              UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
+              "; read the clock in " + TIMED_LOCK_FILE + " only under "
+              "if (metrics)")
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -255,7 +300,8 @@ def main() -> int:
           f"{len(MISS_PATH_FILES)} miss-path files allocation-free, "
           f"{len(carriers)} src/net files frame-opaque, "
           f"update decodes only in {UPDATE_DECODE_FILE}, "
-          f"CPU dispatch only in {CPU_DISPATCH_FILE})")
+          f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
+          f"clock reads in {TIMED_LOCK_FILE} only with metrics on)")
     return 0
 
 

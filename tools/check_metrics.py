@@ -34,7 +34,15 @@ Checks, in order:
     requests the `transport` section served. A daemon artifact has no
     client transports and no such counter; its `frames_served` equals the
     requests summed over the `transport` channels, since the daemon counts
-    each served frame in both.
+    each served frame in both;
+  * `update_serve_locked` -- update requests the server served under its
+    serve mutex -- is at most the v3 + v4 update requests the `transport`
+    section served (a daemon's undecodable update frames, counted in
+    `decode_errors`, take the mutex too);
+  * an engine artifact also has `sync_state_locked` and a `locks` section
+    (beside `thread_pool`) with `update_serve` and `sync_state`, each with
+    `acquisitions` equal to its counter and `wait_ns` / `hold_ns`
+    distributions of one sample per acquisition.
 
 stdlib only. Exit codes: 0 ok, 1 any failure (with one line per problem).
 
@@ -53,6 +61,11 @@ CHANNELS = ("full_hash", "v3_update", "v4_update", "v1_lookup")
 UPDATE_CHANNELS = ("v3_update", "v4_update")
 DIST_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
 POOL_DISTS = ("dispatch_ns", "busy_ns", "imbalance_items")
+# Engine mutexes in the `locks` section, and the counter each one's
+# acquisitions equal.
+LOCKS = (("update_serve", "update_serve_locked"),
+         ("sync_state", "sync_state_locked"))
+LOCK_DISTS = ("wait_ns", "hold_ns")
 CHANNEL_DISTS = ("serve_ns", "request_bytes", "response_bytes")
 SHA256_BACKENDS = ("sha-ni", "portable")
 
@@ -200,8 +213,10 @@ def check_document(doc, problems):
                 problems.append(f"$.counters.{name}: not an integer")
         if "ticks_run" in counters:
             check_decode_reuses(counters, transport, problems)
+            check_locks(doc, counters, problems)
         else:
             check_frames_served(counters, transport, problems)
+        check_update_serve_locked(counters, transport, problems)
 
 
 def check_per_tick(per_tick, phases, problems):
@@ -256,6 +271,48 @@ def check_decode_reuses(counters, transport, problems):
     if served is not None and reuses > served:
         problems.append(f"$.counters.update_decode_reuses: {reuses} > "
                         f"{served} update requests served")
+
+
+def check_update_serve_locked(counters, transport, problems):
+    locked = require(counters, "$.counters", "update_serve_locked", (int,),
+                     problems)
+    if locked is None or not isinstance(transport, dict):
+        return
+    served = transport_requests(transport, UPDATE_CHANNELS)
+    if served is None:
+        return
+    rejected = counters.get("decode_errors", 0)
+    if isinstance(rejected, int) and locked > served + rejected:
+        problems.append(f"$.counters.update_serve_locked: {locked} > "
+                        f"{served} update requests served"
+                        + (f" + {rejected} decode errors" if rejected else ""))
+
+
+def check_locks(doc, counters, problems):
+    require(counters, "$.counters", "sync_state_locked", (int,), problems)
+    locks = require(doc, "$", "locks", (dict,), problems)
+    if locks is None:
+        return
+    for name, counter in LOCKS:
+        entry = require(locks, "$.locks", name, (dict,), problems)
+        if entry is None:
+            continue
+        path = f"$.locks.{name}"
+        acquisitions = require(entry, path, "acquisitions", (int,), problems)
+        if acquisitions is not None and isinstance(counters.get(counter), int) \
+                and acquisitions != counters[counter]:
+            problems.append(f"{path}.acquisitions: {acquisitions} != "
+                            f"counters.{counter} {counters[counter]}")
+        for dist_name in LOCK_DISTS:
+            dist = require(entry, path, dist_name, (dict,), problems)
+            if dist is None:
+                continue
+            check_distribution(dist, f"{path}.{dist_name}", problems)
+            count = dist.get("count")
+            if isinstance(count, int) and isinstance(acquisitions, int) and \
+                    count != acquisitions:
+                problems.append(f"{path}.{dist_name}.count: {count} != "
+                                f"{acquisitions} acquisitions")
 
 
 def main():
