@@ -167,10 +167,13 @@ std::uint64_t WebCorpus::site_page_count(std::size_t index) const {
   return page_count(rng);
 }
 
-void WebCorpus::site_into(std::size_t index, PackedSite& out) const {
+std::size_t WebCorpus::site_into(std::size_t index, PackedSite& out,
+                                 std::uint64_t max_pages) const {
   util::Rng rng = site_rng(index);
   const std::string domain = domain_of(index, rng);
-  const std::uint64_t pages = page_count(rng);
+  // Each page's draws follow the previous page's on one stream, so
+  // stopping early leaves the pages before the limit unchanged.
+  const std::uint64_t pages = std::min(page_count(rng), max_pages);
   out.bytes.clear();
   out.ends.clear();
   out.ends.reserve(pages);
@@ -185,6 +188,7 @@ void WebCorpus::site_into(std::size_t index, PackedSite& out) const {
   thread_local IndexPageSet index_pages;
   index_pages.reset(pages);
   char dir[sizeof(Directory::path)];
+  std::size_t renamed = 0;
 
   for (std::uint64_t p = 0; p < pages; ++p) {
     // Host: registrable domain or one of its subdomains.
@@ -257,6 +261,7 @@ void WebCorpus::site_into(std::size_t index, PackedSite& out) const {
     if (index_page && !index_pages.insert(out, p)) {
       // Duplicate (a directory index drawn twice): fall back to a file page
       // named by the page index, which is unique by construction.
+      ++renamed;
       out.bytes.resize(host_end);
       append_file_path(out.bytes, dir_path, p, ".html");
       if (has_query) {
@@ -269,6 +274,7 @@ void WebCorpus::site_into(std::size_t index, PackedSite& out) const {
     }
     out.ends.push_back(static_cast<std::uint32_t>(out.bytes.size()));
   }
+  return renamed;
 }
 
 Site WebCorpus::site(std::size_t index) const {

@@ -14,6 +14,12 @@
 // a seed, so every Figure 5/6 and Table 8 bench regenerates the paper's
 // distribution *shapes* at a configurable scale (benches print their scale
 // factor relative to the paper's 1M hosts).
+//
+// Each site draws from one sequential RNG stream, page after page, so the
+// first p pages of a site do not depend on the pages after them: a caller
+// that needs page p asks site_into for a (p + 1)-page prefix and gets the
+// same bytes the whole site would start with. The blacklist seed and the
+// simulation's site LRU generate only such prefixes.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +109,17 @@ class WebCorpus {
   }
   [[nodiscard]] const CorpusConfig& config() const noexcept { return config_; }
 
+  /// site_into's default page limit: the whole site.
+  static constexpr std::uint64_t kAllPages = ~std::uint64_t{0};
+
   /// THE generator: writes site `index` (0-based) into `out`, reusing its
-  /// storage. Thread-compatible: const and independent per call.
-  void site_into(std::size_t index, PackedSite& out) const;
+  /// storage. Thread-compatible: const and independent per call. With
+  /// `max_pages` it writes only the first min(max_pages, page count)
+  /// pages, byte for byte the same as that prefix of the whole site.
+  /// Returns how many drawn directory-index pages repeated an earlier page
+  /// and were written as file pages instead (pages stay unique per site).
+  std::size_t site_into(std::size_t index, PackedSite& out,
+                        std::uint64_t max_pages = kAllPages) const;
 
   /// site_into split into Page fields (analysis and benches).
   [[nodiscard]] Site site(std::size_t index) const;

@@ -67,6 +67,15 @@ json::Value locks_to_json(
   return out;
 }
 
+json::Value setup_to_json(const SetupTimes& setup) {
+  json::Value out{json::Object{}};
+  out.set("seed_blacklist_ns", json::Value(setup.seed_blacklist_ns));
+  out.set("seal_universe_ns", json::Value(setup.seal_universe_ns));
+  out.set("build_population_ns", json::Value(setup.build_population_ns));
+  out.set("total_ns", json::Value(setup.total_ns));
+  return out;
+}
+
 json::Value transport_to_json(const TransportObs& transport) {
   json::Value out{json::Object{}};
   for (std::size_t i = 0; i < kChannelCount; ++i) {
@@ -141,6 +150,7 @@ json::Value snapshot_to_json(const Snapshot& snapshot) {
   }
   out.set("phases_by_wall", json::Value(std::move(by_wall)));
 
+  if (snapshot.setup) out.set("setup", setup_to_json(*snapshot.setup));
   out.set("thread_pool", pool_to_json(snapshot.pool));
   if (!snapshot.locks.empty()) out.set("locks", locks_to_json(snapshot.locks));
   out.set("transport", transport_to_json(snapshot.transport));
@@ -171,6 +181,18 @@ std::string summary_table(const Snapshot& snapshot) {
                 "-- metrics summary: threads=%zu ticks=%" PRIu64 " --\n",
                 snapshot.threads_used, snapshot.ticks);
   out += line;
+
+  if (snapshot.setup) {
+    const SetupTimes& setup = *snapshot.setup;
+    std::snprintf(line, sizeof line,
+                  "setup: total=%sms seed_blacklist=%sms seal_universe=%sms "
+                  "build_population=%sms\n",
+                  format_ms(setup.total_ns).c_str(),
+                  format_ms(setup.seed_blacklist_ns).c_str(),
+                  format_ms(setup.seal_universe_ns).c_str(),
+                  format_ms(setup.build_population_ns).c_str());
+    out += line;
+  }
 
   // Wall time per phase, descending. Parallel phases (plan/lookup) sum
   // CPU time across shards, so they can exceed parallel_tick wall time.

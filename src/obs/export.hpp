@@ -11,6 +11,8 @@
 //                              "span_ns": {count,sum,min,max,mean,
 //                                          p50,p90,p99} }, ... },
 //     "phases_by_wall": ["parallel_tick", ...],   // descending wall_ns
+//     "setup": { "seed_blacklist_ns", "seal_universe_ns",
+//                "build_population_ns", "total_ns" },  // engine only
 //     "thread_pool": { "batches", "tasks", "dispatch_ns": {...},
 //                      "busy_ns": {...}, "imbalance_items": {...},
 //                      "workers": [ {busy_ns, executed, batches}, ... ] },

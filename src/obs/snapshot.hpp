@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,17 @@
 
 namespace sbp::obs {
 
+/// Wall time of the engine's construction, by step (metrics on only). The
+/// steps run one after another inside the constructor, so they sum to at
+/// most its total; the remainder is the server, the traffic model, the
+/// churn schedule, any server_setup hook and the thread pool.
+struct SetupTimes {
+  std::uint64_t seed_blacklist_ns = 0;    ///< Engine::seed_blacklist
+  std::uint64_t seal_universe_ns = 0;     ///< seal every list + the universe
+  std::uint64_t build_population_ns = 0;  ///< clients and their first syncs
+  std::uint64_t total_ns = 0;             ///< the whole constructor
+};
+
 struct Snapshot {
   bool enabled = false;
   std::size_t threads_used = 0;
@@ -28,6 +40,8 @@ struct Snapshot {
   PhaseProfile phases;
   /// Thread-pool internals (zero batches when the run was sequential).
   PoolObs pool;
+  /// The engine's setup breakdown; empty for the daemon.
+  std::optional<SetupTimes> setup;
   /// The shared-state mutexes by name (obs::TimedMutex): acquisitions,
   /// plus wait and hold times when metrics were on. Empty for the daemon.
   std::vector<std::pair<std::string, LockStats>> locks;

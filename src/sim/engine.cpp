@@ -33,7 +33,8 @@ std::size_t resolve_threads(std::size_t requested, std::size_t num_shards) {
 }  // namespace
 
 Engine::Engine(SimConfig config)
-    : config_(std::move(config)),
+    : setup_start_ns_(config.collect_metrics ? obs::now_ns() : 0),
+      config_(std::move(config)),
       server_(config_.provider),
       traffic_model_(config_.traffic, config_.corpus,
                      config_.site_cache_entries),
@@ -54,16 +55,29 @@ Engine::Engine(SimConfig config)
     // mid-run re-sync of any user lands in [cadence, 2*cadence).
     server_.set_minimum_wait(resync_cadence());
   }
-  seed_blacklist();
+  // With metrics on, each setup step is timed into setup_ (server_setup,
+  // the churn schedule and the pool fall in the constructor's total only).
+  const auto timed_step = [this](std::uint64_t& ns, auto&& body) {
+    const std::uint64_t t0 = obs_enabled_ ? obs::now_ns() : 0;
+    body();
+    if (obs_enabled_) ns = obs::now_ns() - t0;
+  };
+  timed_step(setup_.seed_blacklist_ns, [&] { seed_blacklist(); });
+  metrics_.corpus_pages_generated = seed_pages_generated_;
   if (config_.server_setup) config_.server_setup(server_);
-  for (const auto& list : server_.list_names()) {
-    server_.seal_chunk(list);
-  }
-  build_listed_universe();
-  build_population();
+  timed_step(setup_.seal_universe_ns, [&] {
+    for (const auto& list : server_.list_names()) {
+      server_.seal_chunk(list);
+    }
+    build_listed_universe();
+  });
+  timed_step(setup_.build_population_ns, [&] { build_population(); });
   pool_ = std::make_unique<ThreadPool>(
       resolve_threads(config_.num_threads, shards_.size()));
-  if (obs_enabled_) pool_->set_obs(&pool_obs_);
+  if (obs_enabled_) {
+    pool_->set_obs(&pool_obs_);
+    setup_.total_ns = obs::now_ns() - setup_start_ns_;
+  }
 }
 
 void Engine::build_listed_universe() {
@@ -88,7 +102,7 @@ void Engine::seed_blacklist() {
     return blacklist.lists[round_robin++ % blacklist.lists.size()];
   };
   const auto blacklist_expression = [&](const std::string& list,
-                                        const std::string& expression) {
+                                        std::string_view expression) {
     server_.add_expression(list, expression);
     // Seed entries enter the churn schedule's live FIFO so later epochs
     // can retire them (the aging that decays day-zero crawl knowledge).
@@ -96,6 +110,7 @@ void Engine::seed_blacklist() {
   };
 
   std::vector<std::uint32_t> page_indices;
+  corpus::PackedSite site;  // reused: each site's prefix through its last pick
   for (std::size_t s = 0;
        s < corpus.num_hosts() && entries < blacklist.max_entries; ++s) {
     // Whole-site entries: the registrable domain as "domain/", which every
@@ -118,16 +133,22 @@ void Engine::seed_blacklist() {
                   static_cast<std::uint64_t>(blacklist.max_entries - entries)});
     if (k == 0) continue;
 
-    const corpus::Site site = corpus.site(s);
-    page_indices.resize(site.pages.size());
+    // Partial Fisher-Yates over the page count alone, so the picks need no
+    // generated page; then the site is generated only through the last
+    // page picked.
+    page_indices.resize(count);
     std::iota(page_indices.begin(), page_indices.end(), 0);
-    for (std::uint64_t i = 0; i < k; ++i) {  // partial Fisher-Yates
+    for (std::uint64_t i = 0; i < k; ++i) {
       const std::size_t j =
           i + rng.next_below(page_indices.size() - i);
       std::swap(page_indices[i], page_indices[j]);
-      const corpus::Page& page = site.pages[page_indices[i]];
-      blacklist_expression(next_list(), page.expression());
-      blacklisted_pages_.push_back(page.url());
+    }
+    const auto picked = std::span(page_indices).first(k);
+    corpus.site_into(s, site,
+                     std::uint64_t{*std::ranges::max_element(picked)} + 1);
+    seed_pages_generated_ += site.size();
+    for (const std::uint32_t page : picked) {
+      blacklist_expression(next_list(), site.expression(page));
       ++entries;
     }
   }
@@ -538,9 +559,11 @@ bool Engine::step() {
   metrics_.client_state_builds = sync_states_->builds();
   metrics_.site_cache_hits = 0;
   metrics_.site_cache_misses = 0;
+  metrics_.corpus_pages_generated = seed_pages_generated_;
   for (const auto& shard : shards_) {
     metrics_.site_cache_hits += shard->site_cache.hits();
     metrics_.site_cache_misses += shard->site_cache.misses();
+    metrics_.corpus_pages_generated += shard->site_cache.pages_generated();
   }
 
   if (timed && config_.metrics_per_tick_series) {
@@ -584,6 +607,7 @@ obs::Snapshot Engine::obs_snapshot() const {
     snapshot.transport.merge_from(shard->obs_transport);
   }
   snapshot.pool = pool_obs_;
+  if (obs_enabled_) snapshot.setup = setup_;
 
   // SimMetrics under the same names report_to_json uses, so the
   // metrics.json counters section matches the scenario report.

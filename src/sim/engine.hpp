@@ -144,6 +144,9 @@ struct SimMetrics {
   std::uint64_t client_state_builds = 0;
   std::uint64_t site_cache_hits = 0;
   std::uint64_t site_cache_misses = 0;
+  /// Corpus pages generated by the blacklist seed and the site caches'
+  /// misses (each generates a prefix of its site or the whole site).
+  std::uint64_t corpus_pages_generated = 0;
 
   static constexpr util::CounterField<SimMetrics> kCounters[] = {
       {"ticks_run", &SimMetrics::ticks_run},
@@ -164,6 +167,7 @@ struct SimMetrics {
       {"client_state_builds", &SimMetrics::client_state_builds},
       {"site_cache_hits", &SimMetrics::site_cache_hits},
       {"site_cache_misses", &SimMetrics::site_cache_misses},
+      {"corpus_pages_generated", &SimMetrics::corpus_pages_generated},
   };
 
   /// Field-wise sum -- the post-barrier reduction of per-shard tick
@@ -246,12 +250,6 @@ class Engine {
     return config_.churn.minimum_wait_ticks > 0
                ? config_.churn.minimum_wait_ticks
                : config_.churn.epoch_ticks;
-  }
-
-  /// URLs of corpus pages blacklisted at construction (test support).
-  [[nodiscard]] const std::vector<std::string>& blacklisted_page_urls()
-      const noexcept {
-    return blacklisted_pages_;
   }
 
   /// Whether config.collect_metrics turned the profiling layer on.
@@ -344,6 +342,9 @@ class Engine {
   void mitigated_dispatch(Shard& shard, UserState& user,
                           const UrlCache::Entry& entry);
 
+  /// When construction began (metrics on; 0 otherwise). Declared first so
+  /// it is read before any other member is built.
+  std::uint64_t setup_start_ns_;
   SimConfig config_;
   sb::Server server_;
   sb::SimClock clock_;
@@ -368,6 +369,7 @@ class Engine {
   /// one sample per tick, the change in the summed phase totals since
   /// series_totals_. All engine-thread-only.
   bool obs_enabled_ = false;
+  obs::SetupTimes setup_;
   obs::PhaseProfile serial_profile_;
   obs::PoolObs pool_obs_;
   std::vector<obs::TickSample> obs_series_;
@@ -389,7 +391,8 @@ class Engine {
   /// keep producing wire traffic); v1 users bypass it per-user.
   bool universe_prefilter_ = true;
 
-  std::vector<std::string> blacklisted_pages_;
+  /// Pages seed_blacklist generated (the corpus_pages_generated base).
+  std::uint64_t seed_pages_generated_ = 0;
 };
 
 }  // namespace sbp::sim

@@ -66,22 +66,35 @@ std::optional<TrafficModel::VisitId> TrafficModel::corpus_page_id(
 }
 
 const corpus::PackedSite& TrafficModel::site(std::size_t index,
+                                             std::uint64_t page,
                                              SiteCache& cache) const {
   const auto it = cache.by_index_.find(index);
-  if (it != cache.by_index_.end()) {
-    ++cache.hits_;
+  const bool cached = it != cache.by_index_.end();
+  if (cached) {
     cache.lru_.splice(cache.lru_.begin(), cache.lru_, it->second);
+    if (page < it->second->site.size()) {
+      ++cache.hits_;
+      return it->second->site;
+    }
+  }
+  // A site's first miss generates it through `page`. A request past a
+  // cached prefix regenerates the whole site into the entry, so no later
+  // page of the site misses again while the entry lives.
+  ++cache.misses_;
+  corpus_.site_into(index, cache.scratch_,
+                    cached ? corpus::WebCorpus::kAllPages : page + 1);
+  cache.pages_generated_ += cache.scratch_.size();
+  if (cached) {
+    it->second->site = corpus::PackedSite(cache.scratch_);
     return it->second->site;
   }
-  ++cache.misses_;
-  corpus_.site_into(index, cache.scratch_);
   if (cache.lru_.size() < cache.capacity_) {
     cache.lru_.push_front({index, cache.scratch_});
     cache.by_index_.emplace(index, cache.lru_.begin());
     return cache.lru_.front().site;
   }
   // Full: the least recently used entry's list and map nodes are reused for
-  // the new site, but not its buffers -- a copy is sized to its own site.
+  // the new site, but not its buffers -- a copy is sized to what it holds.
   cache.lru_.splice(cache.lru_.begin(), cache.lru_,
                     std::prev(cache.lru_.end()));
   SiteCache::Entry& entry = cache.lru_.front();
@@ -108,10 +121,11 @@ void TrafficModel::url_of(VisitId id, SiteCache& cache,
     out = target_urls_[id & ~kTargetVisit];
     return;
   }
+  const std::uint64_t page = id & 0xFFFFFFFFu;
   const corpus::PackedSite& chosen =
-      site(static_cast<std::size_t>(id >> 32), cache);
+      site(static_cast<std::size_t>(id >> 32), page, cache);
   out.assign("http://");
-  out.append(chosen.expression(id & 0xFFFFFFFFu));
+  out.append(chosen.expression(page));
 }
 
 }  // namespace sbp::sim

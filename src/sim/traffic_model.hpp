@@ -18,14 +18,19 @@
 // head-heavy, so a small cache serves almost every lookup without ever
 // materializing the corpus. Each cached site is the generator's packed
 // form (corpus::PackedSite: one byte buffer of page expressions plus
-// per-page ends), so a hit copies one slice and allocates nothing. A miss
-// generates into the cache's scratch site and copies it into a buffer
-// sized to that site: entries never keep the capacity of a larger site
-// they replaced, so the cache's memory follows the sites it holds. The
-// model itself is immutable after construction (corpus generation is
-// const and stateless), so one instance is shared by every engine shard
-// across threads; the mutable LRU lives in a per-shard SiteCache handed
-// into each url_of().
+// per-page ends), so a hit copies one slice and allocates nothing. An
+// entry may hold only a prefix of its site: the corpus generates page p
+// without the pages after it (corpus/web_corpus.hpp), so a site's first
+// miss generates pages 0..p of the requested page p. A later request at
+// or past the cached prefix is a miss too, and regenerates the whole site
+// into that entry, which from then on hits for every page. Either kind of
+// miss generates into the cache's scratch site and copies it into a
+// buffer sized to what was generated: entries never keep the capacity of
+// a larger site they replaced, so the cache's memory follows what it
+// holds. The model itself is immutable after construction (corpus
+// generation is const and stateless), so one instance is shared by every
+// engine shard across threads; the mutable LRU lives in a per-shard
+// SiteCache handed into each url_of().
 #pragma once
 
 #include <algorithm>
@@ -58,7 +63,12 @@ class TrafficModel {
         : capacity_(std::max<std::size_t>(1, capacity)) {}
 
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
+    /// First requests of a site and requests past its cached prefix.
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+    /// Corpus pages the misses generated.
+    [[nodiscard]] std::uint64_t pages_generated() const noexcept {
+      return pages_generated_;
+    }
 
    private:
     friend class TrafficModel;
@@ -73,6 +83,7 @@ class TrafficModel {
     std::unordered_map<std::size_t, std::list<Entry>::iterator> by_index_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+    std::uint64_t pages_generated_ = 0;
   };
 
   /// Throws std::invalid_argument if the corpus does not fit the id
@@ -101,7 +112,10 @@ class TrafficModel {
   }
 
  private:
-  const corpus::PackedSite& site(std::size_t index, SiteCache& cache) const;
+  /// Site `index` through at least page `page`, from `cache` or generated
+  /// into it.
+  const corpus::PackedSite& site(std::size_t index, std::uint64_t page,
+                                 SiteCache& cache) const;
   /// The corpus page whose URL is exactly `url`, if any.
   [[nodiscard]] std::optional<VisitId> corpus_page_id(
       const std::string& url) const;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "url/canonicalize.hpp"
 
@@ -164,6 +166,38 @@ TEST(WebCorpusTest, GeneratedBytesArePinned) {
   EXPECT_EQ(pages, 478595u);
   EXPECT_EQ(corpus_hash(random, 2000, &pages), 0x54ea5b0670762df6ULL);
   EXPECT_EQ(pages, 538959u);
+}
+
+TEST(WebCorpusTest, PrefixesAreTheWholeSitesFirstPages) {
+  // The browse-static benchmark web: sites of 1 to 300 pages.
+  CorpusConfig config;
+  config.num_hosts = 200000;
+  config.seed = 2016;
+  config.max_pages = 300;
+  const WebCorpus corpus(config);
+  PackedSite whole;
+  PackedSite prefix;
+  std::size_t renaming_sites = 0;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    if (corpus.site_into(i, whole) > 0) ++renaming_sites;
+    const std::uint64_t n = whole.size();
+    ASSERT_EQ(n, corpus.site_page_count(i)) << "site " << i;
+    for (const std::uint64_t limit :
+         {std::uint64_t{1}, std::uint64_t{2}, n / 2, n - 1, n, n + 5}) {
+      corpus.site_into(i, prefix, limit);
+      const std::uint64_t pages = std::min(limit, n);
+      ASSERT_EQ(prefix.size(), pages) << "site " << i << " limit " << limit;
+      const std::size_t bytes = pages == 0 ? 0 : whole.ends[pages - 1];
+      EXPECT_TRUE(std::equal(prefix.ends.begin(), prefix.ends.end(),
+                             whole.ends.begin()))
+          << "site " << i << " limit " << limit;
+      EXPECT_EQ(prefix.bytes, std::string_view(whole.bytes).substr(0, bytes))
+          << "site " << i << " limit " << limit;
+    }
+  }
+  // Some covered site repeats a directory-index page, so the prefixes
+  // exercise the renaming of duplicates too.
+  EXPECT_GT(renaming_sites, 0u);
 }
 
 TEST(WebCorpusTest, ForEachSiteVisitsAll) {

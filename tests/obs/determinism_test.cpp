@@ -91,6 +91,11 @@ void expect_identical(const RunResult& off, const RunResult& on,
   EXPECT_LE(on.metrics.site_cache_hits + on.metrics.site_cache_misses,
             on.metrics.url_cache_misses)
       << label;
+  // Pages come from the seed's site prefixes and the site caches' misses,
+  // so at least one per miss.
+  EXPECT_GE(on.metrics.corpus_pages_generated,
+            on.metrics.site_cache_misses)
+      << label;
   // Each shard owns its transport's decode memo and its users re-sync in a
   // fixed order, so the memo hits the same frames at any thread count.
   ASSERT_GT(off.update_decode_reuses, 0u) << label << ": no decode reused";
@@ -108,11 +113,13 @@ void expect_identical(const RunResult& off, const RunResult& on,
       << label << ": no update request read the published table";
   if (on.snapshot) {
     // The exported counters are the SimMetrics table, name for name and
-    // in table order, then the server's and the transports' two counters
-    // and the two lock counters.
+    // in table order (ending in corpus_pages_generated), then the server's
+    // and the transports' two counters and the two lock counters.
     const util::CounterList& counters = on.snapshot->counters;
     const std::size_t rows = std::size(SimMetrics::kCounters);
+    ASSERT_EQ(rows, 19u) << label;
     ASSERT_EQ(counters.size(), rows + 4) << label;
+    EXPECT_EQ(counters[rows - 1].first, "corpus_pages_generated") << label;
     for (std::size_t i = 0; i < rows; ++i) {
       const auto& field = SimMetrics::kCounters[i];
       EXPECT_EQ(counters[i].first, field.name) << label;
@@ -176,6 +183,15 @@ TEST(ObsDeterminismTest, SnapshotContentsAreSane) {
             result.metrics.ticks_run);
   EXPECT_EQ(snapshot.phases.stats(obs::Phase::kLogDrain).spans,
             result.metrics.ticks_run);
+
+  // The setup breakdown: its steps run inside the constructor.
+  ASSERT_TRUE(snapshot.setup.has_value());
+  const obs::SetupTimes& setup = *snapshot.setup;
+  EXPECT_GT(setup.seed_blacklist_ns, 0u);
+  EXPECT_GT(setup.build_population_ns, 0u);
+  EXPECT_LE(setup.seed_blacklist_ns + setup.seal_universe_ns +
+                setup.build_population_ns,
+            setup.total_ns);
   EXPECT_GT(snapshot.phases.stats(obs::Phase::kChurnEpoch).spans, 0u);
   EXPECT_GT(snapshot.phases.stats(obs::Phase::kResync).spans, 0u);
 

@@ -141,6 +141,24 @@ TEST(ObsMetricsTest, PrometheusTextHasTypedSamples) {
   EXPECT_EQ(custom.find("sbsim_"), std::string::npos);
 }
 
+TEST(ObsMetricsTest, SetupSectionExportsOnlyWhenSet) {
+  Snapshot snapshot = sample_snapshot();
+  EXPECT_EQ(snapshot_to_json(snapshot).find("setup"), nullptr);
+  EXPECT_EQ(summary_table(snapshot).find("setup:"), std::string::npos);
+
+  snapshot.setup = SetupTimes{4'000'000, 1'000'000, 2'000'000, 8'000'000};
+  const json::Value doc = snapshot_to_json(snapshot);
+  const json::Value* setup = doc.find("setup");
+  ASSERT_NE(setup, nullptr);
+  EXPECT_EQ(json::dump(*setup, 0),
+            "{\"seed_blacklist_ns\":4000000, \"seal_universe_ns\":1000000, "
+            "\"build_population_ns\":2000000, \"total_ns\":8000000}");
+  EXPECT_NE(summary_table(snapshot).find(
+                "setup: total=8.00ms seed_blacklist=4.00ms "
+                "seal_universe=1.00ms build_population=2.00ms\n"),
+            std::string::npos);
+}
+
 TEST(ObsMetricsTest, SummaryTableSkipsSilentPhasesAndChannels) {
   Snapshot snapshot;
   snapshot.enabled = true;

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
+#include "corpus/web_corpus.hpp"
 #include "crypto/digest.hpp"
 #include "sim/log_sink.hpp"
 #include "tracking/aggregator.hpp"
+#include "util/rng.hpp"
 
 namespace sbp::sim {
 namespace {
@@ -309,6 +313,96 @@ TEST(SimEngineTest, AggregatorSinkMatchesBatchCorrelate) {
   ASSERT_FALSE(batch_hits.empty())
       << "no correlation fired; weaken the rule window";
   EXPECT_EQ(stream_hits, batch_hits);
+}
+
+/// The blacklist seed drawn the way Engine::seed_blacklist drew it before
+/// it generated only site prefixes: every site with a pick generated whole
+/// through WebCorpus::site(), its picked pages' expressions listed round-
+/// robin, then each list's orphans. Also returns, in `prefix_pages`, the
+/// pages a generator that stops at each site's last pick writes.
+std::map<std::string, std::set<crypto::Prefix32>> reference_seed(
+    const SimConfig& config, std::uint64_t& prefix_pages) {
+  const BlacklistConfig& blacklist = config.blacklist;
+  std::uint64_t state = config.seed ^ 0xB1AC1157B1AC1157ULL;
+  util::Rng rng(util::splitmix64(state));
+  const corpus::WebCorpus corpus(config.corpus);
+  std::map<std::string, std::set<crypto::Prefix32>> lists;
+  std::size_t entries = 0;
+  std::size_t round_robin = 0;
+  const auto add = [&](const std::string& expression) {
+    lists[blacklist.lists[round_robin++ % blacklist.lists.size()]].insert(
+        crypto::prefix32_of(expression));
+    ++entries;
+  };
+  prefix_pages = 0;
+  for (std::size_t s = 0;
+       s < corpus.num_hosts() && entries < blacklist.max_entries; ++s) {
+    if (blacklist.site_fraction > 0.0 &&
+        rng.next_bool(blacklist.site_fraction)) {
+      add(corpus.site_domain(s) + "/");
+      if (entries >= blacklist.max_entries) break;
+    }
+    const std::uint64_t count = corpus.site_page_count(s);
+    const double expected =
+        static_cast<double>(count) * blacklist.page_fraction;
+    std::uint64_t k = static_cast<std::uint64_t>(expected);
+    if (rng.next_bool(expected - static_cast<double>(k))) ++k;
+    k = std::min({k, count,
+                  static_cast<std::uint64_t>(blacklist.max_entries - entries)});
+    if (k == 0) continue;
+    const corpus::Site site = corpus.site(s);
+    std::vector<std::uint32_t> pages(site.pages.size());
+    std::iota(pages.begin(), pages.end(), 0);
+    std::uint32_t last = 0;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      const std::size_t j = i + rng.next_below(pages.size() - i);
+      std::swap(pages[i], pages[j]);
+      add(site.pages[pages[i]].expression());
+      last = std::max(last, pages[i]);
+    }
+    prefix_pages += last + 1;
+  }
+  for (const auto& list : blacklist.lists) {
+    for (std::size_t i = 0; i < blacklist.orphan_prefixes; ++i) {
+      lists[list].insert(static_cast<crypto::Prefix32>(rng.next()));
+    }
+  }
+  return lists;
+}
+
+TEST(SimEngineTest, SeedFromSitePrefixesMatchesWholeSiteSeed) {
+  SimConfig two_lists = small_config(31);
+  two_lists.blacklist.lists = {"goog-malware-shavar", "goog-phish-shavar"};
+  two_lists.blacklist.site_fraction = 0.05;
+  two_lists.blacklist.orphan_prefixes = 3;
+  SimConfig dense = small_config(32);  // k > 1 on most sites
+  dense.blacklist.page_fraction = 0.3;
+  dense.blacklist.site_fraction = 0.0;
+  SimConfig capped = small_config(33);  // the cap falls inside a site
+  capped.blacklist.page_fraction = 0.2;
+  capped.blacklist.max_entries = 777;
+  capped.corpus = corpus::CorpusConfig::alexa_like(800, 33);
+  capped.corpus.max_pages = 3000;
+
+  for (const SimConfig& config : {two_lists, dense, capped}) {
+    SCOPED_TRACE(config.seed);
+    std::uint64_t prefix_pages = 0;
+    const auto want = reference_seed(config, prefix_pages);
+    const Engine engine(config);
+    std::size_t listed = 0;
+    for (const auto& list : config.blacklist.lists) {
+      ASSERT_TRUE(want.contains(list)) << list;
+      const std::set<crypto::Prefix32>& expected = want.at(list);
+      EXPECT_EQ(engine.server().prefixes(list),
+                std::vector<crypto::Prefix32>(expected.begin(),
+                                              expected.end()))
+          << list;
+      listed += expected.size();
+    }
+    EXPECT_GT(listed, config.blacklist.lists.size() * 50);
+    // Setup generated only each picked site's prefix.
+    EXPECT_EQ(engine.metrics().corpus_pages_generated, prefix_pages);
+  }
 }
 
 }  // namespace

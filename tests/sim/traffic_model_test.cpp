@@ -113,6 +113,66 @@ TEST(TrafficModelTest, SiteCacheEvictsLeastRecentlyUsed) {
   }
 }
 
+TEST(TrafficModelTest, SiteCacheKeepsPrefixesAndExtendsToWholeSites) {
+  const TrafficModel model(browse_traffic(), browse_corpus(), 2);
+  TrafficModel::SiteCache cache = model.make_cache();
+  const corpus::WebCorpus reference(browse_corpus());
+  // Three sites of at least 10 pages.
+  std::vector<std::size_t> sites;
+  for (std::size_t s = 0; sites.size() < 3; ++s) {
+    if (reference.site_page_count(s) >= 10) sites.push_back(s);
+  }
+  const std::size_t a = sites[0], b = sites[1], c = sites[2];
+  const auto pages_of = [&](std::size_t site) {
+    return reference.site_page_count(site);
+  };
+
+  // A hit serves a cached page; a prefix miss generates the site through
+  // the requested page; a whole miss (a request at or past the cached
+  // prefix) generates the whole site.
+  enum class Kind { kHit, kPrefix, kWhole };
+  struct Step {
+    std::size_t site;
+    std::uint64_t page;
+    Kind kind;
+  };
+  // Capacity 2; the comment is the cache after each access.
+  const std::vector<Step> script = {
+      {a, 3, Kind::kPrefix},               // a[0..3]
+      {a, 0, Kind::kHit},                  // a[0..3]
+      {a, 3, Kind::kHit},                  // a[0..3]
+      {a, 4, Kind::kWhole},                // a
+      {a, pages_of(a) - 1, Kind::kHit},    // a
+      {b, 1, Kind::kPrefix},               // b[0..1] a
+      {b, 5, Kind::kWhole},                // b a
+      {c, 0, Kind::kPrefix},               // c[0] b; evicts a
+      {a, 2, Kind::kPrefix},               // a[0..2] c[0]; evicts b
+      {c, 0, Kind::kHit},                  // c[0] a[0..2]
+      {b, 1, Kind::kPrefix},               // b[0..1] c[0]; evicts a
+      {c, 1, Kind::kWhole},                // c b[0..1]
+      {b, pages_of(b) - 1, Kind::kWhole},  // b c
+      {c, pages_of(c) - 1, Kind::kHit},    // c b
+  };
+  std::uint64_t hits = 0, misses = 0, generated = 0;
+  std::string url;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Step& step = script[i];
+    switch (step.kind) {
+      case Kind::kHit: ++hits; break;
+      case Kind::kPrefix: ++misses; generated += step.page + 1; break;
+      case Kind::kWhole: ++misses; generated += pages_of(step.site); break;
+    }
+    model.url_of(static_cast<TrafficModel::VisitId>(step.site) << 32 |
+                     step.page,
+                 cache, url);
+    EXPECT_EQ(url, reference.site(step.site).pages[step.page].url())
+        << "step " << i;
+    EXPECT_EQ(cache.hits(), hits) << "step " << i;
+    EXPECT_EQ(cache.misses(), misses) << "step " << i;
+    EXPECT_EQ(cache.pages_generated(), generated) << "step " << i;
+  }
+}
+
 TEST(TrafficModelTest, OneIdPerTargetUrl) {
   const corpus::WebCorpus reference(browse_corpus());
   const std::string corpus_url = reference.site(3).pages[1].url();

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -33,6 +33,12 @@ allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)
 and vectors of strings must not creep back into the files that build a
 missed URL.
 
+Engine setup seeds the blacklist from site prefixes: it draws the pages
+to list from each site's page count, then generates the site only through
+the last page drawn (WebCorpus::site_into with a page limit).  A call to
+the whole-site WebCorpus::site in src/sim/engine.cpp generates and splits
+every page of each site into strings again.
+
 Update responses are decoded in one place: FrameTransport::send_update
 (src/sb/transport.cpp) remembers the last frame each update channel decoded
 and answers a repeated frame from that memo.  A call to
@@ -56,7 +62,8 @@ This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
 allocating URL or site wrapper or names std::vector<std::string>, if a
-file under src/net/ dispatches frames itself, if an update response is
+file under src/net/ dispatches frames itself, if src/sim/engine.cpp
+calls the whole-site WebCorpus::site, if an update response is
 decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
 src/obs/lock.hpp reads the clock outside `if (...metrics...)`.  Line comments and block
@@ -104,6 +111,13 @@ ALLOCATING = [
     (re.compile(r"\burl::decompose\s*\("), "allocating url::decompose"),
     (re.compile(r"\bcorpus_\s*\.\s*site\s*\("), "allocating WebCorpus::site"),
     (re.compile(r"\bstd::vector\s*<\s*std::string\s*>"), "std::vector<std::string>"),
+]
+
+# Engine setup takes corpus pages from site_into prefixes only.
+PREFIX_SEED_FILES = ["src/sim/engine.cpp"]
+WHOLE_SITE = [
+    (re.compile(r"\bcorpus\s*\.\s*site\s*\("), "corpus.site"),
+    (re.compile(r"\bWebCorpus::site\s*\("), "WebCorpus::site"),
 ]
 
 # Files that carry frames without looking inside them: no request tags and
@@ -237,6 +251,18 @@ def main() -> int:
                     violations.append((rel, lineno, f"miss path ({label})",
                                        line.strip()))
 
+    for rel in PREFIX_SEED_FILES:
+        path = root / rel
+        if not path.is_file():
+            print(f"check_hot_path: missing setup file {rel}", file=sys.stderr)
+            return 1
+        stripped = strip_comments(path.read_text())
+        for lineno, line in enumerate(stripped.splitlines(), start=1):
+            for pattern, label in WHOLE_SITE:
+                if pattern.search(line):
+                    violations.append((rel, lineno, f"whole-site seed ({label})",
+                                       line.strip()))
+
     carriers = sorted(path for folder in FRAME_CARRIER_DIRS
                       for path in (root / folder).rglob("*")
                       if path.suffix in (".cpp", ".hpp"))
@@ -287,7 +313,8 @@ def main() -> int:
         print("override only contains_many / local_contains_many; call the batch "
               "forms on the hot path; plan visit ids, build URLs via "
               "TrafficModel::url_of; build missed URLs with site_into / "
-              "canonicalize_into / decompose_into; hand src/net frames to "
+              "canonicalize_into / decompose_into; seed from site_into "
+              "prefixes; hand src/net frames to "
               "Server::serve_frame; decode update responses only in " +
               UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
@@ -298,6 +325,7 @@ def main() -> int:
           f"{len(HOT_PATH_FILES)} hot-path files batch-only, "
           f"{len(STRING_FREE_FILES)} string-free, "
           f"{len(MISS_PATH_FILES)} miss-path files allocation-free, "
+          f"{len(PREFIX_SEED_FILES)} setup file seeding from prefixes, "
           f"{len(carriers)} src/net files frame-opaque, "
           f"update decodes only in {UPDATE_DECODE_FILE}, "
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "

@@ -42,7 +42,12 @@ Checks, in order:
   * an engine artifact also has `sync_state_locked` and a `locks` section
     (beside `thread_pool`) with `update_serve` and `sync_state`, each with
     `acquisitions` equal to its counter and `wait_ns` / `hold_ns`
-    distributions of one sample per acquisition.
+    distributions of one sample per acquisition;
+  * an engine artifact has a `setup` section: the integer wall times of
+    the constructor's steps (`seed_blacklist_ns`, `seal_universe_ns`,
+    `build_population_ns`) and of the whole constructor (`total_ns`). The
+    steps run one after another inside it, so they sum to at most the
+    total.
 
 stdlib only. Exit codes: 0 ok, 1 any failure (with one line per problem).
 
@@ -67,6 +72,9 @@ LOCKS = (("update_serve", "update_serve_locked"),
          ("sync_state", "sync_state_locked"))
 LOCK_DISTS = ("wait_ns", "hold_ns")
 CHANNEL_DISTS = ("serve_ns", "request_bytes", "response_bytes")
+# The engine constructor's timed steps, and its total.
+SETUP_PARTS = ("seed_blacklist_ns", "seal_universe_ns", "build_population_ns")
+SETUP_TOTAL = "total_ns"
 SHA256_BACKENDS = ("sha-ni", "portable")
 
 
@@ -214,6 +222,7 @@ def check_document(doc, problems):
         if "ticks_run" in counters:
             check_decode_reuses(counters, transport, problems)
             check_locks(doc, counters, problems)
+            check_setup(doc, problems)
         else:
             check_frames_served(counters, transport, problems)
         check_update_serve_locked(counters, transport, problems)
@@ -313,6 +322,21 @@ def check_locks(doc, counters, problems):
                     count != acquisitions:
                 problems.append(f"{path}.{dist_name}.count: {count} != "
                                 f"{acquisitions} acquisitions")
+
+
+def check_setup(doc, problems):
+    setup = require(doc, "$", "setup", (dict,), problems)
+    if setup is None:
+        return
+    values = {name: require(setup, "$.setup", name, (int,), problems)
+              for name in SETUP_PARTS + (SETUP_TOTAL,)}
+    if any(value is None for value in values.values()):
+        return
+    parts = sum(values[name] for name in SETUP_PARTS)
+    if parts > values[SETUP_TOTAL]:
+        problems.append(f"$.setup: steps sum to {parts} ns > {SETUP_TOTAL} "
+                        f"{values[SETUP_TOTAL]} (they run inside the "
+                        "constructor)")
 
 
 def main():
