@@ -1,6 +1,6 @@
 // The timed lock helper (src/obs): one mutex type for the shared state the
-// parallel tick touches (sb::Server's update serve path and
-// sb::SyncStateCache's get-or-build path).
+// parallel tick touches, held by sb::PublishedTable (sb::Server's update
+// serve path and sb::SyncStateCache's get-or-build path).
 //
 // Every scoped acquisition is counted -- a deterministic figure when the
 // calls that lock are fixed by the program, as the engine's barrier
@@ -77,11 +77,6 @@ class TimedMutex {
     }
     return stats;
   }
-
-  /// BasicLockable, for holds that are neither counted nor timed
-  /// (std::lock_guard in queries and in the serial phase).
-  void lock() { mutex_.lock(); }
-  void unlock() { mutex_.unlock(); }
 
  private:
   struct Timing {

@@ -56,13 +56,15 @@ bool Client::update() {
   for (const auto& update : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != update.list_name) continue;
-      // Moving the old state in lets a private cache drop it right away.
+      // Moving the old state in lets a private cache drop it when this
+      // update() ends.
       state.synced = sync_states().next_v3(std::move(state.synced), response,
                                            update, config_.store_kind,
                                            config_.bloom_bits);
     }
   }
   cache_.clear();  // an update discards cached full digests
+  prune_private_states();
   return true;
 }
 

@@ -82,8 +82,9 @@ struct ClientConfig {
                         .min_update_gap = 0};
   /// Where v3/v4 clients get their immutable synced list states (see
   /// sb/sync_state_cache.hpp). A population passes one shared cache so
-  /// clients in the same state share one apply+rebuild and one store;
-  /// null = a private cache per client.
+  /// clients in the same state share one apply+rebuild and one store, and
+  /// prunes it itself; null = a private cache per client, which the client
+  /// prunes at the end of every update().
   std::shared_ptr<SyncStateCache> sync_states;
 };
 
@@ -207,8 +208,9 @@ class PrefixProtocolClient : public ProtocolClient {
   PrefixProtocolClient(Transport& transport, ClientConfig config)
       : ProtocolClient(transport, config),
         cache_(config.full_hash_ttl),
-        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {
-    if (!config_.sync_states) {
+        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B),
+        private_states_(config.sync_states == nullptr) {
+    if (private_states_) {
       config_.sync_states = std::make_shared<SyncStateCache>();
     }
   }
@@ -217,8 +219,13 @@ class PrefixProtocolClient : public ProtocolClient {
     return *config_.sync_states;
   }
 
+  /// Ends every update(): a private cache drops the states the client has
+  /// moved past, so it keeps nothing alive between updates.
+  void prune_private_states() { if (private_states_) sync_states().prune(); }
+
   storage::FullHashCache cache_;
   BackoffState full_hash_backoff_;
+  const bool private_states_;
 };
 
 /// The local_contains_many of a client holding one store per list: ORs

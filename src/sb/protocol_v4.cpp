@@ -48,7 +48,8 @@ bool V4SlicedProtocol::update() {
   for (const auto& slice : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != slice.list_name) continue;
-      // Moving the old state in lets a private cache drop it right away.
+      // Moving the old state in lets a private cache drop it when this
+      // update() ends.
       state.store =
           sync_states().next_v4(std::move(state.store), response, slice);
       if (!state.store || state.store->checksum() != slice.checksum) {
@@ -65,6 +66,7 @@ bool V4SlicedProtocol::update() {
     }
   }
   cache_.clear();  // an update discards cached full digests
+  prune_private_states();
   return all_applied;
 }
 

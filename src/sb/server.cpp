@@ -33,7 +33,7 @@ void Server::invalidate_snapshot() noexcept {
     snapshot_.reset();
   }
   // Any list mutation also invalidates every memoized update encoding.
-  clear_update_cache();
+  update_cache_.clear();
 }
 
 std::shared_ptr<const Server::LookupSnapshot> Server::lookup_snapshot() const {
@@ -139,7 +139,7 @@ void Server::seal(ListData& data) {
   // A real seal bumps the chunk sequence, changing every update diff.
   // (The adds that filled the open chunk already cleared the cache via
   // invalidate_snapshot; this keeps seal safe on its own too.)
-  clear_update_cache();
+  update_cache_.clear();
   Chunk chunk = std::move(data.open_chunk);
   chunk.type = ChunkType::kAdd;
   chunk.number = data.next_chunk_number++;
@@ -289,10 +289,6 @@ ResponseFrame share(std::vector<std::uint8_t> frame) {
 
 }  // namespace
 
-void Server::publish_update_cache() {
-  published_updates_.merge(pending_updates_);  // disjoint: moves every node
-}
-
 template <typename Serve>
 ResponseFrame Server::serve_cached_update(
     const std::vector<std::uint8_t>& request_frame, Serve&& serve) {
@@ -304,33 +300,21 @@ ResponseFrame Server::serve_cached_update(
   const std::string_view key(
       reinterpret_cast<const char*>(request_frame.data()),
       request_frame.size());
-  // An engine worker reads the published table with no lock: it changes
-  // only at the tick barrier. The hit is counted in the worker's own
-  // shard buffer.
-  if (active_log_buffer_ != nullptr && !published_updates_.empty()) {
-    const auto cached = published_updates_.find(key);
-    if (cached != published_updates_.end()) {
+  // An engine worker counts its lock-free hit in its own shard buffer.
+  if (active_log_buffer_ != nullptr) {
+    if (const ResponseFrame* cached = update_cache_.find(key)) {
       ++active_log_buffer_->update_encode_cache_hits_;
-      return cached->second;
+      return *cached;
     }
   }
   // Everything else serializes here: for each distinct request frame
   // exactly ONE caller encodes (a miss) and every other sees the cached
   // bytes (hits) -- the hit/miss totals are independent of arrival order,
-  // keeping metrics thread-count-invariant.
-  const obs::TimedMutex::Guard lock(update_serve_mutex_);
-  for (const UpdateCache* table : {&published_updates_, &pending_updates_}) {
-    const auto cached = table->find(key);
-    if (cached != table->end()) {
-      ++update_encode_cache_hits_;
-      return cached->second;
-    }
-  }
-  ResponseFrame response = serve();
-  // Insert AFTER serving: fetch_* may seal, which clears the cache; the
-  // entry stored now describes the post-seal state it was computed from.
-  if (response) pending_updates_.emplace(std::string(key), response);
-  return response;
+  // keeping metrics thread-count-invariant. fetch_* may seal, which
+  // clears the cache; the entry stored after it describes the post-seal
+  // state it was computed from.
+  return update_cache_.get_or_build(
+      key, [](const ResponseFrame&) { return true; }, serve);
 }
 
 ResponseFrame Server::serve_frame(
@@ -350,18 +334,20 @@ ResponseFrame Server::serve_frame(
           {lookup_v1(request->url, request->cookie, tick)}));
     }
     case wire::FrameType::kUpdateRequest:
-      return serve_cached_update(request_frame, [&]() -> ResponseFrame {
-        const auto request = wire::decode_update_request(request_frame);
-        if (!request) return nullptr;
-        return share(wire::encode_update_response(fetch_update(*request)));
-      });
+      return serve_cached_update(
+          request_frame, [&]() -> std::optional<ResponseFrame> {
+            const auto request = wire::decode_update_request(request_frame);
+            if (!request) return std::nullopt;
+            return share(wire::encode_update_response(fetch_update(*request)));
+          });
     case wire::FrameType::kV4UpdateRequest:
-      return serve_cached_update(request_frame, [&]() -> ResponseFrame {
-        const auto request = wire::decode_v4_update_request(request_frame);
-        if (!request) return nullptr;
-        return share(
-            wire::encode_v4_update_response(fetch_v4_update(*request)));
-      });
+      return serve_cached_update(
+          request_frame, [&]() -> std::optional<ResponseFrame> {
+            const auto request = wire::decode_v4_update_request(request_frame);
+            if (!request) return std::nullopt;
+            return share(
+                wire::encode_v4_update_response(fetch_v4_update(*request)));
+          });
     default:
       return nullptr;  // response tags and unknown bytes
   }

@@ -52,6 +52,7 @@
 #include "obs/lock.hpp"
 #include "sb/chunk.hpp"
 #include "sb/list_spec.hpp"
+#include "sb/published_table.hpp"
 
 namespace sbp::storage {
 class SnapshotWriter;
@@ -330,41 +331,41 @@ class Server {
   /// encode-once/fan-out cache): N clients resyncing from the same state
   /// token share ONE encoding of the diff. Any list mutation or
   /// set_minimum_wait() drops the whole cache, so a hit is always
-  /// byte-identical to a fresh encode. The cache is two tables:
-  ///   * published -- read-only between publish_update_cache() calls. A
-  ///     thread with a ScopedLogShard (an engine worker) probes it with no
-  ///     lock and counts a hit in its shard buffer;
-  ///   * pending -- behind the serve mutex. Every other call probes
-  ///     published and pending under it, and a miss encodes into pending,
-  ///     so exactly one caller encodes each distinct request frame.
-  /// A server that never publishes (the daemon) serves every update under
-  /// the mutex. THREAD-SAFE for the read endpoints and for updates,
-  /// provided no caller mutates lists or publishes concurrently (the
-  /// engine's serial churn epoch seals everything before the parallel
-  /// phase opens, so the seal inside fetch_* is a no-op there).
+  /// byte-identical to a fresh encode. The cache is an sb::PublishedTable:
+  /// a thread with a ScopedLogShard (an engine worker) probes its
+  /// published table with no lock and counts a hit in its shard buffer;
+  /// every other call, and every miss, goes through the serve mutex, where
+  /// exactly one caller encodes each distinct request frame. A server that
+  /// never publishes (the daemon) serves every update under the mutex.
+  /// THREAD-SAFE for the read endpoints and for updates, provided no
+  /// caller mutates lists or publishes concurrently (the engine's serial
+  /// churn epoch seals everything before the parallel phase opens, so the
+  /// seal inside fetch_* is a no-op there).
   [[nodiscard]] ResponseFrame serve_frame(
       const std::vector<std::uint8_t>& request_frame, std::uint64_t tick);
 
   /// Moves the encodings made since the last publish into the published
   /// table. Only while no thread serves (sim::Engine: at the tick barrier).
-  void publish_update_cache();
+  void publish_update_cache() { update_cache_.publish(); }
 
   /// Number of update requests served from the encode cache since
-  /// construction (exported as the `update_encode_cache_hits` counter).
-  /// Hits counted in shard buffers join it when the buffer is drained.
-  [[nodiscard]] std::uint64_t update_encode_cache_hits() const noexcept {
-    return update_encode_cache_hits_;
+  /// construction (exported as the `update_encode_cache_hits` counter):
+  /// the lock-free hits, which join it when their shard buffer is drained,
+  /// plus the locked calls that did not encode. Only while no thread
+  /// serves.
+  [[nodiscard]] std::uint64_t update_encode_cache_hits() const {
+    return update_encode_cache_hits_ +
+           update_cache_.lock_stats().acquisitions - update_cache_.builds();
   }
 
   /// The serve mutex's figures: its acquisitions (`update_serve_locked`,
   /// the update requests served under it) and, with lock metrics on, its
   /// wait and hold times. Only while no thread serves.
   [[nodiscard]] obs::LockStats update_serve_lock() const {
-    return update_serve_mutex_.stats();
+    return update_cache_.lock_stats();
   }
-  /// Times the serve mutex's waits and holds (obs::TimedMutex). Only while
-  /// no thread serves.
-  void set_lock_metrics(bool on) { update_serve_mutex_.set_metrics(on); }
+  /// Times the serve mutex's waits and holds. Only while no thread serves.
+  void set_lock_metrics(bool on) { update_cache_.set_lock_metrics(on); }
 
   /// Full-hash lookup (shared by v3 and v4). Logs (tick, cookie, prefixes)
   /// -- the privacy-critical observation. Unknown prefixes yield empty
@@ -380,7 +381,7 @@ class Server {
   /// encoded response).
   void set_minimum_wait(std::uint64_t ticks) noexcept {
     minimum_wait_ = ticks;
-    clear_update_cache();
+    update_cache_.clear();
   }
 
   // -- persistence (docs/persistence.md) ------------------------------------
@@ -454,13 +455,8 @@ class Server {
   /// Mutators of digests_by_prefix drop the published snapshot; the next
   /// lookup_snapshot() (or seal_chunk) rebuilds it.
   void invalidate_snapshot() noexcept;
-  /// Drops both update encode-cache tables.
-  void clear_update_cache() noexcept {
-    published_updates_.clear();
-    pending_updates_.clear();
-  }
   /// Serves one update frame through the encode cache; `serve` decodes,
-  /// serves and encodes on a miss (nullptr = undecodable, not cached).
+  /// serves and encodes on a miss (nullopt = undecodable, not cached).
   template <typename Serve>
   [[nodiscard]] ResponseFrame serve_cached_update(
       const std::vector<std::uint8_t>& request_frame, Serve&& serve);
@@ -485,17 +481,12 @@ class Server {
     }
   };
 
-  /// Encoded update responses keyed by encoded request-frame bytes.
-  using UpdateCache = std::unordered_map<std::string, ResponseFrame,
-                                         FrameKeyHash, std::equal_to<>>;
-  /// The encode cache's two tables (see serve_frame); disjoint. Cleared by
-  /// every mutation (via invalidate_snapshot and seal) and by
-  /// set_minimum_wait; never copied (copies start cold).
-  UpdateCache published_updates_;
-  UpdateCache pending_updates_;  ///< guarded by update_serve_mutex_
+  /// Encoded update responses keyed by encoded request-frame bytes (see
+  /// serve_frame). Cleared by every mutation (via invalidate_snapshot and
+  /// seal) and by set_minimum_wait; never copied (copies start cold).
+  PublishedTable<std::string, ResponseFrame, FrameKeyHash> update_cache_;
+  /// Lock-free hits, drained from the shard buffers.
   std::uint64_t update_encode_cache_hits_ = 0;
-  /// Serializes the update serves that miss the published table.
-  obs::TimedMutex update_serve_mutex_;
 
   /// Thread-local routing target installed by ScopedLogShard.
   static thread_local QueryLogBuffer* active_log_buffer_;

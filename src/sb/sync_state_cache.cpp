@@ -2,66 +2,30 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 
 namespace sbp::sb {
 
 namespace {
 
-template <typename Table>
-auto find_slot(Table& table, typename Table::key_type prior,
-               std::string_view list, std::uint64_t variant) ->
-    typename Table::mapped_type::value_type* {
-  const auto it = table.find(prior);
-  if (it == table.end()) return nullptr;
-  for (auto& entry : it->second) {
-    if (entry.list == list && entry.variant == variant) return &entry;
-  }
-  return nullptr;
-}
-
-/// Stores `entry` in its slot, replacing the update that slot last built.
-template <typename Table, typename Entry>
-void remember(Table& table, Entry&& entry) {
-  if (auto* slot =
-          find_slot(table, entry.prior.get(), entry.list, entry.variant)) {
-    slot->source = std::move(entry.source);
-    slot->update = entry.update;
-    slot->next = std::move(entry.next);
-    return;
-  }
-  const auto* key = entry.prior.get();
-  table[key].push_back(std::forward<Entry>(entry));
-}
-
+/// Drops every slot whose prior state is referenced by the table alone.
 template <typename Table>
 void prune_table(Table& table) {
   // A state's outside holders are its use_count minus the references the
-  // entries hold (as a prior or as a result). Dropping an entry lowers
-  // both terms equally, so deciding every bucket on the counts taken
-  // before any drop is exact, whatever the order. The null bucket has no
-  // holder at all and always goes.
-  std::unordered_map<typename Table::key_type, long> cache_refs;
-  for (const auto& [prior, bucket] : table) {
-    cache_refs[prior] += static_cast<long>(bucket.size());
-    for (const auto& entry : bucket) {
-      if (entry.next) ++cache_refs[entry.next.get()];
-    }
+  // slots hold (as a prior or as a result). Dropping a slot lowers both
+  // terms equally, so deciding every slot on the counts taken before any
+  // drop is exact, whatever the order. A null prior has no holder at all
+  // and always goes.
+  std::unordered_map<const void*, long> cache_refs;
+  for (const auto& [key, slot] : table.published()) {
+    ++cache_refs[key.prior];
+    if (slot.next) ++cache_refs[slot.next.get()];
   }
-  std::vector<typename Table::key_type> unheld;
-  for (const auto& [prior, bucket] : table) {
-    if (prior == nullptr ||
-        bucket.front().prior.use_count() == cache_refs[prior]) {
-      unheld.push_back(prior);
-    }
-  }
-  for (const auto prior : unheld) table.erase(prior);
-}
-
-template <typename Table>
-std::size_t table_size(const Table& table) {
-  std::size_t total = 0;
-  for (const auto& [prior, bucket] : table) total += bucket.size();
-  return total;
+  table.prune([&cache_refs](const auto& key, const auto& slot) {
+    return key.prior == nullptr ||
+           slot.prior.use_count() == cache_refs[key.prior];
+  });
 }
 
 bool same_update(const std::vector<Chunk>& a, const std::vector<Chunk>& b) {
@@ -73,47 +37,35 @@ bool same_update(const V4SliceUpdate& a, const V4SliceUpdate& b) {
          a.removal_indices == b.removal_indices && a.additions == b.additions;
 }
 
-/// Whether `entry` was built from `update`, carried by `frame`: the same
+/// Whether `slot` was built from `update`, carried by `frame`: the same
 /// frame carries the same update for the slot's list, so a pointer compare
 /// decides; any other caller is compared by contents.
-template <typename Entry, typename Update>
-bool built_from(const Entry& entry, const ResponseFrame& frame,
+template <typename Slot, typename Update>
+bool built_from(const Slot& slot, const ResponseFrame& frame,
                 const Update& update) {
-  if (entry.source.frame != nullptr && entry.source.frame == frame) {
+  if (slot.source.frame != nullptr && slot.source.frame == frame) {
     return true;
   }
-  return same_update(*entry.update, update);
+  return same_update(*slot.update, update);
 }
 
 }  // namespace
 
-template <typename M, typename Build>
-typename M::StatePtr SyncStateCache::get_or_build(
-    M& memo, typename M::StatePtr prior, std::string_view list,
-    std::uint64_t variant, const typename M::Source& source,
-    const typename M::UpdateType& update, Build&& build) {
-  if (pruning_ == Pruning::kManual) {
-    // Lock-free: the published table changes only in prune().
-    const auto* slot = find_slot(memo.published, prior.get(), list, variant);
-    if (slot != nullptr && built_from(*slot, source.frame, update)) {
-      return slot->next;
-    }
-  }
-  const obs::TimedMutex::Guard lock(mutex_);
-  const auto* slot = find_slot(memo.pending, prior.get(), list, variant);
-  if (slot != nullptr && built_from(*slot, source.frame, update)) {
-    return slot->next;
-  }
-  typename M::StatePtr next = build(prior);
-  ++builds_;
-  remember(memo.pending,
-           typename M::Entry{std::move(prior), std::string(list), variant,
-                             source, &update, next});
-  if (pruning_ == Pruning::kAfterBuild) {
-    prune_table(v3_.pending);
-    prune_table(v4_.pending);
-  }
-  return next;
+template <typename S, typename Update, typename Build>
+decltype(S::next) SyncStateCache::get_or_build(
+    Table<S>& table, decltype(S::prior) prior, std::string_view list,
+    std::uint64_t variant, const decltype(S::source)& source,
+    const Update& update, Build&& build) {
+  const Key key{prior.get(), list, variant};
+  const auto fits = [&](const S& slot) {
+    return built_from(slot, source.frame, update);
+  };
+  if (const S* slot = table.find(key); slot && fits(*slot)) return slot->next;
+  const auto build_slot = [&] {
+    auto next = build(prior);
+    return std::optional(S{std::move(prior), source, &update, std::move(next)});
+  };
+  return table.get_or_build(key, fits, build_slot).next;
 }
 
 SyncStateCache::V3State SyncStateCache::next_v3(
@@ -167,39 +119,19 @@ SyncStateCache::V4State SyncStateCache::next_v4(
       });
 }
 
-void SyncStateCache::publish() {
-  if (pruning_ == Pruning::kAfterBuild) return;
-  const std::lock_guard<obs::TimedMutex> lock(mutex_);
-  // A pending slot replaces the published slot of its key, as a build
-  // replaces a slot's update.
-  const auto move_pending = [](auto& memo) {
-    for (auto& [prior, bucket] : memo.pending) {
-      for (auto& entry : bucket) remember(memo.published, std::move(entry));
-    }
-    memo.pending.clear();
-  };
-  move_pending(v3_);
-  move_pending(v4_);
-}
-
 void SyncStateCache::prune() {
   publish();
-  const std::lock_guard<obs::TimedMutex> lock(mutex_);
-  auto& v3 = pruning_ == Pruning::kManual ? v3_.published : v3_.pending;
-  auto& v4 = pruning_ == Pruning::kManual ? v4_.published : v4_.pending;
-  prune_table(v3);
-  prune_table(v4);
+  prune_table(v3_);
+  prune_table(v4_);
 }
 
-std::uint64_t SyncStateCache::builds() const {
-  const std::lock_guard<obs::TimedMutex> lock(mutex_);
-  return builds_;
-}
-
-std::size_t SyncStateCache::live_entries() const {
-  const std::lock_guard<obs::TimedMutex> lock(mutex_);
-  return table_size(v3_.published) + table_size(v3_.pending) +
-         table_size(v4_.published) + table_size(v4_.pending);
+obs::LockStats SyncStateCache::lock_stats() const {
+  obs::LockStats stats = v3_.lock_stats();
+  const obs::LockStats v4 = v4_.lock_stats();
+  stats.acquisitions += v4.acquisitions;
+  stats.wait_ns.merge_from(v4.wait_ns);
+  stats.hold_ns.merge_from(v4.hold_ns);
+  return stats;
 }
 
 }  // namespace sbp::sb

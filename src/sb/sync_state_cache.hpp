@@ -26,15 +26,13 @@
 //   * prune() drops every entry whose prior state nothing but the cache
 //     references: no client can present it again, so memory stays bounded
 //     by the live states.
-//   * Concurrency. In Pruning::kManual mode the slots live in two tables:
-//     a published one, read with no lock and changed only by publish() and
-//     prune() at quiescent points (sim::Engine: the tick barrier), and a
-//     pending one behind the mutex. A call that misses the published table
-//     takes the mutex, probes pending, and builds into pending on a miss,
-//     so concurrent clients asking for the same key see exactly one build;
-//     publish() (and prune(), which publishes first) moves pending into
-//     published. A kAfterBuild (private) cache keeps one table behind the
-//     mutex. The mutex is an obs::TimedMutex: its acquisitions are the
+//   * Concurrency. Each generation's slots live in one sb::PublishedTable:
+//     a hit on the published table takes no lock; a miss takes that
+//     table's mutex, so concurrent clients asking for one transition see
+//     exactly one build; publish() and prune() change the published table
+//     only at quiescent points (sim::Engine: the tick barrier). A client
+//     with a private cache prunes it at the end of every update(), so it
+//     keeps nothing alive. The two mutexes' summed acquisitions are the
 //     `sync_state_locked` counter.
 //
 // What stays per client (sb::Client, sb::V4SlicedProtocol): the wire
@@ -45,14 +43,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/digest.hpp"
 #include "obs/lock.hpp"
 #include "sb/chunk.hpp"
+#include "sb/published_table.hpp"
 #include "sb/server.hpp"
 #include "storage/prefix_store.hpp"
 #include "storage/raw_hash_store.hpp"
@@ -70,17 +67,6 @@ class SyncStateCache {
  public:
   using V3State = std::shared_ptr<const ChunkedListState>;
   using V4State = std::shared_ptr<const storage::RawHashStore>;
-
-  /// When entries are pruned. kAfterBuild (a client's private cache):
-  /// every build ends with prune(), so once a client moves its old state
-  /// in, the cache keeps nothing alive. kManual: only explicit prune()
-  /// calls -- for a population that shares its initial syncs (null prior)
-  /// and needs a build count independent of thread interleaving, pruning
-  /// at quiescent points (sim::Engine: after every tick barrier).
-  enum class Pruning { kAfterBuild, kManual };
-
-  explicit SyncStateCache(Pruning pruning = Pruning::kAfterBuild)
-      : pruning_(pruning) {}
 
   /// `prior` (null = nothing synced) after applying `update` -- one list
   /// of the v3 update response `response`, an element of
@@ -101,66 +87,79 @@ class SyncStateCache {
                                 const SharedV4Update& response,
                                 const V4SliceUpdate& slice);
 
-  /// kManual: moves the entries built since the last publish into the
-  /// published table, which later calls read with no lock. Only while no
-  /// thread calls next_v3/next_v4. kAfterBuild: nothing to do.
-  void publish();
+  /// Moves the entries built since the last publish into the published
+  /// tables, which later calls read with no lock. Only while no thread
+  /// calls next_v3/next_v4.
+  void publish() {
+    v3_.publish();
+    v4_.publish();
+  }
 
-  /// Drops every entry whose prior state is referenced by the cache alone,
-  /// after publish(). kManual: only while no thread calls next_v3/next_v4.
+  /// publish(), then drops every entry whose prior state is referenced by
+  /// the cache alone. Only while no thread calls next_v3/next_v4.
   void prune();
 
   /// Apply+rebuilds run so far (v3 and v4, failed v4 applies included).
-  [[nodiscard]] std::uint64_t builds() const;
+  [[nodiscard]] std::uint64_t builds() const {
+    return v3_.builds() + v4_.builds();
+  }
   /// Entries currently held (test support: the memory bound).
-  [[nodiscard]] std::size_t live_entries() const;
+  [[nodiscard]] std::size_t live_entries() const {
+    return v3_.size() + v4_.size();
+  }
 
-  /// The get-or-build mutex's figures: its acquisitions (the
+  /// The get-or-build mutexes' summed figures: their acquisitions (the
   /// `sync_state_locked` counter: next_v3/next_v4 calls that missed the
-  /// published table) and, with lock metrics on, its wait and hold times.
-  /// Only while no thread calls next_v3/next_v4.
-  [[nodiscard]] obs::LockStats lock_stats() const { return mutex_.stats(); }
-  /// Times the mutex's waits and holds (obs::TimedMutex). Only while no
-  /// thread calls next_v3/next_v4.
-  void set_lock_metrics(bool on) { mutex_.set_metrics(on); }
+  /// published tables) and, with lock metrics on, their wait and hold
+  /// times. Only while no thread calls next_v3/next_v4.
+  [[nodiscard]] obs::LockStats lock_stats() const;
+  /// Times the mutexes' waits and holds. Only while no thread calls
+  /// next_v3/next_v4.
+  void set_lock_metrics(bool on) {
+    v3_.set_lock_metrics(on);
+    v4_.set_lock_metrics(on);
+  }
 
  private:
-  /// One memo per generation: prior address -> that prior's slots.
-  template <typename State, typename Response, typename Update>
-  struct Memo {
-    using StatePtr = std::shared_ptr<const State>;
-    using Source = SharedResponse<Response>;
-    using UpdateType = Update;
-    struct Entry {
-      StatePtr prior;  // pins the key address
-      std::string list;
-      std::uint64_t variant = 0;  // v3: store kind + Bloom size; v4: 0
-      Source source;                   // pins *update, names its frame
-      const Update* update = nullptr;  // inside *source.value
-      StatePtr next;  // null: the v4 slice failed
-    };
-    using Table = std::unordered_map<const State*, std::vector<Entry>>;
-
-    Table published;  ///< kManual: read lock-free, changed by publish()
-    Table pending;    ///< guarded by mutex_
+  /// A slot's key: (prior address, list, variant). A stored key's list
+  /// views the list name inside its own slot's pinned response.
+  struct Key {
+    const void* prior;
+    std::string_view list;
+    std::uint64_t variant;  // v3: store kind + Bloom size; v4: 0
+    bool operator==(const Key&) const = default;
   };
-  using V3Memo = Memo<ChunkedListState, UpdateResponse, std::vector<Chunk>>;
-  using V4Memo = Memo<storage::RawHashStore, V4UpdateResponse, V4SliceUpdate>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::string_view>{}(key.list) ^
+             (std::hash<const void*>{}(key.prior) * 31) ^ key.variant;
+    }
+  };
+
+  /// One transition: each slot remembers the update it last built from.
+  template <typename State, typename Response, typename Update>
+  struct Slot {
+    std::shared_ptr<const State> prior;  // pins the key address
+    SharedResponse<Response> source;  // pins *update and the key's list
+    const Update* update = nullptr;   // inside *source.value
+    std::shared_ptr<const State> next;  // null: the v4 slice failed
+  };
+  template <typename S>
+  using Table = PublishedTable<Key, S, KeyHash>;
+  using V3Slot = Slot<ChunkedListState, UpdateResponse, std::vector<Chunk>>;
+  using V4Slot = Slot<storage::RawHashStore, V4UpdateResponse, V4SliceUpdate>;
 
   /// The slot for (prior, list, variant) when it was built from `update`
   /// (carried by `source`); else runs `build(prior)` into pending.
-  template <typename M, typename Build>
-  [[nodiscard]] typename M::StatePtr get_or_build(
-      M& memo, typename M::StatePtr prior, std::string_view list,
-      std::uint64_t variant, const typename M::Source& source,
-      const typename M::UpdateType& update, Build&& build);
+  template <typename S, typename Update, typename Build>
+  [[nodiscard]] static decltype(S::next) get_or_build(
+      Table<S>& table, decltype(S::prior) prior, std::string_view list,
+      std::uint64_t variant, const decltype(S::source)& source,
+      const Update& update, Build&& build);
 
-  const Pruning pruning_;
-  mutable obs::TimedMutex mutex_;
-  V3Memo v3_;
-  V4Memo v4_;
-  std::uint64_t builds_ = 0;
-  // v3 rebuild scratch, reused across builds (guarded by mutex_).
+  Table<V3Slot> v3_;
+  Table<V4Slot> v4_;
+  // v3 rebuild scratch, reused across builds (guarded by v3_'s mutex).
   std::vector<crypto::Prefix32> prefixes_;
   std::vector<crypto::Prefix32> subs_;
   storage::PrefixBatch batch_{4};

@@ -31,19 +31,20 @@
 // LookupSnapshot (a pointer copy per read; see sb/server.hpp). Client
 // re-syncs run inside the parallel phase too: the serial churn epoch seals
 // every list BEFORE the barrier opens, so concurrent updates read frozen
-// server state (the update encode cache: hits on the table published at
-// the last barrier read it with no lock, misses serialize on one mutex,
-// and the totals are order-independent -- see sb/server.hpp), touch only
-// shard-owned client state plus the population's sb::SyncStateCache (one
-// apply+rebuild per distinct state transition, whichever shard asks
-// first; hits on its published table take no lock; pruned and published
-// only between ticks), and write nothing to the query log -- which is
-// exactly why moving them off the engine thread changes no observable
-// output. After the barrier
-// the engine drains the per-shard log buffers in canonical
-// (tick, shard, seq) order and sums the per-shard counters, which is why
-// the same seed produces bit-identical logs and fingerprints at ANY
-// `SimConfig.num_threads` -- including 1, the fully sequential engine.
+// server state, touch only shard-owned client state plus two shared
+// caches -- the server's update encode cache and the population's
+// sb::SyncStateCache (one apply+rebuild per distinct state transition,
+// whichever shard asks first) -- and write nothing to the query log,
+// which is exactly why moving them off the engine thread changes no
+// observable output. Both caches are sb::PublishedTables: hits on the
+// table published at the last barrier take no lock, misses serialize on
+// the table's mutex with order-independent totals, and publish_shared_state
+// (and lead_resyncs) publish -- the sync states also prune -- only between
+// ticks. After the barrier the engine drains the per-shard log buffers in
+// canonical (tick, shard, seq) order and sums the per-shard counters,
+// which is why the same seed produces bit-identical logs and fingerprints
+// at ANY `SimConfig.num_threads` -- including 1, the fully sequential
+// engine.
 //
 // The batched dispatch layer is the engine's hot path: URL decompositions
 // and their SHA-256 prefixes are computed once per distinct URL in a
@@ -355,8 +356,7 @@ class Engine {
   /// from one state to the next shares a single apply+rebuild and a
   /// single store. Pruned only between ticks (see step()).
   std::shared_ptr<sb::SyncStateCache> sync_states_ =
-      std::make_shared<sb::SyncStateCache>(
-          sb::SyncStateCache::Pruning::kManual);
+      std::make_shared<sb::SyncStateCache>();
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;
   std::uint64_t tick_ = 0;

@@ -126,33 +126,26 @@ void RawSortedStore::contains_many(std::span<const std::uint8_t> flat,
   const std::uint8_t* entries = data_.data();
   const std::size_t stride = stride_;
 
-  BatchOrder scratch;
-  const auto order =
-      scratch.sorted(n, [queries, stride](std::uint32_t a, std::uint32_t b) {
+  probe_sorted(
+      n, out,
+      [queries, stride](std::uint32_t a, std::uint32_t b) {
         return compare_prefix(queries + a * stride, queries + b * stride,
                               stride) < 0;
+      },
+      [=](std::size_t& lo, std::uint32_t q) {
+        const std::uint8_t* query = queries + q * stride;
+        std::size_t right = count;
+        while (lo < right) {
+          const std::size_t mid = lo + (right - lo) / 2;
+          if (compare_prefix(entries + mid * stride, query, stride) < 0) {
+            lo = mid + 1;
+          } else {
+            right = mid;
+          }
+        }
+        return lo < count &&
+               compare_prefix(entries + lo * stride, query, stride) == 0;
       });
-
-  // Ascending queries, each binary search restricted to the suffix after
-  // the previous query's lower bound: total cost O(n log(count)) worst
-  // case but near-linear for clustered batches.
-  std::size_t lo = 0;
-  for (const std::uint32_t q : order) {
-    const std::uint8_t* query = queries + q * stride;
-    std::size_t left = lo;
-    std::size_t right = count;
-    while (left < right) {
-      const std::size_t mid = left + (right - left) / 2;
-      if (compare_prefix(entries + mid * stride, query, stride) < 0) {
-        left = mid + 1;
-      } else {
-        right = mid;
-      }
-    }
-    lo = left;
-    out[q] = left < count &&
-             compare_prefix(entries + left * stride, query, stride) == 0;
-  }
 }
 
 std::unique_ptr<PrefixStore> make_store(StoreKind kind,

@@ -187,6 +187,20 @@ struct BatchOrder {
   std::vector<std::uint32_t> heap_;
 };
 
+/// The sorted probe of the exact sorted stores (RawSortedStore,
+/// RawHashStore): visits the `n` queries in ascending order (`less`
+/// compares two query indices) and sets out[q] = step(lo, q), where `step`
+/// moves the entry cursor `lo` forward to query q's lower bound -- resuming
+/// from the previous query's, so a clustered batch costs near-linear time
+/// -- and says whether the entry there equals the query.
+template <typename Less, typename Step>
+void probe_sorted(std::size_t n, std::span<bool> out, Less&& less,
+                  Step&& step) {
+  BatchOrder scratch;
+  std::size_t lo = 0;
+  for (const std::uint32_t q : scratch.sorted(n, less)) out[q] = step(lo, q);
+}
+
 /// Factory covering all three kinds (Bloom sized per `bloom_bits` total).
 [[nodiscard]] std::unique_ptr<PrefixStore> make_store(
     StoreKind kind, const PrefixBatch& sorted_batch,

@@ -77,18 +77,17 @@ void RawHashStore::contains_many32(std::span<const crypto::Prefix32> prefixes,
                                    std::span<bool> out) const noexcept {
   const std::size_t n = prefixes.size();
   if (n == 0) return;
-  BatchOrder scratch;
-  const auto order =
-      scratch.sorted(n, [&prefixes](std::uint32_t a, std::uint32_t b) {
+  probe_sorted(
+      n, out,
+      [&prefixes](std::uint32_t a, std::uint32_t b) {
         return prefixes[a] < prefixes[b];
+      },
+      [this, &prefixes](std::size_t& lo, std::uint32_t q) {
+        const auto first = sorted_.begin();
+        lo = static_cast<std::size_t>(
+            std::lower_bound(first + lo, sorted_.end(), prefixes[q]) - first);
+        return lo < sorted_.size() && sorted_[lo] == prefixes[q];
       });
-  // Ascending queries; each lower bound resumes after the previous one.
-  auto lo = sorted_.begin();
-  for (const std::uint32_t q : order) {
-    const crypto::Prefix32 query = prefixes[q];
-    lo = std::lower_bound(lo, sorted_.end(), query);
-    out[q] = lo != sorted_.end() && *lo == query;
-  }
 }
 
 std::uint32_t RawHashStore::checksum_of(

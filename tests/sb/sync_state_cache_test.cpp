@@ -1,10 +1,11 @@
 // Shared immutable client sync states (sb/sync_state_cache.hpp). A cache
 // hit must be indistinguishable from a fresh private build, a corrupt or
 // mis-checksummed v4 slice must desync only the client that received it,
-// re-sent v3 chunks stay idempotent, racing clients share one build (also
-// across a publish), equal frames in separate buffers share states exactly
-// as one shared frame does, and a long churned population keeps the cache
-// bounded by its live states.
+// re-sent v3 chunks stay idempotent, a client's private cache holds nothing
+// between updates, racing clients share one build (also across a publish),
+// equal frames in separate buffers share states exactly as one shared
+// frame does, and a long churned population keeps the cache bounded by its
+// live states.
 #include "sb/sync_state_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -185,8 +186,7 @@ TEST(SyncStateCacheTest, HitEqualsFreshPrivateBuild) {
     InProcessTransport transport(server, clock, /*round_trip_ticks=*/0);
     seed_list(server, 0, 40);
 
-    auto cache = std::make_shared<SyncStateCache>(
-        SyncStateCache::Pruning::kManual);
+    auto cache = std::make_shared<SyncStateCache>();
     ClientConfig config;
     config.protocol = g.protocol;
     config.store_kind = g.kind;
@@ -244,8 +244,7 @@ class V4DesyncTest : public ::testing::Test {
   V4DesyncTest()
       : plain_(server_, clock_, /*round_trip_ticks=*/0),
         tampered_(server_, clock_),
-        cache_(std::make_shared<SyncStateCache>(
-            SyncStateCache::Pruning::kManual)) {
+        cache_(std::make_shared<SyncStateCache>()) {
     seed_list(server_, 0, 20);
   }
 
@@ -327,6 +326,65 @@ TEST_F(V4DesyncTest, WrongChecksumDesyncsOnlyItsReceiver) {
   EXPECT_EQ(peer->metrics().updates_failed, 0u);
   EXPECT_EQ(peer->list_checksum(kList), server_checksum());
   EXPECT_EQ(peer->list_state(kList), server_.chunk_sequence(kList));
+}
+
+/// A client with a private cache (ClientConfig::sync_states null), which
+/// shows what that cache holds.
+template <typename ClientT>
+class PrivateCacheClient final : public ClientT {
+ public:
+  using ClientT::ClientT;
+  [[nodiscard]] std::size_t private_entries() {
+    return this->sync_states().live_entries();
+  }
+  [[nodiscard]] std::uint64_t private_builds() {
+    return this->sync_states().builds();
+  }
+};
+
+TEST(SyncStateCacheTest, PrivateCacheHoldsNothingAfterEveryUpdate) {
+  Server server;
+  SimClock clock;
+  InProcessTransport plain(server, clock, /*round_trip_ticks=*/0);
+  TamperingTransport tampered(server, clock);
+  seed_list(server, 0, 20);
+  ClientConfig v4_config;
+  v4_config.protocol = ProtocolVersion::kV4Sliced;
+  PrivateCacheClient<Client> v3(plain, ClientConfig{});
+  PrivateCacheClient<V4SlicedProtocol> v4(plain, v4_config);
+  PrivateCacheClient<V4SlicedProtocol> desynced(tampered, v4_config);
+  v3.subscribe(kList);
+  v4.subscribe(kList);
+  desynced.subscribe(kList);
+
+  // Round 2 sends the last client an out-of-range removal (its apply
+  // fails), round 3 a wrong checksum (its build succeeds, its check
+  // fails); round 4 resyncs it from nothing.
+  for (int round = 0; round < 5; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    if (round > 0) churn_list(server, round);
+    if (round == 2) {
+      tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
+        response.lists.at(0).removal_indices.push_back(1u << 30);
+      };
+    } else if (round == 3) {
+      tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
+        response.lists.at(0).checksum ^= 1u;
+      };
+    }
+    EXPECT_TRUE(v3.update()) << label;
+    EXPECT_EQ(v3.private_entries(), 0u) << label;
+    EXPECT_TRUE(v4.update()) << label;
+    EXPECT_EQ(v4.private_entries(), 0u) << label;
+    EXPECT_EQ(desynced.update(), round < 2 || round > 3) << label;
+    EXPECT_EQ(desynced.private_entries(), 0u) << label;
+  }
+  EXPECT_EQ(desynced.metrics().updates_failed, 2u);
+  EXPECT_EQ(desynced.list_checksum(kList), v4.list_checksum(kList));
+  // Every update built: the caches were used, then emptied.
+  EXPECT_EQ(v3.private_builds(), 5u);
+  EXPECT_EQ(v4.private_builds(), 5u);
+  EXPECT_EQ(desynced.private_builds(), 5u);
 }
 
 TEST(SyncStateCacheTest, ResentV3ChunkStaysIdempotent) {
@@ -413,7 +471,7 @@ struct FleetRun {
 
 /// Six v3 and six v4 clients spread over two transports (two engine
 /// shards), re-syncing through four churn rounds -- one client lagging a
-/// round -- on a kManual cache pruned after every round.
+/// round -- on a shared cache pruned after every round.
 template <typename TransportT>
 FleetRun run_fleet() {
   Server server;
@@ -422,7 +480,7 @@ FleetRun run_fleet() {
   TransportT second(server, clock);
   seed_list(server, 0, 30);
   auto cache =
-      std::make_shared<SyncStateCache>(SyncStateCache::Pruning::kManual);
+      std::make_shared<SyncStateCache>();
   std::vector<std::unique_ptr<ProtocolClient>> clients;
   for (int i = 0; i < 12; ++i) {
     ClientConfig config;
@@ -482,7 +540,7 @@ TEST(SyncStateCacheTest, EqualFramesInSeparateBuffersShareLikeOneFrame) {
 }
 
 TEST(SyncStateCacheTest, RacingGetOrBuildBuildsOnceAcrossAPublish) {
-  SyncStateCache cache(SyncStateCache::Pruning::kManual);
+  SyncStateCache cache;
   const auto kind = storage::StoreKind::kBloom;
   const auto v3_prior =
       next_v3(cache, nullptr, kList,

@@ -4,16 +4,21 @@
 // path -- add_expression, seal_chunk, set_minimum_wait -- must drop the
 // cache, published table included, so no client ever sees a stale diff.
 // Concurrent serves encode each distinct frame once, before and after a
-// publish.
+// publish. The table behind it (sb::PublishedTable) keeps its contract: a
+// lock-free find sees only published slots, publish() lets a pending slot
+// replace the published slot of its key, clear() drops both tables, and
+// the mutex is taken exactly by the calls that missed the published table.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sb/published_table.hpp"
 #include "sb/server.hpp"
 #include "sb/wire/frames.hpp"
 
@@ -311,6 +316,111 @@ TEST(UpdateEncodeCacheTest, ConcurrentServesEncodeEachFrameOnce) {
   reference.add_expression(kList, "fourth.example/");
   reference.seal_chunk(kList);
   phase(all, all.size(), "after mutation");
+}
+
+using Table = PublishedTable<std::string, int>;
+
+/// get_or_build with a slot test and a build that stores `value`.
+int get_or_build(Table& table, const std::string& key, int value,
+                 const std::function<bool(int)>& fits = [](int) {
+                   return true;
+                 }) {
+  return table.get_or_build(key, fits,
+                            [value] { return std::optional<int>(value); });
+}
+
+TEST(PublishedTableTest, LockFreeFindNeverSeesAPendingSlot) {
+  Table table;
+  EXPECT_EQ(get_or_build(table, "a", 1), 1);
+  EXPECT_EQ(table.find(std::string("a")), nullptr);
+  EXPECT_EQ(get_or_build(table, "a", 2), 1) << "a pending hit";
+  table.publish();
+  ASSERT_NE(table.find(std::string("a")), nullptr);
+  EXPECT_EQ(*table.find(std::string("a")), 1);
+
+  EXPECT_EQ(get_or_build(table, "b", 3), 3);
+  EXPECT_EQ(table.find(std::string("b")), nullptr);
+  // A build that stores nothing returns an empty slot and leaves none.
+  EXPECT_EQ(table.get_or_build(std::string("c"), [](int) { return true; },
+                               [] { return std::optional<int>(); }),
+            0);
+  table.publish();
+  EXPECT_EQ(*table.find(std::string("b")), 3);
+  EXPECT_EQ(table.find(std::string("c")), nullptr);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.builds(), 3u);
+}
+
+TEST(PublishedTableTest, PublishLetsAPendingSlotReplaceThePublishedOne) {
+  Table table;
+  (void)get_or_build(table, "a", 1);
+  (void)get_or_build(table, "b", 2);
+  table.publish();
+  // The published slot of "a" no longer fits: rebuilt into pending, while
+  // lock-free readers keep the published one until the next publish.
+  const auto not_one = [](int slot) { return slot != 1; };
+  EXPECT_EQ(get_or_build(table, "a", 10, not_one), 10);
+  EXPECT_EQ(get_or_build(table, "a", 11, not_one), 10) << "a pending hit";
+  EXPECT_EQ(*table.find(std::string("a")), 1);
+  EXPECT_EQ(table.size(), 3u);
+  table.publish();
+  EXPECT_EQ(*table.find(std::string("a")), 10);
+  EXPECT_EQ(*table.find(std::string("b")), 2);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.builds(), 3u);
+}
+
+TEST(PublishedTableTest, ClearDropsBothTables) {
+  Table table;
+  (void)get_or_build(table, "a", 1);
+  table.publish();
+  (void)get_or_build(table, "b", 2);
+  ASSERT_EQ(table.size(), 2u);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.find(std::string("a")), nullptr);
+  table.publish();
+  EXPECT_EQ(table.find(std::string("b")), nullptr);
+  EXPECT_EQ(get_or_build(table, "a", 3), 3);
+  EXPECT_EQ(get_or_build(table, "b", 4), 4);
+  EXPECT_EQ(table.builds(), 4u);
+}
+
+TEST(PublishedTableTest, AcquisitionsEqualCallsThatMissedThePublishedTable) {
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 16;
+  Table table;
+  for (int k = 0; k < kKeys / 2; ++k) {
+    (void)get_or_build(table, std::to_string(k), k);
+  }
+  table.publish();
+  const std::uint64_t before = table.lock_stats().acquisitions;
+  ASSERT_EQ(before, static_cast<std::uint64_t>(kKeys / 2));
+
+  // Every thread asks for every key, lock-free first, as the caches do.
+  std::atomic<std::uint64_t> missed{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < kKeys; ++i) {
+        const std::string key = std::to_string((i + t) % kKeys);
+        const int want = (i + t) % kKeys;
+        if (const int* slot = table.find(key)) {
+          EXPECT_EQ(*slot, want);
+          continue;
+        }
+        missed.fetch_add(1, std::memory_order_relaxed);
+        EXPECT_EQ(get_or_build(table, key, want), want);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(missed.load(), static_cast<std::uint64_t>(kThreads * kKeys / 2));
+  EXPECT_EQ(table.lock_stats().acquisitions - before, missed.load());
+  EXPECT_EQ(table.builds(), static_cast<std::uint64_t>(kKeys));
 }
 
 }  // namespace

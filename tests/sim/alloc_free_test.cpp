@@ -194,8 +194,7 @@ TEST(AllocFreeTest, WarmResyncsWithBothCachesHittingAllocateNothing) {
   server.seal_chunk(kList);
   sb::SimClock clock;
   sb::InProcessTransport transport(server, clock, /*round_trip_ticks=*/0);
-  auto cache = std::make_shared<sb::SyncStateCache>(
-      sb::SyncStateCache::Pruning::kManual);
+  auto cache = std::make_shared<sb::SyncStateCache>();
   std::vector<std::unique_ptr<sb::ProtocolClient>> leaders;
   std::vector<std::unique_ptr<sb::ProtocolClient>> followers;
   for (const auto protocol :

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -58,6 +58,12 @@ with metrics on.  A clock read (now_ns) there that no enclosing
 `if (...metrics...)` guards would put two clock reads on every locked
 update serve and sync-state build of a metrics-off run.
 
+The shared re-sync caches (sb::Server's update encode cache, both
+generations of sb::SyncStateCache) publish at the tick barrier through one
+type, sb::PublishedTable (src/sb/published_table.hpp), the only holder of
+an obs::TimedMutex.  Naming TimedMutex anywhere else in src/ starts a
+second hand-written copy of its published/pending tables and merge.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
@@ -66,7 +72,9 @@ file under src/net/ dispatches frames itself, if src/sim/engine.cpp
 calls the whole-site WebCorpus::site, if an update response is
 decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
-src/obs/lock.hpp reads the clock outside `if (...metrics...)`.  Line comments and block
+src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if a file
+other than src/obs/lock.hpp and src/sb/published_table.hpp names
+TimedMutex.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
 
@@ -154,6 +162,10 @@ CLOCK_READ = re.compile(r"\bnow_ns\s*\(")
 METRICS_IF = r"\bif\s*\([^()]*\bmetrics_?\b[^()]*\)\s*"
 METRICS_STATEMENT = re.compile(r"\s*" + METRICS_IF)  # at a statement start
 METRICS_BLOCK = re.compile(METRICS_IF + "$")  # just before a block's `{`
+
+# The timed mutex is held only by the publish-at-the-barrier table.
+PUBLISHED_TABLE_FILE = "src/sb/published_table.hpp"
+TIMED_MUTEX = re.compile(r"\bTimedMutex\b")
 
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
@@ -281,7 +293,8 @@ def main() -> int:
 
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
-    for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE):
+    for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE,
+                     PUBLISHED_TABLE_FILE):
         if not (root / required).is_file():
             print(f"check_hot_path: missing file {required}", file=sys.stderr)
             return 1
@@ -301,6 +314,10 @@ def main() -> int:
             if rel.startswith(NO_ENV_DIR + "/") and GETENV.search(line):
                 violations.append((rel, lineno, "getenv in the crypto layer",
                                    line.strip()))
+            if (rel not in (TIMED_LOCK_FILE, PUBLISHED_TABLE_FILE)
+                    and TIMED_MUTEX.search(line)):
+                violations.append((rel, lineno, "TimedMutex outside "
+                                   "sb::PublishedTable", line.strip()))
     lock_text = strip_comments((root / TIMED_LOCK_FILE).read_text())
     for lineno, text in unguarded_clock_reads(lock_text):
         violations.append((TIMED_LOCK_FILE, lineno,
@@ -318,7 +335,8 @@ def main() -> int:
               "Server::serve_frame; decode update responses only in " +
               UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
-              "if (metrics)")
+              "if (metrics); lock shared caches through " +
+              PUBLISHED_TABLE_FILE)
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -329,7 +347,8 @@ def main() -> int:
           f"{len(carriers)} src/net files frame-opaque, "
           f"update decodes only in {UPDATE_DECODE_FILE}, "
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
-          f"clock reads in {TIMED_LOCK_FILE} only with metrics on)")
+          f"clock reads in {TIMED_LOCK_FILE} only with metrics on, "
+          f"TimedMutex only in {PUBLISHED_TABLE_FILE})")
     return 0
 
 
