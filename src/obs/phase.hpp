@@ -45,7 +45,7 @@ enum class Phase : std::size_t {
   kPlan = 0,       ///< per-user URL planning (traffic model), per shard
   kLookup,         ///< per-user dispatch through the batched lookup layer
   kResync,         ///< staggered client update() polls, per shard
-  /// serial: epoch mutation + reseal + republish, and the re-syncs the
+  /// serial: epoch mutation + reseal, and the re-syncs the
   /// epoch leads (one per shard, also timed as that shard's resync)
   kChurnEpoch,
   kLogDrain,       ///< serial: post-barrier log merge + counter reduction

@@ -56,15 +56,17 @@ bool Client::update() {
   for (const auto& update : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != update.list_name) continue;
-      // Moving the old state in lets a private cache drop it when this
-      // update() ends.
-      state.synced = sync_states().next_v3(std::move(state.synced), response,
-                                           update, config_.store_kind,
-                                           config_.bloom_bits);
+      // Moved in: with no shared cache the old state is freed once applied.
+      state.synced =
+          config_.sync_states
+              ? config_.sync_states->next_v3(std::move(state.synced), response,
+                                             update, config_.store_kind,
+                                             config_.bloom_bits)
+              : apply_v3(std::move(state.synced), update, config_.store_kind,
+                         config_.bloom_bits);
     }
   }
   cache_.clear();  // an update discards cached full digests
-  prune_private_states();
   return true;
 }
 
@@ -94,8 +96,7 @@ std::size_t Client::local_store_bytes() const noexcept {
   return total;
 }
 
-SyncStateCache::V3State Client::synced_state(
-    std::string_view list_name) const {
+V3State Client::synced_state(std::string_view list_name) const {
   for (const auto& state : lists_) {
     if (state.name == list_name) return state.synced;
   }

@@ -9,8 +9,9 @@
 // malicious only if a returned full digest equals the full digest of one of
 // the URL's decompositions. (The flow itself lives in
 // sb::PrefixProtocolClient -- v4 shares it; this class contributes the v3
-// local database: shavar chunks rebuilt into prefix stores, obtained from
-// the client's sb::SyncStateCache so clients in one state share them.)
+// local database: shavar chunks rebuilt into prefix stores by sb::apply_v3,
+// through the population's sb::SyncStateCache when it has one, so clients
+// in one state share them.)
 //
 // The local store backend is configurable (raw / delta-coded / Bloom,
 // Section 2.2.2); with Bloom, local hits can be intrinsic false positives,
@@ -62,8 +63,7 @@ class Client : public PrefixProtocolClient {
 
   /// The shared state synced for `list_name` (null = none yet) -- exposed
   /// for tests that check which clients share one state.
-  [[nodiscard]] SyncStateCache::V3State synced_state(
-      std::string_view list_name) const;
+  [[nodiscard]] V3State synced_state(std::string_view list_name) const;
 
  private:
   struct ListState {
@@ -71,7 +71,7 @@ class Client : public PrefixProtocolClient {
     /// Applied chunks + built store, immutable and possibly shared with
     /// every other client in the same state; null until a sync ships
     /// chunks for this list.
-    SyncStateCache::V3State synced;
+    V3State synced;
   };
 
   std::vector<ListState> lists_;

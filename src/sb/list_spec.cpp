@@ -2,16 +2,6 @@
 
 namespace sbp::sb {
 
-std::string_view provider_name(Provider provider) noexcept {
-  switch (provider) {
-    case Provider::kGoogle:
-      return "Google";
-    case Provider::kYandex:
-      return "Yandex";
-  }
-  return "?";
-}
-
 const std::vector<ListSpec>& google_lists() {
   // Paper Table 1. goog-unwanted-shavar's count could not be obtained (*).
   static const std::vector<ListSpec> kLists = {

@@ -18,8 +18,6 @@ namespace sbp::sb {
 
 enum class Provider { kGoogle, kYandex };
 
-[[nodiscard]] std::string_view provider_name(Provider provider) noexcept;
-
 struct ListSpec {
   std::string name;
   std::string description;

@@ -83,8 +83,8 @@ struct ClientConfig {
   /// Where v3/v4 clients get their immutable synced list states (see
   /// sb/sync_state_cache.hpp). A population passes one shared cache so
   /// clients in the same state share one apply+rebuild and one store, and
-  /// prunes it itself; null = a private cache per client, which the client
-  /// prunes at the end of every update().
+  /// prunes it itself; null = no memo: the client applies every update
+  /// itself (sb::apply_v3 / sb::apply_v4).
   std::shared_ptr<SyncStateCache> sync_states;
 };
 
@@ -198,7 +198,7 @@ class ProtocolClient {
 /// cache or one batched full-hash request and confirm against full
 /// digests. Subclasses provide the local store (local_contains_many) and
 /// the update mechanism; their synced list states come from
-/// `sync_states()`.
+/// `config_.sync_states` when set, else from sb::apply_v3 / sb::apply_v4.
 class PrefixProtocolClient : public ProtocolClient {
  public:
   using ProtocolClient::lookup;  // keep the string convenience visible
@@ -208,24 +208,10 @@ class PrefixProtocolClient : public ProtocolClient {
   PrefixProtocolClient(Transport& transport, ClientConfig config)
       : ProtocolClient(transport, config),
         cache_(config.full_hash_ttl),
-        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B),
-        private_states_(config.sync_states == nullptr) {
-    if (private_states_) {
-      config_.sync_states = std::make_shared<SyncStateCache>();
-    }
-  }
-
-  [[nodiscard]] SyncStateCache& sync_states() noexcept {
-    return *config_.sync_states;
-  }
-
-  /// Ends every update(): a private cache drops the states the client has
-  /// moved past, so it keeps nothing alive between updates.
-  void prune_private_states() { if (private_states_) sync_states().prune(); }
+        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {}
 
   storage::FullHashCache cache_;
   BackoffState full_hash_backoff_;
-  const bool private_states_;
 };
 
 /// The local_contains_many of a client holding one store per list: ORs

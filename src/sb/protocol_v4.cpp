@@ -48,10 +48,11 @@ bool V4SlicedProtocol::update() {
   for (const auto& slice : response.value->lists) {
     for (auto& state : lists_) {
       if (state.name != slice.list_name) continue;
-      // Moving the old state in lets a private cache drop it when this
-      // update() ends.
-      state.store =
-          sync_states().next_v4(std::move(state.store), response, slice);
+      // Moved in: with no shared cache the old state is freed once applied.
+      state.store = config_.sync_states
+                        ? config_.sync_states->next_v4(std::move(state.store),
+                                                       response, slice)
+                        : apply_v4(std::move(state.store), slice);
       if (!state.store || state.store->checksum() != slice.checksum) {
         // Desynchronized: discard local state so the next update performs
         // a full resync (the Update API's recovery discipline). The shared
@@ -66,7 +67,6 @@ bool V4SlicedProtocol::update() {
     }
   }
   cache_.clear();  // an update discards cached full digests
-  prune_private_states();
   return all_applied;
 }
 
@@ -111,8 +111,7 @@ std::uint32_t V4SlicedProtocol::list_checksum(
   return 0;
 }
 
-SyncStateCache::V4State V4SlicedProtocol::synced_state(
-    std::string_view list_name) const {
+V4State V4SlicedProtocol::synced_state(std::string_view list_name) const {
   for (const auto& state : lists_) {
     if (state.name == list_name) return state.store;
   }

@@ -67,8 +67,7 @@ class V4SlicedProtocol : public PrefixProtocolClient {
 
   /// The shared store synced for `list_name` (null = empty) -- exposed for
   /// tests that check which clients share one state.
-  [[nodiscard]] SyncStateCache::V4State synced_state(
-      std::string_view list_name) const;
+  [[nodiscard]] V4State synced_state(std::string_view list_name) const;
 
  private:
   struct ListState {
@@ -76,7 +75,7 @@ class V4SlicedProtocol : public PrefixProtocolClient {
     std::uint64_t state = 0;
     /// Sorted prefix array + its checksum, immutable and possibly shared
     /// with every other client in the same state; null = empty.
-    SyncStateCache::V4State store;
+    V4State store;
   };
 
   std::vector<ListState> lists_;

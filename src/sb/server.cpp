@@ -27,34 +27,6 @@ void Server::drain_log_buffer(QueryLogBuffer& buffer) {
   buffer.update_encode_cache_hits_ = 0;
 }
 
-void Server::invalidate_snapshot() noexcept {
-  {
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_.reset();
-  }
-  // Any list mutation also invalidates every memoized update encoding.
-  update_cache_.clear();
-}
-
-std::shared_ptr<const Server::LookupSnapshot> Server::lookup_snapshot() const {
-  // Readers copy the pointer under the mutex. A rebuild also runs under it;
-  // it is only reachable when a mutation happened since the last publish,
-  // and mutations are confined to single-threaded phases.
-  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  if (snapshot_) return snapshot_;
-  auto rebuilt = std::make_shared<LookupSnapshot>();
-  for (const auto& [list_name, data] : lists_) {
-    for (const auto& [prefix, digests] : data.digests_by_prefix) {
-      auto& bucket = rebuilt->matches[prefix];  // orphans: empty bucket
-      for (const auto& digest : digests) {
-        bucket.push_back({list_name, digest});
-      }
-    }
-  }
-  snapshot_ = std::move(rebuilt);
-  return snapshot_;
-}
-
 Server::ListData& Server::list(std::string_view name) {
   const auto it = lists_.find(name);
   if (it != lists_.end()) return it->second;
@@ -77,7 +49,7 @@ void Server::add_digest(std::string_view list_name,
     bucket.push_back(digest);
   }
   data.open_chunk.prefixes.push_back(prefix);
-  invalidate_snapshot();
+  update_cache_.clear();
 }
 
 void Server::add_expression(std::string_view list_name,
@@ -90,7 +62,7 @@ void Server::add_orphan_prefix(std::string_view list_name,
   ListData& data = list(list_name);
   data.digests_by_prefix.try_emplace(prefix);  // empty digest vector
   data.open_chunk.prefixes.push_back(prefix);
-  invalidate_snapshot();
+  update_cache_.clear();
 }
 
 void Server::remove_expression(std::string_view list_name,
@@ -119,7 +91,7 @@ void Server::remove_expressions(std::string_view list_name,
     }
     // If other digests share the prefix, the prefix must stay published.
   }
-  if (mutated) invalidate_snapshot();
+  if (mutated) update_cache_.clear();
   if (!revoked.empty()) {
     // Revoke the batch via one sub chunk (sealed immediately; any open
     // adds seal first so chunk numbering reflects mutation order).
@@ -137,8 +109,8 @@ void Server::remove_expressions(std::string_view list_name,
 void Server::seal(ListData& data) {
   if (data.open_chunk.prefixes.empty()) return;
   // A real seal bumps the chunk sequence, changing every update diff.
-  // (The adds that filled the open chunk already cleared the cache via
-  // invalidate_snapshot; this keeps seal safe on its own too.)
+  // (The adds that filled the open chunk already cleared the cache; this
+  // keeps seal safe on its own too.)
   update_cache_.clear();
   Chunk chunk = std::move(data.open_chunk);
   chunk.type = ChunkType::kAdd;
@@ -154,10 +126,6 @@ void Server::seal(ListData& data) {
 
 void Server::seal_chunk(std::string_view list_name) {
   seal(list(list_name));
-  // Eagerly republish so the parallel phase that follows a seal serves
-  // entirely from the published snapshot (no rebuild mutex on the hot
-  // path). No-op when the snapshot is already current.
-  (void)lookup_snapshot();
 }
 
 void Server::log_query(QueryLogEntry entry) {
@@ -177,7 +145,17 @@ bool Server::lookup_v1(std::string_view url, Cookie cookie,
   entry.cookie = cookie;
   entry.url = std::string(url);
 
-  const auto snapshot = lookup_snapshot();
+  const auto listed = [this](const crypto::Digest256& digest) {
+    for (const auto& [name, data] : lists_) {
+      const auto it = data.digests_by_prefix.find(digest.prefix32());
+      if (it != data.digests_by_prefix.end() &&
+          std::find(it->second.begin(), it->second.end(), digest) !=
+              it->second.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
   bool malicious = false;
   for (const auto& d : url::decompose(url)) {
     const crypto::Digest256 digest = crypto::Digest256::of(d.expression);
@@ -186,15 +164,7 @@ bool Server::lookup_v1(std::string_view url, Cookie cookie,
         entry.prefixes.end()) {
       entry.prefixes.push_back(prefix);
     }
-    if (malicious) continue;
-    const auto it = snapshot->matches.find(prefix);
-    if (it == snapshot->matches.end()) continue;
-    for (const auto& match : it->second) {
-      if (match.digest == digest) {
-        malicious = true;
-        break;
-      }
-    }
+    malicious = malicious || listed(digest);
   }
   log_query(std::move(entry));
   return malicious;
@@ -357,12 +327,17 @@ FullHashResponse Server::get_full_hashes(
     const std::vector<crypto::Prefix32>& prefixes, Cookie cookie,
     std::uint64_t tick) {
   log_query(QueryLogEntry{tick, cookie, prefixes, /*url=*/{}});
-  const auto snapshot = lookup_snapshot();
   FullHashResponse response;
   for (const auto prefix : prefixes) {
-    auto& matches = response.matches[prefix];
-    const auto it = snapshot->matches.find(prefix);
-    if (it != snapshot->matches.end()) matches = it->second;
+    const auto [slot, fresh] = response.matches.try_emplace(prefix);
+    if (!fresh) continue;
+    for (const auto& [name, data] : lists_) {
+      const auto it = data.digests_by_prefix.find(prefix);
+      if (it == data.digests_by_prefix.end()) continue;
+      for (const auto& digest : it->second) {
+        slot->second.push_back({name, digest});
+      }
+    }
   }
   return response;
 }

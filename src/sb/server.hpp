@@ -22,14 +22,13 @@
 // and the socket daemon share.
 //
 // Concurrency model (the parallel simulation runtime, docs/architecture.md):
-// the sealed blacklist state is published as an immutable LookupSnapshot
-// behind a mutex-guarded shared_ptr, so the read endpoints (lookup_v1,
-// get_full_hashes) hold the mutex only for a pointer copy and are safe to
-// call from many threads at once. List mutation (add/remove/seal and the
-// update endpoints when they seal) and publish_update_cache() are NOT
-// thread-safe and must never run concurrently with anything else -- the
-// engine confines them to the single-threaded phases between parallel
-// ticks. The query log shards the
+// the read endpoints (lookup_v1, get_full_hashes) read the lists'
+// prefix -> digest maps directly and take no lock, so they are safe to call
+// from many threads at once. List mutation (add/remove/seal and the update
+// endpoints when they seal) and publish_update_cache() are NOT thread-safe
+// and must never run concurrently with anything else -- the engine confines
+// them to the single-threaded phases between parallel ticks, the same rule
+// the update endpoints rely on. The query log shards the
 // same way: a worker thread registers a QueryLogBuffer via ScopedLogShard
 // and every entry it produces lands there; the engine drains the buffers
 // in canonical shard order after the tick barrier, so the merged stream is
@@ -40,7 +39,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -218,8 +216,7 @@ class Server {
       : provider_(provider) {}
 
   /// Copies the logical state (lists, log, sink wiring); the copy starts
-  /// with no published snapshot and rebuilds lazily. Not thread-safe, like
-  /// all mutation.
+  /// with an empty update encode cache. Not thread-safe, like all mutation.
   Server(const Server& other)
       : provider_(other.provider_),
         lists_(other.lists_),
@@ -235,26 +232,12 @@ class Server {
       sink_ = other.sink_;
       retain_query_log_ = other.retain_query_log_;
       minimum_wait_ = other.minimum_wait_;
-      invalidate_snapshot();
+      update_cache_.clear();
     }
     return *this;
   }
 
   [[nodiscard]] Provider provider() const noexcept { return provider_; }
-
-  /// The immutable, shareable view of the blacklist state the read
-  /// endpoints serve from: every (list, digest) match keyed by prefix.
-  /// Matches for one prefix are ordered by list name (map order) -- the
-  /// order get_full_hashes has always returned.
-  struct LookupSnapshot {
-    std::unordered_map<crypto::Prefix32, std::vector<FullHashMatch>> matches;
-  };
-
-  /// The current snapshot: a pointer copy under a mutex once published.
-  /// Mutators invalidate, seal_chunk republishes, and a read after an
-  /// unsealed mutation rebuilds it lazily (single-threaded contexts only --
-  /// see the concurrency model above).
-  [[nodiscard]] std::shared_ptr<const LookupSnapshot> lookup_snapshot() const;
 
   /// RAII guard routing every log_query() on *this thread* into `buffer`
   /// instead of the sink/retained log. Used by parallel engine workers;
@@ -368,8 +351,10 @@ class Server {
   void set_lock_metrics(bool on) { update_cache_.set_lock_metrics(on); }
 
   /// Full-hash lookup (shared by v3 and v4). Logs (tick, cookie, prefixes)
-  /// -- the privacy-critical observation. Unknown prefixes yield empty
-  /// match vectors.
+  /// -- the privacy-critical observation. Each prefix's matches come from
+  /// every list's prefix -> digest map, ordered by list name, then by digest
+  /// order within the list. Unknown and orphan prefixes yield empty match
+  /// vectors.
   [[nodiscard]] FullHashResponse get_full_hashes(
       const std::vector<crypto::Prefix32>& prefixes, Cookie cookie,
       std::uint64_t tick);
@@ -452,9 +437,6 @@ class Server {
   [[nodiscard]] const ListData* find(std::string_view name) const;
   void seal(ListData& data);
   void log_query(QueryLogEntry entry);
-  /// Mutators of digests_by_prefix drop the published snapshot; the next
-  /// lookup_snapshot() (or seal_chunk) rebuilds it.
-  void invalidate_snapshot() noexcept;
   /// Serves one update frame through the encode cache; `serve` decodes,
   /// serves and encodes on a miss (nullopt = undecodable, not cached).
   template <typename Serve>
@@ -468,10 +450,6 @@ class Server {
   bool retain_query_log_ = true;
   std::uint64_t minimum_wait_ = 0;
 
-  /// Null when stale; guarded by snapshot_mutex_.
-  mutable std::shared_ptr<const LookupSnapshot> snapshot_;
-  mutable std::mutex snapshot_mutex_;
-
   /// Transparent hash: the encode cache is probed with a string_view of
   /// the request frame, so a hit copies no key.
   struct FrameKeyHash {
@@ -482,8 +460,8 @@ class Server {
   };
 
   /// Encoded update responses keyed by encoded request-frame bytes (see
-  /// serve_frame). Cleared by every mutation (via invalidate_snapshot and
-  /// seal) and by set_minimum_wait; never copied (copies start cold).
+  /// serve_frame). Cleared by every mutation and by set_minimum_wait; never
+  /// copied (copies start cold).
   PublishedTable<std::string, ResponseFrame, FrameKeyHash> update_cache_;
   /// Lock-free hits, drained from the shard buffers.
   std::uint64_t update_encode_cache_hits_ = 0;

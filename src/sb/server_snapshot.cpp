@@ -234,7 +234,7 @@ bool Server::restore_sections(const storage::ParsedSnapshot& snapshot,
   minimum_wait_ = *minimum_wait;
   lists_ = std::move(restored);
   query_log_.clear();
-  invalidate_snapshot();
+  update_cache_.clear();
   return true;
 }
 

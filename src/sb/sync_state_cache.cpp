@@ -28,6 +28,19 @@ void prune_table(Table& table) {
   });
 }
 
+bool nothing_new(const V3State& prior,
+                 const UpdateResponse::ListUpdate& update) {
+  return std::all_of(
+      update.chunks.begin(), update.chunks.end(), [&prior](const Chunk& c) {
+        return prior && prior->chunks.has_chunk(c.number, c.type);
+      });
+}
+
+bool empty_slice(const V4SliceUpdate& slice) {
+  return !slice.full_reset && slice.removal_indices.empty() &&
+         slice.additions.empty();
+}
+
 bool same_update(const std::vector<Chunk>& a, const std::vector<Chunk>& b) {
   return a == b;
 }
@@ -68,55 +81,64 @@ decltype(S::next) SyncStateCache::get_or_build(
   return table.get_or_build(key, fits, build_slot).next;
 }
 
-SyncStateCache::V3State SyncStateCache::next_v3(
+V3State apply_v3(V3State prior, const UpdateResponse::ListUpdate& update,
+                 storage::StoreKind kind, std::size_t bloom_bits) {
+  if (nothing_new(prior, update)) return prior;
+  // Rebuild scratch, reused across builds: one set per thread, like the
+  // clients' update requests.
+  thread_local std::vector<crypto::Prefix32> prefixes;
+  thread_local std::vector<crypto::Prefix32> subs;
+  thread_local storage::PrefixBatch batch(4);
+  auto next = std::make_shared<ChunkedListState>();
+  if (prior) next->chunks = prior->chunks;
+  for (const Chunk& chunk : update.chunks) next->chunks.apply(chunk);
+  next->chunks.effective_prefixes_into(
+      std::numeric_limits<std::uint32_t>::max(), prefixes, subs);
+  batch.assign_sorted32(prefixes);
+  next->store = storage::make_store(kind, batch, bloom_bits);
+  return next;
+}
+
+V4State apply_v4(V4State prior, const V4SliceUpdate& slice) {
+  if (slice.full_reset) {
+    auto next = std::make_shared<storage::RawHashStore>();
+    if (!next->reset(slice.additions)) return nullptr;
+    return next;
+  }
+  if (empty_slice(slice)) return prior;
+  std::optional<storage::RawHashStore> next =
+      prior ? prior->sliced(slice.removal_indices, slice.additions)
+            : storage::RawHashStore{}.sliced(slice.removal_indices,
+                                             slice.additions);
+  if (!next) return nullptr;
+  return std::make_shared<const storage::RawHashStore>(std::move(*next));
+}
+
+V3State SyncStateCache::next_v3(
     V3State prior, const SharedUpdate& response,
     const UpdateResponse::ListUpdate& update, storage::StoreKind kind,
     std::size_t bloom_bits) {
-  const bool nothing_new = std::all_of(
-      update.chunks.begin(), update.chunks.end(), [&prior](const Chunk& c) {
-        return prior && prior->chunks.has_chunk(c.number, c.type);
-      });
-  if (nothing_new) return prior;
+  if (nothing_new(prior, update)) return prior;
   const std::uint64_t variant =
       (static_cast<std::uint64_t>(kind) << 56) ^ bloom_bits;
-  return get_or_build(
-      v3_, std::move(prior), update.list_name, variant, response,
-      update.chunks, [&](const V3State& from) -> V3State {
-        auto next = std::make_shared<ChunkedListState>();
-        if (from) next->chunks = from->chunks;
-        for (const Chunk& chunk : update.chunks) next->chunks.apply(chunk);
-        next->chunks.effective_prefixes_into(
-            std::numeric_limits<std::uint32_t>::max(), prefixes_, subs_);
-        batch_.assign_sorted32(prefixes_);
-        next->store = storage::make_store(kind, batch_, bloom_bits);
-        return next;
-      });
+  return get_or_build(v3_, std::move(prior), update.list_name, variant,
+                      response, update.chunks, [&](const V3State& from) {
+                        return apply_v3(from, update, kind, bloom_bits);
+                      });
 }
 
-SyncStateCache::V4State SyncStateCache::next_v4(
+V4State SyncStateCache::next_v4(
     V4State prior, const SharedV4Update& response,
     const V4SliceUpdate& slice) {
   if (slice.full_reset) {
     prior.reset();  // a full reset's result does not depend on the prior
-  } else if (slice.removal_indices.empty() && slice.additions.empty()) {
+  } else if (empty_slice(slice)) {
     return prior;
   }
-  return get_or_build(
-      v4_, std::move(prior), slice.list_name, 0, response, slice,
-      [&](const V4State& from) -> V4State {
-        if (slice.full_reset) {
-          auto next = std::make_shared<storage::RawHashStore>();
-          if (!next->reset(slice.additions)) return nullptr;
-          return next;
-        }
-        std::optional<storage::RawHashStore> next =
-            from ? from->sliced(slice.removal_indices, slice.additions)
-                 : storage::RawHashStore{}.sliced(slice.removal_indices,
-                                                  slice.additions);
-        if (!next) return nullptr;
-        return std::make_shared<const storage::RawHashStore>(
-            std::move(*next));
-      });
+  return get_or_build(v4_, std::move(prior), slice.list_name, 0, response,
+                      slice, [&](const V4State& from) {
+                        return apply_v4(from, slice);
+                      });
 }
 
 void SyncStateCache::prune() {

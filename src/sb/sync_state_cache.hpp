@@ -1,13 +1,17 @@
-// Shared immutable client sync states (paper Section 2.2's local database,
-// built once per distinct state instead of once per client).
+// Client sync states (paper Section 2.2's local database): the pure
+// functions that apply one update to an immutable synced state, and a memo
+// of them shared by a population, so a state is built once per distinct
+// transition instead of once per client.
 //
-// Every client in the same list state holds a byte-identical local
-// database: v3 clients apply the same shavar chunks and build the same
-// prefix store, v4 clients apply the same slice to the same sorted prefix
-// array. A SyncStateCache memoizes that pure function -- (prior state,
-// update) -> next state -- so a fleet re-syncing from one state pays ONE
-// apply+rebuild, and every client of that state holds a shared_ptr to the
-// one immutable result.
+// apply_v3 / apply_v4 are the one implementation of a sync: (prior state,
+// update) -> next state. Every client in the same list state holds a
+// byte-identical local database: v3 clients apply the same shavar chunks
+// and build the same prefix store, v4 clients apply the same slice to the
+// same sorted prefix array. A client whose ClientConfig::sync_states is
+// null calls them directly and holds nothing but its own states. A
+// SyncStateCache memoizes them, so a fleet re-syncing from one state pays
+// ONE apply+rebuild, and every client of that state holds a shared_ptr to
+// the one immutable result.
 //
 //   * Key: the IDENTITY of the prior state (its address; null = nothing
 //     synced yet, and every v4 full reset, whose result ignores the prior)
@@ -30,15 +34,15 @@
 //     a hit on the published table takes no lock; a miss takes that
 //     table's mutex, so concurrent clients asking for one transition see
 //     exactly one build; publish() and prune() change the published table
-//     only at quiescent points (sim::Engine: the tick barrier). A client
-//     with a private cache prunes it at the end of every update(), so it
-//     keeps nothing alive. The two mutexes' summed acquisitions are the
-//     `sync_state_locked` counter.
+//     only at quiescent points (sim::Engine: the tick barrier). The two
+//     mutexes' summed acquisitions are the `sync_state_locked` counter.
+//     apply_v3 rebuilds into per-thread scratch, so direct calls from many
+//     threads need no lock either.
 //
 // What stays per client (sb::Client, sb::V4SlicedProtocol): the wire
 // exchange, backoff, the full-hash cache and its clear-on-update,
 // updates_failed, the v4 state token, and the v4 checksum verification --
-// against the checksum the shared store computed once when it was built.
+// against the checksum the store computed once when it was built.
 #pragma once
 
 #include <cstdint>
@@ -63,26 +67,37 @@ struct ChunkedListState {
   std::unique_ptr<const storage::PrefixStore> store;
 };
 
+using V3State = std::shared_ptr<const ChunkedListState>;
+using V4State = std::shared_ptr<const storage::RawHashStore>;
+
+/// `prior` (null = nothing synced) after applying `update`, one list of a
+/// v3 update response, with the store rebuilt as `kind`. Re-sent chunks
+/// are no-ops (ChunkStore::apply); an update that brings nothing new
+/// returns `prior` itself.
+[[nodiscard]] V3State apply_v3(V3State prior,
+                               const UpdateResponse::ListUpdate& update,
+                               storage::StoreKind kind,
+                               std::size_t bloom_bits);
+
+/// `prior` (null = empty) after applying `slice`, one list of a v4 update
+/// response; null when the slice does not apply (unsorted / out-of-range /
+/// duplicate -- the client desyncs). The checksum is NOT checked here:
+/// that comparison is per client. A full reset ignores `prior`; an empty
+/// incremental slice returns `prior` itself.
+[[nodiscard]] V4State apply_v4(V4State prior, const V4SliceUpdate& slice);
+
 class SyncStateCache {
  public:
-  using V3State = std::shared_ptr<const ChunkedListState>;
-  using V4State = std::shared_ptr<const storage::RawHashStore>;
-
-  /// `prior` (null = nothing synced) after applying `update` -- one list
-  /// of the v3 update response `response`, an element of
-  /// `response.value->lists` -- with the store rebuilt as `kind`. Re-sent
-  /// chunks are no-ops (ChunkStore::apply); an update that brings nothing
-  /// new returns `prior` itself.
+  /// apply_v3(prior, update, kind, bloom_bits), memoized. `update` is one
+  /// list of the v3 update response `response`, an element of
+  /// `response.value->lists`.
   [[nodiscard]] V3State next_v3(V3State prior, const SharedUpdate& response,
                                 const UpdateResponse::ListUpdate& update,
                                 storage::StoreKind kind,
                                 std::size_t bloom_bits);
 
-  /// `prior` (null = empty) after applying `slice`, one list of the v4
-  /// update response `response`; null when the slice does not apply
-  /// (unsorted / out-of-range / duplicate -- the client desyncs). The
-  /// checksum is NOT checked here: that comparison is per client. An
-  /// empty incremental slice returns `prior` itself.
+  /// apply_v4(prior, slice), memoized. `slice` is one list of the v4
+  /// update response `response`.
   [[nodiscard]] V4State next_v4(V4State prior,
                                 const SharedV4Update& response,
                                 const V4SliceUpdate& slice);
@@ -159,10 +174,6 @@ class SyncStateCache {
 
   Table<V3Slot> v3_;
   Table<V4Slot> v4_;
-  // v3 rebuild scratch, reused across builds (guarded by v3_'s mutex).
-  std::vector<crypto::Prefix32> prefixes_;
-  std::vector<crypto::Prefix32> subs_;
-  storage::PrefixBatch batch_{4};
 };
 
 }  // namespace sbp::sb

@@ -43,9 +43,8 @@ struct PrefixInjection {
 struct ChurnConfig {
   /// Every `epoch_ticks` the engine runs one churn epoch (serial phase):
   /// the schedule's adds/removals are applied, every list seals a new
-  /// chunk (bumping the v3 chunk / v4 state-token sequence) and the
-  /// server republishes its lookup snapshot. 0 = frozen lists, no epochs,
-  /// no re-syncs -- the pre-churn engine.
+  /// chunk (bumping the v3 chunk / v4 state-token sequence). 0 = frozen
+  /// lists, no epochs, no re-syncs -- the pre-churn engine.
   std::uint64_t epoch_ticks = 0;
 
   /// Fraction of a list's current live entries added per epoch. The

@@ -284,9 +284,8 @@ void Engine::apply_churn_epoch() {
   }
 
   // Seal every list: one add (+ one sub) chunk per list bumps the chunk /
-  // state-token sequence, and seal_chunk eagerly republishes the lookup
-  // snapshot -- the parallel phase that follows serves entirely from the
-  // new epoch's state.
+  // state-token sequence, so the parallel phase that follows serves the
+  // new epoch's state with nothing left to seal.
   for (const auto& list : server_.list_names()) {
     server_.seal_chunk(list);
   }
@@ -485,7 +484,7 @@ void Engine::tick_shard(Shard& shard) {
 
   // Staggered client re-syncs for this shard's due users (those the epoch
   // did not lead). Runs in the parallel phase: the epoch already sealed
-  // and republished, updates touch only shard-owned state + the server's
+  // every list, updates touch only shard-owned state + the server's
   // update path and the shared sync-state cache (lock-free hits, locked
   // misses), and none of it reaches the query log (see
   // Shard::resync_slots).
@@ -528,8 +527,8 @@ bool Engine::step() {
     shard->resync_next = 0;
   }
   if (churn_) {
-    // Serial churn phase: epoch mutation (republishes the snapshot) and
-    // the re-syncs it leads. The other staggered re-syncs happen inside
+    // Serial churn phase: epoch mutation (sealed before any worker reads
+    // the lists) and the re-syncs it leads. The other staggered re-syncs happen inside
     // the parallel shard tick below.
     if (tick_ > 0 && tick_ % config_.churn.epoch_ticks == 0) {
       timed_phase(obs::Phase::kChurnEpoch, [&] {

@@ -8,7 +8,7 @@
 //   per tick:  serial: churn epoch due? apply the ChurnSchedule's
 //                add/retire plan + injections, seal one add (+ one sub)
 //                chunk per list -- bumping the v3 chunk / v4 state-token
-//                sequence -- and atomically republish the LookupSnapshot
+//                sequence
 //              shards ticked in parallel on the thread pool:
 //                staggered client re-syncs -- the shard's users whose
 //                  re-sync slot is this tick and whose update channel's
@@ -27,8 +27,8 @@
 // sb::Transport (per-shard wire counters), the visit id -> prefix cache, the
 // traffic model's site LRU, a query-log buffer and a tick-metrics
 // accumulator -- so worker threads share only immutable state: the traffic
-// model, the clock (read-only during a tick) and the server's published
-// LookupSnapshot (a pointer copy per read; see sb/server.hpp). Client
+// model, the clock (read-only during a tick) and the server's lists, which
+// the full-hash and v1 endpoints read with no lock (see sb/server.hpp). Client
 // re-syncs run inside the parallel phase too: the serial churn epoch seals
 // every list BEFORE the barrier opens, so concurrent updates read frozen
 // server state, touch only shard-owned client state plus two shared

@@ -564,9 +564,9 @@ bool in_spread(std::size_t i, double fraction) {
 /// client.lookup(url) gives. A naive replay of the paper's Figure 3 client
 /// flow runs next to the engine on a shrunk population: each user builds
 /// each URL string from a freshly generated site, calls lookup(url) (or,
-/// under mitigation, pads its local hits itself) and re-syncs through a
-/// private sync-state cache. No URL cache, universe prefilter, site LRU or
-/// shared client state. A zero-user Engine is only the server side: it
+/// under mitigation, pads its local hits itself) and applies its own
+/// updates (no sync-state cache). No URL cache, universe prefilter, site
+/// LRU or shared client state. A zero-user Engine is only the server side: it
 /// seeds the lists and applies each churn epoch before the users' tick.
 /// Query-log fingerprint, malicious verdicts, every TransportStats
 /// counter and each v4 user's list checksums must match the engine's.

@@ -1,8 +1,9 @@
-// Concurrency contract of the snapshotted server (sb/server.hpp): once the
-// lists are sealed, the read endpoints (get_full_hashes, lookup_v1) are
-// safe and correct under many concurrent callers -- lock-free reads of the
-// published LookupSnapshot -- and per-thread ScopedLogShard buffers capture
-// every entry without a data race. Run under ThreadSanitizer in CI.
+// Concurrency contract of the server (sb/server.hpp): the read endpoints
+// (get_full_hashes, lookup_v1) read the lists' prefix -> digest maps
+// directly, so every change is served at once and, with the lists left
+// alone, they are safe and correct under many concurrent callers with no
+// lock; per-thread ScopedLogShard buffers capture every entry without a
+// data race. Run under ThreadSanitizer in CI.
 #include "sb/server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "sb/client.hpp"
+#include "sb/transport.hpp"
 
 namespace sbp::sb {
 namespace {
@@ -38,19 +41,59 @@ class ServerConcurrencyTest : public ::testing::Test {
   Server server_{Provider::kGoogle};
 };
 
-TEST_F(ServerConcurrencyTest, SnapshotIsStableWhileSealed) {
-  const auto before = server_.lookup_snapshot();
-  const auto again = server_.lookup_snapshot();
-  EXPECT_EQ(before.get(), again.get());  // no rebuild without mutation
+TEST_F(ServerConcurrencyTest, ReadEndpointsServeTheListsAsTheyStand) {
+  const auto matches_of = [&](crypto::Prefix32 prefix) {
+    const auto response = server_.get_full_hashes({prefix}, 1, 0);
+    EXPECT_EQ(response.matches.size(), 1u);
+    return response.matches.at(prefix);
+  };
 
+  // An unsealed add is served at once by both read endpoints.
+  const auto fresh = crypto::Digest256::of("fresh.example/");
   server_.add_expression("list-a", "fresh.example/");
-  server_.seal_chunk("list-a");
-  const auto after = server_.lookup_snapshot();
-  EXPECT_NE(before.get(), after.get());  // mutation republished
-  // The old snapshot is still a complete, usable view (readers that loaded
-  // it before the swap keep working).
-  EXPECT_FALSE(before->matches.empty());
-  EXPECT_EQ(after->matches.size(), before->matches.size() + 1);
+  auto matches = matches_of(fresh.prefix32());
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].list_name, "list-a");
+  EXPECT_EQ(matches[0].digest, fresh);
+  EXPECT_TRUE(server_.lookup_v1("http://fresh.example/", 1, 0));
+
+  // A removal drops it at once.
+  server_.remove_expression("list-a", "fresh.example/");
+  EXPECT_TRUE(matches_of(fresh.prefix32()).empty());
+  EXPECT_FALSE(server_.lookup_v1("http://fresh.example/", 1, 0));
+
+  // An orphan prefix is listed, but has no digest to return.
+  EXPECT_TRUE(matches_of(0xDEADBEEF).empty());
+
+  // Listed in both lists (list-b first), plus a digest that shares the
+  // prefix in list-a: every match, by list name, then in digest order.
+  const auto twice = crypto::Digest256::of("twice.example/");
+  auto twin_bytes = twice.bytes();
+  twin_bytes.back() ^= 0xFF;
+  const crypto::Digest256 twin(twin_bytes);
+  server_.add_digest("list-b", twice);
+  server_.add_digest("list-a", twice);
+  server_.add_digest("list-a", twin);
+  matches = matches_of(twice.prefix32());
+  ASSERT_EQ(matches.size(), 3u);
+  EXPECT_EQ(matches[0].list_name, "list-a");
+  EXPECT_EQ(matches[0].digest, twice);
+  EXPECT_EQ(matches[1].list_name, "list-a");
+  EXPECT_EQ(matches[1].digest, twin);
+  EXPECT_EQ(matches[2].list_name, "list-b");
+  EXPECT_EQ(matches[2].digest, twice);
+
+  // A client's verdict names the first list that matched.
+  SimClock clock;
+  InProcessTransport transport(server_, clock, /*round_trip_ticks=*/0);
+  Client client(transport, ClientConfig{});
+  client.subscribe("list-b");
+  client.subscribe("list-a");
+  ASSERT_TRUE(client.update());
+  const LookupResult result = client.lookup("http://twice.example/");
+  EXPECT_EQ(result.verdict, Verdict::kMalicious);
+  EXPECT_EQ(result.matched_list, "list-a");
+  EXPECT_EQ(result.matched_expression, "twice.example/");
 }
 
 TEST_F(ServerConcurrencyTest, ConcurrentFullHashLookupsAreCorrectAndLogged) {

@@ -1,8 +1,9 @@
 // Shared immutable client sync states (sb/sync_state_cache.hpp). A cache
 // hit must be indistinguishable from a fresh private build, a corrupt or
 // mis-checksummed v4 slice must desync only the client that received it,
-// re-sent v3 chunks stay idempotent, a client's private cache holds nothing
-// between updates, racing clients share one build (also across a publish),
+// re-sent v3 chunks stay idempotent, a client with no cache holds the same
+// states as a cached one and pins nothing else, racing clients share one
+// build (also across a publish),
 // equal frames in separate buffers share states exactly as one shared
 // frame does, and a long churned population keeps the cache bounded by its
 // live states.
@@ -87,12 +88,9 @@ class CopyingTransport final : public FrameTransport {
 
 /// `cache.next_v3` for chunks that came from no response frame: copied
 /// into a response of their own, so the cache compares them by contents.
-SyncStateCache::V3State next_v3(SyncStateCache& cache,
-                                SyncStateCache::V3State prior,
-                                std::string_view list,
-                                std::vector<Chunk> chunks,
-                                storage::StoreKind kind,
-                                std::size_t bloom_bits) {
+V3State next_v3(SyncStateCache& cache, V3State prior, std::string_view list,
+                std::vector<Chunk> chunks, storage::StoreKind kind,
+                std::size_t bloom_bits) {
   auto response = std::make_shared<UpdateResponse>();
   response->lists.push_back({std::string(list), std::move(chunks)});
   return cache.next_v3(std::move(prior), SharedUpdate{response, nullptr},
@@ -100,9 +98,8 @@ SyncStateCache::V3State next_v3(SyncStateCache& cache,
 }
 
 /// `cache.next_v4` for a slice that came from no response frame.
-SyncStateCache::V4State next_v4(SyncStateCache& cache,
-                                SyncStateCache::V4State prior,
-                                const V4SliceUpdate& slice) {
+V4State next_v4(SyncStateCache& cache, V4State prior,
+                const V4SliceUpdate& slice) {
   auto response = std::make_shared<V4UpdateResponse>();
   response->lists.push_back(slice);
   return cache.next_v4(std::move(prior), SharedV4Update{response, nullptr},
@@ -139,13 +136,12 @@ std::vector<int> answers(const ProtocolClient& client,
   return std::vector<int>(flags.get(), flags.get() + probes.size());
 }
 
-const void* state_of(const ProtocolClient& client) {
+/// The synced state `client` holds for kList (null = none).
+std::shared_ptr<const void> state_of(const ProtocolClient& client) {
   if (const auto* v3 = dynamic_cast<const Client*>(&client)) {
-    return v3->synced_state(kList).get();
+    return v3->synced_state(kList);
   }
-  return dynamic_cast<const V4SlicedProtocol&>(client)
-      .synced_state(kList)
-      .get();
+  return dynamic_cast<const V4SlicedProtocol&>(client).synced_state(kList);
 }
 
 void expect_same_database(const ProtocolClient& shared,
@@ -213,7 +209,9 @@ TEST(SyncStateCacheTest, HitEqualsFreshPrivateBuild) {
       for (ProtocolClient* client : clients) {
         ASSERT_TRUE(client->update()) << label;
       }
-      if (round != 1) ASSERT_TRUE(lagging->update()) << label;
+      if (round != 1) {
+        ASSERT_TRUE(lagging->update()) << label;
+      }
       // a builds, b hits; in round 2 the lagging client's (prior, update)
       // is new too. Shared states are one object.
       EXPECT_EQ(cache->builds(), kBuildsAfterRound[round]) << label;
@@ -274,7 +272,7 @@ TEST_F(V4DesyncTest, OutOfRangeRemovalDesyncsOnlyItsReceiver) {
   const auto victim = make_client(tampered_);
   const auto peer = make_client(plain_);
   const auto idle = make_client(plain_);
-  const SyncStateCache::V4State prior = peer->synced_state(kList);
+  const V4State prior = peer->synced_state(kList);
   ASSERT_EQ(victim->synced_state(kList), prior);
   ASSERT_EQ(idle->synced_state(kList), prior);
   const std::vector<crypto::Prefix32> prior_set = prior->prefixes();
@@ -328,63 +326,91 @@ TEST_F(V4DesyncTest, WrongChecksumDesyncsOnlyItsReceiver) {
   EXPECT_EQ(peer->list_state(kList), server_.chunk_sequence(kList));
 }
 
-/// A client with a private cache (ClientConfig::sync_states null), which
-/// shows what that cache holds.
-template <typename ClientT>
-class PrivateCacheClient final : public ClientT {
- public:
-  using ClientT::ClientT;
-  [[nodiscard]] std::size_t private_entries() {
-    return this->sync_states().live_entries();
+/// The prefixes of the state `client` holds for kList (empty = none).
+std::vector<crypto::Prefix32> held_prefixes(const ProtocolClient& client) {
+  if (const auto* v3 = dynamic_cast<const Client*>(&client)) {
+    const auto state = v3->synced_state(kList);
+    return state ? state->chunks.effective_prefixes()
+                 : std::vector<crypto::Prefix32>{};
   }
-  [[nodiscard]] std::uint64_t private_builds() {
-    return this->sync_states().builds();
-  }
-};
+  const auto state =
+      dynamic_cast<const V4SlicedProtocol&>(client).synced_state(kList);
+  return state ? state->prefixes() : std::vector<crypto::Prefix32>{};
+}
 
-TEST(SyncStateCacheTest, PrivateCacheHoldsNothingAfterEveryUpdate) {
+TEST(SyncStateCacheTest, ClientWithoutCacheHoldsTheSharedStatesAndNoMore) {
   Server server;
   SimClock clock;
   InProcessTransport plain(server, clock, /*round_trip_ticks=*/0);
   TamperingTransport tampered(server, clock);
   seed_list(server, 0, 20);
-  ClientConfig v4_config;
-  v4_config.protocol = ProtocolVersion::kV4Sliced;
-  PrivateCacheClient<Client> v3(plain, ClientConfig{});
-  PrivateCacheClient<V4SlicedProtocol> v4(plain, v4_config);
-  PrivateCacheClient<V4SlicedProtocol> desynced(tampered, v4_config);
-  v3.subscribe(kList);
-  v4.subscribe(kList);
-  desynced.subscribe(kList);
+  auto cache = std::make_shared<SyncStateCache>();
+  // Each pair: a client with no cache and its twin on the shared cache.
+  // The desynced pair shares the tampered transport, so each of its
+  // clients is sent the same tampered slices.
+  struct Pair {
+    const char* label;
+    std::unique_ptr<ProtocolClient> alone;
+    std::unique_ptr<ProtocolClient> shared;
+  };
+  const auto make_pair = [&](const char* label, ProtocolVersion protocol,
+                             Transport& transport) {
+    ClientConfig config;
+    config.protocol = protocol;
+    Pair pair{label, make_protocol_client(transport, config), nullptr};
+    config.sync_states = cache;
+    pair.shared = make_protocol_client(transport, config);
+    pair.alone->subscribe(kList);
+    pair.shared->subscribe(kList);
+    return pair;
+  };
+  Pair pairs[] = {make_pair("v3", ProtocolVersion::kV3Chunked, plain),
+                  make_pair("v4", ProtocolVersion::kV4Sliced, plain),
+                  make_pair("v4 desynced", ProtocolVersion::kV4Sliced,
+                            tampered)};
+  const Pair& desynced = pairs[2];
 
-  // Round 2 sends the last client an out-of-range removal (its apply
+  // Round 2 sends the desynced pair an out-of-range removal (its apply
   // fails), round 3 a wrong checksum (its build succeeds, its check
   // fails); round 4 resyncs it from nothing.
   for (int round = 0; round < 5; ++round) {
-    const std::string label = "round " + std::to_string(round);
     if (round > 0) churn_list(server, round);
-    if (round == 2) {
-      tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
-        response.lists.at(0).removal_indices.push_back(1u << 30);
-      };
-    } else if (round == 3) {
-      tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
-        response.lists.at(0).checksum ^= 1u;
-      };
+    const auto probes = probe_set(server);
+    for (Pair& pair : pairs) {
+      const std::string label =
+          std::string(pair.label) + " round " + std::to_string(round);
+      const bool tamper = &pair == &desynced && (round == 2 || round == 3);
+      const std::weak_ptr<const void> previous = state_of(*pair.alone);
+      for (ProtocolClient* client : {pair.alone.get(), pair.shared.get()}) {
+        if (tamper && round == 2) {
+          tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
+            response.lists.at(0).removal_indices.push_back(1u << 30);
+          };
+        } else if (tamper) {
+          tampered.tamper_next_v4 = [](V4UpdateResponse& response) {
+            response.lists.at(0).checksum ^= 1u;
+          };
+        }
+        EXPECT_EQ(client->update(), !tamper) << label;
+      }
+      // The same states by content; both null after a desync.
+      const auto state = state_of(*pair.alone);
+      EXPECT_EQ(state == nullptr, state_of(*pair.shared) == nullptr)
+          << label;
+      EXPECT_EQ(state == nullptr, tamper) << label;
+      EXPECT_EQ(held_prefixes(*pair.alone), held_prefixes(*pair.shared))
+          << label;
+      expect_same_database(*pair.shared, *pair.alone, probes, label);
+      // Nothing but the client (and `state` here) holds its state, and
+      // the state it moved past is gone: every round changed the list.
+      if (state) {
+        EXPECT_EQ(state.use_count(), 2) << label;
+      }
+      EXPECT_TRUE(previous.expired()) << label;
     }
-    EXPECT_TRUE(v3.update()) << label;
-    EXPECT_EQ(v3.private_entries(), 0u) << label;
-    EXPECT_TRUE(v4.update()) << label;
-    EXPECT_EQ(v4.private_entries(), 0u) << label;
-    EXPECT_EQ(desynced.update(), round < 2 || round > 3) << label;
-    EXPECT_EQ(desynced.private_entries(), 0u) << label;
   }
-  EXPECT_EQ(desynced.metrics().updates_failed, 2u);
-  EXPECT_EQ(desynced.list_checksum(kList), v4.list_checksum(kList));
-  // Every update built: the caches were used, then emptied.
-  EXPECT_EQ(v3.private_builds(), 5u);
-  EXPECT_EQ(v4.private_builds(), 5u);
-  EXPECT_EQ(desynced.private_builds(), 5u);
+  EXPECT_EQ(desynced.alone->metrics().updates_failed, 2u);
+  EXPECT_EQ(desynced.shared->metrics().updates_failed, 2u);
 }
 
 TEST(SyncStateCacheTest, ResentV3ChunkStaysIdempotent) {

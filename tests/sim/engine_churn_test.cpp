@@ -1,5 +1,5 @@
 // Live blacklist churn through the full engine stack: epoch mutations
-// republish server state mid-run, clients re-sync on their minimum-wait
+// change server state mid-run, clients re-sync on their minimum-wait
 // timers via true incremental deltas, and none of it may cost the
 // determinism contract -- same seed => bit-identical logs, fingerprints
 // and wire counters at ANY thread count, churn enabled. Also pins the
@@ -188,7 +188,7 @@ TEST(SimEngineChurnTest, V4ClientsConvergeToPostEpochSet) {
 
 TEST(SimEngineChurnTest, SharedStatesMatchFreshPrivateClients) {
   // The naive reference for shared sync states: after a churned mixed run,
-  // a fresh client with its own private cache full-syncs from scratch and
+  // a fresh client with no sync-state cache full-syncs from scratch and
   // must hold exactly the database of the user's incrementally synced,
   // shared-state client. Re-syncs come every epoch (the default cadence),
   // so the ticks after the last epoch (30..35) bring every user current.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table, no uncounted lock.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -64,6 +64,12 @@ type, sb::PublishedTable (src/sb/published_table.hpp), the only holder of
 an obs::TimedMutex.  Naming TimedMutex anywhere else in src/ starts a
 second hand-written copy of its published/pending tables and merge.
 
+Every lock the parallel phase takes is a counted obs::TimedMutex.  A
+standard mutex or lock (std::mutex, std::lock_guard, std::unique_lock,
+std::shared_mutex and their kin) in src/ outside the helper itself
+(src/obs/lock.hpp) and the thread pool (src/sim/thread_pool.{hpp,cpp})
+is a lock that no `locks` section counts.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
@@ -74,7 +80,8 @@ decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
 src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if a file
 other than src/obs/lock.hpp and src/sb/published_table.hpp names
-TimedMutex.  Line comments and block
+TimedMutex, or if a standard mutex or lock appears in src/ outside
+src/obs/lock.hpp and the thread pool.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
 
@@ -166,6 +173,12 @@ METRICS_BLOCK = re.compile(METRICS_IF + "$")  # just before a block's `{`
 # The timed mutex is held only by the publish-at-the-barrier table.
 PUBLISHED_TABLE_FILE = "src/sb/published_table.hpp"
 TIMED_MUTEX = re.compile(r"\bTimedMutex\b")
+
+# Standard mutexes and locks: only the timed lock helper and the thread pool.
+RAW_LOCK_FILES = (TIMED_LOCK_FILE, "src/sim/thread_pool.hpp",
+                  "src/sim/thread_pool.cpp")
+RAW_LOCK = re.compile(r"\bstd::(?:(?:recursive_|timed_|shared_|shared_timed_)?mutex"
+                      r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b")
 
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
@@ -318,6 +331,9 @@ def main() -> int:
                     and TIMED_MUTEX.search(line)):
                 violations.append((rel, lineno, "TimedMutex outside "
                                    "sb::PublishedTable", line.strip()))
+            if rel not in RAW_LOCK_FILES and RAW_LOCK.search(line):
+                violations.append((rel, lineno, "uncounted standard lock",
+                                   line.strip()))
     lock_text = strip_comments((root / TIMED_LOCK_FILE).read_text())
     for lineno, text in unguarded_clock_reads(lock_text):
         violations.append((TIMED_LOCK_FILE, lineno,
@@ -336,7 +352,8 @@ def main() -> int:
               UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
               "if (metrics); lock shared caches through " +
-              PUBLISHED_TABLE_FILE)
+              PUBLISHED_TABLE_FILE + "; take no standard lock outside " +
+              ", ".join(RAW_LOCK_FILES))
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -348,7 +365,8 @@ def main() -> int:
           f"update decodes only in {UPDATE_DECODE_FILE}, "
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
           f"clock reads in {TIMED_LOCK_FILE} only with metrics on, "
-          f"TimedMutex only in {PUBLISHED_TABLE_FILE})")
+          f"TimedMutex only in {PUBLISHED_TABLE_FILE}, "
+          f"standard locks only in {', '.join(RAW_LOCK_FILES)})")
     return 0
 
 
