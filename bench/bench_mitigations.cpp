@@ -36,7 +36,7 @@ int main() {
     tracking::ShadowDatabase shadow;
     shadow.add_plan(plan);
     std::vector<sb::QueryLogEntry> log;
-    log.push_back({1, 42, policy.pad_request(plan.track_prefixes)});
+    log.push_back({1, 42, policy.pad_request(plan.track_prefixes), {}});
     const bool still_detected = !shadow.detect(log).empty();
 
     std::printf("%8u %16zu %22.3g %26s\n", count, padded.size(),

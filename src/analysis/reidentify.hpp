@@ -58,9 +58,6 @@ class ReidentificationIndex {
       const std::vector<crypto::Prefix32>& prefixes) const;
 
   [[nodiscard]] std::size_t num_urls() const noexcept { return urls_.size(); }
-  [[nodiscard]] std::size_t num_expressions() const noexcept {
-    return by_prefix_.size();
-  }
 
  private:
   struct UrlEntry {

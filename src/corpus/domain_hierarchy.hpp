@@ -37,11 +37,6 @@ class DomainHierarchy {
   /// Number of URLs retained.
   [[nodiscard]] std::size_t num_urls() const noexcept { return urls_.size(); }
 
-  /// The exact expression of URL `i` in input order.
-  [[nodiscard]] const std::string& url_expression(std::size_t i) const {
-    return urls_[i].exact;
-  }
-
   /// All unique decomposition expressions on the domain.
   [[nodiscard]] std::size_t unique_decompositions() const noexcept {
     return decomposition_count_;

@@ -132,20 +132,20 @@ util::Rng WebCorpus::site_rng(std::size_t index) const {
   return util::Rng(util::splitmix64(state));
 }
 
-std::string WebCorpus::domain_of(std::size_t index, util::Rng& rng) {
+std::string_view WebCorpus::domain_of(std::size_t index, util::Rng& rng,
+                                      DomainBuffer& out) {
   // "site%06zu.<tld>": the index zero-padded to at least six digits.
   const std::string_view tld = kTlds[rng.next_below(kTlds.size())];
   char digits[20];
   char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
   const std::size_t width = static_cast<std::size_t>(end - digits);
-  std::string domain;
-  domain.reserve(4 + std::max<std::size_t>(6, width) + 1 + tld.size());
-  domain += "site";
-  if (width < 6) domain.append(6 - width, '0');
-  domain.append(digits, end);
-  domain += '.';
-  domain += tld;
-  return domain;
+  char* cursor = std::copy_n("site", 4, out.data());
+  if (width < 6) cursor = std::fill_n(cursor, 6 - width, '0');
+  cursor = std::copy(digits, end, cursor);
+  *cursor++ = '.';
+  cursor = std::copy(tld.begin(), tld.end(), cursor);
+  return std::string_view(out.data(),
+                          static_cast<std::size_t>(cursor - out.data()));
 }
 
 std::uint64_t WebCorpus::page_count(util::Rng& rng) const {
@@ -158,7 +158,8 @@ std::uint64_t WebCorpus::page_count(util::Rng& rng) const {
 
 std::string WebCorpus::site_domain(std::size_t index) const {
   util::Rng rng = site_rng(index);
-  return domain_of(index, rng);
+  DomainBuffer domain;
+  return std::string(domain_of(index, rng, domain));
 }
 
 std::uint64_t WebCorpus::site_page_count(std::size_t index) const {
@@ -170,7 +171,8 @@ std::uint64_t WebCorpus::site_page_count(std::size_t index) const {
 std::size_t WebCorpus::site_into(std::size_t index, PackedSite& out,
                                  std::uint64_t max_pages) const {
   util::Rng rng = site_rng(index);
-  const std::string domain = domain_of(index, rng);
+  DomainBuffer domain_buffer;  // on the stack: a miss allocates no domain
+  const std::string_view domain = domain_of(index, rng, domain_buffer);
   // Each page's draws follow the previous page's on one stream, so
   // stopping early leaves the pages before the limit unchanged.
   const std::uint64_t pages = std::min(page_count(rng), max_pages);

@@ -22,6 +22,7 @@
 // simulation's site LRU generate only such prefixes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -124,7 +125,10 @@ class WebCorpus {
   /// site_into split into Page fields (analysis and benches).
   [[nodiscard]] Site site(std::size_t index) const;
 
-  /// Number of pages site `index` will have (cheap: no page generation).
+  /// Number of pages site `index` will have. Generates no page, but seeds
+  /// the site's stream and makes a power-law draw (a std::pow) on every
+  /// call, so a caller that asks per visit memoizes the count
+  /// (sim::TrafficModel::sample_page keeps one 16-bit entry per site).
   [[nodiscard]] std::uint64_t site_page_count(std::size_t index) const;
 
   /// The registrable domain name of site `index`.
@@ -135,9 +139,13 @@ class WebCorpus {
 
  private:
   [[nodiscard]] util::Rng site_rng(std::size_t index) const;
-  /// Draws the TLD from a fresh site stream and returns the domain.
-  [[nodiscard]] static std::string domain_of(std::size_t index,
-                                             util::Rng& rng);
+  /// Room for the longest domain: "site", 20 digits, '.', a 6-byte TLD.
+  using DomainBuffer = std::array<char, 32>;
+  /// Draws the TLD from a fresh site stream and writes the domain into
+  /// `out`, returning it.
+  [[nodiscard]] static std::string_view domain_of(std::size_t index,
+                                                  util::Rng& rng,
+                                                  DomainBuffer& out);
   /// Draws the page count, the stream's next draw after the TLD.
   [[nodiscard]] std::uint64_t page_count(util::Rng& rng) const;
 

@@ -41,12 +41,6 @@ class Fd {
   [[nodiscard]] int get() const noexcept { return fd_; }
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void reset(int fd = -1) noexcept;
-  /// Releases ownership without closing.
-  [[nodiscard]] int release() noexcept {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
  private:
   int fd_ = -1;

@@ -28,13 +28,6 @@ void ChurnSchedule::register_seed_expression(std::string_view list,
   }
 }
 
-std::size_t ChurnSchedule::live_count(std::string_view list) const {
-  for (const auto& state : lists_) {
-    if (state.name == list) return state.live.size();
-  }
-  return 0;
-}
-
 std::size_t ChurnSchedule::draw_count(double expected) {
   if (expected <= 0.0) return 0;
   auto count = static_cast<std::size_t>(expected);

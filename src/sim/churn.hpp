@@ -104,10 +104,6 @@ class ChurnSchedule {
   /// Plans (and internally commits) epoch `epoch`; call with 1, 2, 3, ...
   [[nodiscard]] EpochPlan plan_epoch(std::uint64_t epoch);
 
-  /// Live (added-and-not-yet-retired) entries currently tracked for
-  /// `list` -- the basis of the next epoch's rate computation.
-  [[nodiscard]] std::size_t live_count(std::string_view list) const;
-
  private:
   struct ListState {
     std::string name;

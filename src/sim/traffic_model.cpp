@@ -1,8 +1,8 @@
 #include "sim/traffic_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
-#include <iterator>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -23,6 +23,9 @@ TrafficModel::TrafficModel(const TrafficConfig& traffic,
     throw std::invalid_argument(
         "TrafficModel: corpus exceeds 2^31 sites or 2^32 pages per site");
   }
+  // Sized to the rank sampler's range, which covers an empty corpus too.
+  page_counts_ = std::make_unique<std::atomic<std::uint16_t>[]>(
+      rank_sampler_.x_max());
   // One id per URL string: a repeated target shares its first occurrence's
   // id, and a target that is a corpus page's URL takes that page's id.
   target_ids_.reserve(target_urls_.size());
@@ -65,16 +68,90 @@ std::optional<TrafficModel::VisitId> TrafficModel::corpus_page_id(
   return std::nullopt;
 }
 
+std::uint32_t TrafficModel::SiteCache::find(
+    std::size_t index) const noexcept {
+  if (slots_.empty()) return kNone;
+  for (std::size_t i = home(index);; i = (i + 1) & mask()) {
+    const Slot& slot = slots_[i];
+    if (slot.entry == kNone || slot.key == index) return slot.entry;
+  }
+}
+
+void TrafficModel::SiteCache::place(std::uint64_t key,
+                                    std::uint32_t e) noexcept {
+  std::size_t i = home(key);
+  while (slots_[i].entry != kNone) i = (i + 1) & mask();
+  slots_[i] = {key, e};
+}
+
+void TrafficModel::SiteCache::erase(std::uint64_t key) noexcept {
+  std::size_t i = home(key);
+  while (slots_[i].key != key) i = (i + 1) & mask();
+  // Backward-shift deletion: pull each later slot of the probe run whose
+  // home is not after the hole into it, so no run is broken.
+  for (std::size_t j = (i + 1) & mask(); slots_[j].entry != kNone;
+       j = (j + 1) & mask()) {
+    if (((j - home(slots_[j].key)) & mask()) >= ((j - i) & mask())) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i].entry = kNone;
+}
+
+void TrafficModel::SiteCache::unlink(std::uint32_t e) noexcept {
+  const Entry& entry = entries_[e];
+  (entry.newer == kNone ? head_ : entries_[entry.newer].older) = entry.older;
+  (entry.older == kNone ? tail_ : entries_[entry.older].newer) = entry.newer;
+}
+
+void TrafficModel::SiteCache::push_front(std::uint32_t e) noexcept {
+  Entry& entry = entries_[e];
+  entry.newer = kNone;
+  entry.older = head_;
+  (head_ == kNone ? tail_ : entries_[head_].newer) = e;
+  head_ = e;
+}
+
+void TrafficModel::SiteCache::touch(std::uint32_t e) noexcept {
+  if (e == head_) return;
+  unlink(e);
+  push_front(e);
+}
+
+std::uint32_t TrafficModel::SiteCache::claim(std::size_t index) {
+  std::uint32_t e = tail_;
+  if (entries_.size() < capacity_) {
+    e = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+    if (2 * entries_.size() > slots_.size()) {
+      // Double the table (16 slots at first) and re-place the live keys.
+      slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), Slot{});
+      shift_ = 64 - std::countr_zero(slots_.size());
+      for (std::uint32_t live = 0; live < e; ++live) {
+        place(entries_[live].index, live);
+      }
+    }
+  } else {
+    erase(entries_[e].index);
+    unlink(e);
+  }
+  entries_[e].index = index;
+  place(index, e);
+  push_front(e);
+  return e;
+}
+
 const corpus::PackedSite& TrafficModel::site(std::size_t index,
                                              std::uint64_t page,
                                              SiteCache& cache) const {
-  const auto it = cache.by_index_.find(index);
-  const bool cached = it != cache.by_index_.end();
+  std::uint32_t e = cache.find(index);
+  const bool cached = e != SiteCache::kNone;
   if (cached) {
-    cache.lru_.splice(cache.lru_.begin(), cache.lru_, it->second);
-    if (page < it->second->site.size()) {
+    cache.touch(e);
+    if (page < cache.entries_[e].site.size()) {
       ++cache.hits_;
-      return it->second->site;
+      return cache.entries_[e].site;
     }
   }
   // A site's first miss generates it through `page`. A request past a
@@ -84,26 +161,28 @@ const corpus::PackedSite& TrafficModel::site(std::size_t index,
   corpus_.site_into(index, cache.scratch_,
                     cached ? corpus::WebCorpus::kAllPages : page + 1);
   cache.pages_generated_ += cache.scratch_.size();
-  if (cached) {
-    it->second->site = corpus::PackedSite(cache.scratch_);
-    return it->second->site;
+  if (!cached) e = cache.claim(index);
+  // The scratch stays warm and as large as the largest site generated;
+  // the entry's own buffers (an evicted or shorter site's) take a copy.
+  // An entry keeps at most twice the capacity it needs, so the cache's
+  // memory follows what it holds.
+  corpus::PackedSite& held = cache.entries_[e].site;
+  held.bytes.assign(cache.scratch_.bytes);
+  held.ends.assign(cache.scratch_.ends.begin(), cache.scratch_.ends.end());
+  if (held.bytes.capacity() > 2 * held.bytes.size()) held.bytes.shrink_to_fit();
+  if (held.ends.capacity() > 2 * held.ends.size()) held.ends.shrink_to_fit();
+  return held;
+}
+
+std::uint64_t TrafficModel::page_count(std::size_t index) const {
+  std::atomic<std::uint16_t>& memo = page_counts_[index];
+  std::uint64_t count = memo.load(std::memory_order_relaxed);
+  if (count != 0) return count;
+  count = corpus_.site_page_count(index);  // >= 1
+  if (count < kUnmemoized) {
+    memo.store(static_cast<std::uint16_t>(count), std::memory_order_relaxed);
   }
-  if (cache.lru_.size() < cache.capacity_) {
-    cache.lru_.push_front({index, cache.scratch_});
-    cache.by_index_.emplace(index, cache.lru_.begin());
-    return cache.lru_.front().site;
-  }
-  // Full: the least recently used entry's list and map nodes are reused for
-  // the new site, but not its buffers -- a copy is sized to what it holds.
-  cache.lru_.splice(cache.lru_.begin(), cache.lru_,
-                    std::prev(cache.lru_.end()));
-  SiteCache::Entry& entry = cache.lru_.front();
-  auto node = cache.by_index_.extract(entry.index);
-  node.key() = index;
-  cache.by_index_.insert(std::move(node));
-  entry.index = index;
-  entry.site = corpus::PackedSite(cache.scratch_);
-  return entry.site;
+  return count;
 }
 
 TrafficModel::VisitId TrafficModel::sample_page(util::Rng& rng) const {
@@ -111,7 +190,7 @@ TrafficModel::VisitId TrafficModel::sample_page(util::Rng& rng) const {
   // popular head. The page within the site is uniform.
   const std::size_t index =
       static_cast<std::size_t>(rank_sampler_.sample(rng) - 1);
-  const std::uint64_t page = rng.next_below(corpus_.site_page_count(index));
+  const std::uint64_t page = rng.next_below(page_count(index));
   return static_cast<VisitId>(index) << 32 | page;
 }
 

@@ -23,22 +23,29 @@
 // without the pages after it (corpus/web_corpus.hpp), so a site's first
 // miss generates pages 0..p of the requested page p. A later request at
 // or past the cached prefix is a miss too, and regenerates the whole site
-// into that entry, which from then on hits for every page. Either kind of
-// miss generates into the cache's scratch site and copies it into a
-// buffer sized to what was generated: entries never keep the capacity of
-// a larger site they replaced, so the cache's memory follows what it
-// holds. The model itself is immutable after construction (corpus
-// generation is const and stateless), so one instance is shared by every
-// engine shard across threads; the mutable LRU lives in a per-shard
-// SiteCache handed into each url_of().
+// into that entry, which from then on hits for every page. The LRU is
+// flat: an open-addressed key table over an array of entries linked by
+// uint32 indices. Either kind of miss generates into the cache's scratch
+// site, which stays warm, and copies it into the entry's own buffers
+// (those of the evicted or shorter site); a buffer left holding less than
+// half its capacity is shrunk, so the cache's memory follows what it
+// holds. A warm miss whose entry buffers fit the site allocates nothing.
+//
+// The model's only mutable state is a page-count memo: sample_page draws
+// a site's page count once (WebCorpus::site_page_count re-seeds a site
+// stream and makes a power-law draw) and reads it from a table of 16-bit
+// relaxed atomics after that. The count is a pure function of the site
+// index, so one instance is shared by every engine shard across threads;
+// the mutable LRU lives in a per-shard SiteCache handed into each
+// url_of().
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/web_corpus.hpp"
@@ -72,15 +79,47 @@ class TrafficModel {
 
    private:
     friend class TrafficModel;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
     struct Entry {
-      std::size_t index;
+      std::size_t index = 0;
       corpus::PackedSite site;
+      std::uint32_t newer = kNone;  ///< toward the most recently used
+      std::uint32_t older = kNone;  ///< toward the least recently used
     };
+    struct Slot {
+      std::uint64_t key = 0;
+      std::uint32_t entry = kNone;  ///< kNone: empty
+    };
+
+    /// The entry of site `index`, or kNone.
+    [[nodiscard]] std::uint32_t find(std::size_t index) const noexcept;
+    /// Makes entry `e` the most recently used.
+    void touch(std::uint32_t e) noexcept;
+    /// An entry keyed `index` (which must be absent), most recently used:
+    /// a new one below capacity, else the least recently used, re-keyed.
+    [[nodiscard]] std::uint32_t claim(std::size_t index);
+
+    [[nodiscard]] std::size_t mask() const noexcept {
+      return slots_.size() - 1;
+    }
+    /// Fibonacci hashing, as in UrlCache.
+    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    void place(std::uint64_t key, std::uint32_t e) noexcept;
+    void erase(std::uint64_t key) noexcept;
+    void unlink(std::uint32_t e) noexcept;
+    void push_front(std::uint32_t e) noexcept;
 
     std::size_t capacity_;
     corpus::PackedSite scratch_;  ///< where a missed site is generated
-    std::list<Entry> lru_;  ///< most recently used first
-    std::unordered_map<std::size_t, std::list<Entry>::iterator> by_index_;
+    /// Grows on demand up to capacity_; entries are never removed, only
+    /// re-keyed. Fewer than 2^31 (the corpus bound), so uint32 links fit.
+    std::vector<Entry> entries_;
+    std::vector<Slot> slots_;  ///< linear probing, load <= 1/2; or empty
+    int shift_ = 64;
+    std::uint32_t head_ = kNone;  ///< most recently used
+    std::uint32_t tail_ = kNone;  ///< least recently used
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t pages_generated_ = 0;
@@ -119,9 +158,18 @@ class TrafficModel {
   /// The corpus page whose URL is exactly `url`, if any.
   [[nodiscard]] std::optional<VisitId> corpus_page_id(
       const std::string& url) const;
+  /// corpus_.site_page_count(index), read from the memo once drawn.
+  [[nodiscard]] std::uint64_t page_count(std::size_t index) const;
+
+  /// Counts at or above this are never memoized: they are drawn each time.
+  static constexpr std::uint64_t kUnmemoized = 0xFFFF;
 
   corpus::WebCorpus corpus_;
   util::PowerLawSampler rank_sampler_;
+  /// One page count per corpus site, 0 until a draw first needs it. The
+  /// count is a pure function of the site index, so racing fills store the
+  /// same value; relaxed atomics make the race benign.
+  std::unique_ptr<std::atomic<std::uint16_t>[]> page_counts_;
   std::size_t capacity_;
   std::vector<std::string> target_urls_;
   std::vector<VisitId> target_ids_;

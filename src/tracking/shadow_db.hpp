@@ -42,9 +42,6 @@ class ShadowDatabase {
   /// Registers a plan without touching any server (for offline analysis).
   void add_plan(const TrackingPlan& plan);
 
-  [[nodiscard]] std::size_t num_targets() const noexcept {
-    return plans_.size();
-  }
   [[nodiscard]] const std::vector<TrackingPlan>& plans() const noexcept {
     return plans_;
   }

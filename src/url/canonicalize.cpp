@@ -192,12 +192,6 @@ CanonicalHost canonicalize_host(std::string_view host) {
   return out;
 }
 
-std::string canonicalize_path(std::string_view path) {
-  std::string out;
-  canonical_path_into(path, out);
-  return out;
-}
-
 bool canonicalize_into(std::string_view raw, CanonicalUrl& out,
                        CanonicalizeScratch& scratch) {
   // 1. Trim surrounding whitespace, drop TAB/CR/LF anywhere.

@@ -79,7 +79,4 @@ struct CanonicalHost {
 };
 [[nodiscard]] CanonicalHost canonicalize_host(std::string_view host);
 
-/// Canonicalizes just a path (step 5). Exposed for tests.
-[[nodiscard]] std::string canonicalize_path(std::string_view path);
-
 }  // namespace sbp::url

@@ -18,7 +18,7 @@ class HistoryReconstructionTest : public ::testing::Test {
 
   static sb::QueryLogEntry entry(sb::Cookie cookie, std::uint64_t tick,
                                  const char* url) {
-    return {tick, cookie, url::decompose_prefixes(url)};
+    return {tick, cookie, url::decompose_prefixes(url), {}};
   }
 
   ReidentificationIndex index_;
@@ -54,7 +54,7 @@ TEST_F(HistoryReconstructionTest, GroupsByCookie) {
 }
 
 TEST_F(HistoryReconstructionTest, UnknownPrefixesYieldEmptyCandidates) {
-  const std::vector<sb::QueryLogEntry> log = {{5, 9, {0xDEADBEEF}}};
+  const std::vector<sb::QueryLogEntry> log = {{5, 9, {0xDEADBEEF}, {}}};
   const auto histories = reconstruct_histories(log, index_);
   ASSERT_EQ(histories.size(), 1u);
   EXPECT_TRUE(histories[0].events[0].candidates.empty());
@@ -65,7 +65,7 @@ TEST_F(HistoryReconstructionTest, SummaryStats) {
   const std::vector<sb::QueryLogEntry> log = {
       entry(1, 10, "http://watched.example/secret/page.html"),
       entry(2, 11, "http://forum.example/thread/42"),
-      {12, 2, {0x12345678}},  // unknown
+      {12, 2, {0x12345678}, {}},  // unknown
   };
   const auto histories = reconstruct_histories(log, index_);
   const auto stats = summarize_reconstruction(histories);
@@ -88,7 +88,7 @@ TEST_F(HistoryReconstructionTest, AmbiguousQueryKeepsAllCandidates) {
   // Single prefix of the shared domain root: both watched.example URLs
   // remain candidates.
   const std::vector<sb::QueryLogEntry> log = {
-      {7, 3, {crypto::prefix32_of("watched.example/")}}};
+      {7, 3, {crypto::prefix32_of("watched.example/")}, {}}};
   const auto histories = reconstruct_histories(log, index_);
   ASSERT_EQ(histories[0].events.size(), 1u);
   EXPECT_EQ(histories[0].events[0].candidates.size(), 2u);

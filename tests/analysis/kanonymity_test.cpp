@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sbp::analysis {
 namespace {
@@ -70,7 +71,10 @@ TEST(KAnonymityTest, PrefixWidthSweepMeanK) {
   for (const unsigned bits : {32u, 24u, 16u, 8u}) {
     KAnonymityIndex index(bits);
     for (int i = 0; i < 2000; ++i) {
-      index.add_expression("u" + std::to_string(i) + ".example/");
+      std::string expression = "u";
+      expression += std::to_string(i);
+      expression += ".example/";
+      index.add_expression(expression);
     }
     const double mean = index.stats().mean_k;
     EXPECT_GE(mean, previous_mean) << bits;

@@ -63,7 +63,7 @@ TEST(DummyPolicyTest, MultiPrefixReidentificationSurvivesDummies) {
 
   const DummyPolicy policy(4);
   std::vector<sb::QueryLogEntry> log;
-  log.push_back({10, 77, policy.pad_request(plan.track_prefixes)});
+  log.push_back({10, 77, policy.pad_request(plan.track_prefixes), {}});
   const auto detections = shadow.detect(log);
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_EQ(detections[0].cookie, 77u);

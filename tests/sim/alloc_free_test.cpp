@@ -6,6 +6,7 @@
 // that a warm engine tick stays near zero allocations per user-tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -28,14 +29,18 @@ std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
 // Every allocation of this binary goes through here (operator new[] and
-// the sized/unsized deletes forward to these by default).
+// the array deletes forward to these by default). The deletes stay out of
+// line: inlined into a container, GCC would see their free() release a
+// pointer that came from operator new and call the pair mismatched.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sbp::sim {
 namespace {
@@ -127,6 +132,42 @@ TEST(AllocFreeTest, UrlOfOnSiteCacheHitAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(cache.misses(), ids.size());
   EXPECT_EQ(cache.hits(), 4 * ids.size());
+}
+
+TEST(AllocFreeTest, WarmSiteCacheMissIntoFittingBuffersAllocatesNothing) {
+  // 128 sites through 64 entries, round-robin: every request misses and
+  // evicts the least recently used entry, so entry k holds site k and site
+  // 64 + k in turn. The sites are those whose first page has the most
+  // common length, so each entry's buffers fit every site it gets (an
+  // entry left more than half empty is shrunk, and then grows again). A
+  // miss then generates into the warm scratch and copies into the entry
+  // without touching the heap.
+  const corpus::WebCorpus corpus(browse_corpus());
+  std::vector<std::vector<std::uint64_t>> by_length(256);
+  corpus::PackedSite packed;
+  for (std::uint64_t site = 0; site < corpus.num_hosts(); ++site) {
+    corpus.site_into(site, packed, 1);
+    by_length[std::min<std::size_t>(packed.bytes.size(), 255)].push_back(site);
+  }
+  const auto& sites = *std::max_element(
+      by_length.begin(), by_length.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  ASSERT_GE(sites.size(), 128u);
+
+  const TrafficModel model(TrafficConfig{}, browse_corpus(), 64);
+  TrafficModel::SiteCache cache = model.make_cache();
+  std::vector<TrafficModel::VisitId> ids;
+  for (std::size_t i = 0; i < 128; ++i) ids.push_back(sites[i] << 32 | 0);
+  std::string url;
+  for (const auto id : ids) model.url_of(id, cache, url);  // warm
+
+  const std::uint64_t before = allocations();
+  for (int round = 0; round < 4; ++round) {
+    for (const auto id : ids) model.url_of(id, cache, url);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.misses(), 5 * ids.size());
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +62,56 @@ TEST(TrafficModelTest, IdDrawEqualsStringDraw) {
   EXPECT_EQ(rng.next(), twin.next()) << "streams diverged";
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(TrafficModelTest, LargePageCountsAreDrawnExactly) {
+  // Counts of 65,535 or more do not fit the 16-bit page-count memo, so
+  // those sites draw their count again on every visit.
+  corpus::CorpusConfig config;
+  config.num_hosts = 64;
+  config.seed = 7;
+  config.alpha = 1.05;
+  config.max_pages = std::uint64_t{1} << 22;
+  const TrafficModel model(browse_traffic(), config, 16);
+  const corpus::WebCorpus reference(config);
+  const util::PowerLawSampler ranks(1.5, 1, config.num_hosts);
+
+  util::Rng rng(3);
+  util::Rng twin(3);
+  int large = 0;
+  for (int draw = 0; draw < 20000; ++draw) {
+    const TrafficModel::VisitId id = model.sample_page(rng);
+    const std::size_t s = static_cast<std::size_t>(ranks.sample(twin) - 1);
+    const std::uint64_t count = reference.site_page_count(s);
+    if (count >= 0xFFFF) ++large;
+    ASSERT_EQ(id, static_cast<TrafficModel::VisitId>(s) << 32 |
+                      twin.next_below(count))
+        << "draw " << draw;
+  }
+  EXPECT_GT(large, 1000) << "too few draws took the recompute path";
+  EXPECT_EQ(rng.next(), twin.next()) << "streams diverged";
+}
+
+TEST(TrafficModelTest, RacingPageCountFillsDrawTheSerialIds) {
+  // Two threads fill one model's page-count memo at once; each must draw
+  // exactly what a fresh model draws serially from the same stream.
+  constexpr int kDraws = 50000;
+  const auto draw = [](const TrafficModel& model, std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<TrafficModel::VisitId> ids(kDraws);
+    for (auto& id : ids) id = model.sample_page(rng);
+    return ids;
+  };
+  const TrafficModel shared(browse_traffic(), browse_corpus(), 16);
+  std::vector<TrafficModel::VisitId> racing[2];
+  std::thread other([&] { racing[1] = draw(shared, 2); });
+  racing[0] = draw(shared, 1);
+  other.join();
+
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const TrafficModel serial(browse_traffic(), browse_corpus(), 16);
+    EXPECT_EQ(racing[seed - 1], draw(serial, seed)) << "seed " << seed;
+  }
 }
 
 TEST(TrafficModelTest, SiteCacheNeverDecides) {

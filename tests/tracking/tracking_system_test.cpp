@@ -119,11 +119,11 @@ TEST(AggregatorTest, PetsTemporalCorrelation) {
       crypto::prefix32_of("https://petsymposium.org/2016/submission/");
 
   std::vector<sb::QueryLogEntry> log;
-  log.push_back({100, 1, {cfp}});
-  log.push_back({150, 1, {submission}});   // same user, close in time
-  log.push_back({100, 2, {cfp}});          // user 2 never queries submission
-  log.push_back({5000, 3, {cfp}});
-  log.push_back({99000, 3, {submission}});  // user 3: outside the window
+  log.push_back({100, 1, {cfp}, {}});
+  log.push_back({150, 1, {submission}, {}});  // same user, close in time
+  log.push_back({100, 2, {cfp}, {}});  // user 2 never queries submission
+  log.push_back({5000, 3, {cfp}, {}});
+  log.push_back({99000, 3, {submission}, {}});  // user 3: outside the window
 
   CorrelationRule rule;
   rule.label = "plans to submit a paper";
@@ -147,8 +147,8 @@ TEST(AggregatorTest, UnorderedRuleMatchesEitherOrder) {
   rule.ordered = false;
 
   std::vector<sb::QueryLogEntry> log;
-  log.push_back({10, 5, {0xBBBB}});
-  log.push_back({20, 5, {0xAAAA}});  // reverse order
+  log.push_back({10, 5, {0xBBBB}, {}});
+  log.push_back({20, 5, {0xAAAA}, {}});  // reverse order
   EXPECT_EQ(correlate(log, {rule}).size(), 1u);
 
   rule.ordered = true;
@@ -162,8 +162,8 @@ TEST(AggregatorTest, WindowBoundary) {
   rule.window_ticks = 50;
 
   std::vector<sb::QueryLogEntry> log;
-  log.push_back({0, 9, {1}});
-  log.push_back({50, 9, {2}});  // exactly at the boundary: inclusive
+  log.push_back({0, 9, {1}, {}});
+  log.push_back({50, 9, {2}, {}});  // exactly at the boundary: inclusive
   EXPECT_EQ(correlate(log, {rule}).size(), 1u);
 
   log[1].tick = 51;
@@ -176,7 +176,7 @@ TEST(AggregatorTest, MultiplePrefixesInOneQueryCount) {
   rule.prefixes = {7, 8};
   rule.window_ticks = 10;
   std::vector<sb::QueryLogEntry> log;
-  log.push_back({5, 4, {7, 8}});  // both in one query
+  log.push_back({5, 4, {7, 8}, {}});  // both in one query
   EXPECT_EQ(correlate(log, {rule}).size(), 1u);
 }
 
@@ -185,7 +185,7 @@ TEST(AggregatorTest, EmptyInputs) {
   CorrelationRule rule;
   rule.label = "e";
   rule.window_ticks = 10;
-  EXPECT_TRUE(correlate({{1, 1, {1}}}, {rule}).empty());  // empty prefixes
+  EXPECT_TRUE(correlate({{1, 1, {1}, {}}}, {rule}).empty());  // empty prefixes
 }
 
 TEST(PopulationTest, DeterministicPlans) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table, no uncounted lock.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -70,6 +70,12 @@ std::shared_mutex and their kin) in src/ outside the helper itself
 (src/obs/lock.hpp) and the thread pool (src/sim/thread_pool.{hpp,cpp})
 is a lock that no `locks` section counts.
 
+The random generator util::Rng is header-only (src/util/rng.hpp): corpus
+generation and traffic planning make several draws per page, and without
+LTO an out-of-line draw costs more than the draw itself.  A
+src/util/rng.cpp, or an Rng:: member defined in any other file under src/,
+puts the generator back behind a call.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
@@ -81,7 +87,8 @@ appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
 src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if a file
 other than src/obs/lock.hpp and src/sb/published_table.hpp names
 TimedMutex, or if a standard mutex or lock appears in src/ outside
-src/obs/lock.hpp and the thread pool.  Line comments and block
+src/obs/lock.hpp and the thread pool, or if src/util/rng.cpp exists or an
+Rng:: member is defined outside src/util/rng.hpp.  Line comments and block
 comments are stripped before matching so prose mentioning the forbidden API
 is fine.
 
@@ -180,6 +187,11 @@ RAW_LOCK_FILES = (TIMED_LOCK_FILE, "src/sim/thread_pool.hpp",
 RAW_LOCK = re.compile(r"\bstd::(?:(?:recursive_|timed_|shared_|shared_timed_)?mutex"
                       r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b")
 
+# The random generator is defined in its header only.
+RNG_HEADER = "src/util/rng.hpp"
+RNG_SOURCE = "src/util/rng.cpp"
+RNG_MEMBER = re.compile(r"\bRng\s*::\s*(?:~?\w+|operator\s*\(\s*\))\s*\(")
+
 # Headers whose membership wrappers must stay non-virtual: a declaration of
 # one of WRAPPERS that says `virtual` or `override` is a second
 # implementation of membership.
@@ -205,6 +217,18 @@ def virtual_wrappers(text: str):
         if VIRTUAL.search(statement):
             yield (text.count("\n", 0, match.start()) + 1, match.group(1),
                    " ".join(statement.split()))
+
+
+def rng_member_definitions(text: str):
+    """Yields (line, definition) for each Rng:: member defined out of line:
+    a qualified name whose statement opens a body before it ends."""
+    for match in RNG_MEMBER.finditer(text):
+        brace = text.find("{", match.end())
+        semicolon = text.find(";", match.end())
+        if brace != -1 and (semicolon == -1 or brace < semicolon):
+            start = max(text.rfind(c, 0, match.start()) for c in ";{}") + 1
+            yield (text.count("\n", 0, match.start()) + 1,
+                   " ".join(text[start:brace].split()))
 
 
 def unguarded_clock_reads(text: str):
@@ -307,7 +331,7 @@ def main() -> int:
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
     for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE,
-                     PUBLISHED_TABLE_FILE):
+                     PUBLISHED_TABLE_FILE, RNG_HEADER):
         if not (root / required).is_file():
             print(f"check_hot_path: missing file {required}", file=sys.stderr)
             return 1
@@ -334,6 +358,13 @@ def main() -> int:
             if rel not in RAW_LOCK_FILES and RAW_LOCK.search(line):
                 violations.append((rel, lineno, "uncounted standard lock",
                                    line.strip()))
+        if rel != RNG_HEADER:
+            for lineno, text in rng_member_definitions(stripped):
+                violations.append((rel, lineno, "Rng member defined outside "
+                                   "its header", text))
+    if (root / RNG_SOURCE).exists():
+        violations.append((RNG_SOURCE, 1, "out-of-line Rng source",
+                           "the generator is header-only"))
     lock_text = strip_comments((root / TIMED_LOCK_FILE).read_text())
     for lineno, text in unguarded_clock_reads(lock_text):
         violations.append((TIMED_LOCK_FILE, lineno,
@@ -353,7 +384,8 @@ def main() -> int:
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
               "if (metrics); lock shared caches through " +
               PUBLISHED_TABLE_FILE + "; take no standard lock outside " +
-              ", ".join(RAW_LOCK_FILES))
+              ", ".join(RAW_LOCK_FILES) + "; define util::Rng only in " +
+              RNG_HEADER)
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -366,7 +398,8 @@ def main() -> int:
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
           f"clock reads in {TIMED_LOCK_FILE} only with metrics on, "
           f"TimedMutex only in {PUBLISHED_TABLE_FILE}, "
-          f"standard locks only in {', '.join(RAW_LOCK_FILES)})")
+          f"standard locks only in {', '.join(RAW_LOCK_FILES)}, "
+          f"Rng defined only in {RNG_HEADER})")
     return 0
 
 
