@@ -1,6 +1,6 @@
 // Fixed-bucket histograms for the observability layer (src/obs).
 //
-// The hot paths this layer instruments (per-user plan/lookup spans, wire
+// The hot paths this layer instruments (plan/lookup/URL-build spans, wire
 // frame sizes, worker busy times) run inside the engine's parallel phase,
 // so the histogram must be recordable with no allocation, no locking and a
 // handful of instructions: values land in power-of-two buckets (bucket i

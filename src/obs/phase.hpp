@@ -19,8 +19,8 @@
 //     wire path, the exact-byte refinement of sb::TransportStats.
 //
 // Everything here is POD-ish and allocation-free on the record path. The
-// engine reads the clock only when metrics are on, which is how it keeps
-// metrics-off overhead at zero.
+// engine times every span through one Stopwatch, which reads the clock
+// only when metrics are on, so a metrics-off run reads no clock at all.
 #pragma once
 
 #include <array>
@@ -42,8 +42,8 @@ namespace sbp::obs {
 /// including the barrier, so parallel_tick - (resync+plan+lookup)/threads
 /// is scheduling overhead.
 enum class Phase : std::size_t {
-  kPlan = 0,       ///< per-user URL planning (traffic model), per shard
-  kLookup,         ///< per-user dispatch through the batched lookup layer
+  kPlan = 0,       ///< a shard's visit planning (traffic model), per tick
+  kLookup,         ///< a shard's dispatch through the batched lookup layer
   kResync,         ///< staggered client update() polls, per shard
   /// serial: epoch mutation + reseal, and the re-syncs the
   /// epoch leads (one per shard, also timed as that shard's resync)
@@ -62,9 +62,10 @@ constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
 [[nodiscard]] std::string_view phase_name(Phase phase) noexcept;
 
 /// Accumulated wall time + span distribution of one phase. A "span" is
-/// one timed execution: per user for plan/lookup, per shard-tick for
-/// resync (two on an epoch tick: the lead re-sync and the rest), per tick
-/// for log_drain, per epoch for churn_epoch.
+/// one timed execution: per shard-tick for plan, lookup and resync (two
+/// resync spans on an epoch tick: the lead re-sync and the rest), per
+/// URL-cache miss for site/url_build, per tick for log_drain and
+/// parallel_tick, per epoch for churn_epoch.
 struct PhaseStats {
   std::uint64_t spans = 0;
   std::uint64_t total_ns = 0;
@@ -82,9 +83,10 @@ struct PhaseStats {
   }
 };
 
-/// Per-phase statistics. Each shard owns one (only plan/lookup used there)
-/// and the engine owns one for the serial phases; merged in canonical
-/// shard order into the run snapshot. Merging is exact and commutative.
+/// Per-phase statistics. Each shard owns one (resync, plan, lookup and
+/// lookup's sub-phases) and the engine owns one for the serial phases;
+/// merged in canonical shard order into the run snapshot. Merging is exact
+/// and commutative.
 class PhaseProfile {
  public:
   void record(Phase phase, std::uint64_t ns) noexcept {
@@ -101,6 +103,30 @@ class PhaseProfile {
 
  private:
   std::array<PhaseStats, kPhaseCount> stats_{};
+};
+
+/// Times back-to-back spans, reading the clock only when `on`. lap() is
+/// the ns since construction or the previous lap (0 when off);
+/// record_lap() records it as one span of `phase` (nothing when off).
+class Stopwatch {
+ public:
+  explicit Stopwatch(bool on) noexcept
+      : on_(on), last_ns_(on ? now_ns() : 0) {}
+
+  [[nodiscard]] std::uint64_t lap() noexcept {
+    if (!on_) return 0;
+    const std::uint64_t now = now_ns();
+    const std::uint64_t ns = now - last_ns_;
+    last_ns_ = now;
+    return ns;
+  }
+  void record_lap(PhaseProfile& profile, Phase phase) noexcept {
+    if (on_) profile.record(phase, lap());
+  }
+
+ private:
+  bool on_;
+  std::uint64_t last_ns_;
 };
 
 /// Thread-pool instrumentation, owned by the pool's creator and filled by

@@ -33,7 +33,7 @@ std::size_t resolve_threads(std::size_t requested, std::size_t num_shards) {
 }  // namespace
 
 Engine::Engine(SimConfig config)
-    : setup_start_ns_(config.collect_metrics ? obs::now_ns() : 0),
+    : setup_watch_(config.collect_metrics),
       config_(std::move(config)),
       server_(config_.provider),
       traffic_model_(config_.traffic, config_.corpus,
@@ -58,9 +58,9 @@ Engine::Engine(SimConfig config)
   // With metrics on, each setup step is timed into setup_ (server_setup,
   // the churn schedule and the pool fall in the constructor's total only).
   const auto timed_step = [this](std::uint64_t& ns, auto&& body) {
-    const std::uint64_t t0 = obs_enabled_ ? obs::now_ns() : 0;
+    obs::Stopwatch watch(obs_enabled_);
     body();
-    if (obs_enabled_) ns = obs::now_ns() - t0;
+    ns = watch.lap();
   };
   timed_step(setup_.seed_blacklist_ns, [&] { seed_blacklist(); });
   metrics_.corpus_pages_generated = seed_pages_generated_;
@@ -76,7 +76,7 @@ Engine::Engine(SimConfig config)
       resolve_threads(config_.num_threads, shards_.size()));
   if (obs_enabled_) {
     pool_->set_obs(&pool_obs_);
-    setup_.total_ns = obs::now_ns() - setup_start_ns_;
+    setup_.total_ns = setup_watch_.lap();
   }
 }
 
@@ -324,18 +324,13 @@ const UrlCache::Entry& Engine::url_prefixes(Shard& shard,
   // (decompose + hash happen exactly once per distinct URL per shard). The
   // URL string exists only here, on a miss. With metrics on, the miss is
   // split into its site step (URL from the site LRU) and its url_build
-  // step; both nest inside the user's lookup span.
+  // step; both nest inside the shard-tick's lookup span.
   UrlCache::Entry& entry = shard.url_cache.insert(visit);
-  const bool timed = obs_enabled_;
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+  obs::Stopwatch watch(obs_enabled_);
   traffic_model_.url_of(visit, shard.site_cache, shard.url_scratch);
-  const std::uint64_t t1 = timed ? obs::now_ns() : 0;
+  watch.record_lap(shard.obs_phases, obs::Phase::kSite);
   entry.request.build(shard.url_scratch);
-  if (timed) {
-    const std::uint64_t t2 = obs::now_ns();
-    shard.obs_phases.record(obs::Phase::kSite, t1 - t0);
-    shard.obs_phases.record(obs::Phase::kUrlBuild, t2 - t1);
-  }
+  watch.record_lap(shard.obs_phases, obs::Phase::kUrlBuild);
   stamp_universe(entry);
   return entry;
 }
@@ -441,7 +436,7 @@ void Engine::publish_shared_state() {
 }
 
 void Engine::resync_due(Shard& shard, bool lead_only) {
-  const std::uint64_t r0 = obs_enabled_ ? obs::now_ns() : 0;
+  obs::Stopwatch watch(obs_enabled_);
   const std::uint64_t now = clock_.now();
   const std::vector<std::size_t>& due =
       shard.resync_slots[tick_ % resync_cadence()];
@@ -456,9 +451,7 @@ void Engine::resync_due(Shard& shard, bool lead_only) {
     ++shard.tick_metrics.churn_updates;
     if (lead_only) break;
   }
-  if (obs_enabled_) {
-    shard.obs_phases.record(obs::Phase::kResync, obs::now_ns() - r0);
-  }
+  watch.record_lap(shard.obs_phases, obs::Phase::kResync);
 }
 
 void Engine::lead_resyncs() {
@@ -477,10 +470,6 @@ void Engine::tick_shard(Shard& shard) {
   // Route every query-log entry this thread produces into the shard's
   // buffer; the engine merges buffers in shard order after the barrier.
   const sb::Server::ScopedLogShard log_scope(shard.log_buffer);
-  // Per-user spans cost three steady_clock reads when timing is on and
-  // three predictable branches when it is off; everything recorded is
-  // shard-confined, so timing cannot perturb any cross-shard state.
-  const bool timed = obs_enabled_;
 
   // Staggered client re-syncs for this shard's due users (those the epoch
   // did not lead). Runs in the parallel phase: the epoch already sealed
@@ -490,36 +479,36 @@ void Engine::tick_shard(Shard& shard) {
   // Shard::resync_slots).
   if (churn_) resync_due(shard, /*lead_only=*/false);
 
+  // Two passes, one plan and one lookup span each. Planning reads only the
+  // user and the immutable traffic model, and dispatch writes nothing
+  // planning reads, so planning every user first changes no output.
+  obs::Stopwatch watch(obs_enabled_);
+  shard.visits.clear();
+  shard.visit_ends.clear();
   for (auto& user : shard.users) {
-    shard.visits.clear();
-    const std::uint64_t t0 = timed ? obs::now_ns() : 0;
     shard.tick_metrics.target_visits += plan_user_tick(
         user, config_.traffic, traffic_model_, shard.visits);
-    const std::uint64_t t1 = timed ? obs::now_ns() : 0;
-    for (const TrafficModel::VisitId visit : shard.visits) {
-      dispatch(shard, user, visit);
-    }
-    if (timed) {
-      shard.obs_phases.record(obs::Phase::kPlan, t1 - t0);
-      shard.obs_phases.record(obs::Phase::kLookup, obs::now_ns() - t1);
+    shard.visit_ends.push_back(shard.visits.size());
+  }
+  watch.record_lap(shard.obs_phases, obs::Phase::kPlan);
+  std::size_t next = 0;
+  for (std::size_t u = 0; u < shard.users.size(); ++u) {
+    for (; next < shard.visit_ends[u]; ++next) {
+      dispatch(shard, shard.users[u], shard.visits[next]);
     }
   }
+  watch.record_lap(shard.obs_phases, obs::Phase::kLookup);
 }
 
 bool Engine::step() {
   if (tick_ >= config_.ticks) return false;
 
-  // Serial-phase timing: one clock pair per phase per tick, recorded into
+  // Serial-phase timing: one span per phase per tick, recorded into
   // serial_profile_.
-  const bool timed = obs_enabled_;
   const auto timed_phase = [&](obs::Phase phase, auto&& body) {
-    if (!timed) {
-      body();
-      return;
-    }
-    const std::uint64_t t0 = obs::now_ns();
+    obs::Stopwatch watch(obs_enabled_);
     body();
-    serial_profile_.record(phase, obs::now_ns() - t0);
+    watch.record_lap(serial_profile_, phase);
   };
 
   for (auto& shard : shards_) {
@@ -565,7 +554,7 @@ bool Engine::step() {
     metrics_.corpus_pages_generated += shard->site_cache.pages_generated();
   }
 
-  if (timed && config_.metrics_per_tick_series) {
+  if (obs_enabled_ && config_.metrics_per_tick_series) {
     // This tick's sample is how far the summed phase totals (the serial
     // profile plus every shard's) moved during the tick. The parallel
     // phases thus report CPU time summed over shards (wall time at one

@@ -15,10 +15,10 @@
 //                  minimum-wait timer (update_wait) has expired fetch true
 //                  incremental deltas (v3 missing chunks / v4 slices)
 //                  through their shard transports
-//                for each user of the shard:
-//                    plan this tick's visits as 64-bit ids (sessions /
-//                      revisits / targets / power-law page draws)
-//                    dispatch each visit through the batched lookup layer
+//                plan every user's visits for this tick as 64-bit ids
+//                  (sessions / revisits / targets / power-law page draws)
+//                dispatch the visits, in user order, through the batched
+//                  lookup layer
 //              barrier; merge shard log buffers + reduce shard counters
 //              advance the clock by one tick
 //
@@ -291,9 +291,11 @@ class Engine {
     UrlCache url_cache;
     sb::QueryLogBuffer log_buffer;
     SimMetrics tick_metrics;  ///< zeroed per tick, reduced post-barrier
-    /// One user's planned visits; reused, so planning stops allocating once
-    /// the shard's high-water mark is reached.
+    /// This tick's planned visits of every user of the shard, in user
+    /// order; user u's end at visit_ends[u]. Both are reused, so planning
+    /// stops allocating once the shard's high-water mark is reached.
     std::vector<TrafficModel::VisitId> visits;
+    std::vector<std::size_t> visit_ends;
     /// The URL of a URL-cache miss, built in a reused buffer.
     std::string url_scratch;
     /// The padded path's locally hit prefixes, reused across lookups.
@@ -343,9 +345,9 @@ class Engine {
   void mitigated_dispatch(Shard& shard, UserState& user,
                           const UrlCache::Entry& entry);
 
-  /// When construction began (metrics on; 0 otherwise). Declared first so
-  /// it is read before any other member is built.
-  std::uint64_t setup_start_ns_;
+  /// Started with construction (reads the clock only with metrics on).
+  /// Declared first so it starts before any other member is built.
+  obs::Stopwatch setup_watch_;
   SimConfig config_;
   sb::Server server_;
   sb::SimClock clock_;

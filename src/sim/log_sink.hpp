@@ -9,7 +9,6 @@
 //   * InMemorySink   -- collects everything (tests, small experiments);
 //   * CountingSink   -- O(1) state: counts + an order-sensitive fingerprint,
 //                       the determinism witness at any scale;
-//   * SamplingSink   -- keeps every Nth entry (bounded-memory inspection);
 //   * AggregatorSink -- incremental temporal correlation (Section 6.3): the
 //                       streaming equivalent of tracking::correlate, firing
 //                       rules as entries arrive instead of post-processing
@@ -106,27 +105,6 @@ class CountingSink : public sb::QueryLogSink {
   std::uint64_t prefixes_ = 0;
   std::uint64_t multi_prefix_entries_ = 0;
   std::uint64_t fingerprint_ = 14695981039346656037ULL;  // FNV offset basis
-};
-
-/// Keeps every `stride`-th entry (1 = keep all) and counts the rest.
-class SamplingSink : public sb::QueryLogSink {
- public:
-  explicit SamplingSink(std::uint64_t stride) : stride_(stride ? stride : 1) {}
-
-  void record(const sb::QueryLogEntry& entry) override {
-    if (seen_++ % stride_ == 0) sample_.push_back(entry);
-  }
-
-  [[nodiscard]] std::uint64_t total_entries() const noexcept { return seen_; }
-  [[nodiscard]] const std::vector<sb::QueryLogEntry>& sample()
-      const noexcept {
-    return sample_;
-  }
-
- private:
-  std::uint64_t stride_;
-  std::uint64_t seen_ = 0;
-  std::vector<sb::QueryLogEntry> sample_;
 };
 
 /// Incremental temporal correlation over the stream. Matches

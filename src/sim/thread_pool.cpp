@@ -159,14 +159,10 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     if (timed) {
       const std::uint64_t busy_ns = obs::now_ns() - t0;
-      ++obs_->batches;
-      obs_->tasks += count;
-      obs_->busy_ns.record(busy_ns);
-      obs_->imbalance_items.record(0);  // one thread: nothing to skew
-      obs::PoolObs::Worker& worker = obs_->workers[0];
-      worker.busy_ns += busy_ns;
-      worker.executed += count;
-      ++worker.batches;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      slots_[0] = Slot{.busy_ns = busy_ns, .executed = count,
+                       .participated = true};
+      fold_batch_locked(count);
     }
     return;
   }

@@ -172,11 +172,11 @@ TEST(ObsDeterminismTest, SnapshotContentsAreSane) {
   EXPECT_EQ(snapshot.threads_used, 2u);
   EXPECT_EQ(snapshot.ticks, result.metrics.ticks_run);
 
-  // One plan and one lookup span per user per tick; parallel_tick once per
-  // tick; log_drain every tick; resync/churn on their cadences.
+  // One plan and one lookup span per shard per tick; parallel_tick once
+  // per tick; log_drain every tick; resync/churn on their cadences.
   const obs::PhaseStats& plan = snapshot.phases.stats(obs::Phase::kPlan);
   const obs::PhaseStats& lookup = snapshot.phases.stats(obs::Phase::kLookup);
-  EXPECT_EQ(plan.spans, result.metrics.ticks_run * 120u);
+  EXPECT_EQ(plan.spans, result.metrics.ticks_run * obs_config().num_shards);
   EXPECT_EQ(lookup.spans, plan.spans);
   EXPECT_GT(plan.total_ns, 0u);
   EXPECT_EQ(snapshot.phases.stats(obs::Phase::kParallelTick).spans,

@@ -100,21 +100,6 @@ TEST(SimEngineTest, CountingSinkFingerprintMatchesInMemoryLog) {
   EXPECT_EQ(counting.fingerprint(), fingerprint_log(memory.entries()));
 }
 
-TEST(SimEngineTest, SamplingSinkKeepsEveryNthEntry) {
-  Engine engine(small_config(13));
-  InMemorySink memory;
-  SamplingSink sampling(3);
-  FanoutSink fanout({&memory, &sampling});
-  engine.attach_sink(&fanout);
-  engine.run();
-  ASSERT_FALSE(memory.entries().empty());
-  EXPECT_EQ(sampling.total_entries(), memory.entries().size());
-  ASSERT_EQ(sampling.sample().size(), (memory.entries().size() + 2) / 3);
-  for (std::size_t i = 0; i < sampling.sample().size(); ++i) {
-    EXPECT_EQ(sampling.sample()[i], memory.entries()[3 * i]);
-  }
-}
-
 TEST(SimEngineTest, ChurnRefreshesListsAndResyncsUsers) {
   SimConfig config = small_config(17);
   config.churn.epoch_ticks = 5;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, engine spans timed by one helper, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -58,6 +58,11 @@ with metrics on.  A clock read (now_ns) there that no enclosing
 `if (...metrics...)` guards would put two clock reads on every locked
 update serve and sync-state build of a metrics-off run.
 
+The engine times every span through one helper, obs::Stopwatch
+(src/obs/phase.hpp), which reads the clock only with metrics on.  A bare
+clock read (now_ns) in src/sim/engine.cpp is a hand-rolled timer whose
+metrics-off guard nothing checks.
+
 The shared re-sync caches (sb::Server's update encode cache, both
 generations of sb::SyncStateCache) publish at the tick barrier through one
 type, sb::PublishedTable (src/sb/published_table.hpp), the only holder of
@@ -84,13 +89,13 @@ file under src/net/ dispatches frames itself, if src/sim/engine.cpp
 calls the whole-site WebCorpus::site, if an update response is
 decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
-src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if a file
-other than src/obs/lock.hpp and src/sb/published_table.hpp names
-TimedMutex, or if a standard mutex or lock appears in src/ outside
-src/obs/lock.hpp and the thread pool, or if src/util/rng.cpp exists or an
-Rng:: member is defined outside src/util/rng.hpp.  Line comments and block
-comments are stripped before matching so prose mentioning the forbidden API
-is fine.
+src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if
+src/sim/engine.cpp reads the clock itself, or if a file other than
+src/obs/lock.hpp and src/sb/published_table.hpp names TimedMutex, or if a
+standard mutex or lock appears in src/ outside src/obs/lock.hpp and the
+thread pool, or if src/util/rng.cpp exists or an Rng:: member is defined
+outside src/util/rng.hpp.  Line comments and block comments are stripped
+before matching so prose mentioning the forbidden API is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
 """
@@ -176,6 +181,9 @@ CLOCK_READ = re.compile(r"\bnow_ns\s*\(")
 METRICS_IF = r"\bif\s*\([^()]*\bmetrics_?\b[^()]*\)\s*"
 METRICS_STATEMENT = re.compile(r"\s*" + METRICS_IF)  # at a statement start
 METRICS_BLOCK = re.compile(METRICS_IF + "$")  # just before a block's `{`
+
+# The engine times its spans through obs::Stopwatch only.
+STOPWATCH_ONLY_FILE = "src/sim/engine.cpp"
 
 # The timed mutex is held only by the publish-at-the-barrier table.
 PUBLISHED_TABLE_FILE = "src/sb/published_table.hpp"
@@ -355,6 +363,9 @@ def main() -> int:
                     and TIMED_MUTEX.search(line)):
                 violations.append((rel, lineno, "TimedMutex outside "
                                    "sb::PublishedTable", line.strip()))
+            if rel == STOPWATCH_ONLY_FILE and CLOCK_READ.search(line):
+                violations.append((rel, lineno, "clock read outside "
+                                   "obs::Stopwatch", line.strip()))
             if rel not in RAW_LOCK_FILES and RAW_LOCK.search(line):
                 violations.append((rel, lineno, "uncounted standard lock",
                                    line.strip()))
@@ -382,7 +393,8 @@ def main() -> int:
               "Server::serve_frame; decode update responses only in " +
               UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
-              "if (metrics); lock shared caches through " +
+              "if (metrics); time " + STOPWATCH_ONLY_FILE + " spans with "
+              "obs::Stopwatch; lock shared caches through " +
               PUBLISHED_TABLE_FILE + "; take no standard lock outside " +
               ", ".join(RAW_LOCK_FILES) + "; define util::Rng only in " +
               RNG_HEADER)
@@ -397,6 +409,7 @@ def main() -> int:
           f"update decodes only in {UPDATE_DECODE_FILE}, "
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
           f"clock reads in {TIMED_LOCK_FILE} only with metrics on, "
+          f"{STOPWATCH_ONLY_FILE} timed by obs::Stopwatch, "
           f"TimedMutex only in {PUBLISHED_TABLE_FILE}, "
           f"standard locks only in {', '.join(RAW_LOCK_FILES)}, "
           f"Rng defined only in {RNG_HEADER})")
