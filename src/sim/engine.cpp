@@ -45,7 +45,6 @@ Engine::Engine(SimConfig config)
   for (const auto& list : config_.blacklist.lists) {
     server_.create_list(list);
   }
-  universe_prefilter_ = config_.store_kind != storage::StoreKind::kBloom;
   if (config_.churn.epoch_ticks > 0) {
     churn_ = std::make_unique<ChurnSchedule>(
         config_.churn, config_.blacklist.lists,
@@ -227,6 +226,11 @@ void Engine::build_population() {
     // Clients bind to their shard's transport: every wire request a user
     // makes counts against (and only touches) shard-local state.
     user.client = sb::make_protocol_client(*shard.transport, client_config);
+    // The universe prefilter is legal only for exact stores: Bloom false
+    // positives must keep producing wire traffic, and v1 has no store.
+    user.exact_store =
+        config_.store_kind != storage::StoreKind::kBloom &&
+        user.client->version() != sb::ProtocolVersion::kV1Lookup;
     for (const auto& list : config_.blacklist.lists) {
       user.client->subscribe(list);
     }
@@ -266,8 +270,7 @@ void Engine::apply_churn_epoch() {
   const auto publish = [&](const std::string& list,
                            const std::string& expression) {
     server_.add_expression(list, expression);
-    universe_grew |=
-        listed_universe_.insert(crypto::prefix32_of(expression)).second;
+    universe_grew |= listed_universe_.insert(crypto::prefix32_of(expression));
   };
 
   for (const auto& list_plan : plan.lists) {
@@ -295,28 +298,29 @@ void Engine::apply_churn_epoch() {
   ++metrics_.churn_events;
 }
 
-void Engine::stamp_universe(UrlCache::Entry& entry) const {
-  const auto unique = entry.request.unique_prefixes();
-  entry.universe_hits = 0;
+void Engine::stamp_universe(UrlCache::Stamp& stamp,
+                            const sb::LookupRequest& request) const {
+  const auto unique = request.unique_prefixes();
+  stamp.hits = 0;
   for (std::size_t i = 0; i < unique.size(); ++i) {
-    if (listed_universe_.count(unique[i]) > 0) {
-      entry.universe_hits |= std::uint32_t{1} << i;
+    if (listed_universe_.has(unique[i])) {
+      stamp.hits |= std::uint32_t{1} << i;
     }
   }
-  entry.universe_version = universe_version_;
+  stamp.version = universe_version_;
 }
 
-const UrlCache::Entry& Engine::url_prefixes(Shard& shard,
-                                            TrafficModel::VisitId visit) {
-  if (UrlCache::Entry* hit = shard.url_cache.find(visit)) {
+UrlCache::Ref Engine::url_prefixes(Shard& shard,
+                                   TrafficModel::VisitId visit) {
+  if (const UrlCache::Ref hit = shard.url_cache.find(visit)) {
     ++shard.tick_metrics.url_cache_hits;
-    if (hit->universe_version != universe_version_) {
-      // Stale: an epoch grew the listed universe since this entry was
+    if (hit.stamp->version != universe_version_) {
+      // Stale: an epoch grew the listed universe since this slot was
       // stamped -- its "safe" verdict may have been revoked by the adds.
-      stamp_universe(*hit);
+      stamp_universe(*hit.stamp, shard.url_cache.entry(hit.entry).request);
       ++shard.tick_metrics.url_cache_invalidations;
     }
-    return *hit;
+    return hit;
   }
   ++shard.tick_metrics.url_cache_misses;
 
@@ -325,41 +329,42 @@ const UrlCache::Entry& Engine::url_prefixes(Shard& shard,
   // URL string exists only here, on a miss. With metrics on, the miss is
   // split into its site step (URL from the site LRU) and its url_build
   // step; both nest inside the shard-tick's lookup span.
-  UrlCache::Entry& entry = shard.url_cache.insert(visit);
+  const UrlCache::Ref ref = shard.url_cache.insert(visit);
+  sb::LookupRequest& request = shard.url_cache.entry(ref.entry).request;
   obs::Stopwatch watch(obs_enabled_);
   traffic_model_.url_of(visit, shard.site_cache, shard.url_scratch);
   watch.record_lap(shard.obs_phases, obs::Phase::kSite);
-  entry.request.build(shard.url_scratch);
+  request.build(shard.url_scratch);
   watch.record_lap(shard.obs_phases, obs::Phase::kUrlBuild);
-  stamp_universe(entry);
-  return entry;
+  stamp_universe(*ref.stamp, request);
+  return ref;
 }
 
 void Engine::dispatch(Shard& shard, UserState& user,
                       TrafficModel::VisitId visit) {
   ++shard.tick_metrics.lookups;
-  const UrlCache::Entry& entry = url_prefixes(shard, visit);
+  const UrlCache::Ref ref = url_prefixes(shard, visit);
+  // An exact store only ever holds shipped prefixes, so a URL whose stamp
+  // lists none is the client's "safe, nothing leaves the machine" -- read
+  // from the slot alone, touching neither the entry nor the client. An
+  // invalid request has no unique prefixes, so its stamp lists none either.
+  if (user.exact_store && ref.stamp->hits == 0) return;
+  const UrlCache::Entry& entry = shard.url_cache.entry(ref.entry);
   if (!entry.request.valid()) return;
 
   // Prefilter: the client-equivalent local membership test, shared-hash
   // edition -- ONE batched store probe over the URL's candidate prefixes.
-  // A miss is the client's "safe, nothing leaves the machine". Exact
-  // stores only ever hold shipped prefixes, so testing the memoized
-  // universe subset is outcome-identical and shrinks the batch to empty
-  // for the (vast majority of) URLs with no listed prefix; v1 has no
-  // store (everything ships) and Bloom stores may false-positive outside
-  // the universe, so both test the full unique-prefix batch. A request
-  // holds at most url::kMaxDecompositions prefixes, so the batch and its
-  // flags live on the stack.
-  const bool exact_store =
-      universe_prefilter_ &&
-      user.client->version() != sb::ProtocolVersion::kV1Lookup;
+  // For an exact store, testing the stamped universe subset is
+  // outcome-identical; v1 has no store (everything ships) and Bloom stores
+  // may false-positive outside the universe, so both test the full
+  // unique-prefix batch. A request holds at most url::kMaxDecompositions
+  // prefixes, so the batch and its flags live on the stack.
   const auto unique = entry.request.unique_prefixes();
   std::array<crypto::Prefix32, url::kMaxDecompositions> listed;
   std::span<const crypto::Prefix32> candidates = unique;
-  if (exact_store) {
+  if (user.exact_store) {
     std::size_t n = 0;
-    for (std::uint32_t bits = entry.universe_hits; bits != 0;
+    for (std::uint32_t bits = ref.stamp->hits; bits != 0;
          bits &= bits - 1) {
       listed[n++] = unique[static_cast<std::size_t>(std::countr_zero(bits))];
     }
@@ -491,6 +496,21 @@ void Engine::tick_shard(Shard& shard) {
     shard.visit_ends.push_back(shard.visits.size());
   }
   watch.record_lap(shard.obs_phases, obs::Phase::kPlan);
+  if (churn_) {
+    // Only churn grows the universe, so only then can a slot be stale. A
+    // stale hit re-stamps from its entry's request: a load of the entry,
+    // then of the request's buffer. Starting both for every stale visit of
+    // the shard-tick here, where no load waits on another, overlaps the
+    // cache misses that dispatch would otherwise take one at a time. The
+    // prefetch stays in this function: GCC deletes calls to a helper
+    // whose only effect is a prefetch.
+    for (const TrafficModel::VisitId visit : shard.visits) {
+      if (const sb::LookupRequest* request =
+              shard.url_cache.stale_request(visit, universe_version_)) {
+        __builtin_prefetch(request->unique_prefixes().data());
+      }
+    }
+  }
   std::size_t next = 0;
   for (std::size_t u = 0; u < shard.users.size(); ++u) {
     for (; next < shard.visit_ends[u]; ++next) {

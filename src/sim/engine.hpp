@@ -67,19 +67,27 @@
 // On top of the per-shard URL cache sits the LISTED-PREFIX UNIVERSE
 // prefilter: the engine tracks every prefix the server has ever shipped
 // (seed blacklist + every churn epoch's adds -- a superset of any client's
-// store at any sync state, since stores only hold shipped prefixes) and
-// memoizes, per cached URL, which of its prefixes are in that universe.
-// URLs with no universe hit skip the per-user local_contains_many probe
-// entirely -- for exact stores this is outcome-identical, so it is
-// disabled when store_kind is Bloom (false positives must keep reaching
-// the wire) and bypassed per-user for v1 clients (no local store; every
-// URL ships). It pays for itself: forcing every store through the
-// no-universe path cut benchmark throughput by 40-62% on browse-static and
-// by 33-50% on churn-resync (4-vCPU host, 3-8 s runs).
+// store at any sync state, since stores only hold shipped prefixes) in a
+// flat open-addressed set (sim/prefix_set.hpp) and memoizes, per cached
+// URL, which of its prefixes are in that universe. The memo -- a stamp of
+// hit bits plus the universe version -- lives in the URL's URL-cache slot,
+// so a hit on a URL with no listed prefix reads one 24-byte slot and
+// returns: it skips the entry's request, the client and the per-user
+// local_contains_many probe entirely. For exact stores this is
+// outcome-identical, so it is disabled when store_kind is Bloom (false
+// positives must keep reaching the wire) and bypassed per-user for v1
+// clients (no local store; every URL ships) -- UserState::exact_store,
+// set once at construction, says which users it serves. It pays for
+// itself: forcing every store through the no-universe path cut benchmark
+// throughput by 40-62% on browse-static and by 33-50% on churn-resync
+// (4-vCPU host, 3-8 s runs).
 // The universe only ever GROWS, so a cached "no universe hit" verdict
 // stays valid until an epoch adds prefixes; each epoch that does bumps a
-// version counter and every cache entry re-validates lazily on next use
-// (metrics.url_cache_invalidations counts those stale-entry refreshes).
+// version counter, and every slot re-validates lazily on its next hit: a
+// full re-stamp, one flat-set probe per unique prefix of the entry's
+// request (metrics.url_cache_invalidations counts those re-stamps). Under
+// churn, tick_shard first prefetches the request of every stale slot the
+// shard-tick's visits will hit, so the re-stamps' cache misses overlap.
 //
 // The server's query log -- the paper's adversarial observable -- streams
 // into any sb::QueryLogSink (sim/log_sink.hpp), so populations far larger
@@ -95,7 +103,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mitigation/dummy_requests.hpp"
@@ -105,6 +112,7 @@
 #include "sb/server.hpp"
 #include "sb/transport.hpp"
 #include "sim/config.hpp"
+#include "sim/prefix_set.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/traffic_model.hpp"
 #include "sim/url_cache.hpp"
@@ -326,8 +334,10 @@ class Engine {
   [[nodiscard]] UserState& user(std::size_t index);
   void build_listed_universe();
   void apply_churn_epoch();
-  /// Recomputes entry.universe_hits against the current universe version.
-  void stamp_universe(UrlCache::Entry& entry) const;
+  /// Re-stamps `stamp` from scratch: one universe probe per unique prefix
+  /// of `request`, then the current universe version.
+  void stamp_universe(UrlCache::Stamp& stamp,
+                      const sb::LookupRequest& request) const;
   /// Serial, at the barrier: prunes and publishes the sync-state cache and
   /// publishes the server's update encode cache.
   void publish_shared_state();
@@ -339,8 +349,9 @@ class Engine {
   /// shared caches publish what it encoded and built.
   void lead_resyncs();
   void tick_shard(Shard& shard);
-  const UrlCache::Entry& url_prefixes(Shard& shard,
-                                      TrafficModel::VisitId visit);
+  /// The URL-cache slot of `visit`, its entry built on a miss and its
+  /// stamp current.
+  UrlCache::Ref url_prefixes(Shard& shard, TrafficModel::VisitId visit);
   void dispatch(Shard& shard, UserState& user, TrafficModel::VisitId visit);
   void mitigated_dispatch(Shard& shard, UserState& user,
                           const UrlCache::Entry& entry);
@@ -384,14 +395,11 @@ class Engine {
   std::uint64_t epoch_count_ = 0;
 
   /// Every prefix the server has ever shipped (seed lists + epoch adds);
-  /// grows monotonically, read-only during parallel phases. The version
-  /// counter bumps whenever an epoch grows the set, invalidating the
-  /// per-shard URL-cache universe stamps.
-  std::unordered_set<crypto::Prefix32> listed_universe_;
-  std::uint64_t universe_version_ = 1;
-  /// Fast path legal only for exact stores (Bloom false positives must
-  /// keep producing wire traffic); v1 users bypass it per-user.
-  bool universe_prefilter_ = true;
+  /// grows monotonically, in the serial epoch only, and the parallel phase
+  /// only reads it. The version counter bumps whenever an epoch grows the
+  /// set, making every per-shard URL-cache stamp stale.
+  PrefixSet listed_universe_;
+  std::uint32_t universe_version_ = 1;
 
   /// Pages seed_blacklist generated (the corpus_pages_generated base).
   std::uint64_t seed_pages_generated_ = 0;

@@ -176,8 +176,11 @@ Scenario ScenarioGenerator::next() {
         injection.list = blacklist.lists[static_cast<std::size_t>(
             rng.next_below(blacklist.lists.size()))];
       }
+      // Injection i lists target URL i's host when that target exists, so
+      // interested users' cached target URLs go stale and re-stamp.
       injection.expression =
-          "victim-" + std::to_string(i) + ".example/";
+          (i < config.traffic.target_urls.size() ? "target-" : "victim-") +
+          std::to_string(i) + ".example/";
       config.churn.injections.push_back(std::move(injection));
     }
   }

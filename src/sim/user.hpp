@@ -30,6 +30,10 @@ struct UserState {
   util::Rng rng{0};
   bool interested = false;  ///< member of the tracked interest group
   bool in_session = false;
+  /// Set by the engine: the user's store is exact (a v3/v4 client, not a
+  /// Bloom store), so the listed-prefix universe prefilter applies and a
+  /// URL with no listed prefix is answered without touching the client.
+  bool exact_store = false;
   /// Ring buffer of recently visited ids (revisit locality).
   std::vector<TrafficModel::VisitId> history;
   std::size_t history_next = 0;

@@ -1,9 +1,10 @@
 // "Allocation-free" as a counted property: a counting global operator new
 // checks that, once warm, the URL-cache miss path touches the heap zero
 // times -- LookupRequest::build over corpus URLs, TrafficModel::url_of on
-// a site-LRU hit, and URL-cache hits and misses into reused entries --
-// that a warm v3 or v4 re-sync served from the shared caches does too, and
-// that a warm engine tick stays near zero allocations per user-tick.
+// a site-LRU hit, URL-cache hits and misses into reused entries, and
+// listed-prefix universe probes -- that a warm v3 or v4 re-sync served
+// from the shared caches does too, and that a warm engine tick stays
+// near zero allocations per user-tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <new>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sb/lookup_request.hpp"
@@ -19,6 +21,7 @@
 #include "sb/sync_state_cache.hpp"
 #include "sb/transport.hpp"
 #include "sim/engine.hpp"
+#include "sim/prefix_set.hpp"
 #include "sim/traffic_model.hpp"
 #include "sim/url_cache.hpp"
 #include "url/decompose.hpp"
@@ -180,10 +183,13 @@ TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {
   const auto run_round = [&](std::uint64_t round) {
     for (std::size_t i = 0; i < kEntries; ++i) {
       const std::uint64_t key = round * kEntries + i;
-      EXPECT_EQ(cache.find(key), nullptr);
-      UrlCache::Entry& entry = cache.insert(key);
-      entry.request.build(urls[i]);
-      EXPECT_EQ(cache.find(key), &entry);  // a hit
+      EXPECT_FALSE(cache.find(key));
+      const UrlCache::Ref inserted = cache.insert(key);
+      cache.entry(inserted.entry).request.build(urls[i]);
+      inserted.stamp->hits = static_cast<std::uint32_t>(i);
+      const UrlCache::Ref hit = cache.find(key);
+      EXPECT_EQ(hit.stamp, inserted.stamp);
+      EXPECT_EQ(hit.entry, inserted.entry);
     }
   };
   run_round(0);
@@ -192,33 +198,69 @@ TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {
   for (std::uint64_t round = 1; round < 8; ++round) run_round(round);
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(cache.size(), kEntries);
-  EXPECT_EQ(cache.find(0), nullptr);  // cleared with its generation
+  EXPECT_FALSE(cache.find(0));  // cleared with its generation
 }
 
 TEST(AllocFreeTest, UrlCacheHitsLikeAnExactMap) {
   // The flat table's hit/miss sequence equals an exact map's under the
   // same clear-when-full policy, which is why url_cache_* counters hold.
+  // Each key's stamp (both fields) moves with it across grow(), and a key
+  // inserted after clear() starts unstamped, whatever its slot held.
+  const auto hits_of = [](std::uint64_t step) {
+    return static_cast<std::uint32_t>(step * 0x9E3779B9u) | 1u;
+  };
   for (const std::size_t bound : {std::size_t{0}, std::size_t{7},
                                   std::size_t{100}}) {
     UrlCache cache(bound);
-    std::unordered_map<std::uint64_t, std::uint64_t> reference;
+    std::unordered_map<std::uint64_t, std::uint32_t> reference;
     util::Rng rng(bound + 1);
-    for (std::uint64_t step = 0; step < 20000; ++step) {
+    for (std::uint32_t step = 1; step <= 20000; ++step) {
       const std::uint64_t page = rng.next_below(rng.next_bool(0.5) ? 2 : 9);
       const std::uint64_t key = rng.next_below(300) << 32 | page;
-      UrlCache::Entry* entry = cache.find(key);
+      const UrlCache::Ref found = cache.find(key);
       const auto it = reference.find(key);
-      ASSERT_EQ(entry != nullptr, it != reference.end()) << "step " << step;
-      if (entry != nullptr) {
-        ASSERT_EQ(entry->universe_version, it->second) << "step " << step;
+      ASSERT_EQ(static_cast<bool>(found), it != reference.end())
+          << "step " << step;
+      if (found) {
+        ASSERT_EQ(found.stamp->version, it->second) << "step " << step;
+        ASSERT_EQ(found.stamp->hits, hits_of(it->second)) << "step " << step;
         continue;
       }
       if (bound > 0 && reference.size() >= bound) reference.clear();
       reference.emplace(key, step);
-      cache.insert(key).universe_version = step;
+      const UrlCache::Ref inserted = cache.insert(key);
+      ASSERT_EQ(inserted.stamp->version, 0u) << "step " << step;
+      ASSERT_EQ(inserted.stamp->hits, 0u) << "step " << step;
+      *inserted.stamp = {hits_of(step), step};
       ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
     }
   }
+}
+
+TEST(AllocFreeTest, PrefixSetMatchesAnExactSetWithoutAllocating) {
+  // The engine's listed-prefix universe: membership equals a reference
+  // set's across every growth, the prefix 0 included, and a probe never
+  // touches the heap.
+  PrefixSet set;
+  std::unordered_set<crypto::Prefix32> reference;
+  util::Rng rng(7);
+  const auto draw = [&] {
+    // Small values collide often (and include 0); the rest are hash bits.
+    return static_cast<crypto::Prefix32>(
+        rng.next_bool(0.2) ? rng.next_below(64) : rng.next());
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const crypto::Prefix32 prefix = draw();
+    ASSERT_EQ(set.insert(prefix), reference.insert(prefix).second)
+        << "step " << step;
+  }
+  const std::uint64_t before = allocations();
+  for (int step = 0; step < 20000; ++step) {
+    const crypto::Prefix32 prefix = draw();
+    ASSERT_EQ(set.has(prefix), reference.count(prefix) > 0)
+        << "step " << step;
+  }
+  EXPECT_EQ(allocations() - before, 0u);
 }
 
 TEST(AllocFreeTest, WarmResyncsWithBothCachesHittingAllocateNothing) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, engine spans timed by one helper, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, engine spans timed by one helper, flat tables on the URL-cache hit path, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -75,6 +75,12 @@ std::shared_mutex and their kin) in src/ outside the helper itself
 (src/obs/lock.hpp) and the thread pool (src/sim/thread_pool.{hpp,cpp})
 is a lock that no `locks` section counts.
 
+A URL-cache hit reads one flat slot, and a stale one re-stamps through a
+flat prefix set (src/sim/url_cache.hpp, src/sim/prefix_set.hpp).  A
+std::unordered_set or std::unordered_map named in the engine
+(src/sim/engine.{hpp,cpp}) or in those headers puts a bucket load and a
+node chase back on the hit path.
+
 The random generator util::Rng is header-only (src/util/rng.hpp): corpus
 generation and traffic planning make several draws per page, and without
 LTO an out-of-line draw costs more than the draw itself.  A
@@ -90,7 +96,9 @@ calls the whole-site WebCorpus::site, if an update response is
 decoded outside src/sb/transport.cpp, or if CPU feature dispatch
 appears outside src/crypto/sha256.cpp or getenv under src/crypto/, or if
 src/obs/lock.hpp reads the clock outside `if (...metrics...)`, or if
-src/sim/engine.cpp reads the clock itself, or if a file other than
+src/sim/engine.cpp reads the clock itself, or if the engine or its URL
+cache or prefix set names a node-based std::unordered_set or
+std::unordered_map, or if a file other than
 src/obs/lock.hpp and src/sb/published_table.hpp names TimedMutex, or if a
 standard mutex or lock appears in src/ outside src/obs/lock.hpp and the
 thread pool, or if src/util/rng.cpp exists or an Rng:: member is defined
@@ -184,6 +192,11 @@ METRICS_BLOCK = re.compile(METRICS_IF + "$")  # just before a block's `{`
 
 # The engine times its spans through obs::Stopwatch only.
 STOPWATCH_ONLY_FILE = "src/sim/engine.cpp"
+
+# The engine's hit path keeps flat tables only: no node-based set or map.
+FLAT_TABLE_FILES = ("src/sim/engine.hpp", "src/sim/engine.cpp",
+                    "src/sim/url_cache.hpp", "src/sim/prefix_set.hpp")
+NODE_TABLE = re.compile(r"\bstd::unordered_(?:set|map)\b")
 
 # The timed mutex is held only by the publish-at-the-barrier table.
 PUBLISHED_TABLE_FILE = "src/sb/published_table.hpp"
@@ -339,7 +352,7 @@ def main() -> int:
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
     for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE,
-                     PUBLISHED_TABLE_FILE, RNG_HEADER):
+                     PUBLISHED_TABLE_FILE, RNG_HEADER, *FLAT_TABLE_FILES):
         if not (root / required).is_file():
             print(f"check_hot_path: missing file {required}", file=sys.stderr)
             return 1
@@ -366,6 +379,9 @@ def main() -> int:
             if rel == STOPWATCH_ONLY_FILE and CLOCK_READ.search(line):
                 violations.append((rel, lineno, "clock read outside "
                                    "obs::Stopwatch", line.strip()))
+            if rel in FLAT_TABLE_FILES and NODE_TABLE.search(line):
+                violations.append((rel, lineno, "node-based table on the "
+                                   "URL-cache hit path", line.strip()))
             if rel not in RAW_LOCK_FILES and RAW_LOCK.search(line):
                 violations.append((rel, lineno, "uncounted standard lock",
                                    line.strip()))
@@ -394,7 +410,8 @@ def main() -> int:
               UPDATE_DECODE_FILE + "; keep CPU dispatch in " + CPU_DISPATCH_FILE +
               "; read the clock in " + TIMED_LOCK_FILE + " only under "
               "if (metrics); time " + STOPWATCH_ONLY_FILE + " spans with "
-              "obs::Stopwatch; lock shared caches through " +
+              "obs::Stopwatch; keep " + ", ".join(FLAT_TABLE_FILES) +
+              " on flat tables; lock shared caches through " +
               PUBLISHED_TABLE_FILE + "; take no standard lock outside " +
               ", ".join(RAW_LOCK_FILES) + "; define util::Rng only in " +
               RNG_HEADER)
@@ -410,6 +427,7 @@ def main() -> int:
           f"CPU dispatch only in {CPU_DISPATCH_FILE}, "
           f"clock reads in {TIMED_LOCK_FILE} only with metrics on, "
           f"{STOPWATCH_ONLY_FILE} timed by obs::Stopwatch, "
+          f"{len(FLAT_TABLE_FILES)} hit-path files on flat tables, "
           f"TimedMutex only in {PUBLISHED_TABLE_FILE}, "
           f"standard locks only in {', '.join(RAW_LOCK_FILES)}, "
           f"Rng defined only in {RNG_HEADER})")
