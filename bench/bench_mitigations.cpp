@@ -70,6 +70,7 @@ int main() {
   mitigated_config.cookie = 2;
   mitigation::OnePrefixClient mitigated(transport, mitigated_config);
   mitigated.subscribe("list");
+  (void)mitigated.update();
   // Pre-fetch crawl finds no Type I cover -> escalation suppressed.
   const auto lonely = mitigated.lookup(
       "http://tracked.example/dir/page.html",

@@ -135,6 +135,7 @@ int main() {
   mitigated_config.cookie = 0xCAFE;
   mitigation::OnePrefixClient mitigated(transport, mitigated_config);
   mitigated.subscribe("list");
+  (void)mitigated.update();
   // The pre-fetch crawl of the site finds no Type I cover for the target:
   // escalation is suppressed and only the root prefix leaves the machine.
   const auto result = mitigated.lookup(

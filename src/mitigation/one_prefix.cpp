@@ -14,13 +14,6 @@ OnePrefixResult OnePrefixClient::lookup(
   const auto canonical = url::canonicalize(url);
   if (!canonical) return result;
 
-  // Local-hit detection uses a stock client sharing our transport (but we
-  // intercept before it would send anything by doing the store checks
-  // ourselves through a throwaway client's stores).
-  sb::Client probe(transport_, config_);
-  for (const auto& list : lists_) probe.subscribe(list);
-  probe.update();
-
   const auto decompositions = url::decompose(*canonical);
   struct Hit {
     const url::Decomposition* decomposition;
@@ -31,7 +24,7 @@ OnePrefixResult OnePrefixClient::lookup(
   for (const auto& d : decompositions) {
     crypto::Digest256 digest = crypto::Digest256::of(d.expression);
     const crypto::Prefix32 prefix = digest.prefix32();
-    if (probe.local_contains(prefix)) {
+    if (client_.local_contains(prefix)) {
       hits.push_back({&d, digest, prefix});
     }
   }
@@ -51,7 +44,7 @@ OnePrefixResult OnePrefixClient::lookup(
   auto query_one = [&](const Hit& hit) -> bool {
     result.sent_prefixes.push_back(hit.prefix);
     const auto response =
-        transport_.get_full_hashes({hit.prefix}, config_.cookie);
+        transport_.get_full_hashes({hit.prefix}, client_.cookie());
     const auto it = response.matches.find(hit.prefix);
     if (it == response.matches.end()) return false;
     return std::any_of(it->second.begin(), it->second.end(),

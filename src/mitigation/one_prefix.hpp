@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "corpus/domain_hierarchy.hpp"
@@ -41,13 +42,14 @@ struct OnePrefixResult {
 
 class OnePrefixClient {
  public:
-  /// `hierarchy_provider` supplies the pre-fetch crawl result for a domain:
-  /// the URLs found on the target page's site (may be null for "no crawl",
-  /// in which case escalation is always allowed).
   OnePrefixClient(sb::Transport& transport, sb::ClientConfig config)
-      : transport_(transport), config_(config) {}
+      : transport_(transport), client_(transport, std::move(config)) {}
 
-  void subscribe(std::string_view list) { lists_.emplace_back(list); }
+  void subscribe(std::string_view list) { client_.subscribe(list); }
+
+  /// Syncs the local database, as the stock client's update() does; a
+  /// lookup only reads it.
+  bool update() { return client_.update(); }
 
   /// Performs the mitigated lookup. `site_urls` simulates the pre-fetch
   /// crawl of the target's site (empty = crawl found nothing).
@@ -56,8 +58,9 @@ class OnePrefixClient {
 
  private:
   sb::Transport& transport_;
-  sb::ClientConfig config_;
-  std::vector<std::string> lists_;
+  /// A stock client for its local stores and update loop only: lookup()
+  /// tests its stores and sends the full-hash requests itself.
+  sb::Client client_;
 };
 
 }  // namespace sbp::mitigation

@@ -5,46 +5,27 @@
 
 namespace sbp::sb {
 
-namespace {
-
-void put_be32(std::uint32_t value, std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-std::optional<std::uint32_t> get_be32(std::span<const std::uint8_t> data,
-                                      std::size_t& offset) {
-  if (offset + 4 > data.size()) return std::nullopt;
-  const std::uint32_t value = (static_cast<std::uint32_t>(data[offset]) << 24) |
-                              (static_cast<std::uint32_t>(data[offset + 1]) << 16) |
-                              (static_cast<std::uint32_t>(data[offset + 2]) << 8) |
-                              static_cast<std::uint32_t>(data[offset + 3]);
-  offset += 4;
-  return value;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> serialize_chunk(const Chunk& chunk) {
-  std::vector<std::uint8_t> out;
-  out.reserve(9 + 4 * chunk.prefixes.size());
-  out.push_back(static_cast<std::uint8_t>(chunk.type));
-  put_be32(chunk.number, out);
-  put_be32(static_cast<std::uint32_t>(chunk.prefixes.size()), out);
-  for (const auto prefix : chunk.prefixes) put_be32(prefix, out);
-  return out;
+  wire::Writer out;
+  write_chunk(chunk, out);
+  return out.take();
+}
+
+void write_chunk(const Chunk& chunk, wire::Writer& out) {
+  out.u8(static_cast<std::uint8_t>(chunk.type));
+  out.u32be(chunk.number);
+  out.u32be(static_cast<std::uint32_t>(chunk.prefixes.size()));
+  for (const auto prefix : chunk.prefixes) out.u32be(prefix);
 }
 
 std::optional<Chunk> deserialize_chunk(std::span<const std::uint8_t> data,
                                        std::size_t& offset) {
   if (offset >= data.size()) return std::nullopt;
-  const std::uint8_t type_byte = data[offset];
+  wire::Reader reader(data.subspan(offset));
+  const std::uint8_t type_byte = *reader.u8();
   if (type_byte > 1) return std::nullopt;
-  std::size_t cursor = offset + 1;
-  const auto number = get_be32(data, cursor);
-  const auto count = get_be32(data, cursor);
+  const auto number = reader.u32be();
+  const auto count = reader.u32be();
   if (!number || !count) return std::nullopt;
   Chunk chunk;
   chunk.type = static_cast<ChunkType>(type_byte);
@@ -52,14 +33,12 @@ std::optional<Chunk> deserialize_chunk(std::span<const std::uint8_t> data,
   // Validate the advertised count against the remaining bytes BEFORE
   // allocating: a corrupted count must not trigger a giant reserve
   // (found by the bit-flip fuzzer).
-  if (*count > (data.size() - cursor) / 4) return std::nullopt;
+  if (*count > reader.remaining() / 4) return std::nullopt;
   chunk.prefixes.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto prefix = get_be32(data, cursor);
-    if (!prefix) return std::nullopt;
-    chunk.prefixes.push_back(*prefix);
+    chunk.prefixes.push_back(*reader.u32be());
   }
-  offset = cursor;
+  offset += reader.offset();
   return chunk;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "sb/wire/wire_format.hpp"
 
 namespace sbp::sb {
 
@@ -31,6 +32,14 @@ struct Chunk {
 
 /// Wire encoding: [type:1][number:4 BE][count:4 BE][prefix:4 BE]*.
 [[nodiscard]] std::vector<std::uint8_t> serialize_chunk(const Chunk& chunk);
+
+/// Appends serialize_chunk(chunk)'s bytes to `out`.
+void write_chunk(const Chunk& chunk, wire::Writer& out);
+
+/// serialize_chunk(chunk).size().
+[[nodiscard]] inline std::size_t chunk_wire_size(const Chunk& chunk) noexcept {
+  return 9 + 4 * chunk.prefixes.size();
+}
 
 /// Decodes one chunk starting at data[offset]; advances offset. Returns
 /// nullopt on truncation or a bad type byte.

@@ -13,7 +13,121 @@
 
 namespace sbp::sb {
 
-LookupResult PrefixProtocolClient::lookup(const LookupRequest& request) {
+template <typename Sync>
+PrefixProtocolClient<Sync>::PrefixProtocolClient(Transport& transport,
+                                                 ClientConfig config)
+    : ProtocolClient(transport, config),
+      cache_(config.full_hash_ttl),
+      full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B),
+      update_backoff_(config.backoff, config.cookie) {}
+
+template <typename Sync>
+void PrefixProtocolClient<Sync>::subscribe(std::string_view list_name) {
+  if (find_list(list_name) == nullptr) {
+    lists_.push_back({std::string(list_name), nullptr, 0});
+  }
+}
+
+template <typename Sync>
+bool PrefixProtocolClient<Sync>::update() {
+  ++metrics_.updates_attempted;
+  const std::uint64_t now = transport_.clock().now();
+  if (!update_backoff_.can_request(now)) {
+    ++metrics_.backoff_suppressed;
+    return false;
+  }
+
+  // Rebuilt in place every update: one request per thread and generation,
+  // so a warm re-sync allocates nothing and no client carries a request of
+  // its own.
+  thread_local typename Sync::Request request;
+  request.lists.resize(lists_.size());
+  for (std::size_t i = 0; i < lists_.size(); ++i) {
+    request.lists[i].list_name = lists_[i].name;
+    Sync::fill(request.lists[i], lists_[i]);
+  }
+
+  const auto response = Sync::fetch(transport_, request);
+  if (!response.value) {
+    ++metrics_.updates_failed;
+    update_backoff_.on_error(transport_.clock().now());
+    return false;
+  }
+  update_backoff_.on_success(transport_.clock().now(),
+                             Sync::wait(*response.value));
+
+  bool all_applied = true;
+  for (const auto& update : response.value->lists) {
+    for (auto& list : lists_) {
+      if (list.name != update.list_name) continue;
+      if (!Sync::apply(list, response, update, config_)) {
+        ++metrics_.updates_failed;
+        all_applied = false;
+      }
+    }
+  }
+  cache_.clear();  // an update discards cached full digests
+  return all_applied;
+}
+
+template <typename Sync>
+void PrefixProtocolClient<Sync>::local_contains_many(
+    std::span<const crypto::Prefix32> prefixes, std::span<bool> out) const {
+  const std::size_t n = prefixes.size();
+  std::fill(out.begin(), out.begin() + n, false);
+  bool tmp[64];
+  for (const auto& list : lists_) {
+    const auto* store = Sync::store(list.synced);
+    if (store == nullptr) continue;
+    for (std::size_t base = 0; base < n; base += 64) {
+      const std::size_t count = std::min<std::size_t>(64, n - base);
+      store->contains_many32(prefixes.subspan(base, count),
+                             std::span<bool>(tmp, count));
+      for (std::size_t i = 0; i < count; ++i) {
+        out[base + i] = out[base + i] || tmp[i];
+      }
+    }
+  }
+}
+
+template <typename Sync>
+std::size_t PrefixProtocolClient<Sync>::local_prefix_count() const noexcept {
+  std::size_t total = 0;
+  for (const auto& list : lists_) {
+    if (const auto* store = Sync::store(list.synced)) total += store->size();
+  }
+  return total;
+}
+
+template <typename Sync>
+std::size_t PrefixProtocolClient<Sync>::local_store_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& list : lists_) {
+    if (const auto* store = Sync::store(list.synced)) {
+      total += store->memory_bytes();
+    }
+  }
+  return total;
+}
+
+template <typename Sync>
+auto PrefixProtocolClient<Sync>::synced_state(std::string_view list_name) const
+    -> State {
+  const auto* list = find_list(list_name);
+  return list ? list->synced : nullptr;
+}
+
+template <typename Sync>
+auto PrefixProtocolClient<Sync>::find_list(std::string_view list_name) const
+    -> const SyncedList<State>* {
+  for (const auto& list : lists_) {
+    if (list.name == list_name) return &list;
+  }
+  return nullptr;
+}
+
+template <typename Sync>
+LookupResult PrefixProtocolClient<Sync>::lookup(const LookupRequest& request) {
   ++metrics_.lookups;
   LookupResult result;
 
@@ -136,5 +250,8 @@ std::unique_ptr<ProtocolClient> make_protocol_client(Transport& transport,
   }
   return std::make_unique<Client>(transport, config);
 }
+
+template class PrefixProtocolClient<V3Sync>;
+template class PrefixProtocolClient<V4Sync>;
 
 }  // namespace sbp::sb

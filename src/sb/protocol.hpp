@@ -9,13 +9,13 @@
 // (simulation engine, mitigations, experiments) is generation-agnostic;
 // everything below it speaks serialized wire frames through Transport.
 //
-// PrefixProtocolClient factors out the prefix-based lookup flow shared by
-// v3 and v4 (Figure 3): local-store hit -> full-hash cache -> batched
-// full-hash request with the SB cookie -> digest confirmation. The
-// generations differ only in how the local store is synchronized.
+// PrefixProtocolClient is the one prefix-based client, v3 and v4 alike: the
+// Figure 3 lookup flow (local-store hit -> full-hash cache -> batched
+// full-hash request with the SB cookie -> digest confirmation) and the
+// synced-list update loop. The generations differ only in how a list's
+// local store is synchronized, a small trait each supplies.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -193,51 +193,94 @@ class ProtocolClient {
   LookupRequest scratch_request_;
 };
 
-/// Shared prefix-based lookup flow (v3 and v4): one batched local-store
-/// test over the request's decomposition prefixes, then resolve hits via
-/// cache or one batched full-hash request and confirm against full
-/// digests. Subclasses provide the local store (local_contains_many) and
-/// the update mechanism; their synced list states come from
-/// `config_.sync_states` when set, else from sb::apply_v3 / sb::apply_v4.
-class PrefixProtocolClient : public ProtocolClient {
- public:
-  using ProtocolClient::lookup;  // keep the string convenience visible
-  [[nodiscard]] LookupResult lookup(const LookupRequest& request) override;
-
- protected:
-  PrefixProtocolClient(Transport& transport, ClientConfig config)
-      : ProtocolClient(transport, config),
-        cache_(config.full_hash_ttl),
-        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {}
-
-  storage::FullHashCache cache_;
-  BackoffState full_hash_backoff_;
+/// One subscribed list of a prefix client (v3 and v4).
+template <typename State>
+struct SyncedList {
+  std::string name;
+  /// The synced list, immutable and possibly shared with every other
+  /// client in the same state (sb/sync_state_cache.hpp); null until a sync
+  /// ships this list, and after a v4 desync.
+  State synced;
+  /// The v4 state token the next request presents (0 = never synced or
+  /// reset after a desync, which the server answers with a full slice).
+  /// v3 presents its applied chunk numbers instead and leaves this 0.
+  std::uint64_t token = 0;
 };
 
-/// The local_contains_many of a client holding one store per list: ORs
-/// every list's contains_many32 answer into `out`, 64 queries at a time
-/// (stack scratch; longer batches are split, preserving order).
-/// `store_of(list)` returns the list's store, or null when it has none yet.
-template <typename Lists, typename StoreOf>
-void or_list_stores(const Lists& lists, StoreOf store_of,
-                    std::span<const crypto::Prefix32> prefixes,
-                    std::span<bool> out) {
-  const std::size_t n = prefixes.size();
-  std::fill(out.begin(), out.begin() + n, false);
-  bool tmp[64];
-  for (const auto& list : lists) {
-    const auto* store = store_of(list);
-    if (store == nullptr) continue;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::size_t count = std::min<std::size_t>(64, n - base);
-      store->contains_many32(prefixes.subspan(base, count),
-                             std::span<bool>(tmp, count));
-      for (std::size_t i = 0; i < count; ++i) {
-        out[base + i] = out[base + i] || tmp[i];
-      }
-    }
+/// A prefix-based client (v3 and v4): Figure 3's lookup flow over one
+/// local store per subscribed list, which update() keeps in step with the
+/// server. A lookup makes one batched local-store test over the request's
+/// decomposition prefixes, then resolves hits via the full-hash cache or
+/// one batched full-hash request and confirms them against full digests.
+/// The generations differ only in how a list is synchronized, which
+/// `Sync` supplies (sb::V3Sync in sb/client.hpp, sb::V4Sync in
+/// sb/protocol_v4.hpp):
+///
+///   State, Request, Response, kVersion   the synced list, the update
+///       frames' decoded types, the generation spoken
+///   fetch(transport, request)   the shared update path
+///   fill(request_list, list)    one list's state in the next request
+///   wait(response)              the server-set gap before the next update
+///   apply(list, response, update, config)   one list's update, from
+///       `config.sync_states` when set, else sb::apply_v3 / sb::apply_v4;
+///       false = the list desynchronized and was reset
+///   store(state)                the state's prefix store, or null
+///
+/// The members are defined in protocol.cpp and instantiated there for
+/// both generations.
+template <typename Sync>
+class PrefixProtocolClient : public ProtocolClient {
+ public:
+  using State = typename Sync::State;
+
+  PrefixProtocolClient(Transport& transport, ClientConfig config);
+
+  [[nodiscard]] ProtocolVersion version() const noexcept final {
+    return Sync::kVersion;
   }
-}
+
+  void subscribe(std::string_view list_name) final;
+
+  /// Syncs every subscribed list and clears the full-hash cache (paper
+  /// Section 2.2.1: cached digests are kept "until an update discards
+  /// them"). Returns false when withheld by backoff or the server's wait
+  /// (the backoff state advances accordingly), failed on the wire, or a
+  /// list desynchronized (counted in updates_failed; the next update
+  /// full-syncs it).
+  bool update() final;
+
+  [[nodiscard]] std::uint64_t update_wait(
+      std::uint64_t now) const noexcept final {
+    return update_backoff_.wait_time(now);
+  }
+
+  using ProtocolClient::lookup;  // keep the string convenience visible
+  [[nodiscard]] LookupResult lookup(const LookupRequest& request) final;
+
+  /// ORs every list store's contains_many32 answer into `out`, 64 queries
+  /// at a time (stack scratch; longer batches are split, preserving
+  /// order).
+  void local_contains_many(std::span<const crypto::Prefix32> prefixes,
+                           std::span<bool> out) const final;
+
+  [[nodiscard]] std::size_t local_prefix_count() const noexcept final;
+  [[nodiscard]] std::size_t local_store_bytes() const noexcept final;
+
+  /// The state synced for `list_name` (null = none yet) -- exposed for
+  /// tests that check which clients share one state.
+  [[nodiscard]] State synced_state(std::string_view list_name) const;
+
+ protected:
+  /// The subscribed list named `list_name`, or null.
+  [[nodiscard]] const SyncedList<State>* find_list(
+      std::string_view list_name) const;
+
+ private:
+  std::vector<SyncedList<State>> lists_;
+  storage::FullHashCache cache_;
+  BackoffState full_hash_backoff_;
+  BackoffState update_backoff_;
+};
 
 /// Instantiates the implementation for `config.protocol`.
 [[nodiscard]] std::unique_ptr<ProtocolClient> make_protocol_client(

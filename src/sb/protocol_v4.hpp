@@ -16,44 +16,54 @@
 //     observes: 32-bit prefixes + cookie + timing) is UNCHANGED from v3 --
 //     which is why the paper's re-identification and tracking analyses
 //     carry over to v4 unmodified (tests/sb/protocol_equivalence_test).
+//
+// The lookup flow and the update loop are sb::PrefixProtocolClient's, shared
+// with v3; V4Sync contributes the sync itself: the state-token request, the
+// server's minimum_wait, and the slice applied by sb::apply_v4 (through the
+// population's sb::SyncStateCache when it has one) plus the per-client
+// checksum check.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "sb/protocol.hpp"
 #include "storage/raw_hash_store.hpp"
 
 namespace sbp::sb {
 
-class V4SlicedProtocol : public PrefixProtocolClient {
+/// The v4 sliced synchronization (see PrefixProtocolClient).
+struct V4Sync {
+  static constexpr ProtocolVersion kVersion = ProtocolVersion::kV4Sliced;
+  using State = V4State;
+  using Request = V4UpdateRequest;
+  using Response = V4UpdateResponse;
+
+  static SharedV4Update fetch(Transport& transport, const Request& request) {
+    return transport.fetch_v4_update_shared(request);
+  }
+  static void fill(Request::ListState& out, const SyncedList<State>& list) {
+    out.state = list.token;
+  }
+  static std::uint64_t wait(const Response& response) {
+    return response.minimum_wait;
+  }
+  /// Applies `slice` and checks the result against its checksum. On a
+  /// mismatch or a slice that does not apply, the list lets go of its
+  /// state and token (the shared state itself is untouched), so the next
+  /// update full-syncs it -- the Update API's recovery discipline.
+  static bool apply(SyncedList<State>& list, const SharedV4Update& response,
+                    const V4SliceUpdate& slice, const ClientConfig& config);
+  static const storage::RawHashStore* store(const State& state) {
+    return state.get();
+  }
+};
+
+extern template class PrefixProtocolClient<V4Sync>;
+
+class V4SlicedProtocol final : public PrefixProtocolClient<V4Sync> {
  public:
-  V4SlicedProtocol(Transport& transport, ClientConfig config);
-
-  [[nodiscard]] ProtocolVersion version() const noexcept override {
-    return ProtocolVersion::kV4Sliced;
-  }
-
-  void subscribe(std::string_view list_name) override;
-
-  /// Fetches and applies one slice per out-of-date list. Returns false when
-  /// withheld (backoff / server minimum wait), failed on the wire, or a
-  /// checksum mismatch forced a local reset (the next update full-syncs).
-  bool update() override;
-
-  [[nodiscard]] std::uint64_t update_wait(
-      std::uint64_t now) const noexcept override {
-    return update_backoff_.wait_time(now);
-  }
-
-  /// Batch membership across the per-list raw-hash stores (sorted-probe
-  /// advancing binary search).
-  void local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                           std::span<bool> out) const override;
-  [[nodiscard]] std::size_t local_prefix_count() const noexcept override;
-  [[nodiscard]] std::size_t local_store_bytes() const noexcept override;
+  using PrefixProtocolClient::PrefixProtocolClient;
 
   /// State token currently synced for `list_name` (0 = never synced /
   /// reset after desync) -- exposed for tests.
@@ -64,22 +74,6 @@ class V4SlicedProtocol : public PrefixProtocolClient {
   /// when the client has converged on the server's current state (the
   /// churn-convergence check of tests/sim/engine_churn_test.cpp).
   [[nodiscard]] std::uint32_t list_checksum(std::string_view list_name) const;
-
-  /// The shared store synced for `list_name` (null = empty) -- exposed for
-  /// tests that check which clients share one state.
-  [[nodiscard]] V4State synced_state(std::string_view list_name) const;
-
- private:
-  struct ListState {
-    std::string name;
-    std::uint64_t state = 0;
-    /// Sorted prefix array + its checksum, immutable and possibly shared
-    /// with every other client in the same state; null = empty.
-    V4State store;
-  };
-
-  std::vector<ListState> lists_;
-  BackoffState update_backoff_;
 };
 
 }  // namespace sbp::sb

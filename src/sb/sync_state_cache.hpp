@@ -39,10 +39,11 @@
 //     apply_v3 rebuilds into per-thread scratch, so direct calls from many
 //     threads need no lock either.
 //
-// What stays per client (sb::Client, sb::V4SlicedProtocol): the wire
-// exchange, backoff, the full-hash cache and its clear-on-update,
-// updates_failed, the v4 state token, and the v4 checksum verification --
-// against the checksum the store computed once when it was built.
+// What stays per client (sb::PrefixProtocolClient, one update loop for v3
+// and v4): the wire exchange, backoff, the full-hash cache and its
+// clear-on-update, updates_failed, the v4 state token, and the v4 checksum
+// verification (sb::V4Sync::apply) -- against the checksum the store
+// computed once when it was built.
 #pragma once
 
 #include <cstdint>

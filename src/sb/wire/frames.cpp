@@ -232,9 +232,8 @@ std::vector<std::uint8_t> encode_update_response(
     writer.string(update.list_name);
     writer.varint(update.chunks.size());
     for (const Chunk& chunk : update.chunks) {
-      const std::vector<std::uint8_t> bytes = serialize_chunk(chunk);
-      writer.varint(bytes.size());
-      writer.bytes(bytes);
+      writer.varint(chunk_wire_size(chunk));
+      write_chunk(chunk, writer);
     }
   }
   return writer.take();

@@ -537,8 +537,8 @@ void check_batch_scalar_equivalence(const Scenario& base, Collector& collect) {
 
   // The v4 store is not a PrefixStore; same law, own entry point.
   storage::RawHashStore v4_store;
-  if (!v4_store.apply_slice({}, member_list)) {
-    collect.fail("raw-hash: apply_slice rejected a sorted addition list");
+  if (!v4_store.reset(member_list)) {
+    collect.fail("raw-hash: reset rejected a sorted member list");
     return;
   }
   v4_store.contains_many32(queries, out);

@@ -52,7 +52,11 @@ class FullHashCache {
       crypto::Prefix32 prefix, std::uint64_t now) const;
 
   /// Drops everything (a database update invalidates cached responses).
-  void clear() { entries_.clear(); }
+  /// An empty cache returns at once: a clear of the map itself rewrites
+  /// every bucket, and most updates find the cache empty.
+  void clear() {
+    if (!entries_.empty()) entries_.clear();
+  }
 
   /// Drops expired entries; returns how many were removed.
   std::size_t evict_expired(std::uint64_t now);

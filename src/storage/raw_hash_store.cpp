@@ -64,15 +64,6 @@ std::optional<RawHashStore> RawHashStore::sliced(
   return next;
 }
 
-bool RawHashStore::apply_slice(
-    const std::vector<std::uint32_t>& removal_indices,
-    const std::vector<crypto::Prefix32>& additions) {
-  std::optional<RawHashStore> next = sliced(removal_indices, additions);
-  if (!next) return false;
-  *this = std::move(*next);
-  return true;
-}
-
 void RawHashStore::contains_many32(std::span<const crypto::Prefix32> prefixes,
                                    std::span<bool> out) const noexcept {
   const std::size_t n = prefixes.size();

@@ -37,12 +37,6 @@ class RawHashStore {
       std::span<const std::uint32_t> removal_indices,
       std::span<const crypto::Prefix32> additions) const;
 
-  /// In-place sliced(): returns false -- store unchanged -- on any
-  /// violation.
-  [[nodiscard]] bool apply_slice(
-      const std::vector<std::uint32_t>& removal_indices,
-      const std::vector<crypto::Prefix32>& additions);
-
   void clear() noexcept {
     sorted_.clear();
     checksum_ = kEmptyChecksum;

@@ -93,6 +93,7 @@ TEST_F(OnePrefixTest, RootQueryResolvesDomainBlacklist) {
   config.cookie = 5;
   OnePrefixClient client(transport_, config);
   client.subscribe("list");
+  ASSERT_TRUE(client.update());
 
   const auto result = client.lookup("http://evil.example/any/page", {});
   EXPECT_EQ(result.verdict, sb::Verdict::kMalicious);
@@ -107,6 +108,7 @@ TEST_F(OnePrefixTest, EscalationSuppressedWithoutTypeI) {
   config.cookie = 6;
   OnePrefixClient client(transport_, config);
   client.subscribe("list");
+  ASSERT_TRUE(client.update());
 
   const auto result = client.lookup(
       "http://tracked.example/dir/page.html",
@@ -120,6 +122,7 @@ TEST_F(OnePrefixTest, EscalationAllowedWithTypeI) {
   config.cookie = 7;
   OnePrefixClient client(transport_, config);
   client.subscribe("list");
+  ASSERT_TRUE(client.update());
 
   // Crawl finds a sibling page in the same directory -> Type I cover
   // exists -> escalation is privacy-acceptable (server learns the domain,
@@ -137,9 +140,26 @@ TEST_F(OnePrefixTest, SafeUrlSendsNothing) {
   sb::ClientConfig config;
   OnePrefixClient client(transport_, config);
   client.subscribe("list");
+  ASSERT_TRUE(client.update());
   const auto result = client.lookup("http://benign.example/", {});
   EXPECT_EQ(result.verdict, sb::Verdict::kSafe);
   EXPECT_TRUE(result.sent_prefixes.empty());
+}
+
+TEST_F(OnePrefixTest, LookupSendsNoUpdateRequest) {
+  // update() syncs the local database once; a lookup only reads it, and
+  // its one wire request is the root prefix's full-hash query.
+  sb::ClientConfig config;
+  OnePrefixClient client(transport_, config);
+  client.subscribe("list");
+  ASSERT_TRUE(client.update());
+  const std::uint64_t updates = transport_.stats().update_requests;
+  EXPECT_EQ(client.lookup("http://evil.example/any/page", {}).verdict,
+            sb::Verdict::kMalicious);
+  EXPECT_EQ(client.lookup("http://benign.example/", {}).verdict,
+            sb::Verdict::kSafe);
+  EXPECT_EQ(transport_.stats().update_requests, updates);
+  EXPECT_EQ(transport_.stats().full_hash_requests, 1u);
 }
 
 TEST_F(OnePrefixTest, LeakReductionVsStockClient) {
@@ -160,6 +180,7 @@ TEST_F(OnePrefixTest, LeakReductionVsStockClient) {
   mitigated_config.cookie = 101;
   OnePrefixClient mitigated(transport_, mitigated_config);
   mitigated.subscribe("list");
+  ASSERT_TRUE(mitigated.update());
   const auto mitigated_result = mitigated.lookup(
       "http://tracked.example/dir/page.html",
       {"http://tracked.example/dir/page.html"});

@@ -92,13 +92,38 @@ TEST_F(ClientTest, FullHashCacheSuppressesRepeatQueries) {
   EXPECT_EQ(server_.query_log().size(), log_before);  // no new query
 }
 
-TEST_F(ClientTest, UpdateClearsFullHashCache) {
-  Client client = make_client();
-  (void)client.lookup("http://evil.example/attack.html");
-  client.update();
-  const std::size_t log_before = server_.query_log().size();
-  (void)client.lookup("http://evil.example/attack.html");
-  EXPECT_EQ(server_.query_log().size(), log_before + 1);  // re-queried
+/// The update loop is one implementation for v3 and v4 (see
+/// sb::PrefixProtocolClient): its cache clear runs on both generations.
+class ClientUpdateTest : public ClientTest,
+                         public ::testing::WithParamInterface<ProtocolVersion> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Generations, ClientUpdateTest,
+                         ::testing::Values(ProtocolVersion::kV3Chunked,
+                                           ProtocolVersion::kV4Sliced),
+                         [](const auto& info) {
+                           return info.param == ProtocolVersion::kV3Chunked
+                                      ? "V3"
+                                      : "V4";
+                         });
+
+TEST_P(ClientUpdateTest, UpdateClearsFullHashCache) {
+  ClientConfig config;
+  config.protocol = GetParam();
+  config.cookie = 42;
+  const auto client = make_protocol_client(transport_, config);
+  client->subscribe("goog-malware-shavar");
+  ASSERT_TRUE(client->update());
+  (void)client->lookup("http://evil.example/attack.html");
+  const std::size_t log_cached = server_.query_log().size();
+  EXPECT_TRUE(client->lookup("http://evil.example/attack.html")
+                  .answered_from_cache);
+  EXPECT_EQ(server_.query_log().size(), log_cached);
+  ASSERT_TRUE(client->update());
+  const auto result = client->lookup("http://evil.example/attack.html");
+  EXPECT_FALSE(result.answered_from_cache);
+  EXPECT_EQ(result.verdict, Verdict::kMalicious);
+  EXPECT_EQ(server_.query_log().size(), log_cached + 1);  // re-queried
 }
 
 TEST_F(ClientTest, InvalidUrl) {

@@ -3,6 +3,8 @@
 // request-frequency discipline).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sb/client.hpp"
 
 namespace sbp::sb {
@@ -63,44 +65,76 @@ TEST_F(FailureInjectionTest, RecoversAfterErrorAndBackoff) {
   EXPECT_FALSE(result.unconfirmed);
 }
 
-TEST_F(FailureInjectionTest, UpdateErrorReportsAndBacksOff) {
-  Client client = make_client();
+/// The update loop is one implementation for v3 and v4 (see
+/// sb::PrefixProtocolClient): its backoff cases run on both generations.
+class FailureInjectionUpdateTest
+    : public FailureInjectionTest,
+      public ::testing::WithParamInterface<ProtocolVersion> {
+ protected:
+  std::unique_ptr<ProtocolClient> make_client(
+      BackoffConfig backoff = {.base_delay = 60,
+                               .max_delay = 28800,
+                               .min_update_gap = 0}) {
+    ClientConfig config;
+    config.protocol = GetParam();
+    config.cookie = 9;
+    config.backoff = backoff;
+    auto client = make_protocol_client(transport_, config);
+    client->subscribe("list");
+    return client;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Generations, FailureInjectionUpdateTest,
+                         ::testing::Values(ProtocolVersion::kV3Chunked,
+                                           ProtocolVersion::kV4Sliced),
+                         [](const auto& info) {
+                           return info.param == ProtocolVersion::kV3Chunked
+                                      ? "V3"
+                                      : "V4";
+                         });
+
+TEST_P(FailureInjectionUpdateTest, UpdateErrorReportsAndBacksOff) {
+  const auto client = make_client();
   transport_.inject_update_failures(1);
-  EXPECT_FALSE(client.update());
-  EXPECT_EQ(client.metrics().updates_failed, 1u);
+  EXPECT_FALSE(client->update());
+  EXPECT_EQ(client->metrics().updates_failed, 1u);
   // Retry is suppressed until the backoff window passes.
-  EXPECT_FALSE(client.update());
-  EXPECT_GE(client.metrics().backoff_suppressed, 1u);
+  EXPECT_FALSE(client->update());
+  EXPECT_GE(client->metrics().backoff_suppressed, 1u);
+  EXPECT_GT(client->update_wait(clock_.now()), 0u);
   clock_.advance(100);
-  EXPECT_TRUE(client.update());
-  EXPECT_EQ(client.local_prefix_count(), 1u);
+  EXPECT_EQ(client->update_wait(clock_.now()), 0u);
+  EXPECT_TRUE(client->update());
+  EXPECT_EQ(client->local_prefix_count(), 1u);
+  EXPECT_EQ(client->metrics().updates_attempted, 3u);
 }
 
-TEST_F(FailureInjectionTest, ConsecutiveErrorsGrowTheWindow) {
+TEST_P(FailureInjectionUpdateTest, ConsecutiveErrorsGrowTheWindow) {
   BackoffConfig backoff{.base_delay = 60,
                         .max_delay = 28800,
                         .min_update_gap = 0};
-  Client client = make_client(backoff);
+  const auto client = make_client(backoff);
   // Two consecutive update failures: the second window must be ~2x.
   transport_.inject_update_failures(2);
-  EXPECT_FALSE(client.update());       // error 1 at t=50 (1 RTT)
+  EXPECT_FALSE(client->update());      // error 1 at t=50 (1 RTT)
   clock_.advance(100);                 // past window 1 (60 + jitter)
-  EXPECT_FALSE(client.update());       // error 2
+  EXPECT_FALSE(client->update());      // error 2
   clock_.advance(100);                 // NOT past window 2 (120 + jitter)
-  EXPECT_FALSE(client.update());       // still suppressed
+  EXPECT_FALSE(client->update());      // still suppressed
   clock_.advance(100);
-  EXPECT_TRUE(client.update());
+  EXPECT_TRUE(client->update());
 }
 
-TEST_F(FailureInjectionTest, PoliteUpdateGapEnforced) {
+TEST_P(FailureInjectionUpdateTest, PoliteUpdateGapEnforced) {
   BackoffConfig backoff{.base_delay = 60,
                         .max_delay = 28800,
                         .min_update_gap = 500};
-  Client client = make_client(backoff);
-  EXPECT_TRUE(client.update());
-  EXPECT_FALSE(client.update());  // too soon
+  const auto client = make_client(backoff);
+  EXPECT_TRUE(client->update());
+  EXPECT_FALSE(client->update());  // too soon
   clock_.advance(500);
-  EXPECT_TRUE(client.update());
+  EXPECT_TRUE(client->update());
 }
 
 TEST_F(FailureInjectionTest, FailedRequestsCountedInTransportStats) {

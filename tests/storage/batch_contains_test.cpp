@@ -211,7 +211,7 @@ TEST(BatchContainsTest, RawHashStoreMatchesReference) {
   const std::vector<crypto::Prefix32> members =
       members32(random_batch(5000, 16));
   RawHashStore store;
-  ASSERT_TRUE(store.apply_slice({}, members));
+  ASSERT_TRUE(store.reset(members));
   for (const auto& queries : query_batches(members, 106)) {
     const auto got = answers(queries, [&](auto q, auto out) {
       store.contains_many32(q, out);
