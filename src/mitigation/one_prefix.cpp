@@ -41,12 +41,18 @@ OnePrefixResult OnePrefixClient::lookup(
                b.decomposition->expression.size();
       });
 
+  // Whether the server confirmed `hit`; a failed request sets
+  // result.unconfirmed instead, and the lookup stops.
   auto query_one = [&](const Hit& hit) -> bool {
-    result.sent_prefixes.push_back(hit.prefix);
     const auto response =
-        transport_.get_full_hashes({hit.prefix}, client_.cookie());
-    const auto it = response.matches.find(hit.prefix);
-    if (it == response.matches.end()) return false;
+        transport_.get_full_hashes_or_error({hit.prefix}, client_.cookie());
+    if (!response) {
+      result.unconfirmed = true;
+      return false;
+    }
+    result.sent_prefixes.push_back(hit.prefix);
+    const auto it = response->matches.find(hit.prefix);
+    if (it == response->matches.end()) return false;
     return std::any_of(it->second.begin(), it->second.end(),
                        [&hit](const sb::FullHashMatch& match) {
                          return match.digest == hit.digest;
@@ -59,7 +65,7 @@ OnePrefixResult OnePrefixClient::lookup(
     result.resolved_by_root_query = true;
     return result;
   }
-  if (hits.size() == 1) {
+  if (result.unconfirmed || hits.size() == 1) {
     result.verdict = sb::Verdict::kSafe;
     return result;
   }
@@ -83,6 +89,7 @@ OnePrefixResult OnePrefixClient::lookup(
       result.verdict = sb::Verdict::kMalicious;
       return result;
     }
+    if (result.unconfirmed) break;
   }
   result.verdict = sb::Verdict::kSafe;
   return result;

@@ -38,6 +38,11 @@ struct OnePrefixResult {
   /// True when escalation was suppressed because no Type I URLs exist (the
   /// user was warned that the service may learn the URL otherwise).
   bool escalation_suppressed = false;
+  /// A full-hash request failed at the network level: the lookup stopped
+  /// there and fails OPEN (verdict kSafe), as the stock client does, and
+  /// the failed prefix is not in sent_prefixes (it never reached the
+  /// server).
+  bool unconfirmed = false;
 };
 
 class OnePrefixClient {

@@ -53,9 +53,9 @@
 // built -- through the site LRU, which sits behind the URL cache -- only
 // on a cache miss, where the LookupRequest consumes it. The cache is a
 // flat open-addressed table (sim/url_cache.hpp) that grows on demand up to
-// url_cache_entries; eviction clears it with a generation bump, and its
-// entries keep their one-buffer LookupRequests, so a warm miss rebuilds an
-// entry in place: site-LRU hit, one slice copy, canonicalize + decompose
+// url_cache_entries; a full cache evicts by second chance (CLOCK), and the
+// victim's entry keeps its one-buffer LookupRequest, so a warm miss rebuilds
+// that entry in place: site-LRU hit, one slice copy, canonicalize + decompose
 // into per-thread scratch, hashing straight into the entry -- no heap
 // traffic. Each visit first runs a cheap local-store prefilter
 // (client->local_contains_many) --

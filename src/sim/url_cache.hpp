@@ -3,19 +3,24 @@
 //
 // A flat open-addressed table (linear probing, load <= 1/2) of 24-byte
 // slots over a dense array of entries. A slot holds the key, the index of
-// its entry and the key's universe stamp, so a hit whose URL has no
-// listed prefix reads one slot and never the entry's request. Every slot
-// carries the generation it was written in, so clear() is a generation
-// bump: the table forgets every key at once and the entries keep their
-// storage, which the next misses rebuild in place -- a warm cache builds
-// a missed URL without touching the heap.
+// its entry, the key's universe stamp and its second-chance bit, so a hit
+// whose URL has no listed prefix reads -- and writes -- one slot and never
+// the entry's request.
 // The table grows on demand (doubling) up to what `max_entries` needs; it
 // never preallocates the bound, since populations set bounds far above
-// the distinct URLs a shard sees.
+// the distinct URLs a shard sees. A full cache evicts by second chance
+// (CLOCK): a hit sets its slot's referenced bit, and an insert sweeps a
+// hand over the slot table, clearing each referenced bit it passes, until
+// it meets an unreferenced slot. That key leaves the table (backward-shift
+// deletion, as in the site LRU) and the new key takes over its entry in
+// place, so hot URLs stay cached across refills and a warm miss rebuilds
+// an entry without touching the heap.
 //
-// Visit ids are 1:1 with URL strings (sim/traffic_model.hpp), so the
-// cache's hit/miss sequence -- and every url_cache_* counter -- is a
-// function of the id sequence alone, the same as any exact map's.
+// Visit ids are 1:1 with URL strings (sim/traffic_model.hpp), and only
+// find() and insert() move the policy -- the engine's prefetch pass reads
+// through stale_request(), which marks nothing -- so the cache's hit/miss
+// sequence, and every url_cache_* counter, is a function of the dispatched
+// id sequence alone.
 #pragma once
 
 #include <algorithm>
@@ -59,39 +64,40 @@ class UrlCache {
   };
 
   /// `max_entries` bounds the live entries (0 = unbounded); inserting into
-  /// a full cache clears it first (hot URLs repopulate).
+  /// a full cache evicts one key by second chance.
   explicit UrlCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
-  /// The slot of `key`, or a null Ref.
+  /// The slot of `key`, marked referenced, or a null Ref.
   [[nodiscard]] Ref find(std::uint64_t key) noexcept {
-    if (slots_.empty()) return {};
-    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
-      Slot& slot = slots_[i];
-      if (slot.generation != generation_) return {};
-      if (slot.key == key) return {&slot.stamp, slot.entry};
-    }
+    Slot* slot = slot_of(key);
+    if (slot == nullptr) return {};
+    slot->referenced = true;
+    return {&slot->stamp, slot->entry};
   }
 
-  /// Adds `key` (which must not be present) with an unstamped slot. Its
-  /// entry's request still holds whatever an earlier key left there: the
-  /// caller rebuilds it and stamps the slot.
+  /// Adds `key` (which must not be present) with an unstamped, unreferenced
+  /// slot. Its entry's request still holds whatever an earlier key left
+  /// there: the caller rebuilds it and stamps the slot.
   [[nodiscard]] Ref insert(std::uint64_t key) {
-    if (max_entries_ > 0 && size_ >= max_entries_) clear();
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    const auto entry = static_cast<std::uint32_t>(size_);
-    Slot& slot = place(key, entry, Stamp{});
-    if (size_ == entries_.size()) entries_.emplace_back();
-    ++size_;
-    return {&slot.stamp, entry};
+    if (max_entries_ > 0 && entries_.size() >= max_entries_) {
+      const std::uint32_t entry = evict();
+      return {&place({key, entry, false, {}}).stamp, entry};
+    }
+    if (2 * (entries_.size() + 1) > slots_.size()) grow();
+    const auto entry = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+    return {&place({key, entry, false, {}}).stamp, entry};
   }
 
   /// The request of `key` if the key is live and stamped at a version
-  /// other than `version` (its next hit re-stamps), else null.
+  /// other than `version` (its next hit re-stamps), else null. Marks
+  /// nothing: a look ahead must not change what the cache evicts.
   [[nodiscard]] const sb::LookupRequest* stale_request(
       std::uint64_t key, std::uint32_t version) noexcept {
-    const Ref ref = find(key);
-    return ref && ref.stamp->version != version ? &entries_[ref.entry].request
-                                                : nullptr;
+    const Slot* slot = slot_of(key);
+    return slot != nullptr && slot->stamp.version != version
+               ? &entries_[slot->entry].request
+               : nullptr;
   }
 
   /// The entry a Ref names.
@@ -99,22 +105,14 @@ class UrlCache {
     return entries_[index];
   }
 
-  /// Forgets every key; entries keep their storage for reuse.
-  void clear() noexcept {
-    size_ = 0;
-    if (++generation_ == 0) {  // wrapped: no stale slot may look live
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      generation_ = 1;
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
   struct Slot {
     std::uint64_t key = 0;
-    std::uint32_t generation = 0;  ///< live iff equal to generation_
-    std::uint32_t entry = 0;       ///< index into entries_
+    std::uint32_t entry = kEmpty;  ///< index into entries_; kEmpty: no key
+    bool referenced = false;       ///< hit since the hand last passed
     Stamp stamp;
   };
   // A hit whose stamp lists no prefix reads this one slot and nothing else.
@@ -126,31 +124,69 @@ class UrlCache {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
 
-  Slot& place(std::uint64_t key, std::uint32_t entry, Stamp stamp) noexcept {
-    std::size_t i = home(key);
-    while (slots_[i].generation == generation_) i = (i + 1) & mask();
-    slots_[i] = {key, generation_, entry, stamp};
+  [[nodiscard]] Slot* slot_of(std::uint64_t key) noexcept {
+    if (slots_.empty()) return nullptr;
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+      Slot& slot = slots_[i];
+      if (slot.entry == kEmpty) return nullptr;
+      if (slot.key == key) return &slot;
+    }
+  }
+
+  Slot& place(const Slot& slot) noexcept {
+    std::size_t i = home(slot.key);
+    while (slots_[i].entry != kEmpty) i = (i + 1) & mask();
+    slots_[i] = slot;
     return slots_[i];
   }
 
+  /// Sweeps the hand to the first unreferenced slot, clearing the
+  /// referenced bits it passes, removes that key and returns its entry.
+  /// The hand stays on the hole, which the shift may refill with a slot it
+  /// has not passed yet.
+  [[nodiscard]] std::uint32_t evict() noexcept {
+    for (;; hand_ = (hand_ + 1) & mask()) {
+      Slot& slot = slots_[hand_];
+      if (slot.entry == kEmpty) continue;
+      if (slot.referenced) {
+        slot.referenced = false;
+        continue;
+      }
+      const std::uint32_t entry = slot.entry;
+      erase(hand_);
+      return entry;
+    }
+  }
+
+  /// Backward-shift deletion: pull each later slot of the probe run whose
+  /// home is not after the hole into it, so no run is broken.
+  void erase(std::size_t i) noexcept {
+    for (std::size_t j = (i + 1) & mask(); slots_[j].entry != kEmpty;
+         j = (j + 1) & mask()) {
+      if (((j - home(slots_[j].key)) & mask()) >= ((j - i) & mask())) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i].entry = kEmpty;
+  }
+
   /// Doubles the table (16 slots at first) and re-places the live keys,
-  /// each with its stamp.
+  /// each with its stamp and referenced bit.
   void grow() {
     std::vector<Slot> old = std::move(slots_);
-    const std::uint32_t live = generation_;
     slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
     shift_ = 64 - std::countr_zero(slots_.size());
-    generation_ = 1;
+    hand_ = 0;
     for (const Slot& slot : old) {
-      if (slot.generation == live) place(slot.key, slot.entry, slot.stamp);
+      if (slot.entry != kEmpty) place(slot);
     }
   }
 
   std::size_t max_entries_;
-  std::vector<Slot> slots_;  ///< power-of-two size, or empty
-  std::vector<Entry> entries_;  ///< entries_[0, size_) are live
-  std::size_t size_ = 0;
-  std::uint32_t generation_ = 1;
+  std::vector<Slot> slots_;     ///< power-of-two size, or empty
+  std::vector<Entry> entries_;  ///< one per live key, reused by evictions
+  std::size_t hand_ = 0;        ///< the CLOCK hand: a slot index
   int shift_ = 64;
 };
 

@@ -1,7 +1,7 @@
 #include "url/canonicalize.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cstdint>
 
@@ -75,30 +75,68 @@ std::optional<std::uint32_t> ip_value(std::string_view host) {
       values[n - 1]);
 }
 
+char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// Bytes the escaping pass (step 6) rewrites as %XX.
+bool needs_escape(char c) noexcept {
+  const auto byte = static_cast<unsigned char>(c);
+  return byte <= 0x20 || byte >= 0x7F || byte == '#' || byte == '%';
+}
+
+/// Rewrites `host` as dotted decimal if it is a numeric IP; returns whether
+/// it was. Only a host that starts with a digit can be one.
+bool rewrite_ip(std::string& host) {
+  if (host.empty() || host[0] < '0' || host[0] > '9') return false;
+  const auto ip = ip_value(host);
+  if (!ip) return false;
+  host.clear();
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    if (shift != 24) host.push_back('.');
+    char digits[4];
+    char* end = std::to_chars(digits, digits + sizeof(digits),
+                              (*ip >> shift) & 0xFF)
+                    .ptr;
+    host.append(digits, end);
+  }
+  return true;
+}
+
 /// Step 4 into `out`: lowercase, drop leading/trailing dots, collapse dot
 /// runs, and rewrite a numeric IP as dotted decimal. Returns whether the
 /// host is an IP.
 bool canonical_host_into(std::string_view host, std::string& out) {
   out.clear();
   for (const char raw : host) {
-    const char c =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(raw)));
+    const char c = ascii_lower(raw);
     if (c == '.' && (out.empty() || out.back() == '.')) continue;
     out.push_back(c);
   }
   while (!out.empty() && out.back() == '.') out.pop_back();
+  return rewrite_ip(out);
+}
 
-  const auto ip = ip_value(out);
-  if (!ip) return false;
-  out.clear();
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    if (shift != 24) out.push_back('.');
-    char digits[4];
-    char* end = std::to_chars(digits, digits + sizeof(digits),
-                              (*ip >> shift) & 0xFF)
-                    .ptr;
-    out.append(digits, end);
+/// Whether step 6 escapes any byte of `text` (a scan without an early
+/// exit, which the compiler vectorizes).
+bool any_escaped(std::string_view text) noexcept {
+  bool found = false;
+  for (const char c : text) found |= needs_escape(c);
+  return found;
+}
+
+/// Copies `host` into `out`, lowercased, if steps 3-6 would leave it as it
+/// is up to case: no escape to decode, no byte to re-escape, no ':' (the
+/// parser leaves all but the last one to cut), no leading, trailing or
+/// doubled dot. Returns false (leaving `out` untouched) otherwise.
+bool copy_clean_host(std::string_view host, std::string& out) {
+  if (host.empty() || host.front() == '.' || host.back() == '.' ||
+      any_escaped(host) || host.find(':') != std::string_view::npos ||
+      host.find("..") != std::string_view::npos) {
+    return false;
   }
+  out.resize(host.size());
+  std::transform(host.begin(), host.end(), out.begin(), ascii_lower);
   return true;
 }
 
@@ -128,19 +166,38 @@ void canonical_path_into(std::string_view path, std::string& out) {
   if (out.empty() || trailing_slash) out.push_back('/');
 }
 
-/// Step 6, appending to `out`.
-void append_escaped(std::string& out, std::string_view input) {
-  static constexpr char kHexUpper[] = "0123456789ABCDEF";
-  for (char c : input) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (byte <= 0x20 || byte >= 0x7F || byte == '#' || byte == '%') {
-      out.push_back('%');
-      out.push_back(kHexUpper[byte >> 4]);
-      out.push_back(kHexUpper[byte & 0x0F]);
-    } else {
-      out.push_back(c);
+/// Whether steps 3, 5 and 6 leave `path` as it is: it starts with '/',
+/// holds no '%' and no byte to escape, and has no empty segment before its
+/// last and no "." or ".." segment.
+bool is_clean_path(std::string_view path) noexcept {
+  if (path.empty() || path[0] != '/' || any_escaped(path)) return false;
+  for (std::size_t slash = 0; slash != std::string_view::npos;
+       slash = path.find('/', slash + 1)) {
+    const std::string_view next = path.substr(slash + 1);
+    if (next.empty()) break;  // a trailing slash names a directory
+    if (next[0] == '/') return false;
+    if (next[0] == '.') {
+      const std::size_t dots = next.size() > 1 && next[1] == '.' ? 2 : 1;
+      if (dots == next.size() || next[dots] == '/') return false;
     }
   }
+  return true;
+}
+
+/// Step 6, appending to `out`: each run of bytes that need no escape goes
+/// in with one append.
+void append_escaped(std::string& out, std::string_view input) {
+  static constexpr char kHexUpper[] = "0123456789ABCDEF";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (!needs_escape(input[i])) continue;
+    const auto byte = static_cast<unsigned char>(input[i]);
+    const char escaped[] = {'%', kHexUpper[byte >> 4], kHexUpper[byte & 0x0F]};
+    out.append(input.data() + run, i - run);
+    out.append(escaped, sizeof(escaped));
+    run = i + 1;
+  }
+  out.append(input.data() + run, input.size() - run);
 }
 
 /// One percent-unescaping pass in place (the output is never longer than
@@ -171,6 +228,55 @@ void unescape_fully(std::string& value) {
   }
 }
 
+/// Step 3 for a component: `text` itself when it holds no '%', else its
+/// fixpoint unescaping in `part`.
+std::string_view unescaped(std::string_view text, std::string& part) {
+  if (text.find('%') == std::string_view::npos) return text;
+  part.assign(text);
+  unescape_fully(part);
+  return part;
+}
+
+/// Whether step 1 changes `raw`: surrounding whitespace or a TAB/CR/LF
+/// (a scan without an early exit, which the compiler vectorizes).
+bool needs_cleaning(std::string_view raw) noexcept {
+  if (raw.empty()) return false;
+  bool found = raw.front() == ' ' || raw.back() == ' ';
+  for (const char c : raw) found |= c == '\t' || c == '\r' || c == '\n';
+  return found;
+}
+
+/// Steps 3, 4 and 6 for the host into out.host and out.host_is_ip; false
+/// when nothing is left of it.
+bool canonicalize_host_into(std::string_view host, CanonicalUrl& out,
+                            CanonicalizeScratch& scratch) {
+  if (copy_clean_host(host, out.host)) {
+    out.host_is_ip = rewrite_ip(out.host);
+    return true;
+  }
+  // Unescaping can surface authority delimiters that were hidden as %xx
+  // ("a%40b" -> "a@b", "a%3A99" -> "a:99", "a%2Fb" -> "a/b"), and the
+  // parser cut only the last ':'. Re-apply the authority splitting so the
+  // output is a fixpoint of canonicalization.
+  std::string_view name = unescaped(host, scratch.part);
+  if (const std::size_t at = name.rfind('@'); at != std::string_view::npos) {
+    name.remove_prefix(at + 1);
+  }
+  if (const std::size_t cut = std::min(name.find('/'), name.find('?'));
+      cut != std::string_view::npos) {
+    name = name.substr(0, cut);  // spilled path/query bytes are dropped
+  }
+  if (const std::size_t colon = name.find(':');
+      colon != std::string_view::npos) {
+    name = name.substr(0, colon);  // port (or junk after any ':') is dropped
+  }
+  out.host_is_ip = canonical_host_into(name, scratch.canonical);
+  if (scratch.canonical.empty()) return false;
+  out.host.clear();
+  append_escaped(out.host, scratch.canonical);
+  return true;
+}
+
 }  // namespace
 
 std::string percent_unescape_once(std::string_view input) {
@@ -194,60 +300,46 @@ CanonicalHost canonicalize_host(std::string_view host) {
 
 bool canonicalize_into(std::string_view raw, CanonicalUrl& out,
                        CanonicalizeScratch& scratch) {
-  // 1. Trim surrounding whitespace, drop TAB/CR/LF anywhere.
-  scratch.cleaned.clear();
-  for (const char c : util::trim(raw, " \t\r\n")) {
-    if (c != '\t' && c != '\r' && c != '\n') scratch.cleaned.push_back(c);
+  // 1. Trim surrounding whitespace, drop TAB/CR/LF anywhere -- into
+  // `cleaned`, unless there is nothing to drop.
+  std::string_view line = raw;
+  if (needs_cleaning(raw)) {
+    scratch.cleaned.clear();
+    for (const char c : util::trim(raw, " \t\r\n")) {
+      if (c != '\t' && c != '\r' && c != '\n') scratch.cleaned.push_back(c);
+    }
+    line = scratch.cleaned;
   }
 
   // 2-3. Parse (which strips the fragment), then repeatedly unescape the
   // remaining components until a fixpoint.
-  const UrlView parts = parse_view(scratch.cleaned);
-  std::string& part = scratch.part;
+  const UrlView parts = parse_view(line);
 
   // Userinfo and port are dropped: SB expressions never contain them (paper
   // Section 2.2.1's generic URL usr:pwd@a.b.c:port loses usr/pwd/port).
-  part.assign(parts.host);
-  unescape_fully(part);
-  // Unescaping can surface authority delimiters that were hidden as %xx
-  // ("a%40b" -> "a@b", "a%3A99" -> "a:99", "a%2Fb" -> "a/b"). Re-apply the
-  // authority splitting so the output is a fixpoint of canonicalization.
-  if (const std::size_t at = part.rfind('@'); at != std::string::npos) {
-    part.erase(0, at + 1);
-  }
-  if (const std::size_t cut = part.find_first_of("/?");
-      cut != std::string::npos) {
-    part.resize(cut);  // spilled path/query bytes are dropped
-  }
-  if (const std::size_t colon = part.find(':'); colon != std::string::npos) {
-    part.resize(colon);  // port (or junk after any ':') is dropped
-  }
-  out.host_is_ip = canonical_host_into(part, scratch.canonical);
-  if (scratch.canonical.empty()) return false;
-  out.host.clear();
-  append_escaped(out.host, scratch.canonical);
+  if (!canonicalize_host_into(parts.host, out, scratch)) return false;
 
   if (parts.scheme.empty()) {
     out.scheme.assign("http");
   } else {
-    out.scheme.assign(parts.scheme);
-    for (char& c : out.scheme) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
+    out.scheme.resize(parts.scheme.size());
+    std::transform(parts.scheme.begin(), parts.scheme.end(),
+                   out.scheme.begin(), ascii_lower);
   }
 
-  part.assign(parts.path);
-  unescape_fully(part);
-  canonical_path_into(part, scratch.canonical);
-  out.path.clear();
-  append_escaped(out.path, scratch.canonical);
+  if (is_clean_path(parts.path)) {
+    out.path.assign(parts.path);
+  } else {
+    canonical_path_into(unescaped(parts.path, scratch.part),
+                        scratch.canonical);
+    out.path.clear();
+    append_escaped(out.path, scratch.canonical);
+  }
 
   out.has_query = parts.has_query;
   out.query.clear();
   if (parts.has_query) {
-    part.assign(parts.query);
-    unescape_fully(part);
-    append_escaped(out.query, part);
+    append_escaped(out.query, unescaped(parts.query, scratch.part));
   }
   return true;
 }

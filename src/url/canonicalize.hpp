@@ -12,6 +12,19 @@
 //      empty path becomes "/";
 //   6. re-escape bytes <= 0x20, >= 0x7f, '#' and '%'.
 //
+// canonicalize_into runs on every URL-cache miss, and most URLs are already
+// canonical, so each step runs only where a scan shows it changes its
+// component; the output is the same either way:
+//   - no surrounding whitespace and no TAB/CR/LF: `raw` is parsed in place,
+//     not copied into CanonicalizeScratch::cleaned;
+//   - a component without '%' skips the unescaping pass;
+//   - a host with no byte to escape, no ':' and no leading, trailing or
+//     doubled dot is copied once, lowercased on the way (ASCII only); the
+//     IP parse runs only on a host that starts with a digit;
+//   - a path with no empty (before the last), "." or ".." segment skips
+//     step 5;
+//   - step 6 appends each run of bytes that need no escape in one append.
+//
 // The unit tests reproduce Google's published canonicalization test vectors
 // verbatim.
 #pragma once
@@ -50,9 +63,10 @@ struct CanonicalizeScratch {
 };
 
 /// THE canonicalizer: writes the canonical form of `raw` into `out`,
-/// reusing its strings' storage. Returns false (leaving `out` unspecified)
-/// when no host can be extracted at all (e.g. empty input); Safe Browsing
-/// treats such inputs as unverifiable rather than malicious.
+/// reusing its strings' storage. `raw` must not view `out`'s or
+/// `scratch`'s strings. Returns false (leaving `out` unspecified) when no
+/// host can be extracted at all (e.g. empty input); Safe Browsing treats
+/// such inputs as unverifiable rather than malicious.
 [[nodiscard]] bool canonicalize_into(std::string_view raw, CanonicalUrl& out,
                                      CanonicalizeScratch& scratch);
 

@@ -32,39 +32,48 @@ UrlView parse_view(std::string_view raw) {
     }
   }
 
+  // One scan to the end of the authority -- the first '/', '?' or '#' --
+  // that notes the last '@' and ':' on the way (find_first_of would search
+  // the delimiter set once per byte).
+  constexpr std::size_t npos = std::string_view::npos;
+  std::size_t authority_end = 0;
+  std::size_t at = npos;
+  std::size_t colon = npos;
+  for (; authority_end < rest.size(); ++authority_end) {
+    const char c = rest[authority_end];
+    if (c == '/' || c == '?' || c == '#') break;
+    if (c == '@') {
+      at = authority_end;
+    } else if (c == ':') {
+      colon = authority_end;
+    }
+  }
+
   // Fragment: everything after the FIRST '#'.
-  if (const std::size_t hash = rest.find('#');
-      hash != std::string_view::npos) {
+  if (const std::size_t hash = rest.find('#', authority_end); hash != npos) {
     parts.fragment = rest.substr(hash + 1);
     parts.has_fragment = true;
     rest = rest.substr(0, hash);
   }
-
-  // Authority ends at the first '/' or '?'.
-  std::size_t authority_end = rest.find_first_of("/?");
-  std::string_view authority = (authority_end == std::string_view::npos)
-                                   ? rest
-                                   : rest.substr(0, authority_end);
-  std::string_view after = (authority_end == std::string_view::npos)
-                               ? std::string_view{}
-                               : rest.substr(authority_end);
+  const std::string_view after = rest.substr(authority_end);
 
   // Userinfo: up to the LAST '@' in the authority (matching browser/Chromium
   // behaviour for phishing URLs like http://google.com@evil.com/).
-  if (const std::size_t at = authority.rfind('@');
-      at != std::string_view::npos) {
-    parts.userinfo = authority.substr(0, at);
-    authority = authority.substr(at + 1);
+  std::size_t host_begin = 0;
+  if (at != npos) {
+    parts.userinfo = rest.substr(0, at);
+    host_begin = at + 1;
   }
 
-  // Port: after the last ':' (no IPv6 bracket support; the GSB spec predates
-  // bracketed literals and the paper's analysis is IPv4/hostname only).
-  if (const std::size_t colon = authority.rfind(':');
-      colon != std::string_view::npos) {
-    parts.port = authority.substr(colon + 1);
-    authority = authority.substr(0, colon);
+  // Port: after the last ':' past the userinfo (no IPv6 bracket support;
+  // the GSB spec predates bracketed literals and the paper's analysis is
+  // IPv4/hostname only).
+  std::size_t host_end = authority_end;
+  if (colon != npos && (at == npos || colon > at)) {
+    parts.port = rest.substr(colon + 1, authority_end - colon - 1);
+    host_end = colon;
   }
-  parts.host = authority;
+  parts.host = rest.substr(host_begin, host_end - host_begin);
 
   // Path / query.
   if (!after.empty()) {

@@ -1,7 +1,5 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <limits>
 
 namespace sbp::util {
@@ -47,9 +45,9 @@ std::string join(const std::vector<std::string>& pieces,
 
 std::string to_lower(std::string_view input) {
   std::string out(input);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
   return out;
 }
 

@@ -162,6 +162,42 @@ TEST_F(OnePrefixTest, LookupSendsNoUpdateRequest) {
   EXPECT_EQ(transport_.stats().full_hash_requests, 1u);
 }
 
+TEST_F(OnePrefixTest, FailedFullHashRequestFailsOpenUnconfirmed) {
+  // A network error on the root query: like the stock client, the lookup
+  // fails open with the unconfirmed flag, and the prefix that never
+  // reached the server is not counted as sent.
+  sb::ClientConfig stock_config;
+  stock_config.cookie = 8;
+  sb::Client stock(transport_, stock_config);
+  stock.subscribe("list");
+  ASSERT_TRUE(stock.update());
+  transport_.inject_full_hash_failures(1);
+  const auto stock_result = stock.lookup("http://evil.example/any/page");
+  EXPECT_EQ(stock_result.verdict, sb::Verdict::kSafe);
+  EXPECT_TRUE(stock_result.unconfirmed);
+  EXPECT_TRUE(stock_result.sent_prefixes.empty());
+
+  sb::ClientConfig config;
+  config.cookie = 9;
+  OnePrefixClient client(transport_, config);
+  client.subscribe("list");
+  ASSERT_TRUE(client.update());
+  server_.clear_query_log();
+  transport_.inject_full_hash_failures(1);
+  const auto failed = client.lookup("http://evil.example/any/page", {});
+  EXPECT_EQ(failed.verdict, sb::Verdict::kSafe);
+  EXPECT_TRUE(failed.unconfirmed);
+  EXPECT_TRUE(failed.sent_prefixes.empty());
+  EXPECT_FALSE(failed.resolved_by_root_query);
+  EXPECT_TRUE(server_.query_log().empty());
+
+  // The failure was one request: the next lookup reaches the server.
+  const auto retried = client.lookup("http://evil.example/any/page", {});
+  EXPECT_EQ(retried.verdict, sb::Verdict::kMalicious);
+  EXPECT_FALSE(retried.unconfirmed);
+  EXPECT_EQ(retried.sent_prefixes.size(), 1u);
+}
+
 TEST_F(OnePrefixTest, LeakReductionVsStockClient) {
   // Stock client sends both hit prefixes at once; the mitigated client
   // sends only one for the no-Type-I case.

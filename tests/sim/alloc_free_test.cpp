@@ -177,15 +177,15 @@ TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {
   const std::vector<std::string> urls = sample_urls();
   constexpr std::size_t kEntries = 64;
   UrlCache cache(kEntries);
-  // Round 0 fills every entry; each later round misses kEntries fresh keys
-  // (the first insert of a round clears the full cache) and entry i gets
-  // urls[i] again, so every rebuild fits the entry's buffer.
+  // Round 0 fills every entry; each later round misses kEntries fresh keys,
+  // each evicting one key into its reused entry. Entry e always gets
+  // urls[e], so every rebuild fits the entry's buffer.
   const auto run_round = [&](std::uint64_t round) {
     for (std::size_t i = 0; i < kEntries; ++i) {
       const std::uint64_t key = round * kEntries + i;
       EXPECT_FALSE(cache.find(key));
       const UrlCache::Ref inserted = cache.insert(key);
-      cache.entry(inserted.entry).request.build(urls[i]);
+      cache.entry(inserted.entry).request.build(urls[inserted.entry]);
       inserted.stamp->hits = static_cast<std::uint32_t>(i);
       const UrlCache::Ref hit = cache.find(key);
       EXPECT_EQ(hit.stamp, inserted.stamp);
@@ -198,42 +198,87 @@ TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {
   for (std::uint64_t round = 1; round < 8; ++round) run_round(round);
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(cache.size(), kEntries);
-  EXPECT_FALSE(cache.find(0));  // cleared with its generation
+  EXPECT_FALSE(cache.find(0));  // evicted long ago
 }
 
 TEST(AllocFreeTest, UrlCacheHitsLikeAnExactMap) {
-  // The flat table's hit/miss sequence equals an exact map's under the
-  // same clear-when-full policy, which is why url_cache_* counters hold.
-  // Each key's stamp (both fields) moves with it across grow(), and a key
-  // inserted after clear() starts unstamped, whatever its slot held.
+  // The flat table's hit/miss sequence equals an exact map's that drops,
+  // on each insert into a full cache, the key whose entry the insert
+  // reused -- so an eviction removes exactly one key, and only that key.
+  // Every hit returns its own key's stamp (both fields) and entry across
+  // grow() and evictions, a key inserted into a reused entry starts
+  // unstamped whatever its slot held, and the size never exceeds the
+  // bound.
   const auto hits_of = [](std::uint64_t step) {
     return static_cast<std::uint32_t>(step * 0x9E3779B9u) | 1u;
   };
-  for (const std::size_t bound : {std::size_t{0}, std::size_t{7},
-                                  std::size_t{100}}) {
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{100}}) {
     UrlCache cache(bound);
-    std::unordered_map<std::uint64_t, std::uint32_t> reference;
+    struct Live {
+      std::uint32_t step;
+      std::uint32_t entry;
+    };
+    std::unordered_map<std::uint64_t, Live> reference;
+    std::unordered_map<std::uint32_t, std::uint64_t> owner;  // entry -> key
     util::Rng rng(bound + 1);
+    std::size_t evictions = 0;
     for (std::uint32_t step = 1; step <= 20000; ++step) {
       const std::uint64_t page = rng.next_below(rng.next_bool(0.5) ? 2 : 9);
       const std::uint64_t key = rng.next_below(300) << 32 | page;
       const UrlCache::Ref found = cache.find(key);
       const auto it = reference.find(key);
       ASSERT_EQ(static_cast<bool>(found), it != reference.end())
-          << "step " << step;
+          << "bound " << bound << " step " << step;
       if (found) {
-        ASSERT_EQ(found.stamp->version, it->second) << "step " << step;
-        ASSERT_EQ(found.stamp->hits, hits_of(it->second)) << "step " << step;
+        ASSERT_EQ(found.stamp->version, it->second.step) << "step " << step;
+        ASSERT_EQ(found.stamp->hits, hits_of(it->second.step))
+            << "step " << step;
+        ASSERT_EQ(found.entry, it->second.entry) << "step " << step;
         continue;
       }
-      if (bound > 0 && reference.size() >= bound) reference.clear();
-      reference.emplace(key, step);
       const UrlCache::Ref inserted = cache.insert(key);
       ASSERT_EQ(inserted.stamp->version, 0u) << "step " << step;
       ASSERT_EQ(inserted.stamp->hits, 0u) << "step " << step;
       *inserted.stamp = {hits_of(step), step};
+      if (const auto previous = owner.find(inserted.entry);
+          previous != owner.end()) {
+        ASSERT_NE(bound, 0u) << "an unbounded cache reused an entry";
+        ASSERT_EQ(reference.size(), bound) << "evicted below the bound";
+        reference.erase(previous->second);
+        ++evictions;
+      }
+      owner[inserted.entry] = key;
+      reference.emplace(key, Live{step, inserted.entry});
       ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+      if (bound > 0) {
+        ASSERT_LE(cache.size(), bound) << "step " << step;
+      }
     }
+    EXPECT_EQ(evictions > 0, bound > 0) << "bound " << bound;
+  }
+}
+
+TEST(AllocFreeTest, UrlCacheKeepsAKeyHitBetweenEveryTwoInserts) {
+  // Second chance: the hand clears a referenced slot's bit and passes it
+  // over, so a key hit between every two inserts is never the victim,
+  // however many fresh keys stream through the full cache. A key never
+  // hit again is evicted within one sweep.
+  for (const std::size_t bound : {std::size_t{2}, std::size_t{7},
+                                  std::size_t{64}}) {
+    UrlCache cache(bound);
+    constexpr std::uint64_t kHot = 1ULL << 40;
+    ASSERT_FALSE(cache.find(kHot));
+    const std::uint32_t hot_entry = cache.insert(kHot).entry;
+    for (std::uint64_t key = 1; key <= 50 * bound; ++key) {
+      const UrlCache::Ref hot = cache.find(kHot);
+      ASSERT_TRUE(hot) << "bound " << bound << " insert " << key;
+      ASSERT_EQ(hot.entry, hot_entry);
+      ASSERT_FALSE(cache.find(key));
+      ASSERT_NE(cache.insert(key).entry, hot_entry);
+      ASSERT_LE(cache.size(), bound);
+    }
+    EXPECT_FALSE(cache.find(1)) << "bound " << bound;
   }
 }
 
@@ -346,7 +391,9 @@ TEST(AllocFreeTest, WarmEngineTicksStayNearZeroAllocations) {
   config.corpus = browse_corpus();
   config.corpus.num_hosts = 64;
   config.site_cache_entries = 64;
-  config.url_cache_entries = 256;
+  // Small enough that second-chance eviction still misses > 1000 times in
+  // the measured ticks.
+  config.url_cache_entries = 128;
   config.blacklist.page_fraction = 0.0;
   config.blacklist.site_fraction = 0.0;
   config.traffic.session_start_probability = 0.5;

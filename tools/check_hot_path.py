@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, engine spans timed by one helper, flat tables on the URL-cache hit path, one publish-at-the-barrier table, no uncounted lock, a header-only Rng.
+"""Grep gate: one membership virtual, no scalar probes, no planner strings, an allocation-free URL miss, a prefix-only blacklist seed, one request dispatch, one update decode site, one CPU dispatch site, a clock-free lock with metrics off, engine spans timed by one helper, flat tables on the URL-cache hit path, one publish-at-the-barrier table, no uncounted lock, a header-only Rng, a locale-free single-scan canonicalizer.
 
 Membership has one implementation per store: PrefixStore::contains_many and
 ProtocolClient::local_contains_many are the only membership virtuals, and
@@ -87,6 +87,13 @@ LTO an out-of-line draw costs more than the draw itself.  A
 src/util/rng.cpp, or an Rng:: member defined in any other file under src/,
 puts the generator back behind a call.
 
+The canonicalizer runs on every URL-cache miss and lowers the host and
+scheme with ASCII arithmetic, and the URL splitter finds the end of the
+authority in one scan.  A call to std::tolower or std::toupper (a locale
+lookup per byte) or to find_first_of (a search of the delimiter set per
+byte) in src/url/canonicalize.cpp, src/url/url.cpp or src/util/strings.cpp
+puts that cost back on the miss path.
+
 This script fails (exit 1) if a membership wrapper is declared virtual or
 override, if any hot-path file contains a scalar membership call, if a
 string-free file names std::string, if a miss-path file calls an
@@ -102,7 +109,8 @@ std::unordered_map, or if a file other than
 src/obs/lock.hpp and src/sb/published_table.hpp names TimedMutex, or if a
 standard mutex or lock appears in src/ outside src/obs/lock.hpp and the
 thread pool, or if src/util/rng.cpp exists or an Rng:: member is defined
-outside src/util/rng.hpp.  Line comments and block comments are stripped
+outside src/util/rng.hpp, or if the canonicalizer's files call
+std::tolower, std::toupper or find_first_of.  Line comments and block comments are stripped
 before matching so prose mentioning the forbidden API is fine.
 
 Usage: python3 tools/check_hot_path.py [--repo-root DIR]
@@ -219,6 +227,14 @@ RNG_MEMBER = re.compile(r"\bRng\s*::\s*(?:~?\w+|operator\s*\(\s*\))\s*\(")
 MEMBERSHIP_HEADER_DIRS = ["src/storage", "src/sb"]
 WRAPPERS = re.compile(r"\b(contains|contains32|contains_many32|local_contains)\s*\(")
 VIRTUAL = re.compile(r"\b(?:virtual|override)\b")
+
+# The canonicalizer's files: ASCII case mapping and single-scan splitting.
+CANONICALIZER_FILES = ("src/url/canonicalize.cpp", "src/url/url.cpp",
+                       "src/util/strings.cpp")
+PER_BYTE_CALL = [
+    (re.compile(r"\bstd::(?:tolower|toupper)\s*\("), "std::tolower/std::toupper"),
+    (re.compile(r"\bfind_first_of\s*\("), "find_first_of"),
+]
 
 LINE_COMMENT = re.compile(r"//.*$")
 BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
@@ -352,7 +368,8 @@ def main() -> int:
     sources = sorted(path for path in (root / "src").rglob("*")
                      if path.suffix in (".cpp", ".hpp"))
     for required in (CPU_DISPATCH_FILE, UPDATE_DECODE_FILE, TIMED_LOCK_FILE,
-                     PUBLISHED_TABLE_FILE, RNG_HEADER, *FLAT_TABLE_FILES):
+                     PUBLISHED_TABLE_FILE, RNG_HEADER, *FLAT_TABLE_FILES,
+                     *CANONICALIZER_FILES):
         if not (root / required).is_file():
             print(f"check_hot_path: missing file {required}", file=sys.stderr)
             return 1
@@ -385,6 +402,12 @@ def main() -> int:
             if rel not in RAW_LOCK_FILES and RAW_LOCK.search(line):
                 violations.append((rel, lineno, "uncounted standard lock",
                                    line.strip()))
+            if rel in CANONICALIZER_FILES:
+                for pattern, label in PER_BYTE_CALL:
+                    if pattern.search(line):
+                        violations.append((rel, lineno, f"per-byte call "
+                                           f"({label}) in the canonicalizer",
+                                           line.strip()))
         if rel != RNG_HEADER:
             for lineno, text in rng_member_definitions(stripped):
                 violations.append((rel, lineno, "Rng member defined outside "
@@ -414,7 +437,8 @@ def main() -> int:
               " on flat tables; lock shared caches through " +
               PUBLISHED_TABLE_FILE + "; take no standard lock outside " +
               ", ".join(RAW_LOCK_FILES) + "; define util::Rng only in " +
-              RNG_HEADER)
+              RNG_HEADER + "; lower ASCII by hand and split URLs in one "
+              "scan in " + ", ".join(CANONICALIZER_FILES))
         return 1
 
     print(f"check_hot_path: OK ({len(headers)} headers with non-virtual wrappers, "
@@ -430,7 +454,9 @@ def main() -> int:
           f"{len(FLAT_TABLE_FILES)} hit-path files on flat tables, "
           f"TimedMutex only in {PUBLISHED_TABLE_FILE}, "
           f"standard locks only in {', '.join(RAW_LOCK_FILES)}, "
-          f"Rng defined only in {RNG_HEADER})")
+          f"Rng defined only in {RNG_HEADER}, "
+          f"{len(CANONICALIZER_FILES)} canonicalizer files without "
+          f"per-byte calls)")
     return 0
 
 
