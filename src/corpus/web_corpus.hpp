@@ -19,7 +19,7 @@
 // first p pages of a site do not depend on the pages after them: a caller
 // that needs page p asks site_into for a (p + 1)-page prefix and gets the
 // same bytes the whole site would start with. The blacklist seed and the
-// simulation's site LRU generate only such prefixes.
+// simulation's site table generate only such prefixes.
 #pragma once
 
 #include <array>

@@ -52,7 +52,7 @@ enum class Phase : std::size_t {
   kParallelTick,   ///< the whole parallel_for over shards, incl. barrier
   /// Sub-phases of lookup, per URL-cache miss, per shard. They nest inside
   /// lookup spans, so they are never added into shard-CPU sums.
-  kSite,           ///< the missed URL's string, via the site LRU
+  kSite,           ///< the missed URL's string, via the site table
   kUrlBuild,       ///< LookupRequest::build: canonicalize, decompose, hash
   kCount
 };

@@ -160,17 +160,6 @@ class Transport {
   [[nodiscard]] virtual SharedV4Update fetch_v4_update_shared(
       const V4UpdateRequest& request);
 
-  /// Convenience for tests/benches that never inject failures.
-  [[nodiscard]] FullHashResponse get_full_hashes(
-      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) {
-    auto response = get_full_hashes_or_error(prefixes, cookie);
-    return response ? std::move(*response) : FullHashResponse{};
-  }
-  [[nodiscard]] UpdateResponse fetch_update(const UpdateRequest& request) {
-    auto response = fetch_update_or_error(request);
-    return response ? std::move(*response) : UpdateResponse{};
-  }
-
   [[nodiscard]] SimClock& clock() noexcept { return clock_; }
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
 

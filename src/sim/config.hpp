@@ -92,7 +92,7 @@ struct SimConfig {
   std::size_t num_users = 1000;
   std::uint64_t ticks = 100;
   /// Users are partitioned into shards -- the engine's unit of parallelism.
-  /// Each shard owns its Transport, URL-prefix cache, site cache and
+  /// Each shard owns its Transport, URL-prefix cache, site-table lane and
   /// query-log buffer, so shards share no mutable state during a tick.
   std::size_t num_shards = 8;
   /// Worker threads ticking shards in parallel (effective parallelism is
@@ -157,8 +157,8 @@ struct SimConfig {
   /// are per-shard so parallel ticks share no mutable state; worst-case
   /// total is num_shards x this).
   std::size_t url_cache_entries = 1 << 16;
-  /// Bound on EACH shard's generated-site LRU cache (same per-shard
-  /// multiplication).
+  /// Per-shard budget of the engine's one generated-site table, which
+  /// holds at most num_shards x this.
   std::size_t site_cache_entries = 256;
 
   /// Invoked after the corpus blacklist is seeded but before lists are

@@ -23,6 +23,18 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {
   return util::splitmix64(state);
 }
 
+std::size_t shard_count(const SimConfig& config) {
+  return std::max<std::size_t>(1, config.num_shards);
+}
+
+/// site_cache_entries (at least 1) per shard, saturating.
+std::size_t site_table_capacity(const SimConfig& config) {
+  const std::size_t entries =
+      std::max<std::size_t>(1, config.site_cache_entries);
+  const std::size_t shards = shard_count(config);
+  return entries > SIZE_MAX / shards ? SIZE_MAX : entries * shards;
+}
+
 std::size_t resolve_threads(std::size_t requested, std::size_t num_shards) {
   if (requested == 0) {
     requested = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -36,8 +48,8 @@ Engine::Engine(SimConfig config)
     : setup_watch_(config.collect_metrics),
       config_(std::move(config)),
       server_(config_.provider),
-      traffic_model_(config_.traffic, config_.corpus,
-                     config_.site_cache_entries),
+      traffic_model_(config_.traffic, config_.corpus),
+      site_table_(site_table_capacity(config_), shard_count(config_)),
       dummy_policy_(config_.mitigation.dummies_per_prefix) {
   obs_enabled_ = config_.collect_metrics;  // before shards are built
   server_.set_lock_metrics(obs_enabled_);
@@ -161,8 +173,7 @@ void Engine::seed_blacklist() {
 }
 
 void Engine::build_population() {
-  const std::size_t num_shards =
-      std::max<std::size_t>(1, config_.num_shards);
+  const std::size_t num_shards = shard_count(config_);
   shards_.clear();
   shards_.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -172,7 +183,7 @@ void Engine::build_population() {
             : std::make_unique<sb::InProcessTransport>(
                   server_, clock_, /*round_trip_ticks=*/0);
     shards_.push_back(std::make_unique<Shard>(std::move(transport),
-                                              traffic_model_,
+                                              site_table_.lane(s),
                                               config_.url_cache_entries,
                                               obs_enabled_));
   }
@@ -327,12 +338,12 @@ UrlCache::Ref Engine::url_prefixes(Shard& shard,
   // Build in place: the entry IS the LookupRequest the clients consume
   // (decompose + hash happen exactly once per distinct URL per shard). The
   // URL string exists only here, on a miss. With metrics on, the miss is
-  // split into its site step (URL from the site LRU) and its url_build
+  // split into its site step (URL from the site table) and its url_build
   // step; both nest inside the shard-tick's lookup span.
   const UrlCache::Ref ref = shard.url_cache.insert(visit);
   sb::LookupRequest& request = shard.url_cache.entry(ref.entry).request;
   obs::Stopwatch watch(obs_enabled_);
-  traffic_model_.url_of(visit, shard.site_cache, shard.url_scratch);
+  traffic_model_.url_of(visit, shard.sites, shard.url_scratch);
   watch.record_lap(shard.obs_phases, obs::Phase::kSite);
   request.build(shard.url_scratch);
   watch.record_lap(shard.obs_phases, obs::Phase::kUrlBuild);
@@ -435,9 +446,12 @@ void Engine::publish_shared_state() {
   // states clients hold, never of how the shards interleaved. Both caches
   // publish what this phase built, so the next parallel phase reads it
   // with no lock -- and which calls take a lock depends only on this
-  // schedule, never on the thread count.
+  // schedule, never on the thread count. The site table merges the
+  // shards' lanes in shard order, so what it holds depends only on each
+  // shard's lookups.
   sync_states_->prune();
   server_.publish_update_cache();
+  site_table_.publish();
 }
 
 void Engine::resync_due(Shard& shard, bool lead_only) {
@@ -565,14 +579,10 @@ bool Engine::step() {
   });
   publish_shared_state();
   metrics_.client_state_builds = sync_states_->builds();
-  metrics_.site_cache_hits = 0;
-  metrics_.site_cache_misses = 0;
-  metrics_.corpus_pages_generated = seed_pages_generated_;
-  for (const auto& shard : shards_) {
-    metrics_.site_cache_hits += shard->site_cache.hits();
-    metrics_.site_cache_misses += shard->site_cache.misses();
-    metrics_.corpus_pages_generated += shard->site_cache.pages_generated();
-  }
+  metrics_.site_cache_hits = site_table_.hits();
+  metrics_.site_cache_misses = site_table_.misses();
+  metrics_.corpus_pages_generated =
+      seed_pages_generated_ + site_table_.pages_generated();
 
   if (obs_enabled_ && config_.metrics_per_tick_series) {
     // This tick's sample is how far the summed phase totals (the serial

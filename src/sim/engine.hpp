@@ -24,10 +24,11 @@
 //
 // Parallel runtime: the shard is the unit of parallelism. Each shard owns
 // every piece of mutable state a tick touches -- its users, a zero-latency
-// sb::Transport (per-shard wire counters), the visit id -> prefix cache, the
-// traffic model's site LRU, a query-log buffer and a tick-metrics
+// sb::Transport (per-shard wire counters), the visit id -> prefix cache, its
+// lane of the site table, a query-log buffer and a tick-metrics
 // accumulator -- so worker threads share only immutable state: the traffic
-// model, the clock (read-only during a tick) and the server's lists, which
+// model, the clock (read-only during a tick), the site table published at
+// the last barrier (sim/traffic_model.hpp) and the server's lists, which
 // the full-hash and v1 endpoints read with no lock (see sb/server.hpp). Client
 // re-syncs run inside the parallel phase too: the serial churn epoch seals
 // every list BEFORE the barrier opens, so concurrent updates read frozen
@@ -40,7 +41,8 @@
 // table published at the last barrier take no lock, misses serialize on
 // the table's mutex with order-independent totals, and publish_shared_state
 // (and lead_resyncs) publish -- the sync states also prune -- only between
-// ticks. After the barrier the engine drains the per-shard log buffers in
+// ticks. publish_shared_state also merges the shards' site-table lanes, in
+// shard order. After the barrier the engine drains the per-shard log buffers in
 // canonical (tick, shard, seq) order and sums the per-shard counters,
 // which is why the same seed produces bit-identical logs and fingerprints
 // at ANY `SimConfig.num_threads` -- including 1, the fully sequential
@@ -50,12 +52,12 @@
 // and their SHA-256 prefixes are computed once per distinct URL in a
 // bounded per-shard cache (instead of once per user x visit). The cache is
 // keyed by visit id, which is 1:1 with URL strings, so the URL string is
-// built -- through the site LRU, which sits behind the URL cache -- only
+// built -- through the site table, which sits behind the URL cache -- only
 // on a cache miss, where the LookupRequest consumes it. The cache is a
 // flat open-addressed table (sim/url_cache.hpp) that grows on demand up to
 // url_cache_entries; a full cache evicts by second chance (CLOCK), and the
 // victim's entry keeps its one-buffer LookupRequest, so a warm miss rebuilds
-// that entry in place: site-LRU hit, one slice copy, canonicalize + decompose
+// that entry in place: site-table hit, one slice copy, canonicalize + decompose
 // into per-thread scratch, hashing straight into the entry -- no heap
 // traffic. Each visit first runs a cheap local-store prefilter
 // (client->local_contains_many) --
@@ -148,12 +150,12 @@ struct SimMetrics {
   /// Shared-state counters, set from their sources at each tick barrier
   /// (not summed): apply+rebuilds of client list states -- one per
   /// distinct (prior state, update), however many clients made that
-  /// transition -- and the shards' site-cache hits and misses (the site
-  /// cache is consulted once per URL-cache miss of a corpus page).
+  /// transition -- and the site table's hits and misses (the table is
+  /// consulted once per URL-cache miss of a corpus page).
   std::uint64_t client_state_builds = 0;
   std::uint64_t site_cache_hits = 0;
   std::uint64_t site_cache_misses = 0;
-  /// Corpus pages generated by the blacklist seed and the site caches'
+  /// Corpus pages generated by the blacklist seed and the site table's
   /// misses (each generates a prefix of its site or the whole site).
   std::uint64_t corpus_pages_generated = 0;
 
@@ -221,6 +223,10 @@ class Engine {
   [[nodiscard]] const TrafficModel& traffic_model() const noexcept {
     return traffic_model_;
   }
+  /// The shards' shared site table (test support).
+  [[nodiscard]] const SiteTable& site_table() const noexcept {
+    return site_table_;
+  }
   [[nodiscard]] std::size_t num_users() const noexcept;
   /// Compute threads actually used (config.num_threads resolved against
   /// hardware concurrency and the shard count).
@@ -277,11 +283,10 @@ class Engine {
   /// Everything a tick mutates, owned per shard so worker threads never
   /// share writable state.
   struct Shard {
-    Shard(std::unique_ptr<sb::Transport> transport_in,
-          const TrafficModel& traffic_model, std::size_t url_cache_entries,
-          bool obs_enabled)
+    Shard(std::unique_ptr<sb::Transport> transport_in, SiteTable::Lane& sites,
+          std::size_t url_cache_entries, bool obs_enabled)
         : transport(std::move(transport_in)),
-          site_cache(traffic_model.make_cache()),
+          sites(sites),
           url_cache(url_cache_entries) {
       // Attached before the initial syncs in build_population, so setup
       // traffic lands in the channel stats too.
@@ -292,8 +297,9 @@ class Engine {
     /// with SimConfig.transport_factory set, whatever the factory built
     /// (e.g. a SocketTransport to a remote daemon).
     std::unique_ptr<sb::Transport> transport;
-    /// Consulted only on URL-cache misses, to build the missed URL.
-    TrafficModel::SiteCache site_cache;
+    /// This shard's lane of site_table_, consulted only on URL-cache
+    /// misses, to build the missed URL.
+    SiteTable::Lane& sites;
     std::vector<UserState> users;
     /// Keyed by visit id, which is 1:1 with URL strings (traffic_model.hpp).
     UrlCache url_cache;
@@ -338,8 +344,9 @@ class Engine {
   /// of `request`, then the current universe version.
   void stamp_universe(UrlCache::Stamp& stamp,
                       const sb::LookupRequest& request) const;
-  /// Serial, at the barrier: prunes and publishes the sync-state cache and
-  /// publishes the server's update encode cache.
+  /// Serial, at the barrier: prunes and publishes the sync-state cache,
+  /// publishes the server's update encode cache and merges the site
+  /// table's lanes.
   void publish_shared_state();
   /// Polls `shard`'s users due this tick from shard.resync_next on, in slot
   /// order, updating those whose update channel allows it; with
@@ -363,6 +370,8 @@ class Engine {
   sb::Server server_;
   sb::SimClock clock_;
   TrafficModel traffic_model_;
+  /// site_cache_entries per shard, one lane per shard.
+  SiteTable site_table_;
   mitigation::DummyPolicy dummy_policy_;
 
   /// Every client's list states come from this one cache: a fleet moving

@@ -317,7 +317,7 @@ void check_counter_conservation(const Scenario& base,
   collect.law(m.url_cache_hits + m.url_cache_misses == m.lookups,
               "url_cache hits " + num(m.url_cache_hits) + " + misses " +
                   num(m.url_cache_misses) + " != lookups " + num(m.lookups));
-  // The site cache is consulted only to build the URL of a URL-cache miss
+  // The site table is consulted only to build the URL of a URL-cache miss
   // (and not at all for interest-target URLs).
   collect.law(m.site_cache_hits + m.site_cache_misses <= m.url_cache_misses,
               "site_cache hits " + num(m.site_cache_hits) + " + misses " +
@@ -566,7 +566,7 @@ bool in_spread(std::size_t i, double fraction) {
 /// each URL string from a freshly generated site, calls lookup(url) (or,
 /// under mitigation, pads its local hits itself) and applies its own
 /// updates (no sync-state cache). No URL cache, universe prefilter, site
-/// LRU or shared client state. A zero-user Engine is only the server side: it
+/// table or shared client state. A zero-user Engine is only the server side: it
 /// seeds the lists and applies each churn epoch before the users' tick.
 /// Query-log fingerprint, malicious verdicts, every TransportStats
 /// counter and each v4 user's list checksums must match the engine's.

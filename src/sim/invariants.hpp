@@ -59,7 +59,7 @@
 //   reference-equivalence a naive per-user replay of the paper's Figure 3
 //                         client flow (URL string -> client.lookup(url),
 //                         private re-syncs; no URL cache, prefilter, site
-//                         LRU or shared client state) on a shrunk
+//                         table or shared client state) on a shrunk
 //                         population produces the engine's query-log
 //                         fingerprint, malicious verdicts, TransportStats
 //                         and v4 list checksums -- the licence for every

@@ -1,7 +1,6 @@
 #include "sim/traffic_model.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <stdexcept>
 #include <string_view>
@@ -10,12 +9,10 @@
 namespace sbp::sim {
 
 TrafficModel::TrafficModel(const TrafficConfig& traffic,
-                           corpus::CorpusConfig corpus,
-                           std::size_t site_cache_entries)
+                           corpus::CorpusConfig corpus)
     : corpus_(std::move(corpus)),
       rank_sampler_(traffic.site_popularity_alpha, 1,
                     std::max<std::uint64_t>(1, corpus_.num_hosts())),
-      capacity_(std::max<std::size_t>(1, site_cache_entries)),
       target_urls_(traffic.target_urls) {
   const corpus::CorpusConfig& config = corpus_.config();
   if (corpus_.num_hosts() > (std::uint64_t{1} << 31) ||
@@ -68,110 +65,93 @@ std::optional<TrafficModel::VisitId> TrafficModel::corpus_page_id(
   return std::nullopt;
 }
 
-std::uint32_t TrafficModel::SiteCache::find(
-    std::size_t index) const noexcept {
-  if (slots_.empty()) return kNone;
-  for (std::size_t i = home(index);; i = (i + 1) & mask()) {
-    const Slot& slot = slots_[i];
-    if (slot.entry == kNone || slot.key == index) return slot.entry;
+SiteTable::SiteTable(std::size_t capacity, std::size_t lanes)
+    : capacity_(std::max<std::size_t>(1, capacity)) {
+  lanes_.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) lanes_.push_back(Lane(*this));
+}
+
+const corpus::PackedSite& SiteTable::Lane::site(
+    const corpus::WebCorpus& corpus, std::size_t index, std::uint64_t page) {
+  // About one or two misses per lane and tick: a scan beats a map.
+  const auto live = pending_.begin() + static_cast<std::ptrdiff_t>(live_);
+  auto mine = std::find_if(pending_.begin(), live, [&](const auto& p) {
+    return p.index == index;
+  });
+  const corpus::PackedSite* held = nullptr;
+  if (mine != live) {
+    held = &mine->site;
+  } else if (const auto slot = table_->slots_.find(index);
+             slot != table_->slots_.end()) {
+    touched_.push_back(slot->second);
+    held = &table_->entries_[slot->second].site;
+  }
+  if (held != nullptr && page < held->size()) {
+    ++hits_;
+    return *held;
+  }
+  // A site's first miss generates it through `page`; a request past a held
+  // prefix generates the whole site, so no later page of it misses again.
+  ++misses_;
+  if (mine == live) {
+    if (live_ == pending_.size()) pending_.emplace_back();
+    mine = pending_.begin() + static_cast<std::ptrdiff_t>(live_++);
+    mine->index = index;
+  }
+  corpus.site_into(index, mine->site,
+                   held != nullptr ? corpus::WebCorpus::kAllPages : page + 1);
+  pages_generated_ += mine->site.size();
+  return mine->site;
+}
+
+void SiteTable::publish() {
+  // Every lane's uses first, so no lane's new sites evict what another
+  // lane used this tick before its bit is set.
+  for (Lane& lane : lanes_) {
+    for (const std::uint32_t e : lane.touched_) entries_[e].referenced = true;
+    lane.touched_.clear();
+  }
+  for (Lane& lane : lanes_) {
+    for (std::size_t i = 0; i < lane.live_; ++i) merge(lane.pending_[i]);
+    lane.live_ = 0;
+    hits_ += std::exchange(lane.hits_, 0);
+    misses_ += std::exchange(lane.misses_, 0);
+    pages_generated_ += std::exchange(lane.pages_generated_, 0);
   }
 }
 
-void TrafficModel::SiteCache::place(std::uint64_t key,
-                                    std::uint32_t e) noexcept {
-  std::size_t i = home(key);
-  while (slots_[i].entry != kNone) i = (i + 1) & mask();
-  slots_[i] = {key, e};
-}
-
-void TrafficModel::SiteCache::erase(std::uint64_t key) noexcept {
-  std::size_t i = home(key);
-  while (slots_[i].key != key) i = (i + 1) & mask();
-  // Backward-shift deletion: pull each later slot of the probe run whose
-  // home is not after the hole into it, so no run is broken.
-  for (std::size_t j = (i + 1) & mask(); slots_[j].entry != kNone;
-       j = (j + 1) & mask()) {
-    if (((j - home(slots_[j].key)) & mask()) >= ((j - i) & mask())) {
-      slots_[i] = slots_[j];
-      i = j;
-    }
-  }
-  slots_[i].entry = kNone;
-}
-
-void TrafficModel::SiteCache::unlink(std::uint32_t e) noexcept {
-  const Entry& entry = entries_[e];
-  (entry.newer == kNone ? head_ : entries_[entry.newer].older) = entry.older;
-  (entry.older == kNone ? tail_ : entries_[entry.older].newer) = entry.newer;
-}
-
-void TrafficModel::SiteCache::push_front(std::uint32_t e) noexcept {
-  Entry& entry = entries_[e];
-  entry.newer = kNone;
-  entry.older = head_;
-  (head_ == kNone ? tail_ : entries_[head_].newer) = e;
-  head_ = e;
-}
-
-void TrafficModel::SiteCache::touch(std::uint32_t e) noexcept {
-  if (e == head_) return;
-  unlink(e);
-  push_front(e);
-}
-
-std::uint32_t TrafficModel::SiteCache::claim(std::size_t index) {
-  std::uint32_t e = tail_;
-  if (entries_.size() < capacity_) {
-    e = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
-    if (2 * entries_.size() > slots_.size()) {
-      // Double the table (16 slots at first) and re-place the live keys.
-      slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), Slot{});
-      shift_ = 64 - std::countr_zero(slots_.size());
-      for (std::uint32_t live = 0; live < e; ++live) {
-        place(entries_[live].index, live);
-      }
-    }
+void SiteTable::merge(Lane::Pending& pending) {
+  corpus::PackedSite* into = nullptr;
+  if (const auto slot = slots_.find(pending.index); slot != slots_.end()) {
+    // Held already (another lane's, or a prefix): keep the longer copy.
+    into = &entries_[slot->second].site;
+    if (pending.site.size() <= into->size()) return;
+  } else if (entries_.size() < capacity_) {
+    slots_.emplace(pending.index, static_cast<std::uint32_t>(entries_.size()));
+    into = &entries_.emplace_back().site;
+    entries_.back().index = pending.index;
   } else {
-    erase(entries_[e].index);
-    unlink(e);
-  }
-  entries_[e].index = index;
-  place(index, e);
-  push_front(e);
-  return e;
-}
-
-const corpus::PackedSite& TrafficModel::site(std::size_t index,
-                                             std::uint64_t page,
-                                             SiteCache& cache) const {
-  std::uint32_t e = cache.find(index);
-  const bool cached = e != SiteCache::kNone;
-  if (cached) {
-    cache.touch(e);
-    if (page < cache.entries_[e].site.size()) {
-      ++cache.hits_;
-      return cache.entries_[e].site;
+    // Second chance: the hand clears each referenced bit it passes and
+    // stops at the first clear one, whose site leaves. Its map node is
+    // re-keyed, not freed.
+    for (; entries_[hand_].referenced; hand_ = (hand_ + 1) % capacity_) {
+      entries_[hand_].referenced = false;
     }
+    Entry& victim = entries_[hand_];
+    hand_ = (hand_ + 1) % capacity_;
+    auto node = slots_.extract(victim.index);
+    node.key() = victim.index = pending.index;
+    slots_.insert(std::move(node));
+    into = &victim.site;
   }
-  // A site's first miss generates it through `page`. A request past a
-  // cached prefix regenerates the whole site into the entry, so no later
-  // page of the site misses again while the entry lives.
-  ++cache.misses_;
-  corpus_.site_into(index, cache.scratch_,
-                    cached ? corpus::WebCorpus::kAllPages : page + 1);
-  cache.pages_generated_ += cache.scratch_.size();
-  if (!cached) e = cache.claim(index);
-  // The scratch stays warm and as large as the largest site generated;
-  // the entry's own buffers (an evicted or shorter site's) take a copy.
-  // An entry keeps at most twice the capacity it needs, so the cache's
-  // memory follows what it holds.
-  corpus::PackedSite& held = cache.entries_[e].site;
-  held.bytes.assign(cache.scratch_.bytes);
-  held.ends.assign(cache.scratch_.ends.begin(), cache.scratch_.ends.end());
-  if (held.bytes.capacity() > 2 * held.bytes.size()) held.bytes.shrink_to_fit();
-  if (held.ends.capacity() > 2 * held.ends.size()) held.ends.shrink_to_fit();
-  return held;
+  // The held buffer goes back to the lane as a spare. One left holding
+  // less than half its capacity is shrunk, so the table's memory follows
+  // what it holds.
+  std::swap(*into, pending.site);
+  if (into->bytes.capacity() > 2 * into->bytes.size()) {
+    into->bytes.shrink_to_fit();
+  }
+  if (into->ends.capacity() > 2 * into->ends.size()) into->ends.shrink_to_fit();
 }
 
 std::uint64_t TrafficModel::page_count(std::size_t index) const {
@@ -194,7 +174,7 @@ TrafficModel::VisitId TrafficModel::sample_page(util::Rng& rng) const {
   return static_cast<VisitId>(index) << 32 | page;
 }
 
-void TrafficModel::url_of(VisitId id, SiteCache& cache,
+void TrafficModel::url_of(VisitId id, SiteTable::Lane& sites,
                           std::string& out) const {
   if ((id & kTargetVisit) != 0) {
     out = target_urls_[id & ~kTargetVisit];
@@ -202,7 +182,7 @@ void TrafficModel::url_of(VisitId id, SiteCache& cache,
   }
   const std::uint64_t page = id & 0xFFFFFFFFu;
   const corpus::PackedSite& chosen =
-      site(static_cast<std::size_t>(id >> 32), page, cache);
+      sites.site(corpus_, static_cast<std::size_t>(id >> 32), page);
   out.assign("http://");
   out.append(chosen.expression(page));
 }

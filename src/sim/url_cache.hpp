@@ -12,7 +12,7 @@
 // (CLOCK): a hit sets its slot's referenced bit, and an insert sweeps a
 // hand over the slot table, clearing each referenced bit it passes, until
 // it meets an unreferenced slot. That key leaves the table (backward-shift
-// deletion, as in the site LRU) and the new key takes over its entry in
+// deletion) and the new key takes over its entry in
 // place, so hot URLs stay cached across refills and a warm miss rebuilds
 // an entry without touching the heap.
 //

@@ -186,10 +186,11 @@ TEST(EndToEndTest, DummyPaddingDoesNotChangeVerdicts) {
   const mitigation::DummyPolicy policy(8);
   const auto real = crypto::prefix32_of("evil.example/x.html");
   const auto padded = policy.pad_request({real});
-  const auto response = transport.get_full_hashes(padded, 1);
+  const auto response = transport.get_full_hashes_or_error(padded, 1);
+  ASSERT_TRUE(response);
   // Only the real prefix resolves to a digest.
   std::size_t resolved = 0;
-  for (const auto& [prefix, matches] : response.matches) {
+  for (const auto& [prefix, matches] : response->matches) {
     if (!matches.empty()) {
       ++resolved;
       EXPECT_EQ(prefix, real);

@@ -25,9 +25,9 @@ class TransportTest : public ::testing::Test {
 
 TEST_F(TransportTest, RoundTripAdvancesClock) {
   EXPECT_EQ(clock_.now(), 0u);
-  (void)transport_.get_full_hashes({0x1234}, 1);
+  ASSERT_TRUE(transport_.get_full_hashes_or_error({0x1234}, 1));
   EXPECT_EQ(clock_.now(), 25u);
-  (void)transport_.fetch_update({});
+  ASSERT_TRUE(transport_.fetch_update_or_error({}));
   EXPECT_EQ(clock_.now(), 50u);
 }
 
@@ -36,24 +36,27 @@ TEST_F(TransportTest, CountsExactEncodedFrameBytes) {
   // emit, nothing estimated.
   const std::vector<crypto::Prefix32> prefixes = {
       crypto::prefix32_of("evil.example/")};
-  const auto response = transport_.get_full_hashes(prefixes, 7);
+  const auto response = transport_.get_full_hashes_or_error(prefixes, 7);
+  ASSERT_TRUE(response);
   const TransportStats& stats = transport_.stats();
   EXPECT_EQ(stats.full_hash_requests, 1u);
   EXPECT_EQ(stats.bytes_up,
             wire::encode_full_hash_request({7, prefixes}).size());
-  EXPECT_EQ(stats.bytes_down, wire::encode_full_hash_response(response).size());
+  EXPECT_EQ(stats.bytes_down,
+            wire::encode_full_hash_response(*response).size());
   EXPECT_GT(stats.bytes_down, 32u);  // carries at least one full digest
 }
 
 TEST_F(TransportTest, UpdateBytesAreEncodedFrameSizes) {
   UpdateRequest request;
   request.lists.push_back({"list", {}, {}});
-  const auto response = transport_.fetch_update(request);
+  const auto response = transport_.fetch_update_or_error(request);
+  ASSERT_TRUE(response);
   const TransportStats& stats = transport_.stats();
   EXPECT_EQ(stats.update_requests, 1u);
   EXPECT_EQ(stats.bytes_up, wire::encode_update_request(request).size());
-  EXPECT_EQ(stats.bytes_down, wire::encode_update_response(response).size());
-  ASSERT_EQ(response.lists.size(), 1u);  // the one sealed chunk came back
+  EXPECT_EQ(stats.bytes_down, wire::encode_update_response(*response).size());
+  ASSERT_EQ(response->lists.size(), 1u);  // the one sealed chunk came back
 }
 
 TEST_F(TransportTest, V4UpdateBytesAreEncodedFrameSizes) {
@@ -142,7 +145,9 @@ TEST_F(TransportTest, MinimumWaitEchoedOnBothUpdateEndpoints) {
   server_.set_minimum_wait(123);
   UpdateRequest request;
   request.lists.push_back({"list", {}, {}});
-  EXPECT_EQ(transport_.fetch_update(request).next_update_after, 123u);
+  const auto response = transport_.fetch_update_or_error(request);
+  ASSERT_TRUE(response);
+  EXPECT_EQ(response->next_update_after, 123u);
   V4UpdateRequest v4_request;
   v4_request.lists.push_back({"list", 0});
   const auto v4_response = transport_.fetch_v4_update_or_error(v4_request);

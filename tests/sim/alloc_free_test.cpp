@@ -1,10 +1,10 @@
 // "Allocation-free" as a counted property: a counting global operator new
 // checks that, once warm, the URL-cache miss path touches the heap zero
 // times -- LookupRequest::build over corpus URLs, TrafficModel::url_of on
-// a site-LRU hit, URL-cache hits and misses into reused entries, and
-// listed-prefix universe probes -- that a warm v3 or v4 re-sync served
-// from the shared caches does too, and that a warm engine tick stays
-// near zero allocations per user-tick.
+// a published site-table hit or a miss into a recycled buffer, URL-cache
+// hits and misses into reused entries, and listed-prefix universe probes
+// -- that a warm v3 or v4 re-sync served from the shared caches does too,
+// and that a warm engine tick stays near zero allocations per user-tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,33 +118,37 @@ TEST(AllocFreeTest, WarmLookupRequestBuildAllocatesNothing) {
             url::decompose_expressions("a.b.c.d.e/1/2/3/4"));
 }
 
-TEST(AllocFreeTest, UrlOfOnSiteCacheHitAllocatesNothing) {
-  const TrafficModel model(TrafficConfig{}, browse_corpus(), 64);
-  TrafficModel::SiteCache cache = model.make_cache();
+TEST(AllocFreeTest, UrlOfOnPublishedSiteTableHitAllocatesNothing) {
+  const TrafficModel model(TrafficConfig{}, browse_corpus());
+  SiteTable table(64, 1);
   std::vector<TrafficModel::VisitId> ids;
   for (std::uint64_t site = 0; site < 64; ++site) {
     ids.push_back(site << 32 | 0);
   }
   std::string url;
-  for (const auto id : ids) model.url_of(id, cache, url);  // every site missed
+  for (const auto id : ids) model.url_of(id, table.lane(0), url);  // misses
+  table.publish();
+  for (const auto id : ids) model.url_of(id, table.lane(0), url);  // warm
+  table.publish();
 
   const std::uint64_t before = allocations();
   for (int round = 0; round < 4; ++round) {
-    for (const auto id : ids) model.url_of(id, cache, url);
+    for (const auto id : ids) model.url_of(id, table.lane(0), url);
+    table.publish();
   }
   EXPECT_EQ(allocations() - before, 0u);
-  EXPECT_EQ(cache.misses(), ids.size());
-  EXPECT_EQ(cache.hits(), 4 * ids.size());
+  EXPECT_EQ(table.misses(), ids.size());
+  EXPECT_EQ(table.hits(), 5 * ids.size());
 }
 
-TEST(AllocFreeTest, WarmSiteCacheMissIntoFittingBuffersAllocatesNothing) {
-  // 128 sites through 64 entries, round-robin: every request misses and
-  // evicts the least recently used entry, so entry k holds site k and site
-  // 64 + k in turn. The sites are those whose first page has the most
-  // common length, so each entry's buffers fit every site it gets (an
-  // entry left more than half empty is shrunk, and then grows again). A
-  // miss then generates into the warm scratch and copies into the entry
-  // without touching the heap.
+TEST(AllocFreeTest, WarmRecycledSiteTableMissAllocatesNothing) {
+  // 128 sites through a table of 64, round-robin, one publish per request:
+  // with no site used twice, second chance evicts the oldest, so every
+  // request misses. A miss generates into the lane's spare buffer, which
+  // the last publish's victim handed back. The sites are those whose first
+  // page has the most common length, so every spare fits every site (a
+  // held buffer left more than half empty is shrunk, and then grows
+  // again), and neither the miss nor the publish touches the heap.
   const corpus::WebCorpus corpus(browse_corpus());
   std::vector<std::vector<std::uint64_t>> by_length(256);
   corpus::PackedSite packed;
@@ -157,20 +161,26 @@ TEST(AllocFreeTest, WarmSiteCacheMissIntoFittingBuffersAllocatesNothing) {
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
   ASSERT_GE(sites.size(), 128u);
 
-  const TrafficModel model(TrafficConfig{}, browse_corpus(), 64);
-  TrafficModel::SiteCache cache = model.make_cache();
+  const TrafficModel model(TrafficConfig{}, browse_corpus());
+  SiteTable table(64, 1);
   std::vector<TrafficModel::VisitId> ids;
   for (std::size_t i = 0; i < 128; ++i) ids.push_back(sites[i] << 32 | 0);
   std::string url;
-  for (const auto id : ids) model.url_of(id, cache, url);  // warm
+  const auto round = [&] {
+    for (const auto id : ids) {
+      model.url_of(id, table.lane(0), url);
+      table.publish();
+    }
+  };
+  round();  // fills the table
+  round();  // every miss evicts: the lane holds a spare
 
   const std::uint64_t before = allocations();
-  for (int round = 0; round < 4; ++round) {
-    for (const auto id : ids) model.url_of(id, cache, url);
-  }
+  for (int i = 0; i < 4; ++i) round();
   EXPECT_EQ(allocations() - before, 0u);
-  EXPECT_EQ(cache.misses(), 5 * ids.size());
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(table.misses(), 6 * ids.size());
+  EXPECT_EQ(table.hits(), 0u);
+  EXPECT_EQ(table.size(), 64u);
 }
 
 TEST(AllocFreeTest, UrlCacheHitsAndMissesIntoReusedEntriesAllocateNothing) {

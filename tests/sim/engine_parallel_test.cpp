@@ -175,5 +175,26 @@ TEST(SimEngineParallelTest, MoreThreadsThanShardsIsCappedAndCorrect) {
   EXPECT_EQ(engine.num_threads(), 3u);  // capped at the shard count
 }
 
+TEST(SimEngineParallelTest, FullSiteTableIsThreadCountInvariant) {
+  // Shards read the one site table with no lock during a tick and it
+  // changes only at the barrier, in shard order; a table small enough to
+  // evict several sites a tick must still leave every counter the same at
+  // any thread count.
+  SimConfig config = parallel_config(73);
+  config.site_cache_entries = 2;  // 32 sites over 16 shards
+  const RunResult one = run_with_threads(config, 1);
+  const RunResult two = run_with_threads(config, 2);
+  const RunResult eight = run_with_threads(config, 8);
+  expect_equal_runs(one, two, "full site table 1 vs 2 threads");
+  expect_equal_runs(one, eight, "full site table 1 vs 8 threads");
+
+  Engine engine(std::move(config));
+  engine.run();
+  EXPECT_EQ(engine.site_table().capacity(), 32u);
+  EXPECT_EQ(engine.site_table().size(), 32u);
+  EXPECT_GT(engine.metrics().site_cache_misses, 4 * 32u);
+  EXPECT_GT(engine.metrics().site_cache_hits, 0u);
+}
+
 }  // namespace
 }  // namespace sbp::sim

@@ -31,8 +31,8 @@ TrafficConfig browse_traffic() {
 TEST(TrafficModelTest, IdDrawEqualsStringDraw) {
   // The reference draws a rank, generates the site and picks a page from
   // its pages.size() -- the string-era draw -- on a twin stream.
-  const TrafficModel model(browse_traffic(), browse_corpus(), 256);
-  TrafficModel::SiteCache cache = model.make_cache();
+  const TrafficModel model(browse_traffic(), browse_corpus());
+  SiteTable table(256, 1);
   const corpus::WebCorpus reference(browse_corpus());
   const util::PowerLawSampler ranks(1.5, 1, 200000);
   std::unordered_map<std::size_t, corpus::Site> head;  // test-side memo
@@ -41,7 +41,8 @@ TEST(TrafficModelTest, IdDrawEqualsStringDraw) {
   util::Rng twin(77);
   std::string url;
   for (int draw = 0; draw < 100000; ++draw) {
-    model.url_of(model.sample_page(rng), cache, url);
+    model.url_of(model.sample_page(rng), table.lane(0), url);
+    if (draw % 16 == 15) table.publish();
 
     const std::size_t s = static_cast<std::size_t>(ranks.sample(twin) - 1);
     const corpus::Site* site = nullptr;
@@ -60,8 +61,8 @@ TEST(TrafficModelTest, IdDrawEqualsStringDraw) {
     ASSERT_EQ(url, expected) << "draw " << draw;
   }
   EXPECT_EQ(rng.next(), twin.next()) << "streams diverged";
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
+  EXPECT_GT(table.hits(), 0u);
+  EXPECT_GT(table.misses(), 0u);
 }
 
 TEST(TrafficModelTest, LargePageCountsAreDrawnExactly) {
@@ -72,7 +73,7 @@ TEST(TrafficModelTest, LargePageCountsAreDrawnExactly) {
   config.seed = 7;
   config.alpha = 1.05;
   config.max_pages = std::uint64_t{1} << 22;
-  const TrafficModel model(browse_traffic(), config, 16);
+  const TrafficModel model(browse_traffic(), config);
   const corpus::WebCorpus reference(config);
   const util::PowerLawSampler ranks(1.5, 1, config.num_hosts);
 
@@ -102,107 +103,119 @@ TEST(TrafficModelTest, RacingPageCountFillsDrawTheSerialIds) {
     for (auto& id : ids) id = model.sample_page(rng);
     return ids;
   };
-  const TrafficModel shared(browse_traffic(), browse_corpus(), 16);
+  const TrafficModel shared(browse_traffic(), browse_corpus());
   std::vector<TrafficModel::VisitId> racing[2];
   std::thread other([&] { racing[1] = draw(shared, 2); });
   racing[0] = draw(shared, 1);
   other.join();
 
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    const TrafficModel serial(browse_traffic(), browse_corpus(), 16);
+    const TrafficModel serial(browse_traffic(), browse_corpus());
     EXPECT_EQ(racing[seed - 1], draw(serial, seed)) << "seed " << seed;
   }
 }
 
-TEST(TrafficModelTest, SiteCacheNeverDecides) {
-  const TrafficModel model(browse_traffic(), browse_corpus(), 256);
-  TrafficModel::SiteCache tiny(1);
-  TrafficModel::SiteCache large(4096);
-  util::Rng rng(5);
-  std::string a, b;
-  for (int draw = 0; draw < 20000; ++draw) {
-    const TrafficModel::VisitId id = model.sample_page(rng);
-    model.url_of(id, tiny, a);
-    model.url_of(id, large, b);
-    ASSERT_EQ(a, b) << "draw " << draw;
-  }
-  EXPECT_EQ(tiny.hits() + tiny.misses(), 20000u);
-  EXPECT_EQ(large.hits() + large.misses(), 20000u);
-  EXPECT_GT(tiny.misses(), large.misses());
-}
-
-TEST(TrafficModelTest, SiteCacheEvictsLeastRecentlyUsed) {
-  const TrafficModel model(browse_traffic(), browse_corpus(), 2);
-  TrafficModel::SiteCache cache = model.make_cache();
+TEST(TrafficModelTest, SiteTableNeverDecides) {
+  // Three lanes take turns over seeded ids and the table publishes every
+  // few draws: each URL equals the page site_into generates directly, at
+  // every capacity, and the table never holds more than its capacity.
+  const TrafficModel model(browse_traffic(), browse_corpus());
   const corpus::WebCorpus reference(browse_corpus());
-  struct Step {
-    std::size_t site;
-    std::uint64_t hits;  ///< cumulative after the access
-    std::uint64_t misses;
-  };
-  // Capacity 2; the comment is the recency order after each access.
-  const std::vector<Step> script = {
-      {0, 0, 1},  // miss: 0
-      {1, 0, 2},  // miss: 1 0
-      {0, 1, 2},  // hit:  0 1
-      {2, 1, 3},  // miss, evicts 1: 2 0
-      {0, 2, 3},  // hit:  0 2
-      {1, 2, 4},  // miss, evicts 2: 1 0
-      {2, 2, 5},  // miss, evicts 0: 2 1
-      {1, 3, 5},  // hit:  1 2
-      {0, 3, 6},  // miss, evicts 2: 0 1
-      {1, 4, 6},  // hit:  1 0
-  };
-  std::string url;
-  for (std::size_t i = 0; i < script.size(); ++i) {
-    const Step& step = script[i];
-    model.url_of(static_cast<TrafficModel::VisitId>(step.site) << 32, cache,
-                 url);
-    EXPECT_EQ(url, reference.site(step.site).pages[0].url()) << "step " << i;
-    EXPECT_EQ(cache.hits(), step.hits) << "step " << i;
-    EXPECT_EQ(cache.misses(), step.misses) << "step " << i;
+  corpus::PackedSite direct;
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SiteTable table(capacity, 3);
+    util::Rng rng(5);
+    std::string url;
+    for (int draw = 0; draw < 20000; ++draw) {
+      const TrafficModel::VisitId id = model.sample_page(rng);
+      model.url_of(id, table.lane(draw % 3), url);
+      const std::uint64_t page = id & 0xFFFFFFFFu;
+      reference.site_into(id >> 32, direct, page + 1);
+      ASSERT_EQ(url, "http://" + std::string(direct.expression(page)))
+          << "capacity " << capacity << " draw " << draw;
+      if (draw % 5 == 4) {
+        table.publish();
+        ASSERT_LE(table.size(), capacity) << "draw " << draw;
+      }
+    }
+    EXPECT_EQ(table.hits() + table.misses(), 20000u) << capacity;
+    EXPECT_GT(table.hits(), 0u) << capacity;
+    // Only the largest table never fills.
+    EXPECT_EQ(table.size() < capacity, capacity == 4096) << capacity;
   }
 }
 
-TEST(TrafficModelTest, SiteCacheKeepsPrefixesAndExtendsToWholeSites) {
-  const TrafficModel model(browse_traffic(), browse_corpus(), 2);
-  TrafficModel::SiteCache cache = model.make_cache();
+TEST(TrafficModelTest, SiteTableKeepsASiteTouchedEveryTick) {
+  // Second chance: a publish sets the referenced bit of every site a lane
+  // used before it merges any new site, so a site used every tick stays
+  // while each publish brings fewer new sites than the capacity. A site
+  // never used again leaves within one sweep of the hand.
+  const TrafficModel model(browse_traffic(), browse_corpus());
+  const auto first_page = [](std::uint64_t site) { return site << 32; };
+  constexpr std::uint64_t kHot = 99999;
+  for (const std::size_t capacity :
+       {std::size_t{3}, std::size_t{7}, std::size_t{64}}) {
+    SiteTable table(capacity, 2);
+    std::string url;
+    std::uint64_t fresh = 0;
+    for (int tick = 0; tick < 50 * static_cast<int>(capacity); ++tick) {
+      const std::uint64_t misses = table.misses();
+      model.url_of(first_page(kHot), table.lane(1), url);
+      model.url_of(first_page(++fresh), table.lane(0), url);
+      model.url_of(first_page(++fresh), table.lane(1), url);
+      table.publish();
+      ASSERT_EQ(table.misses() - misses, tick == 0 ? 3u : 2u)
+          << "capacity " << capacity << " tick " << tick;
+      ASSERT_LE(table.size(), capacity);
+    }
+    const std::uint64_t misses = table.misses();
+    model.url_of(first_page(1), table.lane(0), url);
+    table.publish();
+    EXPECT_EQ(table.misses(), misses + 1) << "capacity " << capacity;
+  }
+}
+
+TEST(TrafficModelTest, SiteTableKeepsPrefixesAndExtendsToWholeSites) {
+  const TrafficModel model(browse_traffic(), browse_corpus());
+  SiteTable table(16, 2);
   const corpus::WebCorpus reference(browse_corpus());
-  // Three sites of at least 10 pages.
+  // Two sites of at least 10 pages.
   std::vector<std::size_t> sites;
-  for (std::size_t s = 0; sites.size() < 3; ++s) {
+  for (std::size_t s = 0; sites.size() < 2; ++s) {
     if (reference.site_page_count(s) >= 10) sites.push_back(s);
   }
-  const std::size_t a = sites[0], b = sites[1], c = sites[2];
+  const std::size_t a = sites[0], b = sites[1];
   const auto pages_of = [&](std::size_t site) {
     return reference.site_page_count(site);
   };
 
-  // A hit serves a cached page; a prefix miss generates the site through
-  // the requested page; a whole miss (a request at or past the cached
-  // prefix) generates the whole site.
-  enum class Kind { kHit, kPrefix, kWhole };
+  // A hit serves a held page (this lane's pending copy or the published
+  // one); a prefix miss generates the site through the requested page; a
+  // whole miss (a request at or past the held prefix) generates the whole
+  // site. A lane sees no other lane's pending sites, and a publish keeps
+  // the longer of two copies.
+  enum class Kind { kHit, kPrefix, kWhole, kPublish };
   struct Step {
+    std::size_t lane;
     std::size_t site;
     std::uint64_t page;
     Kind kind;
   };
-  // Capacity 2; the comment is the cache after each access.
   const std::vector<Step> script = {
-      {a, 3, Kind::kPrefix},               // a[0..3]
-      {a, 0, Kind::kHit},                  // a[0..3]
-      {a, 3, Kind::kHit},                  // a[0..3]
-      {a, 4, Kind::kWhole},                // a
-      {a, pages_of(a) - 1, Kind::kHit},    // a
-      {b, 1, Kind::kPrefix},               // b[0..1] a
-      {b, 5, Kind::kWhole},                // b a
-      {c, 0, Kind::kPrefix},               // c[0] b; evicts a
-      {a, 2, Kind::kPrefix},               // a[0..2] c[0]; evicts b
-      {c, 0, Kind::kHit},                  // c[0] a[0..2]
-      {b, 1, Kind::kPrefix},               // b[0..1] c[0]; evicts a
-      {c, 1, Kind::kWhole},                // c b[0..1]
-      {b, pages_of(b) - 1, Kind::kWhole},  // b c
-      {c, pages_of(c) - 1, Kind::kHit},    // c b
+      {0, a, 3, Kind::kPrefix},               // lane 0: a[0..3]
+      {0, a, 0, Kind::kHit},
+      {0, a, 4, Kind::kWhole},                // lane 0: a
+      {1, a, 2, Kind::kPrefix},               // lane 1: a[0..2]
+      {1, b, 1, Kind::kPrefix},               // lane 1: a[0..2] b[0..1]
+      {0, 0, 0, Kind::kPublish},              // a b[0..1]
+      {1, a, pages_of(a) - 1, Kind::kHit},
+      {0, b, 1, Kind::kHit},
+      {0, b, 5, Kind::kWhole},                // lane 0: b
+      {1, b, 5, Kind::kWhole},                // lane 1: b
+      {0, 0, 0, Kind::kPublish},              // a b
+      {1, b, pages_of(b) - 1, Kind::kHit},
+      {0, 0, 0, Kind::kPublish},
   };
   std::uint64_t hits = 0, misses = 0, generated = 0;
   std::string url;
@@ -212,15 +225,19 @@ TEST(TrafficModelTest, SiteCacheKeepsPrefixesAndExtendsToWholeSites) {
       case Kind::kHit: ++hits; break;
       case Kind::kPrefix: ++misses; generated += step.page + 1; break;
       case Kind::kWhole: ++misses; generated += pages_of(step.site); break;
+      case Kind::kPublish:
+        table.publish();
+        EXPECT_EQ(table.hits(), hits) << "step " << i;
+        EXPECT_EQ(table.misses(), misses) << "step " << i;
+        EXPECT_EQ(table.pages_generated(), generated) << "step " << i;
+        EXPECT_EQ(table.size(), 2u) << "step " << i;
+        continue;
     }
     model.url_of(static_cast<TrafficModel::VisitId>(step.site) << 32 |
                      step.page,
-                 cache, url);
+                 table.lane(step.lane), url);
     EXPECT_EQ(url, reference.site(step.site).pages[step.page].url())
         << "step " << i;
-    EXPECT_EQ(cache.hits(), hits) << "step " << i;
-    EXPECT_EQ(cache.misses(), misses) << "step " << i;
-    EXPECT_EQ(cache.pages_generated(), generated) << "step " << i;
   }
 }
 
@@ -230,31 +247,32 @@ TEST(TrafficModelTest, OneIdPerTargetUrl) {
   TrafficConfig traffic = browse_traffic();
   traffic.target_urls = {"http://victim.example/", "http://other.example/",
                          "http://victim.example/", corpus_url};
-  const TrafficModel model(traffic, browse_corpus(), 16);
+  const TrafficModel model(traffic, browse_corpus());
 
   EXPECT_EQ(model.target_visit(0), TrafficModel::kTargetVisit | 0);
   EXPECT_EQ(model.target_visit(1), TrafficModel::kTargetVisit | 1);
   EXPECT_EQ(model.target_visit(2), model.target_visit(0));
   EXPECT_EQ(model.target_visit(3), TrafficModel::VisitId{3} << 32 | 1);
 
-  TrafficModel::SiteCache cache = model.make_cache();
+  SiteTable table(16, 1);
   std::string url;
   for (std::size_t i = 0; i < traffic.target_urls.size(); ++i) {
-    model.url_of(model.target_visit(i), cache, url);
+    model.url_of(model.target_visit(i), table.lane(0), url);
     EXPECT_EQ(url, traffic.target_urls[i]) << i;
   }
-  // Only the corpus-page target went through the site cache.
-  EXPECT_EQ(cache.hits() + cache.misses(), 1u);
+  table.publish();
+  // Only the corpus-page target went through the site table.
+  EXPECT_EQ(table.hits() + table.misses(), 1u);
 }
 
 TEST(TrafficModelTest, RejectsCorpusBeyondIdLayout) {
   corpus::CorpusConfig config = browse_corpus();
   config.num_hosts = (std::size_t{1} << 31) + 1;
-  EXPECT_THROW(TrafficModel(browse_traffic(), config, 16),
+  EXPECT_THROW(TrafficModel(browse_traffic(), config),
                std::invalid_argument);
   config = browse_corpus();
   config.max_pages = (std::uint64_t{1} << 32) + 1;
-  EXPECT_THROW(TrafficModel(browse_traffic(), config, 16),
+  EXPECT_THROW(TrafficModel(browse_traffic(), config),
                std::invalid_argument);
 }
 

@@ -26,7 +26,7 @@ request tag (FrameType::k...Request) or calls a frame codec
 brings back a second dispatch whose query log and byte counts the
 equivalence tests would have to reconcile.
 
-A URL-cache miss allocates nothing once warm: the site LRU hands out a
+A URL-cache miss allocates nothing once warm: the site table hands out a
 slice of a packed site (WebCorpus::site_into) and LookupRequest::build runs
 the canonicalize_into / decompose_into core on reused buffers.  The
 allocating wrappers (url::canonicalize, url::decompose, WebCorpus::site)

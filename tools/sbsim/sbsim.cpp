@@ -202,16 +202,32 @@ int cmd_run(const std::vector<std::string>& args) {
 
   // One-line wall-clock summary: how fast the engine chewed through the
   // population ("user ticks" = users x ticks, the engine's unit of work).
+  // With metrics on it also names the pool's wake mode: the p99 wake
+  // latency of a resident worker and how many batches each thread joined
+  // (the caller first), of all batches.
   const double user_ticks = static_cast<double>(scenario->config.num_users) *
                             static_cast<double>(scenario->config.ticks);
+  std::string pool;
+  if (result.obs) {
+    const sbp::obs::PoolObs& obs = result.obs->pool;
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, " dispatch_p99=%.1fus batches_joined=",
+                  static_cast<double>(obs.dispatch_ns.quantile(0.99)) / 1e3);
+    pool = buffer;
+    for (std::size_t w = 0; w < obs.workers.size(); ++w) {
+      pool += (w == 0 ? "" : ",") + std::to_string(obs.workers[w].batches);
+    }
+    pool += " of " + std::to_string(obs.batches);
+  }
   std::fprintf(stderr,
                "done: %zu users x %llu ticks on %zu thread(s) in %.2fs "
-               "(%.0f user_ticks_per_sec)\n",
+               "(%.0f user_ticks_per_sec)%s\n",
                scenario->config.num_users,
                static_cast<unsigned long long>(scenario->config.ticks),
                result.threads_used, result.run_seconds,
                result.run_seconds > 0.0 ? user_ticks / result.run_seconds
-                                        : 0.0);
+                                        : 0.0,
+               pool.c_str());
 
   const std::string report =
       json::dump(sbp::sim::report_to_json(*scenario, result));
